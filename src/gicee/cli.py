@@ -45,6 +45,7 @@ from .region import (
     build_system,
     region_for_allocation,
     region_union,
+    worker_count,
 )
 from .schemes import CTDMA_TAGS, ctdma_region
 
@@ -100,7 +101,7 @@ def _resolve_channel(cfg: dict) -> ChannelParams:
     if len(inline) == len(_CHANNEL_FLAGS):
         try:
             return ChannelParams(**{name: float(cfg[name]) for name in _CHANNEL_FLAGS})
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
     if inline:
         missing = sorted(set(_CHANNEL_FLAGS) - set(inline))
@@ -108,12 +109,31 @@ def _resolve_channel(cfg: dict) -> ChannelParams:
     raise ConfigError("no channel given: use --preset or all six inline values")
 
 
-def _require(cfg: dict, key: str, minimum: int, label: str,
+def _require(cfg: dict, key: str, minimum: int | None, label: str,
              default: int | None = None) -> int:
-    value = int(cfg.get(key, default if default is not None else minimum))
-    if value < minimum:
+    value = cfg.get(key, default if default is not None else minimum)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{label} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{label} must be at least {minimum}, got {value}")
     return value
+
+
+def _output_path(value) -> Path:
+    """An output file path whose directory must already exist."""
+    if not isinstance(value, str):
+        raise ConfigError(f"out must be a file path, got {value!r}")
+    out = Path(value)
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory {str(out.parent)!r} does not exist")
+    return out
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _sidecar_path(out: Path) -> Path:
@@ -125,10 +145,10 @@ def _sidecar_path(out: Path) -> Path:
 def _write_frontier(out: Path, frontier: Frontier, sidecar: dict) -> None:
     lines = ["r1_bits,r2_bits"]
     lines.extend(f"{r1:.9g},{r2:.9g}" for r1, r2 in frontier.points)
-    out.write_text("\n".join(lines) + "\n")
     sidecar = dict(sidecar, tool="gicee", version=__version__,
                    points=len(frontier.points))
-    _sidecar_path(out).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write_text(out, "\n".join(lines) + "\n")
+    _write_text(_sidecar_path(out), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_region(args: argparse.Namespace) -> int:
@@ -140,13 +160,18 @@ def cmd_region(args: argparse.Namespace) -> int:
     steps = _require(cfg, "steps", 2, "steps", default=11)
     directions = _require(cfg, "directions", 3, "directions", default=16)
     states = _require(cfg, "states", 1, "states", default=1)
-    out = Path(cfg.get("out") or "region.csv")
-    spec = RegionSpec(
-        channel=channel, variant=variant, steps=steps,
-        directions=directions, states=states,
-        weight_steps=int(cfg.get("weight_steps", 5)),
-    )
-    frontier = region_union(spec, workers=cfg.get("workers"))
+    weight_steps = _require(cfg, "weight_steps", None, "weight_steps", default=5)
+    workers = _require(cfg, "workers", 1, "workers") if "workers" in cfg else None
+    out = _output_path(cfg.get("out") or "region.csv")
+    try:
+        workers = worker_count(workers)
+        spec = RegionSpec(
+            channel=channel, variant=variant, steps=steps,
+            directions=directions, states=states, weight_steps=weight_steps,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    frontier = region_union(spec, workers=workers)
     _write_frontier(out, frontier, {
         "command": "region",
         "channel": channel.to_dict(),
@@ -166,7 +191,7 @@ def cmd_ctdma(args: argparse.Namespace) -> int:
     if variant not in CTDMA_TAGS:
         raise ConfigError(f"variant must be one of {CTDMA_TAGS}, got {variant!r}")
     steps = _require(cfg, "steps", 2, "steps", default=11)
-    out = Path(cfg.get("out") or "ctdma.csv")
+    out = _output_path(cfg.get("out") or "ctdma.csv")
     frontier = ctdma_region(channel, variant=variant, steps=steps)
     _write_frontier(out, frontier, {
         "command": "ctdma",
@@ -192,6 +217,9 @@ def cmd_point(args: argparse.Namespace) -> int:
     if not report.ok:
         raise ConfigError(f"allocation invalid ({report.code}): {report.detail}")
     directions = _require(cfg, "directions", 3, "directions", default=64)
+    out = cfg.get("out")
+    if out:
+        out = _output_path(out)
     frontier = region_for_allocation(channel, alloc, directions)
     payload = {
         "channel": channel.to_dict(),
@@ -200,9 +228,8 @@ def cmd_point(args: argparse.Namespace) -> int:
         "points": [[r1, r2] for r1, r2 in frontier.points],
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
-    out = cfg.get("out")
     if out:
-        Path(out).write_text(text + "\n")
+        _write_text(out, text + "\n")
     print(text)
     return EXIT_OK
 
@@ -333,10 +360,12 @@ def submodularity_suite(seed: int, trials: int = 40) -> float:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    seed = int(cfg.get("seed", 0))
+    seed = _require(cfg, "seed", 0, "seed")
     samples = _require(cfg, "samples", 1, "samples", default=1000)
     systems = _require(cfg, "systems", 1, "systems", default=20)
-    tol = float(cfg.get("tol", 1e-12))
+    tol = cfg.get("tol", 1e-12)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol >= 0:
+        raise ConfigError(f"tol must be a nonnegative number, got {tol!r}")
 
     ok = True
     dev = mi_oracle_suite(seed, samples)

@@ -104,43 +104,128 @@ class LpResult:
     x: np.ndarray | None = None
 
 
-def _bland_min(tableau: np.ndarray, cost: np.ndarray, basis: list[int],
-               allowed: int, tol: float) -> str:
-    """Run simplex pivots (minimization) until optimal or unbounded.
+class _Tableau:
+    """Dense simplex tableau of one system, kept in canonical form.
 
-    ``allowed`` restricts entering variables to columns below that index so
-    phase 2 never re-enters an artificial column.  Bland's rule: entering is
-    the lowest-index negative reduced cost; leaving is the ratio-test row,
-    ties broken by the lowest basic variable index.
+    Rows are the constraints with nonnegative right-hand sides followed by
+    the objective (reduced-cost) row; columns are the variables, one slack
+    per ``<=`` row, one surplus per flipped ``>=`` row, one artificial per
+    row without a slack, and the right-hand side last.  The basis survives
+    between objectives, so every phase-2 solve warm-starts from the last
+    optimal basis.
     """
-    for _ in range(_MAX_PIVOTS):
-        entering = -1
-        for j in range(allowed):
-            if cost[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
-        col = tableau[:, entering]
-        best_ratio, leaving = math.inf, -1
-        for i in range(tableau.shape[0]):
-            if col[i] > tol:
-                ratio = tableau[i, -1] / col[i]
-                if ratio < best_ratio - 1e-15 or (
-                    abs(ratio - best_ratio) <= 1e-15
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio, leaving = ratio, i
-        if leaving < 0:
-            return "unbounded"
-        pivot = tableau[leaving, entering]
-        tableau[leaving, :] /= pivot
-        factors = tableau[:, entering].copy()
-        factors[leaving] = 0.0
-        tableau -= np.outer(factors, tableau[leaving, :])
-        cost -= cost[entering] * tableau[leaving, :]
-        basis[leaving] = entering
-    raise SolverFailure(f"simplex stalled after {_MAX_PIVOTS} pivots")
+
+    def __init__(self, system: RateSystem) -> None:
+        a = np.vstack([system.a_ub, system.a_eq])
+        b = np.concatenate([system.b_ub, system.b_eq])
+        m, n = a.shape
+        flip = b < 0
+        a[flip] = -a[flip]
+        b = np.abs(b)
+        inequality = np.arange(m) < system.n_inequalities
+        le_rows = np.flatnonzero(inequality & ~flip)
+        ge_rows = np.flatnonzero(inequality & flip)
+        art_rows = np.flatnonzero(~inequality | flip)
+        slack_at = n
+        surplus_at = slack_at + le_rows.size
+        self.art_start = surplus_at + ge_rows.size
+        ncols = self.art_start + art_rows.size
+
+        t = np.zeros((m + 1, ncols + 1))
+        t[:m, :n] = a
+        t[:m, -1] = b
+        t[le_rows, slack_at + np.arange(le_rows.size)] = 1.0
+        t[ge_rows, surplus_at + np.arange(ge_rows.size)] = -1.0
+        t[art_rows, self.art_start + np.arange(art_rows.size)] = 1.0
+        basis = np.empty(m, dtype=np.intp)
+        basis[le_rows] = slack_at + np.arange(le_rows.size)
+        basis[art_rows] = self.art_start + np.arange(art_rows.size)
+        self.t, self.basis, self.n = t, basis, n
+
+    def _pivot(self, row: int, col: int) -> None:
+        t = self.t
+        t[row] /= t[row, col]
+        factors = t[:, col].copy()
+        factors[row] = 0.0
+        t -= factors[:, np.newaxis] * t[row]
+        self.basis[row] = col
+
+    def _bland(self, allowed: np.ndarray | None, tol: float) -> str:
+        """Pivot to an optimum of the objective row (minimization).
+
+        Bland's rule: entering is the lowest-index column with a negative
+        reduced cost among ``allowed`` (all columns when None); leaving is
+        the ratio-test row, ties within 1e-15 broken by the lowest basic
+        variable index.
+        """
+        t, basis = self.t, self.basis
+        for _ in range(_MAX_PIVOTS):
+            negative = t[-1, :-1] < -tol
+            if allowed is not None:
+                negative &= allowed
+            entering = negative.nonzero()[0]
+            if not entering.size:
+                return "optimal"
+            col = entering[0]
+            rows = (t[:-1, col] > tol).nonzero()[0]
+            if not rows.size:
+                return "unbounded"
+            ratios = t[rows, -1] / t[rows, col]
+            ties = rows[ratios <= ratios.min() + 1e-15]
+            self._pivot(ties[np.argmin(basis[ties])], col)
+        raise SolverFailure(f"simplex stalled after {_MAX_PIVOTS} pivots")
+
+    def phase1(self, tol: float) -> bool:
+        """Find a basic feasible solution; False if the system is infeasible.
+
+        Afterwards the artificial columns are gone: leftover artificials
+        are pivoted out of the basis, and rows where that is impossible are
+        redundant and dropped.
+        """
+        t, art_start = self.t, self.art_start
+        if art_start == t.shape[1] - 1:
+            return True
+        t[-1] = 0.0
+        t[-1, art_start:-1] = 1.0
+        t[-1] -= t[:-1][self.basis >= art_start].sum(axis=0)
+        if self._bland(None, tol) != "optimal":
+            raise SolverFailure("phase 1 reported unbounded; system is malformed")
+        if -t[-1, -1] > tol:
+            return False
+        keep = np.ones(t.shape[0], dtype=bool)
+        for row in np.flatnonzero(self.basis >= art_start):
+            candidates = np.flatnonzero(np.abs(t[row, :art_start]) > tol)
+            if candidates.size:
+                self._pivot(row, candidates[0])
+            else:
+                keep[row] = False
+        columns = np.r_[0:art_start, t.shape[1] - 1]
+        self.t = t[keep][:, columns]
+        self.basis = self.basis[keep[:-1]]
+        return True
+
+    def maximize(self, objective: np.ndarray, tol: float,
+                 allowed: np.ndarray | None = None) -> str:
+        """Phase 2 from the current basis; entering columns limited to ``allowed``."""
+        t, basis = self.t, self.basis
+        t[-1] = 0.0
+        t[-1, :self.n] = -objective
+        priced = np.flatnonzero(t[-1, basis])
+        if priced.size:
+            t[-1] -= (t[-1, basis[priced], None] * t[priced]).sum(axis=0)
+        return self._bland(allowed, tol)
+
+    def optimal_face(self, tol: float) -> np.ndarray:
+        """Columns that may move without leaving the current optimal face:
+        those whose reduced cost is not positive."""
+        return self.t[-1, :-1] <= tol
+
+    def solution(self, tol: float) -> np.ndarray:
+        x = np.zeros(self.n)
+        structural = self.basis < self.n
+        x[self.basis[structural]] = self.t[:-1, -1][structural]
+        x[(x < 0) & (x > -tol)] = 0.0
+        return x
 
 
 def lp_solve(
@@ -151,106 +236,14 @@ def lp_solve(
 ) -> LpResult:
     """Maximize ``objective . x`` over the system; deterministic two-phase simplex."""
     c_max = np.asarray(objective, dtype=float)
-    n = system.dim
-    if c_max.shape != (n,):
-        raise ValueError(f"objective must have length {n}")
-
-    # Canonical rows with nonnegative right-hand sides.  Inequalities whose
-    # bound is negative flip into >= rows that need surplus + artificial;
-    # equalities always take an artificial.
-    rows, rhs, kinds = [], [], []
-    for a, b in zip(system.a_ub, system.b_ub):
-        if b >= 0:
-            rows.append(a.copy())
-            rhs.append(b)
-            kinds.append("le")
-        else:
-            rows.append(-a)
-            rhs.append(-b)
-            kinds.append("ge")
-    for a, b in zip(system.a_eq, system.b_eq):
-        if b >= 0:
-            rows.append(a.copy())
-            rhs.append(b)
-        else:
-            rows.append(-a)
-            rhs.append(-b)
-        kinds.append("eq")
-
-    m = len(rows)
-    n_slack = sum(1 for k in kinds if k == "le")
-    n_surplus = sum(1 for k in kinds if k == "ge")
-    n_art = sum(1 for k in kinds if k != "le")
-    ncols = n + n_slack + n_surplus + n_art
-
-    tableau = np.zeros((m, ncols + 1))
-    basis: list[int] = []
-    slack_at, surplus_at, art_at = n, n + n_slack, n + n_slack + n_surplus
-    for i, (a, b, kind) in enumerate(zip(rows, rhs, kinds)):
-        tableau[i, :n] = a
-        tableau[i, -1] = b
-        if kind == "le":
-            tableau[i, slack_at] = 1.0
-            basis.append(slack_at)
-            slack_at += 1
-        else:
-            if kind == "ge":
-                tableau[i, surplus_at] = -1.0
-                surplus_at += 1
-            tableau[i, art_at] = 1.0
-            basis.append(art_at)
-            art_at += 1
-
-    art_start = n + n_slack + n_surplus
-
-    if n_art:
-        cost = np.zeros(ncols + 1)
-        cost[art_start:ncols] = 1.0
-        for i, b in enumerate(basis):
-            if b >= art_start:
-                cost -= tableau[i, :]
-        status = _bland_min(tableau, cost, basis, ncols, tol)
-        if status != "optimal":
-            raise SolverFailure("phase 1 reported unbounded; system is malformed")
-        if -cost[-1] > tol:
-            return LpResult(status="infeasible")
-        # Drive leftover artificials out of the basis; rows that cannot
-        # pivot are redundant and get dropped.
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= art_start:
-                pivot_col = -1
-                for j in range(art_start):
-                    if abs(tableau[i, j]) > tol:
-                        pivot_col = j
-                        break
-                if pivot_col < 0:
-                    keep[i] = False
-                    continue
-                piv = tableau[i, pivot_col]
-                tableau[i, :] /= piv
-                factors = tableau[:, pivot_col].copy()
-                factors[i] = 0.0
-                tableau -= np.outer(factors, tableau[i, :])
-                basis[i] = pivot_col
-        tableau = np.hstack([tableau[keep, :art_start], tableau[keep, -1:]])
-        basis = [b for i, b in enumerate(basis) if keep[i]]
-        ncols = art_start
-
-    cost = np.zeros(ncols + 1)
-    cost[:n] = -c_max
-    for i, b in enumerate(basis):
-        if abs(cost[b]) > 0.0:
-            cost -= cost[b] * tableau[i, :]
-    status = _bland_min(tableau, cost, basis, ncols, tol)
-    if status == "unbounded":
+    if c_max.shape != (system.dim,):
+        raise ValueError(f"objective must have length {system.dim}")
+    tableau = _Tableau(system)
+    if not tableau.phase1(tol):
+        return LpResult(status="infeasible")
+    if tableau.maximize(c_max, tol) == "unbounded":
         return LpResult(status="unbounded")
-
-    x = np.zeros(n)
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = tableau[i, -1]
-    x[(x < 0) & (x > -tol)] = 0.0
+    x = tableau.solution(tol)
     return LpResult(status="optimal", value=float(c_max @ x), x=x)
 
 
@@ -288,7 +281,9 @@ class Frontier:
             r1, r2 = float(r1), float(r2)
             if r1 < -FEASIBILITY_TOL or r2 < -FEASIBILITY_TOL:
                 raise ValueError(f"negative frontier point ({r1}, {r2})")
-            cleaned.append((max(r1, 0.0), max(r2, 0.0)))
+            # Coordinates within the solver tolerance of zero are zero, so
+            # rounding residue such as 2.2e-16 never reaches the output.
+            cleaned.append(tuple(0.0 if r <= FEASIBILITY_TOL else r for r in (r1, r2)))
         for (a1, a2), (b1, b2) in zip(cleaned, cleaned[1:]):
             if b1 < a1 or b2 > a2:
                 raise ValueError("frontier points must be sorted and Pareto")
@@ -367,41 +362,42 @@ def project_frontier(
 
     Sweeps ``directions`` support angles uniformly over [0, pi/2] plus the
     two lexicographic corners.  Infeasible systems give an empty frontier.
+    Phase 1 runs once; every later objective warm-starts phase 2 from the
+    previous optimal basis, and a corner's secondary objective is solved on
+    the primary's optimal face by blocking the columns with positive
+    reduced cost.
     """
     if directions < 3:
         raise ValueError("need at least 3 directions")
     r1_row = np.asarray(r1_row, dtype=float)
     r2_row = np.asarray(r2_row, dtype=float)
+    tol = FEASIBILITY_TOL
     meta = dict(metadata or {})
     meta.setdefault("directions", directions)
 
-    def corner(primary: np.ndarray, secondary: np.ndarray):
-        res = lp_solve(system, primary)
-        if res.status == "infeasible":
-            return None
-        if res.status != "optimal":
-            raise SolverFailure("projection unbounded along a corner objective")
-        pinned = system.with_equalities([primary], [res.value])
-        res2 = lp_solve(pinned, secondary)
-        if res2.status != "optimal":
-            raise SolverFailure("lexicographic refinement failed")
-        return res2.x
-
-    first = corner(r1_row, r2_row)
-    if first is None:
+    tableau = _Tableau(system)
+    if not tableau.phase1(tol):
         meta["infeasible"] = True
         return Frontier(points=(), metadata=meta)
-    solutions = [first, corner(r2_row, r1_row)]
 
-    for k in range(directions):
+    def corner(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
+        if tableau.maximize(primary, tol) != "optimal":
+            raise SolverFailure("projection unbounded along a corner objective")
+        if tableau.maximize(secondary, tol, tableau.optimal_face(tol)) != "optimal":
+            raise SolverFailure("lexicographic refinement failed")
+        return tableau.solution(tol)
+
+    solutions = [corner(r1_row, r2_row), corner(r2_row, r1_row)]
+    # The second corner is the optimum at pi/2, so sweeping downwards from
+    # there keeps each warm start one short walk along the frontier.
+    for k in reversed(range(directions)):
         theta = 0.5 * math.pi * k / (directions - 1)
         obj = math.cos(theta) * r1_row + math.sin(theta) * r2_row
-        res = lp_solve(system, obj)
-        if res.status != "optimal":
+        if tableau.maximize(obj, tol) != "optimal":
             raise SolverFailure(
-                f"direction {theta:.6f} rad ended with status {res.status}"
+                f"direction {theta:.6f} rad ended with status unbounded"
             )
-        solutions.append(res.x)
+        solutions.append(tableau.solution(tol))
 
     points = [
         (max(float(r1_row @ x), 0.0), max(float(r2_row @ x), 0.0)) for x in solutions

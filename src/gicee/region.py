@@ -10,15 +10,18 @@ observes.  Unions over power grids are merged by convex closure.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
 from . import schemes
-from .gaussmi import DECODABLE, SignalIndex, gamma, receiver_view
+from .gaussmi import DECODABLE, SignalIndex
 from .model import (
     BUDGET_TOL,
     ChannelParams,
@@ -61,6 +64,8 @@ R2_OBJECTIVE.setflags(write=False)
 
 VARIANTS = ("full", "r3", "borcp", "ncp")
 
+_LN2 = math.log(2.0)
+
 
 def _nonempty_subsets(indices: frozenset[int], proper: bool = False):
     """All nonempty subsets in deterministic binary-counting order."""
@@ -72,49 +77,124 @@ def _nonempty_subsets(indices: frozenset[int], proper: bool = False):
         yield tuple(idx[k] for k in range(len(idx)) if mask >> k & 1)
 
 
-def build_system(channel: ChannelParams, alloc: TimeSharedAllocation) -> RateSystem:
-    """Constraint system for one allocation: 92 inequalities plus the
-    eavesdropper equality, with time-share-averaged MI bounds."""
+# (receiver, subset) of every bound, in system order: each receiver's
+# subsets, the eavesdropper's proper subsets, then its full set, which is
+# the equality.
+_BOUNDS = (
+    [("y1", s) for s in _nonempty_subsets(DECODABLE["y1"])]
+    + [("y2", s) for s in _nonempty_subsets(DECODABLE["y2"])]
+    + [("ye", s) for s in _nonempty_subsets(DECODABLE["ye"], proper=True)]
+    + [("ye", tuple(sorted(DECODABLE["ye"])))]
+)
+N_BOUNDS = len(_BOUNDS)
+
+
+def _indicator_rows() -> np.ndarray:
+    rows = np.zeros((N_BOUNDS, N_VARS))
+    for k, (receiver, subset) in enumerate(_BOUNDS):
+        for i in subset:
+            if receiver != "ye" and i in _MSG_COL:
+                rows[k, _MSG_COL[i]] = 1.0
+            rows[k, _RX_COL[i]] = 1.0
+    rows.setflags(write=False)
+    return rows
+
+
+# The fixed constraint matrix shared by every allocation: 92 inequality
+# rows and the eavesdropper equality row.  Only the bounds change.
+_ROWS = _indicator_rows()
+A_UB, EQ_ROW = _ROWS[:-1], _ROWS[-1]
+
+# State powers as a vector, and the position of each codeword component in
+# it; positions 3 and 7 are the users' jamming powers.
+_STATE_POWERS = attrgetter("pc1", "ps1", "po1", "pj1", "pc2", "ps2", "po2", "pj2")
+_POWER_AT = {
+    int(SignalIndex.C1): 0, int(SignalIndex.S1): 1, int(SignalIndex.O1): 2,
+    int(SignalIndex.C2): 4, int(SignalIndex.S2): 5, int(SignalIndex.O2): 6,
+}
+_JAM_AT = (3, 7)
+
+
+def _membership() -> tuple[np.ndarray, np.ndarray]:
+    """0/1 maps from the 8 state powers to each bound's subset power and to
+    its receiver's noise floor (the powers the receiver cannot decode)."""
+    subset_of = np.zeros((8, N_BOUNDS))
+    floor_of = np.zeros((8, N_BOUNDS))
+    for k, (receiver, subset) in enumerate(_BOUNDS):
+        subset_of[[_POWER_AT[i] for i in subset], k] = 1.0
+        hidden = [at for i, at in _POWER_AT.items() if i not in DECODABLE[receiver]]
+        floor_of[hidden + list(_JAM_AT), k] = 1.0
+    return subset_of, floor_of
+
+
+_SUBSET_OF, _FLOOR_OF = _membership()
+_USER1 = (np.arange(8) < 4)[:, np.newaxis]
+_RECEIVER_OF = np.array([receiver for receiver, _ in _BOUNDS])
+
+
+def _power_maps(channel: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel (8, 93) maps from state powers to each bound's SNR
+    numerator and to the part of its noise floor above the unit noise."""
+    user_gains = {
+        "y1": (1.0, channel.c21),
+        "y2": (channel.c12, 1.0),
+        "ye": (channel.c1e, channel.c2e),
+    }
+    g1, g2 = np.array([user_gains[r] for r in _RECEIVER_OF]).T
+    gains = np.where(_USER1, g1, g2)
+    return _SUBSET_OF * gains, _FLOOR_OF * gains
+
+
+def _allocation_arrays(
+    allocations: Sequence[TimeSharedAllocation],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (n, k) and state powers (n, k, 8) of n allocations that all
+    have k states."""
+    weights = np.array([[w for w, _ in a.states] for a in allocations], dtype=float)
+    powers = np.array(
+        [[_STATE_POWERS(s) for _, s in a.states] for a in allocations], dtype=float
+    )
+    return weights, powers
+
+
+def bound_rows(
+    channel: ChannelParams, weights: np.ndarray, powers: np.ndarray
+) -> np.ndarray:
+    """Time-share-averaged MI bounds of a block of allocations, (n, 93).
+
+    Columns follow the system rows: the 92 inequality bounds, then the
+    eavesdropper equality.  Each is ``gamma(subset power / floor)``
+    averaged over the states.  Elementwise arithmetic only, so a row does
+    not depend on the other allocations in the block.
+    """
+    numerator_map, floor_map = _power_maps(channel)
+    numerator = np.zeros(powers.shape[:2] + (N_BOUNDS,))
+    floor = np.ones_like(numerator)
+    for p in range(8):
+        column = powers[:, :, p, np.newaxis]
+        numerator += column * numerator_map[p]
+        floor += column * floor_map[p]
+    rates = 0.5 * np.log1p(numerator / floor) / _LN2
+    return (weights[:, :, np.newaxis] * rates).sum(axis=1)
+
+
+def _system(bounds: np.ndarray) -> RateSystem:
+    return RateSystem(
+        a_ub=A_UB, b_ub=bounds[:-1], a_eq=EQ_ROW[np.newaxis, :], b_eq=bounds[-1:]
+    )
+
+
+def _check_allocation(channel: ChannelParams, alloc: TimeSharedAllocation) -> None:
     report = validate_allocation(channel, alloc)
     if not report.ok:
         raise ValueError(f"invalid allocation ({report.code}): {report.detail}")
 
-    views = {
-        receiver: [(w, receiver_view(channel, s, receiver)) for w, s in alloc.states]
-        for receiver in ("y1", "y2", "ye")
-    }
 
-    def bound(receiver: str, subset: tuple[int, ...]) -> float:
-        return sum(
-            w * gamma(v.subset_power(subset) / v.floor) for w, v in views[receiver]
-        )
-
-    rows, bounds = [], []
-    for receiver in ("y1", "y2"):
-        for subset in _nonempty_subsets(DECODABLE[receiver]):
-            row = np.zeros(N_VARS)
-            for i in subset:
-                if i in _MSG_COL:
-                    row[_MSG_COL[i]] = 1.0
-                row[_RX_COL[i]] = 1.0
-            rows.append(row)
-            bounds.append(bound(receiver, subset))
-    for subset in _nonempty_subsets(DECODABLE["ye"], proper=True):
-        row = np.zeros(N_VARS)
-        for i in subset:
-            row[_RX_COL[i]] = 1.0
-        rows.append(row)
-        bounds.append(bound("ye", subset))
-
-    eq_row = np.zeros(N_VARS)
-    for i in DECODABLE["ye"]:
-        eq_row[_RX_COL[i]] = 1.0
-    eq_bound = bound("ye", tuple(sorted(DECODABLE["ye"])))
-
-    return RateSystem(
-        a_ub=np.array(rows), b_ub=np.array(bounds),
-        a_eq=eq_row[np.newaxis, :], b_eq=np.array([eq_bound]),
-    )
+def build_system(channel: ChannelParams, alloc: TimeSharedAllocation) -> RateSystem:
+    """Constraint system for one allocation: 92 inequalities plus the
+    eavesdropper equality, with time-share-averaged MI bounds."""
+    _check_allocation(channel, alloc)
+    return _system(bound_rows(channel, *_allocation_arrays([alloc]))[0])
 
 
 def region_for_allocation(
@@ -128,7 +208,10 @@ def region_for_allocation(
     (the equality can outgrow the receiver bounds); that is an expected
     outcome, not an error.
     """
-    system = build_system(channel, alloc)
+    return _project(build_system(channel, alloc), directions)
+
+
+def _project(system: RateSystem, directions: int) -> Frontier:
     return project_frontier(
         system, R1_OBJECTIVE, R2_OBJECTIVE, directions,
         metadata={"scheme": "single-allocation"},
@@ -204,26 +287,48 @@ def _family_allocations(spec: RegionSpec) -> list[TimeSharedAllocation]:
     return allocations
 
 
-def _worker_count(explicit: int | None = None) -> int:
+# Allocations per bound block and per pool task.  Fixed, so the blocks and
+# therefore the output do not depend on the worker count; small enough
+# that a block's bound arrays stay well under a megabyte.
+CHUNK = 256
+
+
+def worker_count(explicit: int | None = None) -> int:
+    """Pool size: ``explicit``, else ``GICEE_WORKERS``, else the CPU count.
+
+    Raises ValueError for a count below 1 or a non-integer variable.
+    """
     if explicit is not None:
         if explicit < 1:
-            raise ValueError("worker count must be >= 1")
+            raise ValueError(f"worker count must be at least 1, got {explicit}")
         return explicit
     env = os.environ.get("GICEE_WORKERS")
     if env:
-        count = int(env)
+        try:
+            count = int(env)
+        except ValueError:
+            raise ValueError(f"GICEE_WORKERS must be an integer, got {env!r}") from None
         if count < 1:
-            raise ValueError(f"GICEE_WORKERS must be >= 1, got {env!r}")
+            raise ValueError(f"GICEE_WORKERS must be at least 1, got {env!r}")
         return count
     return os.cpu_count() or 1
 
 
-def _evaluate_allocation(job: tuple[ChannelParams, TimeSharedAllocation, int]):
-    channel, alloc, directions = job
-    try:
-        return ("ok", region_for_allocation(channel, alloc, directions))
-    except SolverFailure as exc:
-        return ("fail", str(exc))
+def _evaluate_chunk(
+    job: tuple[ChannelParams, Sequence[TimeSharedAllocation], int],
+) -> list[tuple[str, Frontier | str]]:
+    """Validate a block of allocations, compute its bounds in one pass and
+    project each allocation; a solver failure is reported, not raised."""
+    channel, allocations, directions = job
+    for alloc in allocations:
+        _check_allocation(channel, alloc)
+    results = []
+    for bounds in bound_rows(channel, *_allocation_arrays(allocations)):
+        try:
+            results.append(("ok", _project(_system(bounds), directions)))
+        except SolverFailure as exc:
+            results.append(("fail", str(exc)))
+    return results
 
 
 def region_union(
@@ -231,24 +336,29 @@ def region_union(
 ) -> Frontier:
     """Convex-closure union of the per-allocation regions of a family grid.
 
-    Deterministic for a fixed spec: the allocation order is fixed and the
-    merge is order-insensitive, so the result does not depend on the
-    worker count.
+    Deterministic for a fixed spec: the allocation order and the blocks of
+    ``CHUNK`` allocations are fixed, each allocation is solved on its own,
+    and the merge is order-insensitive, so the result does not depend on
+    the worker count.
     """
     allocations = _family_allocations(spec)
-    jobs = [(spec.channel, alloc, spec.directions) for alloc in allocations]
-    count = min(_worker_count(workers), max(len(jobs), 1))
-    if count > 1 and len(jobs) >= 32:
-        chunk = max(1, len(jobs) // (count * 8))
+    jobs = [
+        (spec.channel, allocations[i:i + CHUNK], spec.directions)
+        for i in range(0, len(allocations), CHUNK)
+    ]
+    count = min(worker_count(workers), len(jobs))
+    if count > 1:
         with ProcessPoolExecutor(max_workers=count) as pool:
-            results = list(pool.map(_evaluate_allocation, jobs, chunksize=chunk))
+            chunks = list(pool.map(_evaluate_chunk, jobs))
     else:
-        results = [_evaluate_allocation(job) for job in jobs]
+        chunks = [_evaluate_chunk(job) for job in jobs]
+    results = [result for chunk in chunks for result in chunk]
 
     failures = [detail for status, detail in results if status == "fail"]
     if failures:
         raise SolverFailure(
-            f"{len(failures)} of {len(jobs)} allocations failed; first: {failures[0]}"
+            f"{len(failures)} of {len(allocations)} allocations failed; "
+            f"first: {failures[0]}"
         )
     frontiers = [frontier for _, frontier in results]
     infeasible = sum(1 for f in frontiers if f.is_empty)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -235,3 +236,43 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip()
+
+
+@pytest.mark.parametrize("steps", [
+    4,
+    6,   # the smallest r3 grid with more than one block, so the pool runs
+])
+def test_region_fig3_identical_across_worker_counts(tmp_path, monkeypatch, steps):
+    args = ["region", "--preset", "fig3", "--variant", "r3", "--steps", str(steps)]
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GICEE_WORKERS", workers)
+        out = tmp_path / f"w{workers}.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--workers", "0"], {}),
+    ([], {"GICEE_WORKERS": "abc"}),
+    ([], {"GICEE_WORKERS": "0"}),
+    (["--states", "9"], {}),
+    (["--states", "2", "--weight-steps", "1"], {}),
+    (["--config", "{config}"], {}),
+    (["--out", "{missing}/region.csv"], {}),
+])
+def test_region_bad_input_is_config_error(tmp_path, argv, env):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"steps": "many"}))
+    argv = [a.format(config=config, missing=tmp_path / "missing") for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "region.csv")]
+    result = subprocess.run(
+        [sys.executable, "-m", "gicee.cli", "region", "--preset", "fig2", *argv],
+        capture_output=True, text=True,
+        env={k: v for k, v in os.environ.items() if k != "GICEE_WORKERS"} | env,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr

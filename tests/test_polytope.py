@@ -7,14 +7,21 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from gicee import (
+    ChannelParams,
     Frontier,
+    PowerState,
     RateSystem,
+    SolverFailure,
+    TimeSharedAllocation,
+    build_system,
     grid_feasibility_oracle,
     lp_solve,
     pareto_merge,
+    preset,
     project_frontier,
 )
-from gicee.polytope import _pareto_prune
+from gicee.polytope import FEASIBILITY_TOL, _pareto_prune, _Tableau
+from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
 
 
 def box_system():
@@ -233,6 +240,15 @@ def test_frontier_validation():
         Frontier(points=((-0.5, 0.5),))
 
 
+def test_frontier_snaps_tiny_coordinates_to_zero():
+    frontier = Frontier(points=(
+        (2.220446049250313e-16, 0.5), (0.3, -FEASIBILITY_TOL), (0.4, FEASIBILITY_TOL),
+    ))
+    assert frontier.points == ((0.0, 0.5), (0.3, 0.0), (0.4, 0.0))
+    above = 2 * FEASIBILITY_TOL
+    assert Frontier(points=((above, above),)).points == ((above, above),)
+
+
 def test_frontier_queries():
     frontier = Frontier(points=((0.0, 1.0), (1.0, 0.0)))
     assert frontier.max_r1 == 1.0
@@ -265,3 +281,105 @@ def test_check_point_slack():
     pinned = system.with_equalities([[1.0, 0.0]], [0.5])
     assert pinned.check_point([0.5, 0.2]) >= 0.0
     assert pinned.check_point([0.6, 0.2]) < 0.0
+
+
+def lexicographic_corner(system, primary, secondary):
+    """Cold reference for a frontier corner: maximize ``primary``, pin it
+    with an equality row and maximize ``secondary``."""
+    first = lp_solve(system, primary)
+    pinned = system.with_equalities([primary], [first.value])
+    return lp_solve(pinned, secondary).x
+
+
+def highs_corner(system, primary, secondary):
+    """Independent corner values (primary, secondary) from scipy HiGHS."""
+    a_eq, b_eq = (system.a_eq, system.b_eq) if system.n_equalities else (None, None)
+    first = linprog(-primary, A_ub=system.a_ub, b_ub=system.b_ub,
+                    A_eq=a_eq, b_eq=b_eq, bounds=(0, None))
+    assert first.status == 0
+    rows = np.vstack([system.a_eq, primary])
+    values = np.append(system.b_eq, -first.fun)
+    second = linprog(-secondary, A_ub=system.a_ub, b_ub=system.b_ub,
+                     A_eq=rows, b_eq=values, bounds=(0, None))
+    assert second.status == 0
+    return -first.fun, -second.fun
+
+
+def warm_start_cases():
+    """Random systems as in the tests above (mixed signs, negative bounds,
+    equalities) and degenerate region allocations."""
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, 12))
+        has_eq = rng.uniform() < 0.4
+        system = RateSystem(
+            a_ub=rng.uniform(-1.0, 2.0, (m, n)), b_ub=rng.uniform(-0.5, 3.0, m),
+            a_eq=rng.uniform(0.0, 1.0, (1, n)) if has_eq else None,
+            b_eq=rng.uniform(0.0, 2.0, 1) if has_eq else None,
+        )
+        r1 = (np.arange(n) < n // 2).astype(float)
+        yield system, r1, 1.0 - r1
+    for _ in range(10):
+        system = RateSystem(a_ub=rng.uniform(0.0, 1.0, (12, 4)),
+                            b_ub=rng.uniform(0.5, 2.0, 12))
+        yield system, np.array([1.0, 0.5, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.5])
+    fig3 = preset("fig3")
+    big = ChannelParams(c12=1.9, c21=1.0, c1e=0.5, c2e=1.6, p1=1e4, p2=1e4)
+    deaf = ChannelParams(c12=0.0, c21=0.0, c1e=0.0, c2e=0.0, p1=10.0, p2=10.0)
+    for channel, state in (
+        (fig3, PowerState()),
+        (fig3, PowerState(pc1=10.0, pc2=10.0)),   # criterion 6: infeasible
+        (fig3, PowerState(pc1=10.0, pc2=1.0)),
+        (deaf, PowerState(pc1=10.0, ps2=10.0)),
+        (big, PowerState(pc1=1e4, pc2=1e3)),
+        (big, PowerState(ps1=5e3, pj1=5e3, ps2=1e4)),
+    ):
+        system = build_system(channel, TimeSharedAllocation.single_state(state))
+        yield system, R1_OBJECTIVE, R2_OBJECTIVE
+
+
+def test_warm_started_projection_matches_cold_solves():
+    directions = 16
+    checked = infeasible = 0
+    for system, r1, r2 in warm_start_cases():
+        statuses = set()
+        cold = []
+        for k in range(directions):
+            theta = 0.5 * math.pi * k / (directions - 1)
+            res = lp_solve(system, math.cos(theta) * r1 + math.sin(theta) * r2)
+            statuses.add(res.status)
+            cold.append((theta, res.value))
+        if "unbounded" in statuses:
+            with pytest.raises(SolverFailure):
+                project_frontier(system, r1, r2, directions)
+            continue
+        frontier = project_frontier(system, r1, r2, directions)
+        assert statuses == ({"infeasible"} if frontier.is_empty else {"optimal"})
+        if frontier.is_empty:
+            infeasible += 1
+            continue
+        for theta, value in cold:
+            assert frontier.support(theta) == pytest.approx(value, abs=1e-9)
+        # the corner solves on their own, in the order project_frontier
+        # runs them: the second starts from the first one's basis
+        tableau = _Tableau(system)
+        assert tableau.phase1(FEASIBILITY_TOL)
+        for corner, (primary, secondary) in (
+            (frontier.points[-1], (r1, r2)),
+            (frontier.points[0], (r2, r1)),
+        ):
+            x = lexicographic_corner(system, primary, secondary)
+            old = (max(r1 @ x, 0.0), max(r2 @ x, 0.0))
+            assert corner == pytest.approx(old, abs=1e-9)
+            assert tableau.maximize(primary, FEASIBILITY_TOL) == "optimal"
+            face = tableau.optimal_face(FEASIBILITY_TOL)
+            assert tableau.maximize(secondary, FEASIBILITY_TOL, face) == "optimal"
+            x = tableau.solution(FEASIBILITY_TOL)
+            assert (r1 @ x, r2 @ x) == pytest.approx(old, abs=1e-9)
+            first, second = highs_corner(system, primary, secondary)
+            swap = primary is r2
+            assert corner[swap] == pytest.approx(first, abs=1e-7)
+            assert corner[not swap] == pytest.approx(second, abs=1e-7)
+        checked += 1
+    assert checked >= 20 and infeasible >= 2

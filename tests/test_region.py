@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gicee import (
     ChannelParams,
@@ -9,11 +11,24 @@ from gicee import (
     RegionSpec,
     TimeSharedAllocation,
     build_system,
+    conditional_mi_timeshared,
     lp_solve,
+    mi_covariance_oracle,
     region_for_allocation,
     region_union,
+    validate_allocation,
 )
-from gicee.region import N_VARS, R1_OBJECTIVE, R2_OBJECTIVE, _RX_COL
+from gicee.region import (
+    A_UB,
+    EQ_ROW,
+    N_VARS,
+    R1_OBJECTIVE,
+    R2_OBJECTIVE,
+    _BOUNDS,
+    _RX_COL,
+    _allocation_arrays,
+    bound_rows,
+)
 from gicee.schemes import ctdma_allocation
 from conftest import random_state, sample_nonneg_bracket_params, single
 
@@ -208,3 +223,52 @@ def test_timeshared_union_bounds_match_manual_average(fig2):
     sys2 = build_system(fig2, single(s2))
     assert np.allclose(system.b_ub, 0.3 * sys1.b_ub + 0.7 * sys2.b_ub, atol=1e-12)
     assert np.allclose(system.b_eq, 0.3 * sys1.b_eq + 0.7 * sys2.b_eq, atol=1e-12)
+
+
+gains = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+budgets = st.one_of(st.sampled_from([0.0, 1.0, 1e4]), st.floats(0.0, 20.0))
+
+
+@st.composite
+def channel_and_allocations(draw):
+    """A channel and 1-5 allocations sharing a state count of 1-4; every
+    state spends at most each user's budget, split by drawn shares."""
+    channel = draw(st.builds(ChannelParams, gains, gains, gains, gains, budgets, budgets))
+    k = draw(st.integers(1, 4))
+    shares = st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8)
+
+    def state():
+        s = np.array(draw(shares))
+        u1 = s[:4] / max(s[:4].sum(), 1.0) * channel.p1
+        u2 = s[4:] / max(s[4:].sum(), 1.0) * channel.p2
+        return PowerState(*u1, *u2)
+
+    allocations = [
+        TimeSharedAllocation(tuple(
+            (draw(st.floats(0.01, 1.0)), state()) for _ in range(k)
+        ))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    return channel, allocations
+
+
+@settings(max_examples=60, deadline=None)
+@given(channel_and_allocations())
+def test_bound_rows_match_scalar_mi(case):
+    channel, allocations = case
+    block = bound_rows(channel, *_allocation_arrays(allocations))
+    assert block.shape == (len(allocations), 93)
+    for alloc, row in zip(allocations, block):
+        # the row of an allocation does not depend on the rest of its block
+        assert np.array_equal(bound_rows(channel, *_allocation_arrays([alloc]))[0], row)
+        for value, (receiver, subset) in zip(row, _BOUNDS):
+            scalar = conditional_mi_timeshared(channel, alloc, receiver, subset)
+            assert abs(value - scalar) <= 1e-14
+            if len(alloc.states) == 1:
+                oracle = mi_covariance_oracle(channel, alloc.states[0][1], receiver, subset)
+                assert abs(value - oracle) <= 1e-12
+        if validate_allocation(channel, alloc).ok:
+            system = build_system(channel, alloc)
+            assert np.array_equal(system.a_ub, A_UB)
+            assert np.array_equal(system.a_eq, EQ_ROW[np.newaxis, :])
+            assert np.array_equal(np.append(system.b_ub, system.b_eq), row)
