@@ -43,12 +43,10 @@ from .region import (
 )
 from .schemes import (
     CtdmaParams,
-    ctdma_family,
     ctdma_rates,
     ctdma_region,
     single_power_states,
     single_user_wiretap,
-    variant_family,
 )
 
 __all__ = [
@@ -72,7 +70,6 @@ __all__ = [
     "clamp_rate",
     "conditional_mi",
     "conditional_mi_timeshared",
-    "ctdma_family",
     "ctdma_rates",
     "ctdma_region",
     "gamma",
@@ -88,5 +85,4 @@ __all__ = [
     "single_power_states",
     "single_user_wiretap",
     "validate_allocation",
-    "variant_family",
 ]

@@ -99,9 +99,17 @@ def _resolve_channel(cfg: dict) -> ChannelParams:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if len(inline) == len(_CHANNEL_FLAGS):
+        values = {}
+        for name in _CHANNEL_FLAGS:
+            try:
+                values[name] = float(cfg[name])
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(
+                    f"channel field {name} must be a number, got {cfg[name]!r}"
+                ) from None
         try:
-            return ChannelParams(**{name: float(cfg[name]) for name in _CHANNEL_FLAGS})
-        except (TypeError, ValueError) as exc:
+            return ChannelParams(**values)
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if inline:
         missing = sorted(set(_CHANNEL_FLAGS) - set(inline))
@@ -192,7 +200,10 @@ def cmd_ctdma(args: argparse.Namespace) -> int:
         raise ConfigError(f"variant must be one of {CTDMA_TAGS}, got {variant!r}")
     steps = _require(cfg, "steps", 2, "steps", default=11)
     out = _output_path(cfg.get("out") or "ctdma.csv")
-    frontier = ctdma_region(channel, variant=variant, steps=steps)
+    try:
+        frontier = ctdma_region(channel, variant=variant, steps=steps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _write_frontier(out, frontier, {
         "command": "ctdma",
         "channel": channel.to_dict(),

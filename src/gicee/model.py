@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 # sitting exactly on the budget still validate after float rounding.
 BUDGET_TOL = 1e-12
 
+# Ceiling on a sweep's largest per-state power, alone and times the largest
+# channel gain.  Every noise floor and SNR a sweep forms is a sum of a few
+# such terms, so below it all powers and rates stay finite.
+MAX_POWER = 1e150
+
 # Time-share state lists longer than this are rejected at construction
 # unless the caller raises the cap explicitly.
 DEFAULT_MAX_STATES = 4
@@ -53,6 +58,19 @@ class ChannelParams:
             if value < 0:
                 raise ValueError(f"channel field {name} must be nonnegative, got {value!r}")
 
+    def check_power_scale(self, stretch: int) -> None:
+        """Raise ValueError unless per-state powers up to ``stretch`` times
+        the budgets keep every power and SNR of a sweep within ``MAX_POWER``.
+        """
+        gain = max(1.0, self.c12, self.c21, self.c1e, self.c2e)
+        peak = max(self.p1, self.p2) * gain
+        # int-float comparison is exact, so a huge stretch cannot overflow
+        if peak > 0 and stretch > MAX_POWER / peak:
+            raise ValueError(
+                f"budgets ({self.p1!r}, {self.p2!r}) stretched {stretch}-fold at "
+                f"gain {gain!r} exceed the power ceiling {MAX_POWER:g}"
+            )
+
     def to_dict(self) -> dict:
         return {name: float(getattr(self, name)) for name in _CHANNEL_FIELDS}
 
@@ -66,11 +84,10 @@ class ChannelParams:
 
 def preset(name: str) -> ChannelParams:
     """Return one of the two built-in example channels (``fig2``, ``fig3``)."""
-    try:
-        values = _PRESETS[name]
-    except KeyError:
+    values = _PRESETS.get(name) if isinstance(name, str) else None
+    if values is None:
         known = ", ".join(sorted(_PRESETS))
-        raise ValueError(f"unknown preset {name!r} (known: {known})") from None
+        raise ValueError(f"unknown preset {name!r} (known: {known})")
     return ChannelParams(*values)
 
 

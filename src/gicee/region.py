@@ -240,6 +240,8 @@ class RegionSpec:
             raise ValueError("states must be between 1 and 4")
         if self.states > 1 and self.weight_steps < 2:
             raise ValueError("weight_steps must be at least 2")
+        # per-state grids stretch to ``states`` times the budgets
+        self.channel.check_power_scale(self.states)
 
 
 def _full_states(channel: ChannelParams, steps: int, span: int) -> list[PowerState]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -160,107 +159,51 @@ def single_power_states(
     return out
 
 
+def _slot_grid(
+    tag: str, own_budget: float, other_budget: float, share: float, steps: int
+) -> np.ndarray:
+    """Power tuples of one slot as an (n, 3) array of rows
+    (codeword, own jamming, helper jamming).
+
+    Per-slot powers may exceed the nominal budgets when the slot is short;
+    the joint average constraint is enforced by the caller.  Rows run over
+    the codeword level, then own jamming, then helper jamming.
+    """
+    if share <= 0:
+        return np.zeros((1, 3))
+    own_cap, other_cap = own_budget / share, other_budget / share
+    sig = np.array(_uniform_grid(own_cap, steps))
+    # ``ctdma`` may jam in its own slot; every tag but ``tdma`` may help
+    # jam in the other user's slot.
+    self_jam = np.array(_jam_grid(own_cap, steps) if tag == "ctdma" else (0.0,))
+    other_jam = np.array(_jam_grid(other_cap, steps) if tag != "tdma" else (0.0,))
+    ib, ij = np.nonzero(sig[:, None] + self_jam[None, :] <= own_cap + BUDGET_TOL)
+    n = other_jam.size
+    return np.column_stack(
+        (np.repeat(sig[ib], n), np.repeat(self_jam[ij], n), np.tile(other_jam, ib.size))
+    )
+
+
 def _slot_grids(
     tag: str, channel: ChannelParams, alpha: float, steps: int
-) -> tuple[list[tuple[float, float, float]], list[tuple[float, float, float]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-slot power tuples for one time split.
 
-    Slot 1 tuples are (p1b, p1j1, p2j1), slot 2 tuples (p2b, p2j2, p1j2).
-    Per-slot powers may exceed the nominal budgets when the slot is short;
-    the joint average constraint is enforced by the caller.
+    Slot 1 rows are (p1b, p1j1, p2j1), slot 2 rows (p2b, p2j2, p1j2).
     """
-    ab = 1.0 - alpha
-    own_jam = tag == "ctdma"          # jamming in one's own slot
-    helper_jam = tag != "tdma"        # jamming in the other user's slot
-
-    if alpha <= 0:
-        slot1 = [(0.0, 0.0, 0.0)]
-    else:
-        cap1, cap2 = channel.p1 / alpha, channel.p2 / alpha
-        sig = _uniform_grid(cap1, steps)
-        self_jam = _jam_grid(cap1, steps) if own_jam else (0.0,)
-        other_jam = _jam_grid(cap2, steps) if helper_jam else (0.0,)
-        slot1 = [
-            (pb, sj, oj)
-            for pb in sig
-            for sj in self_jam
-            if pb + sj <= cap1 + BUDGET_TOL
-            for oj in other_jam
-        ]
-    if ab <= 0:
-        slot2 = [(0.0, 0.0, 0.0)]
-    else:
-        cap2, cap1 = channel.p2 / ab, channel.p1 / ab
-        sig = _uniform_grid(cap2, steps)
-        self_jam = _jam_grid(cap2, steps) if own_jam else (0.0,)
-        other_jam = _jam_grid(cap1, steps) if helper_jam else (0.0,)
-        slot2 = [
-            (pb, sj, oj)
-            for pb in sig
-            for sj in self_jam
-            if pb + sj <= cap2 + BUDGET_TOL
-            for oj in other_jam
-        ]
-    return slot1, slot2
-
-
-def ctdma_family(
-    tag: str, channel: ChannelParams, steps: int, alpha_steps: int | None = None
-) -> Iterator[CtdmaParams]:
-    """Every grid-feasible time-division operating point, lazily."""
-    if tag not in CTDMA_TAGS:
-        raise ValueError(f"tag must be one of {CTDMA_TAGS}, got {tag!r}")
-    alphas = np.linspace(0.0, 1.0, alpha_steps or steps)
-    for alpha in alphas:
-        alpha = float(alpha)
-        slot1, slot2 = _slot_grids(tag, channel, alpha, steps)
-        ab = 1.0 - alpha
-        for p1b, p1j1, p2j1 in slot1:
-            used1_slot1 = alpha * (p1b + p1j1)
-            used2_slot1 = alpha * p2j1
-            for p2b, p2j2, p1j2 in slot2:
-                if used1_slot1 + ab * p1j2 > channel.p1 + BUDGET_TOL:
-                    continue
-                if used2_slot1 + ab * (p2b + p2j2) > channel.p2 + BUDGET_TOL:
-                    continue
-                yield CtdmaParams(alpha, p1b, p1j1, p2j1, p2b, p2j2, p1j2)
-
-
-def variant_family(
-    tag: str,
-    budgets: tuple[float, float],
-    steps: int,
-    *,
-    channel: ChannelParams | None = None,
-) -> Iterable:
-    """Parameter grid of a scheme variant.
-
-    The binning-family tags return single-state allocations; the
-    time-division tags return :class:`CtdmaParams`.  Grid construction only
-    needs the budgets, so a zero-gain channel is synthesized for the
-    time-division tags when none is given.
-    """
-    if tag in R3_TAGS:
-        return [
-            TimeSharedAllocation.single_state(s)
-            for s in single_power_states(tag, budgets, steps)
-        ]
-    if tag in CTDMA_TAGS:
-        if channel is None:
-            channel = ChannelParams(0.0, 0.0, 0.0, 0.0, budgets[0], budgets[1])
-        return ctdma_family(tag, channel, steps)
-    raise ValueError(f"unknown variant tag {tag!r}")
+    return (
+        _slot_grid(tag, channel.p1, channel.p2, alpha, steps),
+        _slot_grid(tag, channel.p2, channel.p1, 1.0 - alpha, steps),
+    )
 
 
 def _gamma_vec(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.log1p(x) / _LN2
 
 
-def _slot_arrays(channel: ChannelParams, alpha: float, slot: int,
-                 tuples: list[tuple[float, float, float]]):
+def _slot_arrays(channel: ChannelParams, alpha: float, slot: int, grid: np.ndarray):
     """Vectorized rates and per-user consumed average power for one slot."""
-    arr = np.asarray(tuples, dtype=float).reshape(-1, 3)
-    pb, self_jam, other_jam = arr[:, 0], arr[:, 1], arr[:, 2]
+    pb, self_jam, other_jam = grid[:, 0], grid[:, 1], grid[:, 2]
     share = alpha if slot == 1 else 1.0 - alpha
     if slot == 1:
         cross, own_eve, other_eve = channel.c21, channel.c1e, channel.c2e
@@ -278,6 +221,37 @@ def _slot_arrays(channel: ChannelParams, alpha: float, slot: int,
     return rate, owner_used, helper_used
 
 
+def _best_partners(
+    r2: np.ndarray, used1_b: np.ndarray, used2_b: np.ndarray,
+    used1_a: np.ndarray, used2_a: np.ndarray, cap1: float, cap2: float,
+) -> np.ndarray:
+    """Best slot-2 rate jointly feasible with each slot-1 tuple, else -inf.
+
+    A slot-1 tuple using (``used1_a``, ``used2_a``) and a slot-2 tuple using
+    (``used1_b``, ``used2_b``) pair up when ``used1_a + used1_b <= cap1`` and
+    ``used2_a + used2_b <= cap2``.  Slot-2 rates are scattered into a table
+    indexed by the ranks of their two uses among the sorted distinct levels
+    and prefix-maximized along both axes, so cell (k1, k2) holds the best
+    rate among tuples whose uses are within the k1 and k2 smallest levels.
+    Rounded addition is monotone, so the levels a slot-1 tuple can afford
+    are a prefix of each sorted list; the cell at the two prefix lengths is
+    the maximum over exactly the feasible partners.
+    """
+    lv1, rank1 = np.unique(used1_b, return_inverse=True)
+    lv2, rank2 = np.unique(used2_b, return_inverse=True)
+    table = np.full((lv1.size + 1, lv2.size + 1), -np.inf)
+    np.maximum.at(table, (rank1 + 1, rank2 + 1), r2)
+    np.maximum.accumulate(table, axis=0, out=table)
+    np.maximum.accumulate(table, axis=1, out=table)
+    return table[_prefix_lengths(used1_a, lv1, cap1), _prefix_lengths(used2_a, lv2, cap2)]
+
+
+def _prefix_lengths(used: np.ndarray, levels: np.ndarray, cap: float) -> np.ndarray:
+    """How many of the sorted ``levels`` fit ``used + level <= cap``, per entry."""
+    distinct, inverse = np.unique(used, return_inverse=True)
+    return (distinct[:, None] + levels[None, :] <= cap).sum(axis=1)[inverse]
+
+
 def ctdma_region(
     channel: ChannelParams,
     variant: str = "ctdma",
@@ -287,32 +261,35 @@ def ctdma_region(
     """Convex closure of the time-division operating points on a grid.
 
     Equivalent to merging the singleton frontiers of every grid-feasible
-    operating point; internally only the best pairing per slot-1 tuple is
-    kept, which cannot change the merged hull.
+    operating point.  For each time split, every slot-1 tuple is paired
+    with its best jointly feasible slot-2 tuple (the other pairings lie
+    below it and cannot change the hull), found by one lookup in a 2-D
+    prefix-max table over the slot-2 power levels; see
+    :func:`_best_partners` for why the lookup equals the maximum over all
+    feasible pairs.
+
+    Raises ValueError for an unknown variant or a channel whose budgets,
+    stretched by the shortest nonzero slot, would overflow the rates.
     """
     if variant not in CTDMA_TAGS:
         raise ValueError(f"variant must be one of {CTDMA_TAGS}, got {variant!r}")
-    points: list[tuple[float, float]] = []
-    alphas = np.linspace(0.0, 1.0, alpha_steps or steps)
-    for alpha in alphas:
+    alpha_steps = alpha_steps or steps
+    # The shortest nonzero slot is 1 / (alpha_steps - 1) of the block.
+    channel.check_power_scale(max(alpha_steps - 1, 1))
+    cap1, cap2 = channel.p1 + BUDGET_TOL, channel.p2 + BUDGET_TOL
+    r1_parts, r2_parts = [], []
+    for alpha in np.linspace(0.0, 1.0, alpha_steps):
         alpha = float(alpha)
         slot1, slot2 = _slot_grids(variant, channel, alpha, steps)
         r1, used1_a, used2_a = _slot_arrays(channel, alpha, 1, slot1)
         r2, used2_b, used1_b = _slot_arrays(channel, alpha, 2, slot2)
-        # Pair each slot-1 tuple with its best jointly-feasible slot-2 tuple.
-        chunk = 512
-        for lo in range(0, r1.size, chunk):
-            hi = min(lo + chunk, r1.size)
-            ok = (
-                used1_a[lo:hi, None] + used1_b[None, :] <= channel.p1 + BUDGET_TOL
-            ) & (
-                used2_a[lo:hi, None] + used2_b[None, :] <= channel.p2 + BUDGET_TOL
-            )
-            best = np.where(ok, r2[None, :], -np.inf).max(axis=1)
-            for i in range(hi - lo):
-                if best[i] > -np.inf:
-                    points.append((float(r1[lo + i]), float(best[i])))
-    meta = {"scheme": variant, "steps": steps, "alpha_steps": alpha_steps or steps}
+        best = _best_partners(r2, used1_b, used2_b, used1_a, used2_a, cap1, cap2)
+        feasible = best > -np.inf
+        r1_parts.append(r1[feasible])
+        r2_parts.append(best[feasible])
+    points = list(zip(np.concatenate(r1_parts).tolist(),
+                      np.concatenate(r2_parts).tolist()))
+    meta = {"scheme": variant, "steps": steps, "alpha_steps": alpha_steps}
     if not points:
         return Frontier(points=(), metadata=meta)
     base = Frontier(points=_pareto_prune(points))

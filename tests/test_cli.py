@@ -1,11 +1,17 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gicee.cli import main
+from gicee.region import VARIANTS
+from gicee.schemes import CTDMA_TAGS
 
 WIRETAP_10 = 0.4372345589580706
 
@@ -253,14 +259,22 @@ def test_region_fig3_identical_across_worker_counts(tmp_path, monkeypatch, steps
     assert outputs[0] == outputs[1]
 
 
+REGION = ["region", "--preset", "fig2"]
+# budgets whose per-slot powers and SNRs would overflow to inf
+OVERFLOWING = ["--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
+               "--p1", "1.7e308", "--p2", "10", "--steps", "2"]
+
+
 @pytest.mark.parametrize("argv, env", [
-    (["--workers", "0"], {}),
-    ([], {"GICEE_WORKERS": "abc"}),
-    ([], {"GICEE_WORKERS": "0"}),
-    (["--states", "9"], {}),
-    (["--states", "2", "--weight-steps", "1"], {}),
-    (["--config", "{config}"], {}),
-    (["--out", "{missing}/region.csv"], {}),
+    (REGION + ["--workers", "0"], {}),
+    (REGION, {"GICEE_WORKERS": "abc"}),
+    (REGION, {"GICEE_WORKERS": "0"}),
+    (REGION + ["--states", "9"], {}),
+    (REGION + ["--states", "2", "--weight-steps", "1"], {}),
+    (REGION + ["--config", "{config}"], {}),
+    (REGION + ["--out", "{missing}/region.csv"], {}),
+    (["region", *OVERFLOWING], {}),
+    (["ctdma", *OVERFLOWING], {}),
 ])
 def test_region_bad_input_is_config_error(tmp_path, argv, env):
     config = tmp_path / "run.json"
@@ -269,10 +283,110 @@ def test_region_bad_input_is_config_error(tmp_path, argv, env):
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "region.csv")]
     result = subprocess.run(
-        [sys.executable, "-m", "gicee.cli", "region", "--preset", "fig2", *argv],
+        [sys.executable, "-m", "gicee.cli", *argv],
         capture_output=True, text=True,
         env={k: v for k, v in os.environ.items() if k != "GICEE_WORKERS"} | env,
     )
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+# Flag and config-file fuzzing of the two sweep commands.  Sizes stay small
+# (steps <= 4, a few directions, one state) so every accepted run is quick;
+# odd values range over wrong types, NaN/inf, huge and negative values.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(max_value=-1),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+CHANNEL_KEYS = ("c12", "c21", "c1e", "c2e", "p1", "p2")
+
+
+def mostly(good, odd):
+    """``good`` seven times in eight, else ``odd``, so that many runs get
+    through to the sweep."""
+    return st.integers(0, 7).flatmap(lambda k: good if k else odd)
+
+
+def setting(good, odd_values, odd_tokens):
+    """(config value, flag token) strategies of one setting."""
+    return mostly(good, odd_values), mostly(good.map(str), odd_tokens)
+
+
+def name(*good):
+    return setting(st.sampled_from(good), JUNK, st.sampled_from(["bogus", ""]))
+
+
+def size(lo, hi, *odd):
+    return setting(st.integers(lo, hi), st.one_of(st.sampled_from((-3, 0, 1) + odd), JUNK),
+                   st.sampled_from(["abc", "2.5", "nan", "1e9", "-5", ""]))
+
+
+CHANNEL = setting(
+    st.floats(0.0, 20.0),
+    st.one_of(st.sampled_from([1e4, 1e149, 1e300, 1.7e308, -1.0, math.nan, math.inf]),
+              st.integers(), JUNK),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "1e4", "1e149", "1.7e308", "1e400",
+                     "abc", ""]),
+)
+SETTINGS = {
+    "region": {"steps": size(2, 4), "directions": size(3, 24), "states": size(1, 1, 5, 9),
+               "weight_steps": size(2, 5), "workers": size(1, 2), "variant": name(*VARIANTS)},
+    "ctdma": {"steps": size(2, 4), "variant": name(*CTDMA_TAGS)},
+}
+
+
+@st.composite
+def sweep_invocations(draw):
+    """A region or ctdma command line plus the JSON config it points at."""
+    command = draw(st.sampled_from(sorted(SETTINGS)))
+    flags, config = {}, {}
+
+    def put(key, strategies):
+        value, token = strategies
+        where = draw(st.sampled_from(["flag", "config", "both"]))
+        if where != "config":
+            flags[key] = draw(token)
+        if where != "flag":
+            config[key] = draw(value)
+
+    # mostly a preset or a full inline channel; sometimes both or neither
+    source = draw(mostly(st.sampled_from(["preset", "inline"]),
+                         st.sampled_from(["both", "none", "partial"])))
+    if source in ("preset", "both"):
+        put("preset", name("fig2", "fig3"))
+    if source in ("inline", "both", "partial"):
+        dropped = draw(st.sampled_from(CHANNEL_KEYS)) if source == "partial" else None
+        for key in CHANNEL_KEYS:
+            if key != dropped:
+                put(key, CHANNEL)
+    for key, strategies in SETTINGS[command].items():
+        # steps is always given: the default grid takes seconds to sweep
+        if key == "steps" or draw(st.booleans()):
+            put(key, strategies)
+    if draw(st.booleans()):
+        config["bogus"] = draw(JUNK)
+    argv = [command] + [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+    return argv, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_invocations())
+def test_sweep_commands_keep_exit_contract(invocation):
+    argv, config = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        argv = argv + ["--config", path, "--out", os.path.join(tmp, "out.csv")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed flags
+            code = exc.code
+    # any other exception would reach the user as a traceback
+    assert code in (0, 1, 2, 3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gicee import ChannelParams, PowerState, TimeSharedAllocation, preset, validate_allocation
-from gicee.model import BUDGET, NEGATIVE_POWER, NEGATIVE_WEIGHT, NON_FINITE
+from gicee.model import BUDGET, MAX_POWER, NEGATIVE_POWER, NEGATIVE_WEIGHT, NON_FINITE
 
 
 def test_presets_match_published_scenarios():
@@ -151,3 +151,21 @@ def test_allocation_json_round_trip():
 def test_allocation_json_requires_states():
     with pytest.raises(ValueError, match="states"):
         TimeSharedAllocation.from_dict({"states": []})
+
+
+def test_power_scale_ceiling():
+    at_ceiling = ChannelParams(c12=2.0, c21=1.0, c1e=0.5, c2e=0.5,
+                               p1=MAX_POWER / 8, p2=1.0)
+    at_ceiling.check_power_scale(4)
+    with pytest.raises(ValueError, match="ceiling"):
+        at_ceiling.check_power_scale(5)
+    # the gain only counts above 1; a huge stretch is compared exactly
+    weak = ChannelParams(c12=0.0, c21=0.0, c1e=0.0, c2e=0.0, p1=MAX_POWER, p2=0.0)
+    weak.check_power_scale(1)
+    with pytest.raises(ValueError, match="ceiling"):
+        weak.check_power_scale(10**400)
+    silent = ChannelParams(c12=1e300, c21=1.0, c1e=1.0, c2e=1.0, p1=0.0, p2=0.0)
+    silent.check_power_scale(10**400)
+    overflowing = ChannelParams(c12=1.9, c21=1.9, c1e=0.5, c2e=0.5, p1=1.7e308, p2=10.0)
+    with pytest.raises(ValueError, match="ceiling"):
+        overflowing.check_power_scale(1)

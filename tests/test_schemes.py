@@ -2,22 +2,129 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gicee import (
     ChannelParams,
     CtdmaParams,
     Frontier,
-    ctdma_family,
+    TimeSharedAllocation,
     ctdma_rates,
     ctdma_region,
     pareto_merge,
     single_power_states,
     single_user_wiretap,
     validate_allocation,
-    variant_family,
 )
+from gicee.model import BUDGET_TOL
 from gicee.polytope import _pareto_prune
-from gicee.schemes import ctdma_allocation
+from gicee.schemes import (
+    CTDMA_TAGS,
+    R3_TAGS,
+    _best_partners,
+    _jam_grid,
+    _slot_arrays,
+    _slot_grids,
+    _uniform_grid,
+    ctdma_allocation,
+)
+
+
+# Enumeration oracles: literal loops over the scheme grids, against which
+# the vectorized sweeps are checked.
+
+def literal_slot_grids(tag, channel, alpha, steps):
+    """Per-slot power tuples for one time split, as lists of tuples.
+
+    Slot 1 tuples are (p1b, p1j1, p2j1), slot 2 tuples (p2b, p2j2, p1j2).
+    """
+    own_jam = tag == "ctdma"
+    helper_jam = tag != "tdma"
+    slots = []
+    for share, own, other in ((alpha, channel.p1, channel.p2),
+                              (1.0 - alpha, channel.p2, channel.p1)):
+        if share <= 0:
+            slots.append([(0.0, 0.0, 0.0)])
+            continue
+        cap_own, cap_other = own / share, other / share
+        sig = _uniform_grid(cap_own, steps)
+        self_jam = _jam_grid(cap_own, steps) if own_jam else (0.0,)
+        other_jam = _jam_grid(cap_other, steps) if helper_jam else (0.0,)
+        slots.append([
+            (pb, sj, oj)
+            for pb in sig
+            for sj in self_jam
+            if pb + sj <= cap_own + BUDGET_TOL
+            for oj in other_jam
+        ])
+    return slots
+
+
+def ctdma_family(tag, channel, steps, alpha_steps=None):
+    """Every grid-feasible time-division operating point, lazily."""
+    if tag not in CTDMA_TAGS:
+        raise ValueError(f"tag must be one of {CTDMA_TAGS}, got {tag!r}")
+    for alpha in np.linspace(0.0, 1.0, alpha_steps or steps):
+        alpha = float(alpha)
+        slot1, slot2 = literal_slot_grids(tag, channel, alpha, steps)
+        ab = 1.0 - alpha
+        for p1b, p1j1, p2j1 in slot1:
+            used1_slot1 = alpha * (p1b + p1j1)
+            used2_slot1 = alpha * p2j1
+            for p2b, p2j2, p1j2 in slot2:
+                if used1_slot1 + ab * p1j2 > channel.p1 + BUDGET_TOL:
+                    continue
+                if used2_slot1 + ab * (p2b + p2j2) > channel.p2 + BUDGET_TOL:
+                    continue
+                yield CtdmaParams(alpha, p1b, p1j1, p2j1, p2b, p2j2, p1j2)
+
+
+def variant_family(tag, budgets, steps):
+    """Single-state allocations of a binning-family tag."""
+    if tag not in R3_TAGS:
+        raise ValueError(f"unknown variant tag {tag!r}")
+    return [
+        TimeSharedAllocation.single_state(s)
+        for s in single_power_states(tag, budgets, steps)
+    ]
+
+
+def dense_best_partners(r2, used1_b, used2_b, used1_a, used2_a, cap1, cap2):
+    """Best jointly feasible slot-2 rate per slot-1 tuple, else -inf, by a
+    dense mask over every pair."""
+    ok = (
+        used1_a[:, None] + used1_b[None, :] <= cap1
+    ) & (
+        used2_a[:, None] + used2_b[None, :] <= cap2
+    )
+    return np.where(ok, r2[None, :], -np.inf).max(axis=1)
+
+
+def dense_pairing_region(channel, variant, steps, alpha_steps=None):
+    """Time-division region with each slot-1 tuple checked against every
+    slot-2 tuple by a dense joint-budget mask."""
+    points = []
+    alpha_steps = alpha_steps or steps
+    for alpha in np.linspace(0.0, 1.0, alpha_steps):
+        alpha = float(alpha)
+        slot1, slot2 = (
+            np.asarray(tuples, dtype=float).reshape(-1, 3)
+            for tuples in literal_slot_grids(variant, channel, alpha, steps)
+        )
+        r1, used1_a, used2_a = _slot_arrays(channel, alpha, 1, slot1)
+        r2, used2_b, used1_b = _slot_arrays(channel, alpha, 2, slot2)
+        caps = (channel.p1 + BUDGET_TOL, channel.p2 + BUDGET_TOL)
+        args = (r2, used1_b, used2_b, used1_a, used2_a, *caps)
+        best = dense_best_partners(*args)
+        # the pairing itself must agree, not only the hull it yields
+        assert np.array_equal(_best_partners(*args), best)
+        points += [(float(a), float(b)) for a, b in zip(r1, best) if b > -np.inf]
+    meta = {"scheme": variant, "steps": steps, "alpha_steps": alpha_steps}
+    if not points:
+        return Frontier(points=(), metadata=meta)
+    return pareto_merge([Frontier(points=_pareto_prune(points))], metadata=meta)
+
 
 # [gamma(10) - gamma(5)], the lone-user rate on the preset channels.
 WIRETAP_10 = 0.4372345589580706
@@ -94,6 +201,14 @@ def test_region_unknown_variant(fig2):
         ctdma_region(fig2, "bogus", steps=4)
 
 
+def test_region_rejects_overflowing_budgets():
+    # the shortest slot, 1/16 of the block, stretches p1 past the ceiling
+    channel = ChannelParams(c12=1.9, c21=1.9, c1e=0.5, c2e=0.5, p1=1e149, p2=10.0)
+    ctdma_region(channel, "ctdma", steps=2)
+    with pytest.raises(ValueError, match="ceiling"):
+        ctdma_region(channel, "ctdma", steps=17)
+
+
 def test_region_matches_literal_enumeration(fig2, fig3):
     # the vectorized sweep must agree with merging every grid point
     for channel, variant in ((fig2, "ctdma"), (fig3, "ctdma_nscp")):
@@ -104,6 +219,46 @@ def test_region_matches_literal_enumeration(fig2, fig3):
         assert len(fast.points) == len(literal.points)
         for a, b in zip(fast.points, literal.points):
             assert a == pytest.approx(b, abs=1e-12)
+
+
+gains = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+budgets = st.one_of(st.sampled_from([0.0, 1.0, 1e4]), st.floats(0.0, 20.0))
+channels = st.builds(ChannelParams, gains, gains, gains, gains, budgets, budgets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(channels, st.sampled_from(CTDMA_TAGS), st.integers(2, 7), st.integers(1, 5))
+def test_region_matches_dense_pairing(channel, variant, steps, alpha_steps):
+    # the prefix-max lookup must pick exactly the pairs the dense mask picks
+    fast = ctdma_region(channel, variant, steps=steps, alpha_steps=alpha_steps)
+    dense = dense_pairing_region(channel, variant, steps, alpha_steps)
+    assert fast.points == dense.points
+    assert fast.metadata == dense.metadata
+    for alpha in np.linspace(0.0, 1.0, alpha_steps):
+        for grid, literal in zip(_slot_grids(variant, channel, float(alpha), steps),
+                                 literal_slot_grids(variant, channel, float(alpha), steps)):
+            assert grid.tolist() == [list(row) for row in literal]
+
+
+def test_best_partners_on_the_budget_boundary():
+    # uses that meet a cap exactly pair up; any excess does not
+    r2 = np.array([1.0, 2.0, 3.0, 4.0])
+    used1_b = np.array([0.25, 0.5, 0.5, 0.75])
+    used2_b = np.array([0.5, 0.25, 0.75, 0.0])
+    used1_a = np.array([0.5, 0.5, 0.25, 0.75, 0.25 + 1e-9, 1.5])
+    used2_a = np.array([0.5, 0.25, 0.25, 0.0, 0.0, 0.0])
+    best = _best_partners(r2, used1_b, used2_b, used1_a, used2_a, 1.0, 1.0)
+    assert best.tolist() == [2.0, 3.0, 4.0, 1.0, 3.0, -np.inf]
+    assert np.array_equal(
+        best, dense_best_partners(r2, used1_b, used2_b, used1_a, used2_a, 1.0, 1.0)
+    )
+
+
+def test_region_matches_dense_pairing_on_presets(fig2, fig3):
+    for channel in (fig2, fig3):
+        for variant in CTDMA_TAGS:
+            fast = ctdma_region(channel, variant, steps=9)
+            assert fast.points == dense_pairing_region(channel, variant, 9).points
 
 
 def test_variant_tdma_is_time_sharing_only(fig2):
