@@ -127,6 +127,17 @@ def _require(cfg: dict, key: str, minimum: int | None, label: str,
     return value
 
 
+def _deprecated_directions(cfg: dict) -> None:
+    """Check ``directions``, which no longer has an effect.
+
+    Frontiers are exact, so the option is deprecated; it is still parsed
+    and a value below 3 is still a configuration error, so that command
+    lines which worked before keep their exit codes.
+    """
+    if "directions" in cfg:
+        _require(cfg, "directions", 3, "directions")
+
+
 def _output_path(value) -> Path:
     """An output file path whose directory must already exist."""
     if not isinstance(value, str):
@@ -166,7 +177,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     if variant not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
     steps = _require(cfg, "steps", 2, "steps", default=11)
-    directions = _require(cfg, "directions", 3, "directions", default=16)
+    _deprecated_directions(cfg)
     states = _require(cfg, "states", 1, "states", default=1)
     weight_steps = _require(cfg, "weight_steps", None, "weight_steps", default=5)
     workers = _require(cfg, "workers", 1, "workers") if "workers" in cfg else None
@@ -175,7 +186,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         workers = worker_count(workers)
         spec = RegionSpec(
             channel=channel, variant=variant, steps=steps,
-            directions=directions, states=states, weight_steps=weight_steps,
+            states=states, weight_steps=weight_steps,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -185,9 +196,9 @@ def cmd_region(args: argparse.Namespace) -> int:
         "channel": channel.to_dict(),
         "variant": variant,
         "grid": {"steps": steps, "states": states},
-        "directions": directions,
         "allocations": frontier.metadata.get("allocations"),
         "infeasible_allocations": frontier.metadata.get("infeasible_allocations"),
+        "screened_allocations": frontier.metadata.get("screened_allocations"),
     })
     return EXIT_OK
 
@@ -222,19 +233,23 @@ def cmd_point(args: argparse.Namespace) -> int:
     try:
         data = json.loads(Path(alloc_path).read_text())
         alloc = TimeSharedAllocation.from_dict(data)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cannot load allocation {alloc_path}: {exc}") from exc
     report = validate_allocation(channel, alloc)
     if not report.ok:
         raise ConfigError(f"allocation invalid ({report.code}): {report.detail}")
-    directions = _require(cfg, "directions", 3, "directions", default=64)
+    _deprecated_directions(cfg)
     out = cfg.get("out")
     if out:
         out = _output_path(out)
-    frontier = region_for_allocation(channel, alloc, directions)
+    try:
+        frontier = region_for_allocation(channel, alloc)
+    except ValueError as exc:
+        raise ConfigError(
+            f"allocation {alloc_path} has powers too large to evaluate: {exc}"
+        ) from exc
     payload = {
         "channel": channel.to_dict(),
-        "directions": directions,
         "infeasible": frontier.is_empty,
         "points": [[r1, r2] for r1, r2 in frontier.points],
     }
@@ -303,7 +318,7 @@ def hausdorff_gap(frontier: Frontier,
     return max(one_sided(feasible, under), one_sided(under, feasible)) / pitch
 
 
-def projection_suite(seed: int, systems: int, directions: int = 24) -> float:
+def projection_suite(seed: int, systems: int) -> float:
     """Worst frontier-vs-grid-oracle gap (pitch units) over random systems.
 
     Runs until ``systems`` feasible instances have been compared; infeasible
@@ -325,7 +340,7 @@ def projection_suite(seed: int, systems: int, directions: int = 24) -> float:
             _random_state(rng, channel.p1, channel.p2)
         )
         system = build_system(channel, alloc)
-        frontier = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE, directions)
+        frontier = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE)
         if frontier.is_empty:
             if grid_feasibility_oracle(system, R1_OBJECTIVE, R2_OBJECTIVE, 0.25):
                 worst = max(worst, math.inf)
@@ -413,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_args(p_region)
     p_region.add_argument("--variant")
     p_region.add_argument("--steps", type=int)
-    p_region.add_argument("--directions", type=int)
+    p_region.add_argument("--directions", type=int,
+                          help="deprecated, no effect: frontiers are exact")
     p_region.add_argument("--states", type=int)
     p_region.add_argument("--weight-steps", dest="weight_steps", type=int)
     p_region.add_argument("--workers", type=int)
@@ -430,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_point = sub.add_parser("point", help="frontier of one allocation file")
     _add_channel_args(p_point)
     p_point.add_argument("--alloc", type=str, help="allocation JSON file")
-    p_point.add_argument("--directions", type=int)
+    p_point.add_argument("--directions", type=int,
+                         help="deprecated, no effect: frontiers are exact")
     p_point.add_argument("--out", type=str)
     p_point.set_defaults(func=cmd_point)
 

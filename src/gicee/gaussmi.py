@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .model import ChannelParams, PowerState, TimeSharedAllocation
 
 _LN2 = math.log(2.0)
@@ -196,8 +194,11 @@ def mi_covariance_oracle(
 
     Builds the scalar observation directly from the channel equations and
     computes 0.5*log2(var(Y | complement) / var(Y | complement, subset))
-    through Schur complements of the joint covariance.  Kept as a second,
-    formula-independent path for validation; not used by the region code.
+    through Schur complements of the joint covariance.  The variances are
+    exact rationals of the float inputs, so the subtraction in each Schur
+    complement cannot cancel; only the final logarithm rounds.  Kept as a
+    second, formula-independent path for validation; not used by the
+    region code.
     """
     decodable = DECODABLE[receiver]
     subset = frozenset(int(i) for i in subset)
@@ -208,26 +209,29 @@ def mi_covariance_oracle(
             f" (offending: {sorted(extra)})"
         )
     complement = decodable - subset
+    # Imported here so that only the validation path loads it, not every
+    # command's start-up.
+    from fractions import Fraction
 
     amps, a1, a2 = _received_amplitudes(channel, receiver)
-    powers = {i: getattr(state, _STATE_POWER[i]) for i in range(1, 7)}
+    amps = {i: Fraction(a) for i, a in amps.items()}
+    a1, a2 = Fraction(a1), Fraction(a2)
+    powers = {i: Fraction(getattr(state, _STATE_POWER[i])) for i in range(1, 7)}
 
     # Anything outside the decodable set stays unexplained, as does jamming.
-    base_noise = 1.0 + a1 * a1 * state.pj1 + a2 * a2 * state.pj2
+    base_noise = 1 + a1 * a1 * Fraction(state.pj1) + a2 * a2 * Fraction(state.pj2)
     base_noise += sum(amps[i] ** 2 * powers[i] for i in range(1, 7) if i not in decodable)
     var_y = base_noise + sum(amps[i] ** 2 * powers[i] for i in decodable)
 
-    def conditional_var(cond: frozenset[int]) -> float:
+    def conditional_var(cond: frozenset[int]) -> Fraction:
         # Zero-power components are almost-surely zero; conditioning on them
         # is a no-op and would only make the covariance singular.
-        cond = sorted(i for i in cond if powers[i] > 0.0)
-        if not cond:
-            return var_y
-        cov = np.diag([powers[i] for i in cond])
-        cross = np.array([amps[i] * powers[i] for i in cond])
-        explained = cross @ np.linalg.solve(cov, cross)
+        cond = sorted(i for i in cond if powers[i] > 0)
+        # The components are independent, so the covariance of the
+        # conditioning set is diagonal and its solve is a division.
+        cross = [amps[i] * powers[i] for i in cond]
+        explained = sum(c * c / powers[i] for c, i in zip(cross, cond))
         return var_y - explained
 
-    v_given_complement = conditional_var(complement)
-    v_given_all = conditional_var(complement | subset)
-    return 0.5 * (math.log(v_given_complement) - math.log(v_given_all)) / _LN2
+    ratio = conditional_var(complement) / conditional_var(complement | subset)
+    return 0.5 * math.log(ratio) / _LN2

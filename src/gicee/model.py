@@ -170,9 +170,11 @@ class TimeSharedAllocation:
 
     @classmethod
     def from_dict(cls, data: dict, max_states: int | None = None) -> "TimeSharedAllocation":
-        raw = data.get("states")
+        raw = data.get("states") if isinstance(data, dict) else None
         if not isinstance(raw, list) or not raw:
             raise ValueError("allocation JSON needs a nonempty 'states' list")
+        if not all(isinstance(entry, dict) for entry in raw):
+            raise ValueError("every allocation state must be a JSON object")
         states = tuple(
             (float(entry.get("weight", 0.0)), PowerState.from_dict(entry))
             for entry in raw

@@ -335,17 +335,24 @@ class Frontier:
                 return a2 + t * (b2 - a2)
         return self.points[-1][1]
 
-    def dominates(
-        self, other: "Frontier", *, directions: int = 181, tol: float = 1e-9
-    ) -> bool:
-        """True if this frontier is at least as large in every direction."""
+    def dominates(self, other: "Frontier", *, tol: float = 1e-9) -> bool:
+        """True if this frontier's region contains the other's, up to ``tol``.
+
+        Exact vertex test against the convex hull of this frontier: every
+        point of ``other`` may pass the hull's right end by ``e1`` and its
+        boundary above by ``e2`` only with ``e1 + e2 <= tol``, so its support
+        value exceeds this one's by at most ``tol`` in every direction.
+        """
         if other.is_empty:
             return True
         if self.is_empty:
             return False
-        for k in range(directions):
-            theta = 0.5 * math.pi * k / (directions - 1)
-            if other.support(theta) > self.support(theta) + tol:
+        hull = pareto_merge([self])
+        right = hull.max_r1
+        for r1, r2 in other.points:
+            beyond = max(r1 - right, 0.0)
+            above = max(r2 - hull.r2_at(min(r1, right)), 0.0)
+            if beyond + above > tol:
                 return False
         return True
 
@@ -354,56 +361,65 @@ def project_frontier(
     system: RateSystem,
     r1_row: Sequence[float],
     r2_row: Sequence[float],
-    directions: int = 64,
     *,
     metadata: dict | None = None,
 ) -> Frontier:
     """Pareto frontier of the polytope's image under (r1_row, r2_row).
 
-    Sweeps ``directions`` support angles uniformly over [0, pi/2] plus the
-    two lexicographic corners.  Infeasible systems give an empty frontier.
-    Phase 1 runs once; every later objective warm-starts phase 2 from the
-    previous optimal basis, and a corner's secondary objective is solved on
-    the primary's optimal face by blocking the columns with positive
-    reduced cost.
+    Exact, by the bicriteria dichotomic search (Aneja & Nair 1979): solve
+    the two lexicographic corners, then maximize along the normal of each
+    segment between adjacent known vertices; a point above the segment is
+    a new vertex and splits it, otherwise the segment is a frontier edge.
+    Infeasible systems give an empty frontier.  Phase 1 runs once; every
+    later objective warm-starts phase 2 from the previous optimal basis,
+    and a corner's secondary objective is solved on the primary's optimal
+    face by blocking the columns with positive reduced cost.
     """
-    if directions < 3:
-        raise ValueError("need at least 3 directions")
     r1_row = np.asarray(r1_row, dtype=float)
     r2_row = np.asarray(r2_row, dtype=float)
     tol = FEASIBILITY_TOL
     meta = dict(metadata or {})
-    meta.setdefault("directions", directions)
 
     tableau = _Tableau(system)
     if not tableau.phase1(tol):
         meta["infeasible"] = True
         return Frontier(points=(), metadata=meta)
 
-    def corner(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
+    def image() -> tuple[float, float]:
+        x = tableau.solution(tol)
+        return max(float(r1_row @ x), 0.0), max(float(r2_row @ x), 0.0)
+
+    def corner(primary: np.ndarray, secondary: np.ndarray) -> tuple[float, float]:
         if tableau.maximize(primary, tol) != "optimal":
             raise SolverFailure("projection unbounded along a corner objective")
         if tableau.maximize(secondary, tol, tableau.optimal_face(tol)) != "optimal":
             raise SolverFailure("lexicographic refinement failed")
-        return tableau.solution(tol)
+        return image()
 
-    solutions = [corner(r1_row, r2_row), corner(r2_row, r1_row)]
-    # The second corner is the optimum at pi/2, so sweeping downwards from
-    # there keeps each warm start one short walk along the frontier.
-    for k in reversed(range(directions)):
-        theta = 0.5 * math.pi * k / (directions - 1)
-        obj = math.cos(theta) * r1_row + math.sin(theta) * r2_row
-        if tableau.maximize(obj, tol) != "optimal":
-            raise SolverFailure(
-                f"direction {theta:.6f} rad ended with status unbounded"
-            )
-        solutions.append(tableau.solution(tol))
+    right = corner(r1_row, r2_row)
+    top = corner(r2_row, r1_row)
+    vertices = [top, right]
+    # Segments run from the upper-left vertex to the lower-right one; the
+    # search starts at the second corner, where the tableau's basis is.
+    segments = [(top, right)]
+    while segments:
+        upper, lower = segments.pop()
+        w1, w2 = upper[1] - lower[1], lower[0] - upper[0]
+        if not (w1 > 0.0 and w2 > 0.0):
+            continue  # one end dominates the other: nothing lies between
+        norm = math.hypot(w1, w2)
+        w1, w2 = w1 / norm, w2 / norm
+        if tableau.maximize(w1 * r1_row + w2 * r2_row, tol) != "optimal":
+            raise SolverFailure("projection unbounded along a segment normal")
+        point = image()
+        value = w1 * point[0] + w2 * point[1]
+        chord = max(w1 * upper[0] + w2 * upper[1], w1 * lower[0] + w2 * lower[1])
+        if value > chord + tol * max(1.0, abs(value)):
+            vertices.append(point)
+            segments += [(point, lower), (upper, point)]
 
-    points = [
-        (max(float(r1_row @ x), 0.0), max(float(r2_row @ x), 0.0)) for x in solutions
-    ]
     meta["infeasible"] = False
-    return Frontier(points=_pareto_prune(points), metadata=meta)
+    return Frontier(points=_pareto_prune(vertices), metadata=meta)
 
 
 def _cross(o, a, b) -> float:

@@ -29,7 +29,14 @@ from .model import (
     TimeSharedAllocation,
     validate_allocation,
 )
-from .polytope import Frontier, RateSystem, SolverFailure, pareto_merge, project_frontier
+from .polytope import (
+    FEASIBILITY_TOL,
+    Frontier,
+    RateSystem,
+    SolverFailure,
+    pareto_merge,
+    project_frontier,
+)
 
 # Variable order of every RateSystem built here.  The two "other" message
 # rates are pinned to zero by the construction and eliminated, leaving
@@ -105,6 +112,70 @@ def _indicator_rows() -> np.ndarray:
 _ROWS = _indicator_rows()
 A_UB, EQ_ROW = _ROWS[:-1], _ROWS[-1]
 
+
+def _set_partitions(items: list[int]):
+    """Every partition of ``items`` into blocks, each block a bit set."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _set_partitions(rest):
+        yield [1 << first] + partition
+        for k, block in enumerate(partition):
+            yield partition[:k] + [block | 1 << first] + partition[k + 1:]
+
+
+def _screen_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the feasibility screen.
+
+    Every inequality row caps the randomization rates of its subset (the
+    message rates it also holds are nonnegative), so the rows with subset
+    T give a cap on the summed rates over T.  Returned: the inequality
+    rows in the order of their subset's bit set, the start of each of the
+    62 proper nonempty subsets in that order, and one row per partition of
+    the six components into two or more blocks, listing its blocks' subset
+    positions padded with 62 (an always-zero cap).
+    """
+    # bit i - 1 stands for component SignalIndex i
+    masks = np.array([sum(1 << (i - 1) for i in subset) for _, subset in _BOUNDS[:-1]])
+    components = len(DECODABLE["ye"])
+    full = (1 << components) - 1
+    order = np.argsort(masks, kind="stable")
+    starts = np.searchsorted(masks[order], np.arange(1, full))
+    partitions = [p for p in _set_partitions(list(range(components))) if len(p) > 1]
+    blocks = np.full((len(partitions), components), full - 1)
+    for k, partition in enumerate(partitions):
+        blocks[k, :len(partition)] = np.array(partition) - 1
+    return order, starts, blocks
+
+
+_CAP_ORDER, _CAP_STARTS, _PARTITION_BLOCKS = _screen_tables()
+# An allocation whose equality bound passes its cover by more than this is
+# certified infeasible without a tableau; the margin keeps the certificate
+# clear of the tolerance phase 1 decides with.
+SCREEN_MARGIN = 100 * FEASIBILITY_TOL
+
+
+def randomization_cover(bounds: np.ndarray) -> np.ndarray:
+    """Upper bound on the total randomization rate of each allocation, (n,).
+
+    ``bounds`` is a block of bound rows, (n, 93).  The subsets of any
+    partition of the eavesdropper's six components are disjoint, so their
+    caps add up to a bound on the full sum, the left side of the equality;
+    the cover is the least such bound over all 202 partitions with two or
+    more blocks.  By weak duality an allocation whose equality bound
+    exceeds its cover has no feasible rate point.
+    """
+    caps = np.minimum.reduceat(bounds[:, _CAP_ORDER], _CAP_STARTS, axis=1)
+    caps = np.concatenate([caps, np.zeros((caps.shape[0], 1))], axis=1)
+    return caps[:, _PARTITION_BLOCKS].sum(axis=2).min(axis=1)
+
+
+def certified_infeasible(bounds: np.ndarray) -> np.ndarray:
+    """Mask of the allocations in a block of bound rows that the cover
+    proves infeasible; the rest are left to phase 1."""
+    return bounds[:, -1] > randomization_cover(bounds) + SCREEN_MARGIN
+
 # State powers as a vector, and the position of each codeword component in
 # it; positions 3 and 7 are the users' jamming powers.
 _STATE_POWERS = attrgetter("pc1", "ps1", "po1", "pj1", "pc2", "ps2", "po2", "pj2")
@@ -165,17 +236,20 @@ def bound_rows(
     Columns follow the system rows: the 92 inequality bounds, then the
     eavesdropper equality.  Each is ``gamma(subset power / floor)``
     averaged over the states.  Elementwise arithmetic only, so a row does
-    not depend on the other allocations in the block.
+    not depend on the other allocations in the block.  A power so large
+    that a received power overflows gives a non-finite bound, which
+    :class:`RateSystem` rejects; the sweeps' grids stay below that.
     """
     numerator_map, floor_map = _power_maps(channel)
     numerator = np.zeros(powers.shape[:2] + (N_BOUNDS,))
     floor = np.ones_like(numerator)
-    for p in range(8):
-        column = powers[:, :, p, np.newaxis]
-        numerator += column * numerator_map[p]
-        floor += column * floor_map[p]
-    rates = 0.5 * np.log1p(numerator / floor) / _LN2
-    return (weights[:, :, np.newaxis] * rates).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(8):
+            column = powers[:, :, p, np.newaxis]
+            numerator += column * numerator_map[p]
+            floor += column * floor_map[p]
+        rates = 0.5 * np.log1p(numerator / floor) / _LN2
+        return (weights[:, :, np.newaxis] * rates).sum(axis=1)
 
 
 def _system(bounds: np.ndarray) -> RateSystem:
@@ -198,34 +272,32 @@ def build_system(channel: ChannelParams, alloc: TimeSharedAllocation) -> RateSys
 
 
 def region_for_allocation(
-    channel: ChannelParams,
-    alloc: TimeSharedAllocation,
-    directions: int = 64,
+    channel: ChannelParams, alloc: TimeSharedAllocation
 ) -> Frontier:
     """Achievable (r1, r2) frontier for a single allocation.
 
     An empty frontier means the allocation admits no rate point at all
     (the equality can outgrow the receiver bounds); that is an expected
-    outcome, not an error.
+    outcome, not an error.  Phase 1 decides feasibility here; only the
+    grid sweeps screen first.
     """
-    return _project(build_system(channel, alloc), directions)
+    return _project(build_system(channel, alloc))
 
 
-def _project(system: RateSystem, directions: int) -> Frontier:
-    return project_frontier(
-        system, R1_OBJECTIVE, R2_OBJECTIVE, directions,
-        metadata={"scheme": "single-allocation"},
-    )
+_META = {"scheme": "single-allocation"}
+
+
+def _project(system: RateSystem) -> Frontier:
+    return project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE, metadata=_META)
 
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """A region computation: channel, allocation family and sweep sizes."""
+    """A region computation: channel, allocation family and grid sizes."""
 
     channel: ChannelParams
     variant: str = "r3"
     steps: int = 11
-    directions: int = 64
     states: int = 1
     weight_steps: int = 5
 
@@ -234,8 +306,6 @@ class RegionSpec:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.steps < 2:
             raise ValueError("steps must be at least 2 per swept dimension")
-        if self.directions < 3:
-            raise ValueError("directions must be at least 3")
         if not 1 <= self.states <= 4:
             raise ValueError("states must be between 1 and 4")
         if self.states > 1 and self.weight_steps < 2:
@@ -317,17 +387,23 @@ def worker_count(explicit: int | None = None) -> int:
 
 
 def _evaluate_chunk(
-    job: tuple[ChannelParams, Sequence[TimeSharedAllocation], int],
+    job: tuple[ChannelParams, Sequence[TimeSharedAllocation]],
 ) -> list[tuple[str, Frontier | str]]:
-    """Validate a block of allocations, compute its bounds in one pass and
-    project each allocation; a solver failure is reported, not raised."""
-    channel, allocations, directions = job
+    """Validate a block of allocations, compute its bounds in one pass,
+    screen out the certified infeasible ones and project the rest; a
+    solver failure is reported, not raised."""
+    channel, allocations = job
     for alloc in allocations:
         _check_allocation(channel, alloc)
+    block = bound_rows(channel, *_allocation_arrays(allocations))
     results = []
-    for bounds in bound_rows(channel, *_allocation_arrays(allocations)):
+    for bounds, screened in zip(block, certified_infeasible(block)):
+        if screened:
+            meta = dict(_META, infeasible=True, screened=True)
+            results.append(("ok", Frontier(points=(), metadata=meta)))
+            continue
         try:
-            results.append(("ok", _project(_system(bounds), directions)))
+            results.append(("ok", _project(_system(bounds))))
         except SolverFailure as exc:
             results.append(("fail", str(exc)))
     return results
@@ -345,7 +421,7 @@ def region_union(
     """
     allocations = _family_allocations(spec)
     jobs = [
-        (spec.channel, allocations[i:i + CHUNK], spec.directions)
+        (spec.channel, allocations[i:i + CHUNK])
         for i in range(0, len(allocations), CHUNK)
     ]
     count = min(worker_count(workers), len(jobs))
@@ -364,14 +440,15 @@ def region_union(
         )
     frontiers = [frontier for _, frontier in results]
     infeasible = sum(1 for f in frontiers if f.is_empty)
+    screened = sum(1 for f in frontiers if f.metadata.get("screened"))
     return pareto_merge(
         frontiers,
         metadata={
             "scheme": spec.variant,
             "steps": spec.steps,
             "states": spec.states,
-            "directions": spec.directions,
             "allocations": len(allocations),
             "infeasible_allocations": infeasible,
+            "screened_allocations": screened,
         },
     )

@@ -50,7 +50,7 @@ def fig3():
 def fig3_r3_region(fig3):
     start = time.perf_counter()
     frontier = region_union(
-        RegionSpec(channel=fig3, variant="r3", steps=11, directions=16)
+        RegionSpec(channel=fig3, variant="r3", steps=11)
     )
     return frontier, time.perf_counter() - start
 
@@ -97,9 +97,7 @@ def test_criterion_4_asymmetric_preset_jamming_gain(fig3):
 
 
 def test_criterion_5_cooperative_binning_region(fig3, fig3_r3_region):
-    point_frontier = region_for_allocation(
-        fig3, single(PowerState(pc1=10.0, pc2=1.0)), 16
-    )
+    point_frontier = region_for_allocation(fig3, single(PowerState(pc1=10.0, pc2=1.0)))
     best_r1, best_r2 = point_frontier.points[0]
     assert best_r1 <= 1e-9
     assert abs(best_r2 - 0.329430) <= 1e-4
@@ -118,7 +116,7 @@ def test_criterion_6_empty_region_detection(fig3):
         b for row, b in zip(system.a_ub, system.b_ub)
         if row[1] == 1.0 and row[6] == 1.0
     ) == pytest.approx(GAMMA_20, abs=1e-12)
-    frontier = region_for_allocation(fig3, alloc, 8)
+    frontier = region_for_allocation(fig3, alloc)
     assert frontier.is_empty
     assert frontier.metadata["infeasible"] is True
     report(6, "full-power allocation reported infeasible "
@@ -138,8 +136,8 @@ def test_criterion_8_nesting_and_symmetry(fig2, fig3):
         full = ctdma_region(channel, "ctdma", steps=7)
         assert nscp.dominates(tdma, tol=1e-9)
         assert full.dominates(nscp, tol=1e-9)
-    ncp = region_union(RegionSpec(channel=fig2, variant="ncp", steps=4, directions=8))
-    r3 = region_union(RegionSpec(channel=fig2, variant="r3", steps=4, directions=8))
+    ncp = region_union(RegionSpec(channel=fig2, variant="ncp", steps=4))
+    r3 = region_union(RegionSpec(channel=fig2, variant="r3", steps=4))
     assert r3.dominates(ncp, tol=1e-9)
     for frontier in (r3, ctdma_region(fig2, "ctdma", steps=7)):
         for k in range(41):
@@ -182,9 +180,7 @@ def test_criterion_10_degenerate_single_user():
     for c12, c21, c1e, c2e in ((1.9, 1.9, 0.5, 0.5), (1.9, 1.0, 0.5, 1.6),
                                (1.9, 1.9, 1.6, 0.5)):
         channel = ChannelParams(c12=c12, c21=c21, c1e=c1e, c2e=c2e, p1=10.0, p2=0.0)
-        frontier = region_for_allocation(
-            channel, single(PowerState(pc1=10.0)), 8
-        )
+        frontier = region_for_allocation(channel, single(PowerState(pc1=10.0)))
         achieved = 0.0 if frontier.is_empty else frontier.max_r1
         assert abs(achieved - single_user_wiretap(10.0, c1e)) <= 1e-9
     report(10, "lone-user allocations reproduce [gamma(P) - gamma(cP)]+ exactly")

@@ -123,7 +123,32 @@ def test_region_default_grid_sizes(tmp_path):
     assert code == 0
     sidecar = json.loads((tmp_path / "dflt.json").read_text())
     assert sidecar["grid"]["steps"] == 11
-    assert sidecar["directions"] == 16
+    # frontiers are exact, so the sidecar no longer records a direction count
+    assert "directions" not in sidecar
+    assert sidecar["screened_allocations"] == 0
+
+
+def test_region_sidecar_counts_screened_allocations(tmp_path):
+    out = tmp_path / "fig3.csv"
+    assert main(["region", "--preset", "fig3", "--steps", "6", "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "fig3.json").read_text())
+    assert 0 < sidecar["screened_allocations"] <= sidecar["infeasible_allocations"]
+
+
+def test_directions_is_deprecated_without_effect(tmp_path, capsys):
+    base = ["region", "--preset", "fig3", "--steps", "4"]
+    outputs = []
+    for extra in ([], ["--directions", "3"], ["--directions", "500"]):
+        out = tmp_path / f"d{len(outputs)}.csv"
+        assert main(base + extra + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    # values below 3 stay configuration errors, as before
+    assert main(base + ["--directions", "2", "--out", str(tmp_path / "x.csv")]) == 1
+    assert "directions" in capsys.readouterr().err
+    alloc = write_alloc(tmp_path, pc1=10.0, pc2=1.0)
+    assert main(["point", "--preset", "fig3", "--alloc", str(alloc),
+                 "--directions", "2"]) == 1
 
 
 def test_ctdma_symmetric_endpoints(tmp_path):
@@ -275,11 +300,18 @@ OVERFLOWING = ["--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
     (REGION + ["--out", "{missing}/region.csv"], {}),
     (["region", *OVERFLOWING], {}),
     (["ctdma", *OVERFLOWING], {}),
+    # within budget on average, but 1.7e308 times a gain of 1.9 overflows
+    (["point", "--preset", "fig2", "--alloc", "{huge}"], {}),
 ])
 def test_region_bad_input_is_config_error(tmp_path, argv, env):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"steps": "many"}))
-    argv = [a.format(config=config, missing=tmp_path / "missing") for a in argv]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(
+        {"states": [{"weight": 1e-308, "pc1": 1.7e308}, {"weight": 1}]}
+    ))
+    argv = [a.format(config=config, missing=tmp_path / "missing", huge=huge)
+            for a in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "region.csv")]
     result = subprocess.run(
@@ -292,9 +324,10 @@ def test_region_bad_input_is_config_error(tmp_path, argv, env):
     assert "Traceback" not in result.stderr
 
 
-# Flag and config-file fuzzing of the two sweep commands.  Sizes stay small
-# (steps <= 4, a few directions, one state) so every accepted run is quick;
-# odd values range over wrong types, NaN/inf, huge and negative values.
+# Flag and config-file fuzzing of every command.  Sizes stay small
+# (steps <= 4, one state, a few validation samples) so every accepted run
+# is quick; odd values range over wrong types, NaN/inf, huge and negative
+# values.  ``point`` also gets a fuzzed allocation file.
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -305,6 +338,7 @@ JUNK = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
 )
 CHANNEL_KEYS = ("c12", "c21", "c1e", "c2e", "p1", "p2")
+STATE_KEYS = ("weight", "pc1", "ps1", "po1", "pj1", "pc2", "ps2", "po2", "pj2")
 
 
 def mostly(good, odd):
@@ -327,10 +361,10 @@ def size(lo, hi, *odd):
                    st.sampled_from(["abc", "2.5", "nan", "1e9", "-5", ""]))
 
 
+ODD_NUMBERS = st.sampled_from([1e4, 1e149, 1e300, 1.7e308, -1.0, 1e-308, math.nan, math.inf])
 CHANNEL = setting(
     st.floats(0.0, 20.0),
-    st.one_of(st.sampled_from([1e4, 1e149, 1e300, 1.7e308, -1.0, math.nan, math.inf]),
-              st.integers(), JUNK),
+    st.one_of(ODD_NUMBERS, st.integers(), JUNK),
     st.sampled_from(["nan", "inf", "-inf", "-1", "1e4", "1e149", "1.7e308", "1e400",
                      "abc", ""]),
 )
@@ -338,12 +372,30 @@ SETTINGS = {
     "region": {"steps": size(2, 4), "directions": size(3, 24), "states": size(1, 1, 5, 9),
                "weight_steps": size(2, 5), "workers": size(1, 2), "variant": name(*VARIANTS)},
     "ctdma": {"steps": size(2, 4), "variant": name(*CTDMA_TAGS)},
+    "point": {"directions": size(3, 24)},
+    "validate": {"seed": size(0, 5), "samples": size(1, 20), "systems": size(1, 2),
+                 "tol": setting(st.sampled_from([1e-12, 1e-20, 0.0, 1.0]), JUNK,
+                                st.sampled_from(["abc", "nan", "-1", ""]))},
 }
+# steps is always given to the sweeps: the default grid takes seconds
+ALWAYS = {"steps", "samples", "systems"}
+
+# An allocation file: mostly a list of one to three states with powers
+# within the fig presets' budgets, else odd values, keys or shapes.
+POWER = mostly(st.floats(0.0, 5.0), st.one_of(ODD_NUMBERS, st.integers(), JUNK))
+STATE = st.dictionaries(st.sampled_from(STATE_KEYS), POWER, max_size=len(STATE_KEYS))
+ALLOCATION = mostly(
+    st.fixed_dictionaries({"states": st.lists(STATE, min_size=1, max_size=3)}),
+    st.one_of(JUNK, st.fixed_dictionaries({"states": JUNK}),
+              st.fixed_dictionaries({"states": st.lists(JUNK, min_size=1, max_size=2)}),
+              st.lists(STATE, max_size=2)),
+)
 
 
 @st.composite
-def sweep_invocations(draw):
-    """A region or ctdma command line plus the JSON config it points at."""
+def invocations(draw):
+    """A command line, the JSON config it points at and, for ``point``, the
+    allocation file's contents."""
     command = draw(st.sampled_from(sorted(SETTINGS)))
     flags, config = {}, {}
 
@@ -355,35 +407,43 @@ def sweep_invocations(draw):
         if where != "flag":
             config[key] = draw(value)
 
-    # mostly a preset or a full inline channel; sometimes both or neither
-    source = draw(mostly(st.sampled_from(["preset", "inline"]),
-                         st.sampled_from(["both", "none", "partial"])))
-    if source in ("preset", "both"):
-        put("preset", name("fig2", "fig3"))
-    if source in ("inline", "both", "partial"):
-        dropped = draw(st.sampled_from(CHANNEL_KEYS)) if source == "partial" else None
-        for key in CHANNEL_KEYS:
-            if key != dropped:
-                put(key, CHANNEL)
+    if command != "validate":
+        # mostly a preset or a full inline channel; sometimes both or neither
+        source = draw(mostly(st.sampled_from(["preset", "inline"]),
+                             st.sampled_from(["both", "none", "partial"])))
+        if source in ("preset", "both"):
+            put("preset", name("fig2", "fig3"))
+        if source in ("inline", "both", "partial"):
+            dropped = draw(st.sampled_from(CHANNEL_KEYS)) if source == "partial" else None
+            for key in CHANNEL_KEYS:
+                if key != dropped:
+                    put(key, CHANNEL)
     for key, strategies in SETTINGS[command].items():
-        # steps is always given: the default grid takes seconds to sweep
-        if key == "steps" or draw(st.booleans()):
+        if key in ALWAYS or draw(st.booleans()):
             put(key, strategies)
     if draw(st.booleans()):
         config["bogus"] = draw(JUNK)
     argv = [command] + [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
-    return argv, config
+    allocation = draw(ALLOCATION) if command == "point" else None
+    return argv, config, allocation
 
 
-@settings(max_examples=200, deadline=None)
-@given(sweep_invocations())
+@settings(max_examples=300, deadline=None)
+@given(invocations())
 def test_sweep_commands_keep_exit_contract(invocation):
-    argv, config = invocation
+    argv, config, allocation = invocation
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.json")
         with open(path, "w") as fh:
             json.dump(config, fh)
-        argv = argv + ["--config", path, "--out", os.path.join(tmp, "out.csv")]
+        argv = argv + ["--config", path]
+        if argv[0] != "validate":
+            argv += ["--out", os.path.join(tmp, "out.csv")]
+        if argv[0] == "point":
+            alloc_path = os.path.join(tmp, "alloc.json")
+            with open(alloc_path, "w") as fh:
+                json.dump(allocation, fh)
+            argv += ["--alloc", alloc_path]
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects malformed flags

@@ -96,7 +96,7 @@ def test_lp_matches_scipy_on_random_systems():
 
 
 def test_project_frontier_polygon():
-    frontier = project_frontier(polygon_system(), [1.0, 0.0], [0.0, 1.0], 16)
+    frontier = project_frontier(polygon_system(), [1.0, 0.0], [0.0, 1.0])
     assert (0.5, 1.0) in set(
         (round(a, 9), round(b, 9)) for a, b in frontier.points
     )
@@ -107,19 +107,14 @@ def test_project_frontier_polygon():
 
 def test_project_frontier_infeasible_empty():
     system = RateSystem(a_ub=[[1.0, 0.0]], b_ub=[-1.0])
-    frontier = project_frontier(system, [1.0, 0.0], [0.0, 1.0], 8)
+    frontier = project_frontier(system, [1.0, 0.0], [0.0, 1.0])
     assert frontier.is_empty
     assert frontier.metadata["infeasible"] is True
 
 
 def test_project_frontier_dominating_corner():
-    frontier = project_frontier(box_system(), [1.0, 0.0], [0.0, 1.0], 8)
+    frontier = project_frontier(box_system(), [1.0, 0.0], [0.0, 1.0])
     assert frontier.points == ((1.0, 1.0),)
-
-
-def test_project_frontier_requires_directions():
-    with pytest.raises(ValueError):
-        project_frontier(box_system(), [1.0, 0.0], [0.0, 1.0], 2)
 
 
 def test_frontier_points_refeasible():
@@ -130,25 +125,10 @@ def test_frontier_points_refeasible():
         system = RateSystem(a_ub=a, b_ub=b)
         r1 = np.array([1.0, 1.0, 0.0, 0.0])
         r2 = np.array([0.0, 0.0, 1.0, 1.0])
-        frontier = project_frontier(system, r1, r2, 12)
+        frontier = project_frontier(system, r1, r2)
         for point in frontier.points:
             pinned = system.with_equalities([r1, r2], list(point))
             assert lp_solve(pinned, np.zeros(4)).status == "optimal"
-
-
-def test_more_directions_never_shrink():
-    rng = np.random.default_rng(11)
-    for _ in range(8):
-        a = rng.uniform(0.0, 1.0, (10, 4))
-        b = rng.uniform(0.5, 2.0, 10)
-        system = RateSystem(a_ub=a, b_ub=b)
-        r1 = np.array([1.0, 0.5, 0.0, 0.0])
-        r2 = np.array([0.0, 0.0, 1.0, 0.5])
-        coarse = project_frontier(system, r1, r2, 5)
-        fine = project_frontier(system, r1, r2, 33)
-        hull = pareto_merge([fine])
-        for p1, p2 in coarse.points:
-            assert hull.r2_at(p1) >= p2 - 1e-9
 
 
 def test_grid_oracle_box():
@@ -169,7 +149,7 @@ def test_grid_oracle_positive_pitch():
 
 def test_grid_oracle_points_below_frontier():
     system = polygon_system()
-    frontier = project_frontier(system, [1.0, 0.0], [0.0, 1.0], 16)
+    frontier = project_frontier(system, [1.0, 0.0], [0.0, 1.0])
     feasible = grid_feasibility_oracle(system, [1.0, 0.0], [0.0, 1.0], 0.1)
     for r1, r2 in feasible:
         assert r2 <= frontier.r2_at(r1) + 1e-9
@@ -339,26 +319,59 @@ def warm_start_cases():
         yield system, R1_OBJECTIVE, R2_OBJECTIVE
 
 
+def sweep_frontier(system, r1, r2, directions):
+    """The former fixed-angle projection, kept as a reference: the two
+    lexicographic corners plus ``directions`` support angles over
+    [0, pi/2], each warm-started from the previous basis."""
+    tol = FEASIBILITY_TOL
+    tableau = _Tableau(system)
+    if not tableau.phase1(tol):
+        return Frontier(points=())
+    solutions = []
+    for primary, secondary in ((r1, r2), (r2, r1)):
+        assert tableau.maximize(primary, tol) == "optimal"
+        assert tableau.maximize(secondary, tol, tableau.optimal_face(tol)) == "optimal"
+        solutions.append(tableau.solution(tol))
+    for k in reversed(range(directions)):
+        theta = 0.5 * math.pi * k / (directions - 1)
+        objective = math.cos(theta) * r1 + math.sin(theta) * r2
+        assert tableau.maximize(objective, tol) == "optimal"
+        solutions.append(tableau.solution(tol))
+    points = [(max(float(r1 @ x), 0.0), max(float(r2 @ x), 0.0)) for x in solutions]
+    return Frontier(points=_pareto_prune(points))
+
+
+def bounded_cases():
+    """The feasible, bounded projections among ``warm_start_cases``."""
+    for system, r1, r2 in warm_start_cases():
+        try:
+            frontier = project_frontier(system, r1, r2)
+        except SolverFailure:
+            continue
+        if not frontier.is_empty:
+            yield system, r1, r2, frontier
+
+
 def test_warm_started_projection_matches_cold_solves():
-    directions = 16
+    angles = [0.5 * math.pi * k / 180 for k in range(181)]
     checked = infeasible = 0
     for system, r1, r2 in warm_start_cases():
         statuses = set()
         cold = []
-        for k in range(directions):
-            theta = 0.5 * math.pi * k / (directions - 1)
+        for theta in angles:
             res = lp_solve(system, math.cos(theta) * r1 + math.sin(theta) * r2)
             statuses.add(res.status)
             cold.append((theta, res.value))
         if "unbounded" in statuses:
             with pytest.raises(SolverFailure):
-                project_frontier(system, r1, r2, directions)
+                project_frontier(system, r1, r2)
             continue
-        frontier = project_frontier(system, r1, r2, directions)
+        frontier = project_frontier(system, r1, r2)
         assert statuses == ({"infeasible"} if frontier.is_empty else {"optimal"})
         if frontier.is_empty:
             infeasible += 1
             continue
+        # exact: the frontier's support equals the cold optimum at every angle
         for theta, value in cold:
             assert frontier.support(theta) == pytest.approx(value, abs=1e-9)
         # the corner solves on their own, in the order project_frontier
@@ -383,3 +396,73 @@ def test_warm_started_projection_matches_cold_solves():
             assert corner[not swap] == pytest.approx(second, abs=1e-7)
         checked += 1
     assert checked >= 20 and infeasible >= 2
+
+
+@pytest.mark.parametrize("directions", [5, 16, 64])
+def test_exact_frontier_dominates_fixed_angle_sweep(directions):
+    checked = 0
+    for system, r1, r2, frontier in bounded_cases():
+        sweep = sweep_frontier(system, r1, r2, directions)
+        assert frontier.dominates(sweep, tol=1e-9)
+        # both run the same lexicographic corner solves
+        assert frontier.max_r1 == pytest.approx(sweep.max_r1, abs=1e-9)
+        assert frontier.max_r2 == pytest.approx(sweep.max_r2, abs=1e-9)
+        checked += 1
+    assert checked >= 20
+
+
+def test_exact_frontier_vertices_are_extreme_and_feasible():
+    for system, r1, r2, frontier in bounded_cases():
+        points = frontier.points
+        for point in points:
+            pinned = system.with_equalities([r1, r2], list(point))
+            assert lp_solve(pinned, np.zeros(system.dim)).status == "optimal"
+        # strictly convex chain: no vertex lies on the segment of its
+        # neighbours, so the search never reports a collinear point
+        for a, b, c in zip(points, points[1:], points[2:]):
+            assert (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) < 0
+
+
+def sampled_dominates(big, small, directions=181, tol=1e-9):
+    """The former sampled dominance test, kept as a reference."""
+    if small.is_empty:
+        return True
+    if big.is_empty:
+        return False
+    return all(
+        small.support(theta) <= big.support(theta) + tol
+        for theta in (0.5 * math.pi * k / (directions - 1) for k in range(directions))
+    )
+
+
+def test_dominates_catches_a_point_between_sampled_angles():
+    # the edge from (0, 1) to (1, 0.9) has its normal at about 84.29
+    # degrees, between the sampled angles 84.0 and 84.5
+    edge = Frontier(points=((0.0, 1.0), (1.0, 0.9)))
+    normal = np.array([0.1, 1.0]) / math.hypot(0.1, 1.0)
+    poke = np.array([0.5, 0.95]) + 1e-6 * normal
+    other = Frontier(points=(tuple(poke),))
+    assert sampled_dominates(edge, other)
+    assert not edge.dominates(other)
+    assert edge.dominates(Frontier(points=((0.5, 0.95),)))
+    # within tol of the boundary still counts, beyond the right end too
+    assert edge.dominates(Frontier(points=((0.5, 0.95 + 5e-10),)))
+    assert edge.dominates(Frontier(points=((1.0 + 5e-10, 0.9),)))
+    assert not edge.dominates(Frontier(points=((1.0 + 5e-10, 0.9 + 6e-10),)))
+
+
+frontier_points = st.lists(
+    st.tuples(st.floats(0, 2), st.floats(0, 2)), min_size=1, max_size=6,
+).map(lambda pts: Frontier(points=_pareto_prune(pts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(frontier_points, frontier_points)
+def test_dominates_is_at_least_as_strict_as_sampled(big, small):
+    if big.dominates(small):
+        assert sampled_dominates(big, small)
+    # and it is not stricter than containment: the hull of both frontiers
+    # holds each of them, and a frontier holds itself
+    merged = pareto_merge([big, small])
+    assert merged.dominates(big) and merged.dominates(small)
+    assert big.dominates(big)
