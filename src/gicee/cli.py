@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -45,7 +46,6 @@ from .region import (
     build_system,
     region_for_allocation,
     region_union,
-    worker_count,
 )
 from .schemes import CTDMA_TAGS, ctdma_region
 
@@ -138,6 +138,25 @@ def _deprecated_directions(cfg: dict) -> None:
         _require(cfg, "directions", 3, "directions")
 
 
+def _deprecated_workers(cfg: dict) -> None:
+    """Check ``workers`` and ``GICEE_WORKERS``, which no longer have an effect.
+
+    Sweeps run in one process, so the options are deprecated; they are
+    still parsed, and a count below 1 or a non-integer ``GICEE_WORKERS`` is
+    still a configuration error, so command lines keep their exit codes.
+    """
+    if "workers" in cfg:
+        _require(cfg, "workers", 1, "workers")
+    env = os.environ.get("GICEE_WORKERS")
+    if env:
+        try:
+            count = int(env)
+        except ValueError:
+            raise ConfigError(f"GICEE_WORKERS must be an integer, got {env!r}") from None
+        if count < 1:
+            raise ConfigError(f"GICEE_WORKERS must be at least 1, got {env!r}")
+
+
 def _output_path(value) -> Path:
     """An output file path whose directory must already exist."""
     if not isinstance(value, str):
@@ -180,17 +199,16 @@ def cmd_region(args: argparse.Namespace) -> int:
     _deprecated_directions(cfg)
     states = _require(cfg, "states", 1, "states", default=1)
     weight_steps = _require(cfg, "weight_steps", None, "weight_steps", default=5)
-    workers = _require(cfg, "workers", 1, "workers") if "workers" in cfg else None
+    _deprecated_workers(cfg)
     out = _output_path(cfg.get("out") or "region.csv")
     try:
-        workers = worker_count(workers)
         spec = RegionSpec(
             channel=channel, variant=variant, steps=steps,
             states=states, weight_steps=weight_steps,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    frontier = region_union(spec, workers=workers)
+    frontier = region_union(spec)
     _write_frontier(out, frontier, {
         "command": "region",
         "channel": channel.to_dict(),
@@ -199,6 +217,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         "allocations": frontier.metadata.get("allocations"),
         "infeasible_allocations": frontier.metadata.get("infeasible_allocations"),
         "screened_allocations": frontier.metadata.get("screened_allocations"),
+        "lp": frontier.metadata.get("lp"),
     })
     return EXIT_OK
 
@@ -432,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="deprecated, no effect: frontiers are exact")
     p_region.add_argument("--states", type=int)
     p_region.add_argument("--weight-steps", dest="weight_steps", type=int)
-    p_region.add_argument("--workers", type=int)
+    p_region.add_argument("--workers", type=int,
+                          help="deprecated, no effect: sweeps run in one process")
     p_region.add_argument("--out", type=str)
     p_region.set_defaults(func=cmd_region)
 

@@ -21,6 +21,13 @@ PARETO_EPS = 1e-12
 
 _MAX_PIVOTS = 5000
 
+# A cached basis answers a new right-hand side only if its basic solution
+# is nonnegative up to this much rounding, relative to the largest bound.
+# The tableau's own basic solutions stay feasible to rounding, so a looser
+# test (FEASIBILITY_TOL) let a basis infeasible by 7e-10 answer bounds
+# below 1e-9 with a point the tableau does not reach.
+BASIS_TOL = 1e-12
+
 
 class SolverFailure(RuntimeError):
     """The pivot sequence stalled or behaved inconsistently."""
@@ -112,7 +119,8 @@ class _Tableau:
     per ``<=`` row, one surplus per flipped ``>=`` row, one artificial per
     row without a slack, and the right-hand side last.  The basis survives
     between objectives, so every phase-2 solve warm-starts from the last
-    optimal basis.
+    optimal basis.  After phase 1 the artificial columns stay in place but
+    never enter again; with the slack columns they hold the basis inverse.
     """
 
     def __init__(self, system: RateSystem) -> None:
@@ -141,6 +149,17 @@ class _Tableau:
         basis[le_rows] = slack_at + np.arange(le_rows.size)
         basis[art_rows] = self.art_start + np.arange(art_rows.size)
         self.t, self.basis, self.n = t, basis, n
+        # The variable behind each column but the artificials: structural j
+        # is j, and inequality row i's slack or surplus is n + i, the same
+        # variable ``b_i - a_i x`` whichever way the row was flipped.
+        self.variables = np.concatenate([np.arange(n), n + le_rows, n + ge_rows])
+        self.real = np.arange(ncols) < self.art_start
+        # Each row's unit column in the initial tableau, and the row's sign
+        # flip: ``t[:-1, unit] * sign`` is the inverse of the basis matrix
+        # of the unflipped system.
+        self.unit = basis.copy()
+        self.sign = np.where(flip, -1.0, 1.0)
+        self.complete = True
 
     def _pivot(self, row: int, col: int) -> None:
         t = self.t
@@ -178,9 +197,9 @@ class _Tableau:
     def phase1(self, tol: float) -> bool:
         """Find a basic feasible solution; False if the system is infeasible.
 
-        Afterwards the artificial columns are gone: leftover artificials
-        are pivoted out of the basis, and rows where that is impossible are
-        redundant and dropped.
+        Afterwards no artificial is basic: leftover artificials are pivoted
+        out of the basis, and rows where that is impossible are redundant
+        and dropped (the tableau is then no longer ``complete``).
         """
         t, art_start = self.t, self.art_start
         if art_start == t.shape[1] - 1:
@@ -199,9 +218,10 @@ class _Tableau:
                 self._pivot(row, candidates[0])
             else:
                 keep[row] = False
-        columns = np.r_[0:art_start, t.shape[1] - 1]
-        self.t = t[keep][:, columns]
-        self.basis = self.basis[keep[:-1]]
+        if not keep.all():
+            self.t = t[keep]
+            self.basis = self.basis[keep[:-1]]
+            self.complete = False
         return True
 
     def maximize(self, objective: np.ndarray, tol: float,
@@ -213,7 +233,7 @@ class _Tableau:
         priced = np.flatnonzero(t[-1, basis])
         if priced.size:
             t[-1] -= (t[-1, basis[priced], None] * t[priced]).sum(axis=0)
-        return self._bland(allowed, tol)
+        return self._bland(self.real if allowed is None else allowed & self.real, tol)
 
     def optimal_face(self, tol: float) -> np.ndarray:
         """Columns that may move without leaving the current optimal face:
@@ -226,6 +246,11 @@ class _Tableau:
         x[self.basis[structural]] = self.t[:-1, -1][structural]
         x[(x < 0) & (x > -tol)] = 0.0
         return x
+
+    def basis_inverse(self) -> np.ndarray:
+        """Inverse of the current basis matrix of the unflipped system, its
+        rows in basis order; only for a ``complete`` tableau."""
+        return self.t[:-1, self.unit] * self.sign
 
 
 def lp_solve(
@@ -357,69 +382,196 @@ class Frontier:
         return True
 
 
+class _Infeasible(Exception):
+    """Phase 1 found no feasible point."""
+
+
+class Projector:
+    """Frontier projections of many systems that share one matrix.
+
+    Every system given to :meth:`project` must have the constraint matrix
+    (``a_ub``, ``a_eq``) and objective rows the projector was built with;
+    only the right-hand side ``b`` changes.  Reduced costs do not depend on
+    ``b``, so a basis optimal for one system is optimal for every other
+    whose basic solution ``B^-1 b`` is nonnegative.  The projector caches
+    each basis a tableau solve ends in, with ``B^-1``, the reduced costs of
+    both objective rows and the rows of the basic variables in them.  An
+    objective is answered by the first cached basis, in caching order, that
+    passes the test the simplex stops on (reduced costs ``>= -tol``; for a
+    corner lexicographically: the secondary's on the primary's optimal
+    face) and whose basic solution is nonnegative up to ``BASIS_TOL``.  Any
+    other objective goes to the system's own warm-started tableau, built
+    on the first miss; it runs phase 1 first and so decides feasibility,
+    and the basis it ends in joins the cache.  The result thus depends
+    only on the sequence of systems projected.
+    """
+
+    def __init__(
+        self,
+        a_ub: np.ndarray,
+        a_eq: np.ndarray,
+        r1_row: Sequence[float],
+        r2_row: Sequence[float],
+    ) -> None:
+        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+        n_ub, n = a_ub.shape
+        a = np.vstack([a_ub, np.asarray(a_eq, dtype=float).reshape(-1, n)])
+        # columns: the variables, then one slack per inequality row
+        self._matrix = np.hstack([a, np.eye(a.shape[0], n_ub)])
+        self.r1_row = np.asarray(r1_row, dtype=float)
+        self.r2_row = np.asarray(r2_row, dtype=float)
+        self._rows = np.zeros((2, self._matrix.shape[1]))
+        self._rows[:, :n] = self.r1_row, self.r2_row
+        self._keys: set[bytes] = set()
+        self._inverses: list[np.ndarray] = []
+        self._images: list[np.ndarray] = []
+        self._reduced = np.zeros((0, 2, self._matrix.shape[1]))
+        self._corners = np.zeros((0, 2), dtype=bool)
+        self.phase1_runs = self.cached_solves = self.tableau_solves = 0
+
+    @property
+    def counts(self) -> dict:
+        """LP work so far: phase-1 runs, objectives answered from the cache
+        and by a tableau, and bases cached."""
+        return {
+            "phase1_runs": self.phase1_runs,
+            "cached_solves": self.cached_solves,
+            "tableau_solves": self.tableau_solves,
+            "bases_cached": len(self._inverses),
+        }
+
+    def _remember(self, tableau: _Tableau) -> None:
+        if not tableau.complete:
+            return
+        basis = tableau.variables[tableau.basis]
+        key = np.sort(basis).tobytes()
+        if key in self._keys:
+            return
+        self._keys.add(key)
+        inverse = tableau.basis_inverse()
+        costs = -self._rows  # the tableau minimizes the negated objective
+        reduced = costs - (costs[:, basis] @ inverse) @ self._matrix
+        tol = FEASIBILITY_TOL
+        corners = [
+            bool(np.all(reduced[p] >= -tol) and np.all(reduced[s][reduced[p] <= tol] >= -tol))
+            for p, s in ((0, 1), (1, 0))
+        ]
+        self._inverses.append(inverse)
+        self._images.append(self._rows[:, basis].T.copy())
+        self._reduced = np.concatenate([self._reduced, reduced[np.newaxis]])
+        self._corners = np.concatenate([self._corners, [corners]])
+
+    def _cached(self, rhs: np.ndarray, weights: tuple[float, float] | None,
+                corner: int, basic: dict) -> tuple[float, float] | None:
+        """Image of the first cached basis that solves the objective and is
+        feasible for ``rhs``; ``basic`` memoizes each basis's basic values
+        for ``rhs`` (None when infeasible)."""
+        if weights is None:
+            optimal = self._corners[:, corner]
+        else:
+            priced = weights[0] * self._reduced[:, 0] + weights[1] * self._reduced[:, 1]
+            optimal = priced.min(axis=1) >= -FEASIBILITY_TOL
+        floor = -BASIS_TOL * max(1.0, float(np.abs(rhs).max()))
+        for k in np.flatnonzero(optimal):
+            if k not in basic:
+                values = self._inverses[k] @ rhs
+                basic[k] = values if values.min() >= floor else None
+            if basic[k] is not None:
+                r1, r2 = np.maximum(basic[k], 0.0) @ self._images[k]
+                return max(float(r1), 0.0), max(float(r2), 0.0)
+        return None
+
+    def project(self, system: RateSystem, *, metadata: dict | None = None) -> Frontier:
+        """Pareto frontier of the system's image under the objective rows.
+
+        Exact, by the bicriteria dichotomic search (Aneja & Nair 1979):
+        solve the two lexicographic corners, then maximize along the normal
+        of each segment between adjacent known vertices; a point above the
+        segment is a new vertex and splits it, otherwise the segment is a
+        frontier edge.  Infeasible systems give an empty frontier.
+        """
+        r1_row, r2_row = self.r1_row, self.r2_row
+        tol = FEASIBILITY_TOL
+        meta = dict(metadata or {})
+        rhs = np.concatenate([system.b_ub, system.b_eq])
+        basic: dict = {}
+        tableau = None
+
+        def solve(weights: tuple[float, float] | None, corner: int = 0):
+            """Image of an optimum: of ``weights`` . (r1, r2), or with None
+            of corner 0 (r1, then r2) or 1 (r2, then r1)."""
+            nonlocal tableau
+            point = self._cached(rhs, weights, corner, basic)
+            if point is not None:
+                self.cached_solves += 1
+                return point
+            if tableau is None:
+                tableau = _Tableau(system)
+                self.phase1_runs += 1
+                if not tableau.phase1(tol):
+                    raise _Infeasible
+            if weights is None:
+                rows = (r1_row, r2_row)
+                if tableau.maximize(rows[corner], tol) != "optimal":
+                    raise SolverFailure("projection unbounded along a corner objective")
+                face = tableau.optimal_face(tol)
+                if tableau.maximize(rows[1 - corner], tol, face) != "optimal":
+                    raise SolverFailure("lexicographic refinement failed")
+            elif tableau.maximize(weights[0] * r1_row + weights[1] * r2_row, tol) != "optimal":
+                raise SolverFailure("projection unbounded along a segment normal")
+            self.tableau_solves += 1
+            self._remember(tableau)
+            x = tableau.solution(tol)
+            return max(float(r1_row @ x), 0.0), max(float(r2_row @ x), 0.0)
+
+        try:
+            right = solve(None, 0)
+            top = solve(None, 1)
+            vertices = [top, right]
+            # Segments run from the upper-left vertex to the lower-right one.
+            segments = [(top, right)]
+            while segments:
+                upper, lower = segments.pop()
+                w1, w2 = upper[1] - lower[1], lower[0] - upper[0]
+                if not (w1 > 0.0 and w2 > 0.0):
+                    continue  # one end dominates the other: nothing lies between
+                norm = math.hypot(w1, w2)
+                w1, w2 = w1 / norm, w2 / norm
+                point = solve((w1, w2))
+                value = w1 * point[0] + w2 * point[1]
+                chord = max(w1 * upper[0] + w2 * upper[1], w1 * lower[0] + w2 * lower[1])
+                if value > chord + tol * max(1.0, abs(value)):
+                    vertices.append(point)
+                    segments += [(point, lower), (upper, point)]
+        except _Infeasible:
+            meta["infeasible"] = True
+            return Frontier(points=(), metadata=meta)
+        meta["infeasible"] = False
+        return Frontier(points=_pareto_prune(vertices), metadata=meta)
+
+
 def project_frontier(
     system: RateSystem,
     r1_row: Sequence[float],
     r2_row: Sequence[float],
     *,
     metadata: dict | None = None,
+    projector: Projector | None = None,
 ) -> Frontier:
     """Pareto frontier of the polytope's image under (r1_row, r2_row).
 
-    Exact, by the bicriteria dichotomic search (Aneja & Nair 1979): solve
-    the two lexicographic corners, then maximize along the normal of each
-    segment between adjacent known vertices; a point above the segment is
-    a new vertex and splits it, otherwise the segment is a frontier edge.
-    Infeasible systems give an empty frontier.  Phase 1 runs once; every
-    later objective warm-starts phase 2 from the previous optimal basis,
-    and a corner's secondary objective is solved on the primary's optimal
-    face by blocking the columns with positive reduced cost.
+    See :meth:`Projector.project`.  ``projector`` shares optimal bases with
+    earlier projections of systems with the same matrix and objective
+    rows; without one the projection starts from an empty cache, so phase
+    1 runs once and every later objective warm-starts from the previous
+    optimal basis or reuses one of this projection's own.
     """
-    r1_row = np.asarray(r1_row, dtype=float)
-    r2_row = np.asarray(r2_row, dtype=float)
-    tol = FEASIBILITY_TOL
-    meta = dict(metadata or {})
-
-    tableau = _Tableau(system)
-    if not tableau.phase1(tol):
-        meta["infeasible"] = True
-        return Frontier(points=(), metadata=meta)
-
-    def image() -> tuple[float, float]:
-        x = tableau.solution(tol)
-        return max(float(r1_row @ x), 0.0), max(float(r2_row @ x), 0.0)
-
-    def corner(primary: np.ndarray, secondary: np.ndarray) -> tuple[float, float]:
-        if tableau.maximize(primary, tol) != "optimal":
-            raise SolverFailure("projection unbounded along a corner objective")
-        if tableau.maximize(secondary, tol, tableau.optimal_face(tol)) != "optimal":
-            raise SolverFailure("lexicographic refinement failed")
-        return image()
-
-    right = corner(r1_row, r2_row)
-    top = corner(r2_row, r1_row)
-    vertices = [top, right]
-    # Segments run from the upper-left vertex to the lower-right one; the
-    # search starts at the second corner, where the tableau's basis is.
-    segments = [(top, right)]
-    while segments:
-        upper, lower = segments.pop()
-        w1, w2 = upper[1] - lower[1], lower[0] - upper[0]
-        if not (w1 > 0.0 and w2 > 0.0):
-            continue  # one end dominates the other: nothing lies between
-        norm = math.hypot(w1, w2)
-        w1, w2 = w1 / norm, w2 / norm
-        if tableau.maximize(w1 * r1_row + w2 * r2_row, tol) != "optimal":
-            raise SolverFailure("projection unbounded along a segment normal")
-        point = image()
-        value = w1 * point[0] + w2 * point[1]
-        chord = max(w1 * upper[0] + w2 * upper[1], w1 * lower[0] + w2 * lower[1])
-        if value > chord + tol * max(1.0, abs(value)):
-            vertices.append(point)
-            segments += [(point, lower), (upper, point)]
-
-    meta["infeasible"] = False
-    return Frontier(points=_pareto_prune(vertices), metadata=meta)
+    if projector is None:
+        projector = Projector(system.a_ub, system.a_eq, r1_row, r2_row)
+    elif not (np.array_equal(r1_row, projector.r1_row)
+              and np.array_equal(r2_row, projector.r2_row)):
+        raise ValueError("the projector was built for other objective rows")
+    return projector.project(system, metadata=metadata)
 
 
 def _cross(o, a, b) -> float:

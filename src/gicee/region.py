@@ -11,8 +11,6 @@ observes.  Unions over power grids are merged by convex closure.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from operator import attrgetter
@@ -32,6 +30,7 @@ from .model import (
 from .polytope import (
     FEASIBILITY_TOL,
     Frontier,
+    Projector,
     RateSystem,
     SolverFailure,
     pareto_merge,
@@ -258,16 +257,12 @@ def _system(bounds: np.ndarray) -> RateSystem:
     )
 
 
-def _check_allocation(channel: ChannelParams, alloc: TimeSharedAllocation) -> None:
-    report = validate_allocation(channel, alloc)
-    if not report.ok:
-        raise ValueError(f"invalid allocation ({report.code}): {report.detail}")
-
-
 def build_system(channel: ChannelParams, alloc: TimeSharedAllocation) -> RateSystem:
     """Constraint system for one allocation: 92 inequalities plus the
     eavesdropper equality, with time-share-averaged MI bounds."""
-    _check_allocation(channel, alloc)
+    report = validate_allocation(channel, alloc)
+    if not report.ok:
+        raise ValueError(f"invalid allocation ({report.code}): {report.detail}")
     return _system(bound_rows(channel, *_allocation_arrays([alloc]))[0])
 
 
@@ -312,6 +307,65 @@ class RegionSpec:
             raise ValueError("weight_steps must be at least 2")
         # per-state grids stretch to ``states`` times the budgets
         self.channel.check_power_scale(self.states)
+        size = grid_size(self)
+        if size > MAX_ALLOCATIONS:
+            shown = f"{size:,}" if size < 10**18 else "over 10^18"
+            raise ValueError(
+                f"the grid enumerates {shown} allocations, more than the "
+                f"{MAX_ALLOCATIONS:,} allowed; lower steps, states or weight_steps"
+            )
+
+
+# Largest grid a sweep may enumerate.  A sweep holds about 0.6 kB per
+# allocation (fig3 r3 at steps 31: 246 016 allocations, 174 MB peak RSS,
+# 12 s on a 2-vCPU host), so this keeps a run within about a gigabyte.
+MAX_ALLOCATIONS = 1_000_000
+
+
+def _tuples_within(k: int, size: int, total: int) -> int:
+    """How many k-tuples of integers in [0, size) sum to at most ``total``:
+    stars and bars, with inclusion-exclusion over the entries that reach
+    ``size``."""
+    return sum(
+        (-1) ** j * math.comb(k, j) * math.comb(total - j * size + k, k)
+        for j in range(k + 1)
+        if total >= j * size
+    )
+
+
+def _user_grid_size(variant: str, cap: float, steps: int) -> int:
+    """Per-user power tuples of a state grid whose powers sum to at most
+    ``cap``, as ``single_power_states`` and ``_full_states`` build them."""
+    if cap <= 0:
+        return 1
+    if variant == "ncp":
+        return steps
+    if variant == "borcp":
+        return 2 * steps - 1
+    k = 4 if variant == "full" else 2
+    # Grid points sum within the cap plus BUDGET_TOL up to this many grid
+    # pitches, and always up to steps - 1 (the cap itself).
+    most = k * (steps - 1)
+    pitch = cap / (steps - 1)
+    reach = (cap + BUDGET_TOL) / pitch if pitch > 0 else math.inf
+    return _tuples_within(k, steps, most if reach >= most else max(int(reach), steps - 1))
+
+
+def grid_size(spec: RegionSpec) -> int:
+    """Allocations the spec's grid enumerates, in closed form.
+
+    With one state this is the allocation count.  With k states it counts
+    every multiset of k grid states times every weight tuple, before the
+    budget filter drops the mixtures that overspend.
+    """
+    k = spec.states
+    base = math.prod(
+        _user_grid_size(spec.variant, k * budget, spec.steps)
+        for budget in (spec.channel.p1, spec.channel.p2)
+    )
+    if k == 1:
+        return base
+    return math.comb(base + k - 1, k) * math.comb(spec.weight_steps + k - 2, k - 1)
 
 
 def _full_states(channel: ChannelParams, steps: int, span: int) -> list[PowerState]:
@@ -331,11 +385,15 @@ def _full_states(channel: ChannelParams, steps: int, span: int) -> list[PowerSta
 
 
 def _weight_grid(k: int, steps: int) -> list[tuple[float, ...]]:
+    """Weight tuples of k states on the grid 0, 1/(steps - 1), ..., 1 that
+    sum to one, in lexicographic order; the last weight takes what the
+    others leave."""
     values = np.linspace(0.0, 1.0, steps)
     out = []
-    for combo in product(values, repeat=k):
-        if abs(sum(combo) - 1.0) <= 1e-9:
-            out.append(tuple(float(v) for v in combo))
+    for head in product(range(steps), repeat=k - 1):
+        rest = steps - 1 - sum(head)
+        if rest >= 0:
+            out.append(tuple(float(values[i]) for i in head + (rest,)))
     return out
 
 
@@ -359,88 +417,51 @@ def _family_allocations(spec: RegionSpec) -> list[TimeSharedAllocation]:
     return allocations
 
 
-# Allocations per bound block and per pool task.  Fixed, so the blocks and
-# therefore the output do not depend on the worker count; small enough
-# that a block's bound arrays stay well under a megabyte.
+# Allocations per bound block: small enough that a block's bound arrays
+# stay well under a megabyte.
 CHUNK = 256
 
 
-def worker_count(explicit: int | None = None) -> int:
-    """Pool size: ``explicit``, else ``GICEE_WORKERS``, else the CPU count.
-
-    Raises ValueError for a count below 1 or a non-integer variable.
-    """
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"worker count must be at least 1, got {explicit}")
-        return explicit
-    env = os.environ.get("GICEE_WORKERS")
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            raise ValueError(f"GICEE_WORKERS must be an integer, got {env!r}") from None
-        if count < 1:
-            raise ValueError(f"GICEE_WORKERS must be at least 1, got {env!r}")
-        return count
-    return os.cpu_count() or 1
-
-
-def _evaluate_chunk(
-    job: tuple[ChannelParams, Sequence[TimeSharedAllocation]],
-) -> list[tuple[str, Frontier | str]]:
-    """Validate a block of allocations, compute its bounds in one pass,
-    screen out the certified infeasible ones and project the rest; a
-    solver failure is reported, not raised."""
-    channel, allocations = job
-    for alloc in allocations:
-        _check_allocation(channel, alloc)
-    block = bound_rows(channel, *_allocation_arrays(allocations))
-    results = []
-    for bounds, screened in zip(block, certified_infeasible(block)):
-        if screened:
-            meta = dict(_META, infeasible=True, screened=True)
-            results.append(("ok", Frontier(points=(), metadata=meta)))
-            continue
-        try:
-            results.append(("ok", _project(_system(bounds))))
-        except SolverFailure as exc:
-            results.append(("fail", str(exc)))
-    return results
-
-
-def region_union(
-    spec: RegionSpec, *, workers: int | None = None
-) -> Frontier:
+def region_union(spec: RegionSpec) -> Frontier:
     """Convex-closure union of the per-allocation regions of a family grid.
 
-    Deterministic for a fixed spec: the allocation order and the blocks of
-    ``CHUNK`` allocations are fixed, each allocation is solved on its own,
-    and the merge is order-insensitive, so the result does not depend on
-    the worker count.
+    One process runs the grid in its fixed order, in blocks of ``CHUNK``
+    whose bounds come from one pass.  The allocations the screen certifies
+    infeasible are only counted; every other one is projected through one
+    :class:`Projector`, so it reuses the optimal bases of the allocations
+    before it.  The projector lives for this call only, so the result
+    depends on the spec alone; its LP counts go into the metadata as
+    ``lp``.  The allocations come from :func:`_family_allocations`, which
+    builds them within budget, so they are not validated again.  A solver
+    failure does not stop the sweep; the failures are raised at its end.
     """
     allocations = _family_allocations(spec)
-    jobs = [
-        (spec.channel, allocations[i:i + CHUNK])
-        for i in range(0, len(allocations), CHUNK)
-    ]
-    count = min(worker_count(workers), len(jobs))
-    if count > 1:
-        with ProcessPoolExecutor(max_workers=count) as pool:
-            chunks = list(pool.map(_evaluate_chunk, jobs))
-    else:
-        chunks = [_evaluate_chunk(job) for job in jobs]
-    results = [result for chunk in chunks for result in chunk]
-
-    failures = [detail for status, detail in results if status == "fail"]
+    projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
+    frontiers: list[Frontier] = []
+    failures: list[str] = []
+    screened = infeasible = 0
+    for start in range(0, len(allocations), CHUNK):
+        block = bound_rows(spec.channel, *_allocation_arrays(allocations[start:start + CHUNK]))
+        certified = certified_infeasible(block)
+        screened += int(certified.sum())
+        for bounds in block[~certified]:
+            try:
+                frontier = project_frontier(
+                    _system(bounds), R1_OBJECTIVE, R2_OBJECTIVE,
+                    metadata=_META, projector=projector,
+                )
+            except SolverFailure as exc:
+                failures.append(str(exc))
+                continue
+            if frontier.is_empty:
+                infeasible += 1
+            else:
+                frontiers.append(frontier)
     if failures:
         raise SolverFailure(
             f"{len(failures)} of {len(allocations)} allocations failed; "
             f"first: {failures[0]}"
         )
-    frontiers = [frontier for _, frontier in results]
-    infeasible = sum(1 for f in frontiers if f.is_empty)
-    screened = sum(1 for f in frontiers if f.metadata.get("screened"))
     return pareto_merge(
         frontiers,
         metadata={
@@ -448,7 +469,8 @@ def region_union(
             "steps": spec.steps,
             "states": spec.states,
             "allocations": len(allocations),
-            "infeasible_allocations": infeasible,
+            "infeasible_allocations": screened + infeasible,
             "screened_allocations": screened,
+            "lp": projector.counts,
         },
     )

@@ -103,6 +103,7 @@ def test_config_file_merging_and_flag_override(tmp_path):
 
 
 def test_region_deterministic_across_worker_counts(tmp_path, monkeypatch):
+    # GICEE_WORKERS is deprecated: parsed, checked, and without effect
     args = ["region", "--preset", "fig2", "--variant", "ncp",
             "--steps", "7", "--directions", "8"]
     out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
@@ -133,6 +134,17 @@ def test_region_sidecar_counts_screened_allocations(tmp_path):
     assert main(["region", "--preset", "fig3", "--steps", "6", "--out", str(out)]) == 0
     sidecar = json.loads((tmp_path / "fig3.json").read_text())
     assert 0 < sidecar["screened_allocations"] <= sidecar["infeasible_allocations"]
+
+
+def test_region_sidecar_reports_lp_work(tmp_path):
+    out = tmp_path / "fig3.csv"
+    assert main(["region", "--preset", "fig3", "--steps", "6", "--out", str(out)]) == 0
+    lp = json.loads((tmp_path / "fig3.json").read_text())["lp"]
+    assert set(lp) == {"phase1_runs", "cached_solves", "tableau_solves", "bases_cached"}
+    # every phase 1 is followed by at least one tableau solve, and every
+    # tableau solve leaves a basis that is either new or already cached
+    assert 0 < lp["phase1_runs"] <= lp["tableau_solves"]
+    assert 0 < lp["bases_cached"] <= lp["tableau_solves"] < lp["cached_solves"]
 
 
 def test_directions_is_deprecated_without_effect(tmp_path, capsys):
@@ -271,9 +283,10 @@ def test_console_entry_point(tmp_path):
 
 @pytest.mark.parametrize("steps", [
     4,
-    6,   # the smallest r3 grid with more than one block, so the pool runs
+    6,   # the smallest r3 grid with more than one block of allocations
 ])
 def test_region_fig3_identical_across_worker_counts(tmp_path, monkeypatch, steps):
+    # neither GICEE_WORKERS nor --workers changes a byte of the output
     args = ["region", "--preset", "fig3", "--variant", "r3", "--steps", str(steps)]
     outputs = []
     for workers in ("1", "2"):
@@ -281,7 +294,11 @@ def test_region_fig3_identical_across_worker_counts(tmp_path, monkeypatch, steps
         out = tmp_path / f"w{workers}.csv"
         assert main(args + ["--out", str(out)]) == 0
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    monkeypatch.delenv("GICEE_WORKERS")
+    out = tmp_path / "flag.csv"
+    assert main(args + ["--workers", "3", "--out", str(out)]) == 0
+    outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 REGION = ["region", "--preset", "fig2"]
@@ -302,6 +319,10 @@ OVERFLOWING = ["--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
     (["ctdma", *OVERFLOWING], {}),
     # within budget on average, but 1.7e308 times a gain of 1.9 overflows
     (["point", "--preset", "fig2", "--alloc", "{huge}"], {}),
+    # grids past MAX_ALLOCATIONS are refused before any enumeration
+    (REGION + ["--steps", "1000000000"], {}),
+    (REGION + ["--variant", "full", "--steps", "12"], {}),
+    (REGION + ["--states", "2", "--weight-steps", "100000000"], {}),
 ])
 def test_region_bad_input_is_config_error(tmp_path, argv, env):
     config = tmp_path / "run.json"
@@ -358,7 +379,7 @@ def name(*good):
 
 def size(lo, hi, *odd):
     return setting(st.integers(lo, hi), st.one_of(st.sampled_from((-3, 0, 1) + odd), JUNK),
-                   st.sampled_from(["abc", "2.5", "nan", "1e9", "-5", ""]))
+                   st.sampled_from(["abc", "2.5", "nan", "1e9", "-5", "", *map(str, odd)]))
 
 
 ODD_NUMBERS = st.sampled_from([1e4, 1e149, 1e300, 1.7e308, -1.0, 1e-308, math.nan, math.inf])
@@ -369,7 +390,9 @@ CHANNEL = setting(
                      "abc", ""]),
 )
 SETTINGS = {
-    "region": {"steps": size(2, 4), "directions": size(3, 24), "states": size(1, 1, 5, 9),
+    # a huge grid is refused at once, before any enumeration
+    "region": {"steps": size(2, 4, 10**6, 10**9, 2**63, 10**30), "directions": size(3, 24),
+               "states": size(1, 1, 5, 9),
                "weight_steps": size(2, 5), "workers": size(1, 2), "variant": name(*VARIANTS)},
     "ctdma": {"steps": size(2, 4), "variant": name(*CTDMA_TAGS)},
     "point": {"directions": size(3, 24)},

@@ -20,7 +20,7 @@ from gicee import (
     preset,
     project_frontier,
 )
-from gicee.polytope import FEASIBILITY_TOL, _pareto_prune, _Tableau
+from gicee.polytope import FEASIBILITY_TOL, Projector, _pareto_prune, _Tableau
 from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
 
 
@@ -466,3 +466,40 @@ def test_dominates_is_at_least_as_strict_as_sampled(big, small):
     merged = pareto_merge([big, small])
     assert merged.dominates(big) and merged.dominates(small)
     assert big.dominates(big)
+
+
+def mixed_sign_systems(rng, count, a_ub, a_eq):
+    """Feasible bounded systems on one matrix whose bounds have both signs,
+    so that phase 1 flips rows: each holds a drawn point in [0, 1]^n, and
+    the last n inequality rows box every variable below 2."""
+    n = a_ub.shape[1]
+    for _ in range(count):
+        x0 = rng.uniform(0.0, 1.0, n)
+        b_ub = a_ub @ x0 + rng.uniform(0.0, 0.3, a_ub.shape[0])
+        b_ub[-n:] = 2.0
+        yield RateSystem(a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=a_eq @ x0)
+
+
+def test_basis_inverse_and_shared_bases_with_flipped_rows():
+    rng = np.random.default_rng(5)
+    n = 4
+    a_ub = np.vstack([rng.uniform(-1.0, 1.0, (6, n)), np.eye(n)])
+    a_eq = rng.uniform(0.0, 1.0, (1, n))
+    r1, r2 = np.array([1.0, 0.5, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.5])
+    columns = np.hstack([np.vstack([a_ub, a_eq]), np.eye(a_ub.shape[0] + 1, a_ub.shape[0])])
+    projector = Projector(a_ub, a_eq, r1, r2)
+    flipped = 0
+    for system in mixed_sign_systems(rng, 30, a_ub, a_eq):
+        flipped += int(np.sum(system.b_ub < 0))
+        tableau = _Tableau(system)
+        assert tableau.phase1(FEASIBILITY_TOL)
+        assert tableau.maximize(rng.uniform(0.0, 1.0, n), FEASIBILITY_TOL) == "optimal"
+        assert tableau.complete
+        basis = tableau.variables[tableau.basis]
+        assert np.allclose(tableau.basis_inverse() @ columns[:, basis], np.eye(len(basis)),
+                           atol=1e-9)
+        fresh = project_frontier(system, r1, r2)
+        shared = project_frontier(system, r1, r2, projector=projector)
+        assert len(shared.points) == len(fresh.points)
+        assert np.allclose(shared.points, fresh.points, rtol=0.0, atol=1e-9)
+    assert flipped and projector.cached_solves

@@ -1,4 +1,6 @@
 import math
+from dataclasses import astuple, replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,14 +23,16 @@ from gicee import (
     validate_allocation,
 )
 import gicee.region as region
-from gicee.polytope import FEASIBILITY_TOL, _Tableau
+from gicee.polytope import FEASIBILITY_TOL, Projector, _Tableau, project_frontier
 from gicee.region import (
     A_UB,
     EQ_ROW,
+    MAX_ALLOCATIONS,
     N_VARS,
     R1_OBJECTIVE,
     R2_OBJECTIVE,
     SCREEN_MARGIN,
+    VARIANTS,
     _BOUNDS,
     _CAP_ORDER,
     _CAP_STARTS,
@@ -36,8 +40,10 @@ from gicee.region import (
     _RX_COL,
     _allocation_arrays,
     _family_allocations,
+    _weight_grid,
     bound_rows,
     certified_infeasible,
+    grid_size,
     randomization_cover,
 )
 from gicee.schemes import ctdma_allocation
@@ -187,11 +193,25 @@ def test_union_metadata_counts(fig3):
     assert 0 <= frontier.metadata["infeasible_allocations"] <= 9
 
 
-def test_union_worker_count_invariance(fig2):
-    spec = RegionSpec(channel=fig2, variant="ncp", steps=7)
-    serial = region_union(spec, workers=1)
-    parallel = region_union(spec, workers=2)
-    assert serial.points == parallel.points
+@pytest.mark.parametrize("preset_name, variant, steps, states", [
+    ("fig2", "ncp", 7, 1),
+    ("fig3", "r3", 11, 1),
+    ("fig3", "r3", 3, 2),
+])
+def test_union_is_deterministic(monkeypatch, preset_name, variant, steps, states):
+    # the basis cache lives for one call: a second call, and a call that
+    # meets the allocations in reverse order, merge the same points
+    spec = RegionSpec(channel=preset(preset_name), variant=variant, steps=steps,
+                      states=states)
+    first, second = region_union(spec), region_union(spec)
+    assert first.points == second.points
+    assert first.metadata == second.metadata
+    forward = region._family_allocations
+    monkeypatch.setattr(region, "_family_allocations", lambda spec: forward(spec)[::-1])
+    backward = region_union(spec)
+    assert backward.points == first.points
+    for key in ("allocations", "infeasible_allocations", "screened_allocations"):
+        assert backward.metadata[key] == first.metadata[key]
 
 
 def test_multi_state_search_runs(fig2):
@@ -310,10 +330,13 @@ def test_screen_tables():
     assert len(seen) == 202
 
 
+def phase1_system(bounds):
+    return RateSystem(a_ub=A_UB, b_ub=bounds[:-1],
+                      a_eq=EQ_ROW[np.newaxis, :], b_eq=bounds[-1:])
+
+
 def phase1_feasible(bounds):
-    system = RateSystem(a_ub=A_UB, b_ub=bounds[:-1],
-                        a_eq=EQ_ROW[np.newaxis, :], b_eq=bounds[-1:])
-    return _Tableau(system).phase1(FEASIBILITY_TOL)
+    return _Tableau(phase1_system(bounds)).phase1(FEASIBILITY_TOL)
 
 
 @settings(max_examples=80, deadline=None)
@@ -338,14 +361,18 @@ def test_screen_is_sound(case):
             assert region_for_allocation(channel, alloc).is_empty
 
 
-@pytest.mark.parametrize("preset_name, variant, steps, states, certified", [
+# Grids and the number of their allocations phase 1 finds infeasible.
+PHASE1_GRIDS = [
     ("fig3", "r3", 11, 1, 3054),
     ("fig2", "r3", 11, 1, 2914),
     ("fig3", "r3", 3, 2, 247),    # the two-state mixtures of the timeshare-fig3 grid
     ("fig2", "borcp", 11, 1, 180),
     ("fig3", "full", 3, 1, 158),
     ("fig3", "full", 2, 2, 40),
-])
+]
+
+
+@pytest.mark.parametrize("preset_name, variant, steps, states, certified", PHASE1_GRIDS)
 def test_screen_certifies_every_phase1_infeasible_grid_allocation(
     preset_name, variant, steps, states, certified
 ):
@@ -367,10 +394,10 @@ def test_screen_certifies_every_phase1_infeasible_grid_allocation(
 def test_screen_leaves_the_union_unchanged(monkeypatch, preset_name, variant, steps, states):
     spec = RegionSpec(channel=preset(preset_name), variant=variant, steps=steps,
                       states=states, weight_steps=3)
-    screened = region_union(spec, workers=1)
+    screened = region_union(spec)
     monkeypatch.setattr(region, "certified_infeasible",
                         lambda block: np.zeros(len(block), dtype=bool))
-    unscreened = region_union(spec, workers=1)
+    unscreened = region_union(spec)
     assert screened.points == unscreened.points
     meta = screened.metadata
     assert meta["infeasible_allocations"] == unscreened.metadata["infeasible_allocations"]
@@ -387,3 +414,152 @@ def test_screen_margin_keeps_borderline_allocations_for_phase1(fig3):
     cover = randomization_cover(bounds)[0]
     bounds[0, -1] = cover + 0.5 * SCREEN_MARGIN
     assert not certified_infeasible(bounds)[0]
+
+
+@pytest.mark.parametrize("preset_name, variant, steps, states, certified", PHASE1_GRIDS)
+def test_shared_projector_decides_feasibility_like_phase1(
+    preset_name, variant, steps, states, certified
+):
+    # Every allocation of the grid, the screened ones too, goes through one
+    # shared projector in grid order.  Its empty frontiers are exactly the
+    # allocations the screen certifies, which the test above shows are
+    # exactly the phase-1-infeasible ones.
+    channel = preset(preset_name)
+    spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
+    block = bound_rows(channel, *_allocation_arrays(_family_allocations(spec)))
+    projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
+    empty = np.array([
+        project_frontier(phase1_system(bounds), R1_OBJECTIVE, R2_OBJECTIVE,
+                         projector=projector).is_empty
+        for bounds in block
+    ])
+    assert np.array_equal(empty, certified_infeasible(block))
+    assert empty.sum() == certified
+    # one phase 1 per infeasible allocation; the feasible ones mostly reuse
+    assert projector.phase1_runs < certified + (len(block) - certified) // 2
+
+
+@st.composite
+def allocation_sequences(draw):
+    """A channel and 2-8 allocations of 1-4 states, each the powers of one
+    drawn set of states scaled down by its own factor, so that neighbours
+    share optimal bases, or else drawn afresh."""
+    channel, allocations = draw(channel_and_allocations())
+    base = allocations[0]
+    for _ in range(draw(st.integers(1, 7))):
+        if draw(st.booleans()):
+            factor = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0))
+            allocations.append(TimeSharedAllocation(tuple(
+                (w, PowerState(*(factor * v for v in astuple(state))))
+                for w, state in base.states
+            )))
+    return channel, allocations
+
+
+@settings(max_examples=80, deadline=None)
+@given(allocation_sequences())
+def test_shared_projector_matches_cold_projections(case):
+    channel, allocations = case
+    projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
+    for alloc in allocations:
+        if not validate_allocation(channel, alloc).ok:
+            continue
+        system = build_system(channel, alloc)
+        cold = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE)
+        shared = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE, projector=projector)
+        assert shared.is_empty == cold.is_empty
+        assert len(shared.points) == len(cold.points)
+        assert np.abs(np.subtract(shared.points, cold.points)).max(initial=0.0) <= 1e-12
+
+
+def test_projector_rejects_other_objective_rows(fig3):
+    system = build_system(fig3, single(PowerState(pc1=10.0, pc2=1.0)))
+    projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
+    with pytest.raises(ValueError, match="objective rows"):
+        project_frontier(system, R2_OBJECTIVE, R1_OBJECTIVE, projector=projector)
+
+
+def test_union_lp_counts(fig3):
+    # fig3 r3 steps 11: 1302 allocations pass the screen, and all but a
+    # handful of their corner and segment objectives reuse a cached basis
+    frontier = region_union(RegionSpec(channel=fig3, variant="r3", steps=11))
+    assert frontier.metadata["lp"] == {
+        "phase1_runs": 5,
+        "cached_solves": 3171,
+        "tableau_solves": 7,
+        "bases_cached": 7,
+    }
+
+
+ODD_BUDGETS = ChannelParams(c12=1.3, c21=0.7, c1e=0.4, c2e=0.9, p1=7.3, p2=0.1)
+ZERO_BUDGET = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=0.0, p2=3.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("states", [1, 2, 3])
+def test_family_allocations_are_within_budget(fig2, fig3, variant, states):
+    # the sweep does not validate the allocations it is given, so the
+    # family must build every one of them within budget
+    if variant == "full":
+        step_sizes = (2, 3) if states == 1 else (2,)
+    else:
+        step_sizes = {1: (3, 11), 2: (2, 3), 3: (2,)}[states]
+    for channel in (fig2, fig3, ODD_BUDGETS, ZERO_BUDGET):
+        for steps in step_sizes:
+            spec = RegionSpec(channel=channel, variant=variant, steps=steps,
+                              states=states, weight_steps=3)
+            allocations = _family_allocations(spec)
+            assert allocations
+            assert all(validate_allocation(channel, a).ok for a in allocations)
+
+
+def product_filter_weights(k, steps):
+    """The weight grid as it was first enumerated: every k-tuple of grid
+    values, kept when it sums to one."""
+    values = np.linspace(0.0, 1.0, steps)
+    return [tuple(float(v) for v in combo) for combo in product(values, repeat=k)
+            if abs(sum(combo) - 1.0) <= 1e-9]
+
+
+def test_weight_grid_enumerates_sums_of_one():
+    for k in range(2, 5):
+        for steps in range(2, 12):
+            assert _weight_grid(k, steps) == product_filter_weights(k, steps)
+
+
+@pytest.mark.parametrize("channel", [
+    preset("fig2"),
+    preset("fig3"),
+    ODD_BUDGETS,
+    ZERO_BUDGET,
+    ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=1e-13, p2=2e-13),
+    ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=1e6, p2=7.3),
+])
+def test_grid_size_counts_the_enumerated_allocations(channel):
+    for variant in VARIANTS:
+        for steps in (2, 3) if variant == "full" else (2, 3, 5, 11, 17):
+            spec = RegionSpec(channel=channel, variant=variant, steps=steps)
+            assert grid_size(spec) == len(_family_allocations(spec))
+        # with two states: every pair of grid states times every weight pair
+        steps = 2 if variant == "full" else 3
+        spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=2,
+                          weight_steps=4)
+        base = _family_allocations(RegionSpec(
+            channel=replace(channel, p1=2 * channel.p1, p2=2 * channel.p2), variant=variant,
+            steps=steps))
+        assert grid_size(spec) == math.comb(len(base) + 1, 2) * len(_weight_grid(2, 4))
+
+
+def test_region_spec_caps_the_grid(fig3):
+    # r3 enumerates (steps (steps + 1) / 2) ** 2 allocations: 990 ** 2 at
+    # steps 44 and 1035 ** 2 at steps 45
+    assert grid_size(RegionSpec(channel=fig3, steps=44)) == 990 ** 2 <= MAX_ALLOCATIONS
+    for steps in (45, 10**9, 10**30):
+        with pytest.raises(ValueError, match="allocations"):
+            RegionSpec(channel=fig3, steps=steps)
+    with pytest.raises(ValueError, match="allocations"):
+        RegionSpec(channel=fig3, steps=3, states=2, weight_steps=10**7)
+    # zero budgets leave one allocation however fine the grid
+    still = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=0.0, p2=0.0)
+    spec = RegionSpec(channel=still, variant="full", steps=10**9)
+    assert grid_size(spec) == len(_family_allocations(spec)) == 1
