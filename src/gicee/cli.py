@@ -47,7 +47,7 @@ from .region import (
     region_for_allocation,
     region_union,
 )
-from .schemes import CTDMA_TAGS, ctdma_region
+from .schemes import CTDMA_TAGS, ctdma_region, single_user_wiretap
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -76,7 +76,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if config_path is not None:
         try:
             loaded = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError covers malformed JSON, undecodable bytes and
+            # integers past Python's digit limit for conversion
             raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -189,6 +191,20 @@ def _write_frontier(out: Path, frontier: Frontier, sidecar: dict) -> None:
     _write_text(_sidecar_path(out), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
+def _baseline(channel: ChannelParams, frontier: Frontier) -> dict:
+    """Each user's lone wiretap rate, the other user silent, and how far
+    the frontier's best rate for that user passes it (None if empty)."""
+    r1 = single_user_wiretap(channel.p1, channel.c1e)
+    r2 = single_user_wiretap(channel.p2, channel.c2e)
+    empty = frontier.is_empty
+    return {
+        "r1": r1,
+        "r2": r2,
+        "gain_r1": None if empty else frontier.max_r1 - r1,
+        "gain_r2": None if empty else frontier.max_r2 - r2,
+    }
+
+
 def cmd_region(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     channel = _resolve_channel(cfg)
@@ -218,6 +234,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         "infeasible_allocations": frontier.metadata.get("infeasible_allocations"),
         "screened_allocations": frontier.metadata.get("screened_allocations"),
         "lp": frontier.metadata.get("lp"),
+        "baseline": _baseline(channel, frontier),
     })
     return EXIT_OK
 
@@ -239,6 +256,7 @@ def cmd_ctdma(args: argparse.Namespace) -> int:
         "channel": channel.to_dict(),
         "variant": variant,
         "grid": {"steps": steps},
+        "baseline": _baseline(channel, frontier),
     })
     return EXIT_OK
 

@@ -389,21 +389,21 @@ class _Infeasible(Exception):
 class Projector:
     """Frontier projections of many systems that share one matrix.
 
-    Every system given to :meth:`project` must have the constraint matrix
-    (``a_ub``, ``a_eq``) and objective rows the projector was built with;
-    only the right-hand side ``b`` changes.  Reduced costs do not depend on
-    ``b``, so a basis optimal for one system is optimal for every other
-    whose basic solution ``B^-1 b`` is nonnegative.  The projector caches
-    each basis a tableau solve ends in, with ``B^-1``, the reduced costs of
-    both objective rows and the rows of the basic variables in them.  An
-    objective is answered by the first cached basis, in caching order, that
-    passes the test the simplex stops on (reduced costs ``>= -tol``; for a
-    corner lexicographically: the secondary's on the primary's optimal
-    face) and whose basic solution is nonnegative up to ``BASIS_TOL``.  Any
-    other objective goes to the system's own warm-started tableau, built
-    on the first miss; it runs phase 1 first and so decides feasibility,
-    and the basis it ends in joins the cache.  The result thus depends
-    only on the sequence of systems projected.
+    The projector holds the constraint matrix (``a_ub``, ``a_eq``) and the
+    objective rows; :meth:`project` takes only a right-hand side ``b``.
+    Reduced costs do not depend on ``b``, so a basis optimal for one system
+    is optimal for every other whose basic solution ``B^-1 b`` is
+    nonnegative.  The projector caches each basis a tableau solve ends in,
+    with ``B^-1``, the reduced costs of both objective rows and the rows of
+    the basic variables in them.  An objective is answered by the first
+    cached basis, in caching order, that passes the test the simplex stops
+    on (reduced costs ``>= -tol``; for a corner lexicographically: the
+    secondary's on the primary's optimal face) and whose basic solution is
+    nonnegative up to ``BASIS_TOL``.  Any other objective goes to the
+    system's own warm-started tableau, built from ``b`` on the first miss;
+    it runs phase 1 first and so decides feasibility, and the basis it ends
+    in joins the cache.  The result thus depends only on the sequence of
+    right-hand sides projected.
     """
 
     def __init__(
@@ -413,9 +413,10 @@ class Projector:
         r1_row: Sequence[float],
         r2_row: Sequence[float],
     ) -> None:
-        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-        n_ub, n = a_ub.shape
-        a = np.vstack([a_ub, np.asarray(a_eq, dtype=float).reshape(-1, n)])
+        self._a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+        n_ub, n = self._a_ub.shape
+        self._a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n)
+        a = np.vstack([self._a_ub, self._a_eq])
         # columns: the variables, then one slack per inequality row
         self._matrix = np.hstack([a, np.eye(a.shape[0], n_ub)])
         self.r1_row = np.asarray(r1_row, dtype=float)
@@ -481,19 +482,25 @@ class Projector:
                 return max(float(r1), 0.0), max(float(r2), 0.0)
         return None
 
-    def project(self, system: RateSystem, *, metadata: dict | None = None) -> Frontier:
-        """Pareto frontier of the system's image under the objective rows.
+    def project(self, rhs: np.ndarray, *, metadata: dict | None = None) -> Frontier:
+        """Pareto frontier of the image of the system with right-hand side
+        ``rhs`` (the inequality bounds, then the equality values) under the
+        objective rows.
 
         Exact, by the bicriteria dichotomic search (Aneja & Nair 1979):
         solve the two lexicographic corners, then maximize along the normal
         of each segment between adjacent known vertices; a point above the
         segment is a new vertex and splits it, otherwise the segment is a
-        frontier edge.  Infeasible systems give an empty frontier.
+        frontier edge.  Infeasible systems give an empty frontier.  A
+        non-finite ``rhs`` is a ValueError, raised before any cached basis
+        could turn it into a point.
         """
         r1_row, r2_row = self.r1_row, self.r2_row
         tol = FEASIBILITY_TOL
         meta = dict(metadata or {})
-        rhs = np.concatenate([system.b_ub, system.b_eq])
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("constraint data must be finite")
         basic: dict = {}
         tableau = None
 
@@ -506,6 +513,8 @@ class Projector:
                 self.cached_solves += 1
                 return point
             if tableau is None:
+                n_ub = self._a_ub.shape[0]
+                system = RateSystem(self._a_ub, rhs[:n_ub], self._a_eq, rhs[n_ub:])
                 tableau = _Tableau(system)
                 self.phase1_runs += 1
                 if not tableau.phase1(tol):
@@ -556,22 +565,15 @@ def project_frontier(
     r2_row: Sequence[float],
     *,
     metadata: dict | None = None,
-    projector: Projector | None = None,
 ) -> Frontier:
     """Pareto frontier of the polytope's image under (r1_row, r2_row).
 
-    See :meth:`Projector.project`.  ``projector`` shares optimal bases with
-    earlier projections of systems with the same matrix and objective
-    rows; without one the projection starts from an empty cache, so phase
-    1 runs once and every later objective warm-starts from the previous
-    optimal basis or reuses one of this projection's own.
+    See :meth:`Projector.project`.  The projection starts from an empty
+    cache, so phase 1 runs once and every later objective warm-starts from
+    the previous optimal basis or reuses one of this projection's own.
     """
-    if projector is None:
-        projector = Projector(system.a_ub, system.a_eq, r1_row, r2_row)
-    elif not (np.array_equal(r1_row, projector.r1_row)
-              and np.array_equal(r2_row, projector.r2_row)):
-        raise ValueError("the projector was built for other objective rows")
-    return projector.project(system, metadata=metadata)
+    projector = Projector(system.a_ub, system.a_eq, r1_row, r2_row)
+    return projector.project(np.concatenate([system.b_ub, system.b_eq]), metadata=metadata)
 
 
 def _cross(o, a, b) -> float:

@@ -11,10 +11,8 @@ observes.  Unions over power grids are merged by convex closure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import combinations_with_replacement, product
-from operator import attrgetter
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from .gaussmi import DECODABLE, SignalIndex
 from .model import (
     BUDGET_TOL,
     ChannelParams,
-    PowerState,
     TimeSharedAllocation,
     validate_allocation,
 )
@@ -175,9 +172,9 @@ def certified_infeasible(bounds: np.ndarray) -> np.ndarray:
     proves infeasible; the rest are left to phase 1."""
     return bounds[:, -1] > randomization_cover(bounds) + SCREEN_MARGIN
 
-# State powers as a vector, and the position of each codeword component in
-# it; positions 3 and 7 are the users' jamming powers.
-_STATE_POWERS = attrgetter("pc1", "ps1", "po1", "pj1", "pc2", "ps2", "po2", "pj2")
+# Position of each codeword component among a state's 8 powers (pc1, ps1,
+# po1, pj1, pc2, ps2, po2, pj2); positions 3 and 7 are the users' jamming
+# powers.
 _POWER_AT = {
     int(SignalIndex.C1): 0, int(SignalIndex.S1): 1, int(SignalIndex.O1): 2,
     int(SignalIndex.C2): 4, int(SignalIndex.S2): 5, int(SignalIndex.O2): 6,
@@ -215,46 +212,34 @@ def _power_maps(channel: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     return _SUBSET_OF * gains, _FLOOR_OF * gains
 
 
-def _allocation_arrays(
-    allocations: Sequence[TimeSharedAllocation],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (n, k) and state powers (n, k, 8) of n allocations that all
-    have k states."""
-    weights = np.array([[w for w, _ in a.states] for a in allocations], dtype=float)
-    powers = np.array(
-        [[_STATE_POWERS(s) for _, s in a.states] for a in allocations], dtype=float
-    )
-    return weights, powers
+def _allocation_arrays(alloc: TimeSharedAllocation) -> np.ndarray:
+    """One allocation in the sweeps' array form, (1, k, 9): per state its
+    weight, then its 8 powers."""
+    return np.array([[(w,) + astuple(s) for w, s in alloc.states]], dtype=float)
 
 
-def bound_rows(
-    channel: ChannelParams, weights: np.ndarray, powers: np.ndarray
-) -> np.ndarray:
+def bound_rows(channel: ChannelParams, allocations: np.ndarray) -> np.ndarray:
     """Time-share-averaged MI bounds of a block of allocations, (n, 93).
 
+    ``allocations`` is (n, k, 9): per state a weight, then the 8 powers.
     Columns follow the system rows: the 92 inequality bounds, then the
     eavesdropper equality.  Each is ``gamma(subset power / floor)``
     averaged over the states.  Elementwise arithmetic only, so a row does
     not depend on the other allocations in the block.  A power so large
     that a received power overflows gives a non-finite bound, which
-    :class:`RateSystem` rejects; the sweeps' grids stay below that.
+    :class:`RateSystem` and :meth:`Projector.project` reject; the sweeps'
+    grids stay below that.
     """
     numerator_map, floor_map = _power_maps(channel)
-    numerator = np.zeros(powers.shape[:2] + (N_BOUNDS,))
+    numerator = np.zeros(allocations.shape[:2] + (N_BOUNDS,))
     floor = np.ones_like(numerator)
     with np.errstate(over="ignore", invalid="ignore"):
         for p in range(8):
-            column = powers[:, :, p, np.newaxis]
+            column = allocations[:, :, p + 1, np.newaxis]
             numerator += column * numerator_map[p]
             floor += column * floor_map[p]
         rates = 0.5 * np.log1p(numerator / floor) / _LN2
-        return (weights[:, :, np.newaxis] * rates).sum(axis=1)
-
-
-def _system(bounds: np.ndarray) -> RateSystem:
-    return RateSystem(
-        a_ub=A_UB, b_ub=bounds[:-1], a_eq=EQ_ROW[np.newaxis, :], b_eq=bounds[-1:]
-    )
+        return (allocations[:, :, :1] * rates).sum(axis=1)
 
 
 def build_system(channel: ChannelParams, alloc: TimeSharedAllocation) -> RateSystem:
@@ -263,7 +248,10 @@ def build_system(channel: ChannelParams, alloc: TimeSharedAllocation) -> RateSys
     report = validate_allocation(channel, alloc)
     if not report.ok:
         raise ValueError(f"invalid allocation ({report.code}): {report.detail}")
-    return _system(bound_rows(channel, *_allocation_arrays([alloc]))[0])
+    bounds = bound_rows(channel, _allocation_arrays(alloc))[0]
+    return RateSystem(
+        a_ub=A_UB, b_ub=bounds[:-1], a_eq=EQ_ROW[np.newaxis, :], b_eq=bounds[-1:]
+    )
 
 
 def region_for_allocation(
@@ -335,7 +323,7 @@ def _tuples_within(k: int, size: int, total: int) -> int:
 
 def _user_grid_size(variant: str, cap: float, steps: int) -> int:
     """Per-user power tuples of a state grid whose powers sum to at most
-    ``cap``, as ``single_power_states`` and ``_full_states`` build them."""
+    ``cap``, as :func:`schemes.user_power_grid` builds them."""
     if cap <= 0:
         return 1
     if variant == "ncp":
@@ -368,22 +356,6 @@ def grid_size(spec: RegionSpec) -> int:
     return math.comb(base + k - 1, k) * math.comb(spec.weight_steps + k - 2, k - 1)
 
 
-def _full_states(channel: ChannelParams, steps: int, span: int) -> list[PowerState]:
-    """Grid over all eight power components, capped per user."""
-    out = []
-    caps = (span * channel.p1, span * channel.p2)
-    axes = []
-    for cap in caps:
-        grid = tuple(np.linspace(0.0, cap, steps)) if cap > 0 else (0.0,)
-        quads = [
-            q for q in product(grid, repeat=4) if sum(q) <= cap + BUDGET_TOL
-        ]
-        axes.append(quads)
-    for (pc1, ps1, po1, pj1), (pc2, ps2, po2, pj2) in product(*axes):
-        out.append(PowerState(pc1, ps1, po1, pj1, pc2, ps2, po2, pj2))
-    return out
-
-
 def _weight_grid(k: int, steps: int) -> list[tuple[float, ...]]:
     """Weight tuples of k states on the grid 0, 1/(steps - 1), ..., 1 that
     sum to one, in lexicographic order; the last weight takes what the
@@ -397,24 +369,47 @@ def _weight_grid(k: int, steps: int) -> list[tuple[float, ...]]:
     return out
 
 
-def _family_allocations(spec: RegionSpec) -> list[TimeSharedAllocation]:
-    budgets = (spec.channel.p1, spec.channel.p2)
-    if spec.variant == "full":
-        base = _full_states(spec.channel, spec.steps, span=spec.states)
-    else:
-        base = schemes.single_power_states(
-            spec.variant, budgets, spec.steps, span=spec.states
-        )
-    if spec.states == 1:
-        return [TimeSharedAllocation.single_state(s) for s in base]
-    allocations = []
-    weights = _weight_grid(spec.states, spec.weight_steps)
-    for combo in combinations_with_replacement(base, spec.states):
-        for w in weights:
-            alloc = TimeSharedAllocation(tuple(zip(w, combo)))
-            if validate_allocation(spec.channel, alloc).ok:
-                allocations.append(alloc)
-    return allocations
+def _family_allocations(spec: RegionSpec) -> np.ndarray:
+    """The spec's grid of allocations, (n, k, 9): per state a weight, then
+    the 8 powers (pc1, ps1, po1, pj1, pc2, ps2, po2, pj2).
+
+    Grid states run over user 1's power rows, then user 2's.  With k >= 2
+    states every multiset of k grid states is combined with every weight
+    tuple, weights normalized by their left-to-right sum; a mixture is
+    kept when each user's weighted power, summed over the states left to
+    right, stays within the budget plus ``BUDGET_TOL``.  That is the
+    arithmetic of :class:`TimeSharedAllocation` and
+    :func:`validate_allocation`, so every allocation is within budget.
+    """
+    k = spec.states
+    user1, user2 = (
+        schemes.user_power_grid(spec.variant, k * budget, spec.steps)
+        for budget in (spec.channel.p1, spec.channel.p2)
+    )
+    states = np.concatenate(
+        [np.repeat(user1, len(user2), axis=0), np.tile(user2, (len(user1), 1))], axis=1
+    )
+    if k == 1:
+        return np.concatenate([np.ones((len(states), 1)), states], axis=1)[:, np.newaxis]
+    weights = np.array(_weight_grid(k, spec.weight_steps))
+    total = weights[:, 0]
+    for j in range(1, k):
+        total = total + weights[:, j]
+    weights = weights / total[:, np.newaxis]
+    combos = np.array(list(combinations_with_replacement(range(len(states)), k)))
+    keep = np.ones((len(combos), len(weights)), dtype=bool)
+    for user, budget in enumerate((spec.channel.p1, spec.channel.p2)):
+        p = states[:, 4 * user:4 * user + 4]
+        spent = (((p[:, 0] + p[:, 1]) + p[:, 2]) + p[:, 3])[combos]
+        used = spent[:, :1] * weights[:, 0]
+        for j in range(1, k):
+            used = used + spent[:, j:j + 1] * weights[:, j]
+        keep &= used <= budget + BUDGET_TOL
+    at, weight_at = np.nonzero(keep)
+    out = np.empty((len(at), k, 9))
+    out[:, :, 0] = weights[weight_at]
+    out[:, :, 1:] = states[combos[at]]
+    return out
 
 
 # Allocations per bound block: small enough that a block's bound arrays
@@ -425,15 +420,15 @@ CHUNK = 256
 def region_union(spec: RegionSpec) -> Frontier:
     """Convex-closure union of the per-allocation regions of a family grid.
 
-    One process runs the grid in its fixed order, in blocks of ``CHUNK``
-    whose bounds come from one pass.  The allocations the screen certifies
-    infeasible are only counted; every other one is projected through one
+    One process runs the grid array of :func:`_family_allocations`, all
+    within budget, in its fixed order, in blocks of ``CHUNK`` whose bounds
+    come from one pass.  The allocations the screen certifies infeasible
+    are only counted; the bound row of every other one is projected by one
     :class:`Projector`, so it reuses the optimal bases of the allocations
     before it.  The projector lives for this call only, so the result
     depends on the spec alone; its LP counts go into the metadata as
-    ``lp``.  The allocations come from :func:`_family_allocations`, which
-    builds them within budget, so they are not validated again.  A solver
-    failure does not stop the sweep; the failures are raised at its end.
+    ``lp``.  A solver failure does not stop the sweep; the failures are
+    raised at its end.
     """
     allocations = _family_allocations(spec)
     projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
@@ -441,15 +436,12 @@ def region_union(spec: RegionSpec) -> Frontier:
     failures: list[str] = []
     screened = infeasible = 0
     for start in range(0, len(allocations), CHUNK):
-        block = bound_rows(spec.channel, *_allocation_arrays(allocations[start:start + CHUNK]))
+        block = bound_rows(spec.channel, allocations[start:start + CHUNK])
         certified = certified_infeasible(block)
         screened += int(certified.sum())
         for bounds in block[~certified]:
             try:
-                frontier = project_frontier(
-                    _system(bounds), R1_OBJECTIVE, R2_OBJECTIVE,
-                    metadata=_META, projector=projector,
-                )
+                frontier = projector.project(bounds, metadata=_META)
             except SolverFailure as exc:
                 failures.append(str(exc))
                 continue

@@ -127,6 +127,31 @@ def _jam_grid(cap: float, steps: int) -> tuple[float, ...]:
     return tuple(sorted(float(v) for v in values))
 
 
+def user_power_grid(tag: str, cap: float, steps: int) -> np.ndarray:
+    """One user's per-state powers on the grid of a variant in ``R3_TAGS``
+    or ``full``, capped at ``cap``.
+
+    Rows are (common, self, other, jamming), in the order the grid runs:
+    ``r3`` sweeps common over jamming power, ``borcp`` keeps only the rows
+    where the user bins or jams but not both, ``ncp`` pins jamming to zero,
+    and ``full`` sweeps all four components, the first slowest.  A row is
+    kept when its powers, added left to right, stay within ``cap`` plus
+    ``BUDGET_TOL``.
+    """
+    grid = np.array(_uniform_grid(cap, steps))
+    if tag == "full":
+        axes = np.meshgrid(grid, grid, grid, grid, indexing="ij")
+        rows = np.stack([a.ravel() for a in axes], axis=1)
+    else:
+        jam = np.zeros(1) if tag == "ncp" else grid
+        pc, pj = (a.ravel() for a in np.meshgrid(grid, jam, indexing="ij"))
+        rows = np.column_stack([pc, np.zeros((pc.size, 2)), pj])
+        if tag == "borcp":
+            rows = rows[(pc == 0) | (pj == 0)]
+    total = ((rows[:, 0] + rows[:, 1]) + rows[:, 2]) + rows[:, 3]
+    return rows[total <= cap + BUDGET_TOL]
+
+
 def single_power_states(
     tag: str, budgets: tuple[float, float], steps: int, span: int = 1
 ) -> list[PowerState]:
@@ -135,28 +160,12 @@ def single_power_states(
     ``r3`` sweeps (pc1, pj1, pc2, pj2); ``borcp`` keeps only states where
     each user either bins or jams, never both; ``ncp`` pins jamming to zero.
     ``span`` stretches the grid beyond the budget for multi-state searches.
+    User 1's powers run slowest; each user's follow :func:`user_power_grid`.
     """
     if tag not in R3_TAGS:
         raise ValueError(f"tag must be one of {R3_TAGS}, got {tag!r}")
-    out = []
-    per_user = []
-    for budget in budgets:
-        cap = span * budget
-        pc_grid = _uniform_grid(cap, steps)
-        pj_grid = (0.0,) if tag == "ncp" else _uniform_grid(cap, steps)
-        pairs = []
-        for pc in pc_grid:
-            for pj in pj_grid:
-                if pc + pj > cap + BUDGET_TOL:
-                    continue
-                if tag == "borcp" and pc > 0 and pj > 0:
-                    continue
-                pairs.append((pc, pj))
-        per_user.append(pairs)
-    for (pc1, pj1) in per_user[0]:
-        for (pc2, pj2) in per_user[1]:
-            out.append(PowerState(pc1=pc1, pj1=pj1, pc2=pc2, pj2=pj2))
-    return out
+    user1, user2 = (user_power_grid(tag, span * budget, steps).tolist() for budget in budgets)
+    return [PowerState(*p1, *p2) for p1 in user1 for p2 in user2]
 
 
 def _slot_grid(
@@ -252,6 +261,26 @@ def _prefix_lengths(used: np.ndarray, levels: np.ndarray, cap: float) -> np.ndar
     return (distinct[:, None] + levels[None, :] <= cap).sum(axis=1)[inverse]
 
 
+# Largest time-division grid, in slot-grid rows over all time splits as
+# bounded by ``slot_rows_bound``; work and memory grow about linearly in
+# the rows.  Largest grids allowed, fig2 on a 2-vCPU host: ``ctdma`` steps
+# 34 (4.3 M rows enumerated, 4.1 s, 461 MB peak RSS), ``ctdma_nscp`` steps
+# 129 (6.3 M, 6.3 s, 631 MB) and ``tdma`` steps 1802 (6.5 M, 14 s, 884 MB);
+# ``ctdma`` at steps 17 takes 0.16 s and 52 MB.
+MAX_SLOT_ROWS = 6_500_000
+
+
+def slot_rows_bound(variant: str, steps: int, alpha_steps: int) -> int:
+    """Upper bound on the slot-grid rows :func:`ctdma_region` enumerates,
+    in closed form: per time split and slot, every codeword level times
+    every own and helper jamming level, a jamming grid having at most
+    ``steps`` dense and ``max(2, steps // 2)`` coarse levels."""
+    jam = steps + max(2, steps // 2)
+    own = jam if variant == "ctdma" else 1
+    helper = 1 if variant == "tdma" else jam
+    return 2 * alpha_steps * steps * own * helper
+
+
 def ctdma_region(
     channel: ChannelParams,
     variant: str = "ctdma",
@@ -268,12 +297,21 @@ def ctdma_region(
     :func:`_best_partners` for why the lookup equals the maximum over all
     feasible pairs.
 
-    Raises ValueError for an unknown variant or a channel whose budgets,
-    stretched by the shortest nonzero slot, would overflow the rates.
+    Raises ValueError for an unknown variant, a grid whose
+    :func:`slot_rows_bound` passes ``MAX_SLOT_ROWS``, or a channel whose
+    budgets, stretched by the shortest nonzero slot, would overflow the
+    rates.
     """
     if variant not in CTDMA_TAGS:
         raise ValueError(f"variant must be one of {CTDMA_TAGS}, got {variant!r}")
     alpha_steps = alpha_steps or steps
+    rows = slot_rows_bound(variant, steps, alpha_steps)
+    if rows > MAX_SLOT_ROWS:
+        shown = f"{rows:,}" if rows < 10**18 else "over 10^18"
+        raise ValueError(
+            f"the time-division grid may enumerate {shown} slot rows, more than "
+            f"the {MAX_SLOT_ROWS:,} allowed; lower steps"
+        )
     # The shortest nonzero slot is 1 / (alpha_steps - 1) of the block.
     channel.check_power_scale(max(alpha_steps - 1, 1))
     cap1, cap2 = channel.p1 + BUDGET_TOL, channel.p2 + BUDGET_TOL

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gicee.cli import main
+from gicee import Frontier, preset, single_user_wiretap
+from gicee.cli import _baseline, main
 from gicee.region import VARIANTS
 from gicee.schemes import CTDMA_TAGS
 
@@ -145,6 +146,27 @@ def test_region_sidecar_reports_lp_work(tmp_path):
     # tableau solve leaves a basis that is either new or already cached
     assert 0 < lp["phase1_runs"] <= lp["tableau_solves"]
     assert 0 < lp["bases_cached"] <= lp["tableau_solves"] < lp["cached_solves"]
+
+
+@pytest.mark.parametrize("command", ["region", "ctdma"])
+def test_sidecar_reports_single_user_baseline(tmp_path, command):
+    # on fig3 user 2's eavesdropper gain (1.6) beats its direct gain, so
+    # alone it has no secrecy rate and every r2 on the frontier is gain
+    out = tmp_path / "fig3.csv"
+    assert main([command, "--preset", "fig3", "--steps", "4", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    baseline = json.loads((tmp_path / "fig3.json").read_text())["baseline"]
+    assert set(baseline) == {"r1", "r2", "gain_r1", "gain_r2"}
+    assert baseline["r1"] == single_user_wiretap(10.0, 0.5) == pytest.approx(WIRETAP_10)
+    assert baseline["r2"] == 0.0
+    assert baseline["gain_r1"] == pytest.approx(rows[-1][0] - baseline["r1"], abs=1e-8)
+    assert baseline["gain_r2"] == pytest.approx(rows[0][1], abs=1e-8)
+
+
+def test_baseline_gains_are_null_for_an_empty_frontier():
+    baseline = _baseline(preset("fig3"), Frontier())
+    assert baseline["gain_r1"] is None and baseline["gain_r2"] is None
+    assert baseline["r1"] == pytest.approx(WIRETAP_10)
 
 
 def test_directions_is_deprecated_without_effect(tmp_path, capsys):
@@ -323,17 +345,26 @@ OVERFLOWING = ["--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
     (REGION + ["--steps", "1000000000"], {}),
     (REGION + ["--variant", "full", "--steps", "12"], {}),
     (REGION + ["--states", "2", "--weight-steps", "100000000"], {}),
+    # an integer past Python's 4300-digit conversion limit in a config file
+    (REGION + ["--config", "{bigint}"], {}),
+    (["ctdma", "--preset", "fig2", "--config", "{bigint}"], {}),
+    (["validate", "--config", "{bigint}"], {}),
+    # time-division grids past MAX_SLOT_ROWS are refused before enumeration
+    (["ctdma", "--preset", "fig2", "--steps", "1000000000"], {}),
+    (["ctdma", "--preset", "fig2", "--steps", "35"], {}),
 ])
 def test_region_bad_input_is_config_error(tmp_path, argv, env):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"steps": "many"}))
+    bigint = tmp_path / "bigint.json"
+    bigint.write_text('{"steps": 1' + "0" * 5000 + "}")
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(
         {"states": [{"weight": 1e-308, "pc1": 1.7e308}, {"weight": 1}]}
     ))
-    argv = [a.format(config=config, missing=tmp_path / "missing", huge=huge)
+    argv = [a.format(config=config, missing=tmp_path / "missing", huge=huge, bigint=bigint)
             for a in argv]
-    if "--out" not in argv:
+    if "--out" not in argv and argv[0] != "validate":
         argv += ["--out", str(tmp_path / "region.csv")]
     result = subprocess.run(
         [sys.executable, "-m", "gicee.cli", *argv],
@@ -394,7 +425,7 @@ SETTINGS = {
     "region": {"steps": size(2, 4, 10**6, 10**9, 2**63, 10**30), "directions": size(3, 24),
                "states": size(1, 1, 5, 9),
                "weight_steps": size(2, 5), "workers": size(1, 2), "variant": name(*VARIANTS)},
-    "ctdma": {"steps": size(2, 4), "variant": name(*CTDMA_TAGS)},
+    "ctdma": {"steps": size(2, 4, 10**6, 10**9, 2**63, 10**30), "variant": name(*CTDMA_TAGS)},
     "point": {"directions": size(3, 24)},
     "validate": {"seed": size(0, 5), "samples": size(1, 20), "systems": size(1, 2),
                  "tol": setting(st.sampled_from([1e-12, 1e-20, 0.0, 1.0]), JUNK,

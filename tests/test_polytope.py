@@ -499,7 +499,7 @@ def test_basis_inverse_and_shared_bases_with_flipped_rows():
         assert np.allclose(tableau.basis_inverse() @ columns[:, basis], np.eye(len(basis)),
                            atol=1e-9)
         fresh = project_frontier(system, r1, r2)
-        shared = project_frontier(system, r1, r2, projector=projector)
+        shared = projector.project(np.append(system.b_ub, system.b_eq))
         assert len(shared.points) == len(fresh.points)
         assert np.allclose(shared.points, fresh.points, rtol=0.0, atol=1e-9)
     assert flipped and projector.cached_solves

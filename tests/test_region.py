@@ -1,12 +1,13 @@
 import math
 from dataclasses import astuple, replace
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gicee.model as model
 from gicee import (
     ChannelParams,
     PowerState,
@@ -23,6 +24,7 @@ from gicee import (
     validate_allocation,
 )
 import gicee.region as region
+from gicee.model import BUDGET_TOL
 from gicee.polytope import FEASIBILITY_TOL, Projector, _Tableau, project_frontier
 from gicee.region import (
     A_UB,
@@ -46,8 +48,18 @@ from gicee.region import (
     grid_size,
     randomization_cover,
 )
-from gicee.schemes import ctdma_allocation
+from gicee.schemes import _uniform_grid, ctdma_allocation
 from conftest import random_state, sample_nonneg_bracket_params, single
+
+def stack(allocations):
+    """The sweeps' (n, k, 9) array form of allocations that all have k states."""
+    return np.concatenate([_allocation_arrays(a) for a in allocations])
+
+
+def to_allocation(row):
+    """The allocation of one (k, 9) row of an allocation array."""
+    return TimeSharedAllocation(tuple((w, PowerState(*p)) for w, *p in row.tolist()))
+
 
 GAMMA_10 = 1.7297158093186487
 GAMMA_20 = 2.1961587113893803
@@ -293,11 +305,11 @@ HIGH_SNR = (
 @example(HIGH_SNR)
 def test_bound_rows_match_scalar_mi(case):
     channel, allocations = case
-    block = bound_rows(channel, *_allocation_arrays(allocations))
+    block = bound_rows(channel, stack(allocations))
     assert block.shape == (len(allocations), 93)
     for alloc, row in zip(allocations, block):
         # the row of an allocation does not depend on the rest of its block
-        assert np.array_equal(bound_rows(channel, *_allocation_arrays([alloc]))[0], row)
+        assert np.array_equal(bound_rows(channel, _allocation_arrays(alloc))[0], row)
         for value, (receiver, subset) in zip(row, _BOUNDS):
             scalar = conditional_mi_timeshared(channel, alloc, receiver, subset)
             assert abs(value - scalar) <= 1e-14
@@ -346,7 +358,7 @@ def test_screen_is_sound(case):
     allocations = [a for a in allocations if validate_allocation(channel, a).ok]
     if not allocations:
         return
-    block = bound_rows(channel, *_allocation_arrays(allocations))
+    block = bound_rows(channel, stack(allocations))
     cover = randomization_cover(block)
     for alloc, bounds, value, screened in zip(
         allocations, block, cover, certified_infeasible(block)
@@ -378,8 +390,7 @@ def test_screen_certifies_every_phase1_infeasible_grid_allocation(
 ):
     channel = preset(preset_name)
     spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
-    allocations = _family_allocations(spec)
-    block = bound_rows(channel, *_allocation_arrays(allocations))
+    block = bound_rows(channel, _family_allocations(spec))
     screened = certified_infeasible(block)
     feasible = np.array([phase1_feasible(bounds) for bounds in block])
     assert np.array_equal(screened, ~feasible)
@@ -407,7 +418,7 @@ def test_screen_leaves_the_union_unchanged(monkeypatch, preset_name, variant, st
 
 def test_screen_margin_keeps_borderline_allocations_for_phase1(fig3):
     alloc = single(PowerState(pc1=10.0, pc2=10.0))
-    bounds = bound_rows(fig3, *_allocation_arrays([alloc]))
+    bounds = bound_rows(fig3, _allocation_arrays(alloc))
     assert certified_infeasible(bounds)[0]
     # lift the equality bound to just inside the margin over the cover:
     # not certified, so phase 1 decides
@@ -426,13 +437,9 @@ def test_shared_projector_decides_feasibility_like_phase1(
     # exactly the phase-1-infeasible ones.
     channel = preset(preset_name)
     spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
-    block = bound_rows(channel, *_allocation_arrays(_family_allocations(spec)))
+    block = bound_rows(channel, _family_allocations(spec))
     projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
-    empty = np.array([
-        project_frontier(phase1_system(bounds), R1_OBJECTIVE, R2_OBJECTIVE,
-                         projector=projector).is_empty
-        for bounds in block
-    ])
+    empty = np.array([projector.project(bounds).is_empty for bounds in block])
     assert np.array_equal(empty, certified_infeasible(block))
     assert empty.sum() == certified
     # one phase 1 per infeasible allocation; the feasible ones mostly reuse
@@ -466,17 +473,54 @@ def test_shared_projector_matches_cold_projections(case):
             continue
         system = build_system(channel, alloc)
         cold = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE)
-        shared = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE, projector=projector)
+        shared = projector.project(np.append(system.b_ub, system.b_eq))
         assert shared.is_empty == cold.is_empty
         assert len(shared.points) == len(cold.points)
         assert np.abs(np.subtract(shared.points, cold.points)).max(initial=0.0) <= 1e-12
 
 
-def test_projector_rejects_other_objective_rows(fig3):
-    system = build_system(fig3, single(PowerState(pc1=10.0, pc2=1.0)))
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_projector_rejects_non_finite_bounds(fig3, bad):
+    # a cached basis must never turn a non-finite bound into a point
+    good = bound_rows(fig3, _allocation_arrays(single(PowerState(pc1=10.0, pc2=1.0))))[0]
     projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
-    with pytest.raises(ValueError, match="objective rows"):
-        project_frontier(system, R2_OBJECTIVE, R1_OBJECTIVE, projector=projector)
+    assert not projector.project(good).is_empty
+    counts = projector.counts
+
+    def no_lookup(*args):
+        raise AssertionError("a non-finite bound reached the basis cache")
+
+    projector._cached = no_lookup
+    for at in (0, 45, len(good) - 1):
+        bounds = good.copy()
+        bounds[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            projector.project(bounds)
+    assert projector.counts == counts
+
+
+def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
+    # the sweep carries allocations as one array: no PowerState,
+    # TimeSharedAllocation or validation per allocation, and a RateSystem
+    # only where a tableau runs phase 1
+    built = {"PowerState": 0, "TimeSharedAllocation": 0, "RateSystem": 0, "validate": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            built[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for cls in (PowerState, TimeSharedAllocation, RateSystem):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    for module in (model, region):
+        monkeypatch.setattr(module, "validate_allocation",
+                            counting("validate", module.validate_allocation))
+    frontier = region_union(RegionSpec(channel=fig3, variant="r3", steps=11))
+    assert frontier.metadata["allocations"] == 4356
+    phase1_runs = frontier.metadata["lp"]["phase1_runs"]
+    assert built == {"PowerState": 0, "TimeSharedAllocation": 0,
+                     "RateSystem": phase1_runs, "validate": 0}
 
 
 def test_union_lp_counts(fig3):
@@ -500,17 +544,68 @@ ZERO_BUDGET = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=0.0, p2=3.0)
 def test_family_allocations_are_within_budget(fig2, fig3, variant, states):
     # the sweep does not validate the allocations it is given, so the
     # family must build every one of them within budget
-    if variant == "full":
-        step_sizes = (2, 3) if states == 1 else (2,)
-    else:
-        step_sizes = {1: (3, 11), 2: (2, 3), 3: (2,)}[states]
     for channel in (fig2, fig3, ODD_BUDGETS, ZERO_BUDGET):
-        for steps in step_sizes:
+        for steps in family_step_sizes(variant, states):
             spec = RegionSpec(channel=channel, variant=variant, steps=steps,
                               states=states, weight_steps=3)
             allocations = _family_allocations(spec)
-            assert allocations
-            assert all(validate_allocation(channel, a).ok for a in allocations)
+            assert len(allocations)
+            assert all(validate_allocation(channel, to_allocation(a)).ok for a in allocations)
+
+
+def object_user_grid(variant, cap, steps):
+    """One user's (pc, ps, po, pj) grid tuples, as the sweep first built them."""
+    if variant == "full":
+        grid = tuple(np.linspace(0.0, cap, steps)) if cap > 0 else (0.0,)
+        return [q for q in product(grid, repeat=4) if sum(q) <= cap + BUDGET_TOL]
+    pj_grid = (0.0,) if variant == "ncp" else _uniform_grid(cap, steps)
+    return [(pc, 0.0, 0.0, pj) for pc in _uniform_grid(cap, steps) for pj in pj_grid
+            if not pc + pj > cap + BUDGET_TOL
+            and not (variant == "borcp" and pc > 0 and pj > 0)]
+
+
+def object_family_allocations(spec):
+    """The grid as the sweep first enumerated it, one object per allocation:
+    PowerStates, TimeSharedAllocations of every multiset of k states and
+    every weight tuple, kept when validate_allocation passes; returned in
+    the sweep's array form."""
+    user1, user2 = (object_user_grid(spec.variant, spec.states * budget, spec.steps)
+                    for budget in (spec.channel.p1, spec.channel.p2))
+    base = [PowerState(*a, *b) for a in user1 for b in user2]
+    if spec.states == 1:
+        return stack([TimeSharedAllocation.single_state(s) for s in base])
+    allocations = []
+    weights = _weight_grid(spec.states, spec.weight_steps)
+    for combo in combinations_with_replacement(base, spec.states):
+        for w in weights:
+            alloc = TimeSharedAllocation(tuple(zip(w, combo)))
+            if validate_allocation(spec.channel, alloc).ok:
+                allocations.append(alloc)
+    return stack(allocations)
+
+
+def family_step_sizes(variant, states):
+    if variant == "full":
+        return (2, 3) if states == 1 else (2,)
+    return {1: (3, 11), 2: (2, 3), 3: (2,)}[states]
+
+
+TINY_BUDGET = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=1e-13, p2=0.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("states", [1, 2, 3])
+def test_family_allocations_match_object_enumeration(fig2, fig3, variant, states):
+    # same allocations, same order, same bits as the object-based builder
+    for channel in (fig2, fig3, ODD_BUDGETS, ZERO_BUDGET, TINY_BUDGET):
+        for steps in family_step_sizes(variant, states):
+            for weight_steps in (2, 3) if states > 1 else (5,):
+                spec = RegionSpec(channel=channel, variant=variant, steps=steps,
+                                  states=states, weight_steps=weight_steps)
+                expected = object_family_allocations(spec)
+                got = _family_allocations(spec)
+                assert got.shape == expected.shape
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def product_filter_weights(k, steps):
