@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -160,12 +161,15 @@ def _deprecated_workers(cfg: dict) -> None:
 
 
 def _output_path(value) -> Path:
-    """An output file path whose directory must already exist."""
+    """An output file path whose directory must already exist and which is
+    not itself a directory, checked before any work is done."""
     if not isinstance(value, str):
         raise ConfigError(f"out must be a file path, got {value!r}")
     out = Path(value)
     if not out.parent.is_dir():
         raise ConfigError(f"output directory {str(out.parent)!r} does not exist")
+    if out.is_dir():
+        raise ConfigError(f"out {value!r} is a directory, not a file path")
     return out
 
 
@@ -183,11 +187,16 @@ def _sidecar_path(out: Path) -> Path:
 
 
 def _write_frontier(out: Path, frontier: Frontier, sidecar: dict) -> None:
+    """Write the CSV, then the sidecar; a sidecar with a ``timing`` block
+    gets the seconds spent writing the CSV as its ``write`` entry."""
+    start = time.perf_counter()
     lines = ["r1_bits,r2_bits"]
     lines.extend(f"{r1:.9g},{r2:.9g}" for r1, r2 in frontier.points)
+    _write_text(out, "\n".join(lines) + "\n")
     sidecar = dict(sidecar, tool="gicee", version=__version__,
                    points=len(frontier.points))
-    _write_text(out, "\n".join(lines) + "\n")
+    if sidecar.get("timing") is not None:
+        sidecar["timing"] = dict(sidecar["timing"], write=time.perf_counter() - start)
     _write_text(_sidecar_path(out), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
@@ -235,6 +244,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         "screened_allocations": frontier.metadata.get("screened_allocations"),
         "lp": frontier.metadata.get("lp"),
         "baseline": _baseline(channel, frontier),
+        "timing": frontier.metadata.get("timing"),
     })
     return EXIT_OK
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -272,11 +272,44 @@ def lp_solve(
     return LpResult(status="optimal", value=float(c_max @ x), x=x)
 
 
+# Inputs of at least this many points are first cut to their records in
+# numpy (see ``_records``).  Shorter ones, such as the vertices of one
+# projection or of a hull, go straight to the loop, which at that size
+# costs less than numpy's per-call overhead.
+_RECORD_FILTER_MIN = 64
+
+
+def _records(points: np.ndarray) -> list[tuple[float, float]]:
+    """The strict records of an (n, 2) array of points: taken in
+    decreasing (r1, r2) order, the points whose r2 exceeds that of every
+    point before them.  Of points that compare equal (``-0.0 == 0.0``) the
+    first occurrence is the one that can be a record."""
+    rev = points[::-1]
+    # a stable sort of the reversed input, reversed again: decreasing
+    # (r1, r2), ties in input order
+    order = np.lexsort((rev[:, 1], rev[:, 0]))[::-1]
+    r2 = rev[order, 1]
+    record = np.empty(len(r2), dtype=bool)
+    record[0] = True
+    np.greater(r2[1:], np.maximum.accumulate(r2)[:-1], out=record[1:])
+    return rev[order[record]].tolist()
+
+
 def _pareto_prune(
-    points: Iterable[tuple[float, float]], eps: float = PARETO_EPS
+    points: Collection, eps: float = PARETO_EPS
 ) -> tuple[tuple[float, float], ...]:
     """Drop dominated and tie-duplicated points; result has strictly
-    increasing r1 and strictly decreasing r2."""
+    increasing r1 and strictly decreasing r2.
+
+    ``points`` holds finite (r1, r2) pairs, as pairs or as an (n, 2) array.
+    A long input is first cut to its strict records (:func:`_records`).
+    That loses nothing: the loop below visits points in decreasing order,
+    and a point that is no record has r2 <= r2 of a point visited before
+    it, which is <= ``best + eps``, so the loop skips it without moving
+    ``best``.
+    """
+    if len(points) >= _RECORD_FILTER_MIN:
+        points = _records(np.asarray(points, dtype=float).reshape(-1, 2))
     pts = sorted(set((float(a), float(b)) for a, b in points))
     kept: list[tuple[float, float]] = []
     best = -math.inf
@@ -386,24 +419,87 @@ class _Infeasible(Exception):
     """Phase 1 found no feasible point."""
 
 
+# Right-hand sides whose lookups one pass of :meth:`Projector.project_block`
+# answers together.  A pass tests every cached basis against its window
+# with one (93, 93) @ (93, W) product per basis.  OpenBLAS splits a product
+# over threads only past a size threshold (4 * 65536 multiply-adds per
+# thread in its sources); at W = 24 a product is 207 576, so a pass stays
+# on one thread.  Measured with OpenBLAS 0.3.31 on a 2-CPU host: CPU time
+# equals wall time up to W = 64 and doubles it from W = 128 on.
+BLOCK_WINDOW = 24
+
+
+def _dichotomic(tol: float):
+    """The dichotomic search of one frontier, as a generator: it yields each
+    objective ``(weights, corner)``, is sent the image of that objective's
+    optimum, and returns the vertices found.  ``weights`` None stands for
+    corner 0 (r1, then r2) or 1 (r2, then r1); otherwise the objective is
+    ``weights . (r1, r2)``."""
+    right = yield None, 0
+    top = yield None, 1
+    vertices = [top, right]
+    # Segments run from the upper-left vertex to the lower-right one.
+    segments = [(top, right)]
+    while segments:
+        upper, lower = segments.pop()
+        w1, w2 = upper[1] - lower[1], lower[0] - upper[0]
+        if not (w1 > 0.0 and w2 > 0.0):
+            continue  # one end dominates the other: nothing lies between
+        norm = math.hypot(w1, w2)
+        w1, w2 = w1 / norm, w2 / norm
+        point = yield (w1, w2), 0
+        value = w1 * point[0] + w2 * point[1]
+        chord = max(w1 * upper[0] + w2 * upper[1], w1 * lower[0] + w2 * lower[1])
+        if value > chord + tol * max(1.0, abs(value)):
+            vertices.append(point)
+            segments += [(point, lower), (upper, point)]
+    return vertices
+
+
+class _Search:
+    """The dichotomic search of one right-hand side, paused at its next
+    ``objective`` (None once done)."""
+
+    def __init__(self, rhs: np.ndarray) -> None:
+        self.rhs = rhs
+        self.images: dict[int, tuple[float, float]] = {}  # cached basis -> image
+        self.tableau: _Tableau | None = None
+        self.infeasible = False
+        self.vertices: list[tuple[float, float]] = []
+        self._steps = _dichotomic(FEASIBILITY_TOL)
+        self.objective = next(self._steps)
+
+    def answer(self, point: tuple[float, float]) -> None:
+        try:
+            self.objective = self._steps.send(point)
+        except StopIteration as stop:
+            self.objective, self.vertices = None, stop.value
+
+    def frontier(self, metadata: dict | None) -> Frontier:
+        meta = dict(metadata or {})
+        meta["infeasible"] = self.infeasible
+        return Frontier(points=_pareto_prune(self.vertices), metadata=meta)
+
+
 class Projector:
     """Frontier projections of many systems that share one matrix.
 
     The projector holds the constraint matrix (``a_ub``, ``a_eq``) and the
-    objective rows; :meth:`project` takes only a right-hand side ``b``.
-    Reduced costs do not depend on ``b``, so a basis optimal for one system
-    is optimal for every other whose basic solution ``B^-1 b`` is
-    nonnegative.  The projector caches each basis a tableau solve ends in,
-    with ``B^-1``, the reduced costs of both objective rows and the rows of
-    the basic variables in them.  An objective is answered by the first
-    cached basis, in caching order, that passes the test the simplex stops
-    on (reduced costs ``>= -tol``; for a corner lexicographically: the
-    secondary's on the primary's optimal face) and whose basic solution is
-    nonnegative up to ``BASIS_TOL``.  Any other objective goes to the
-    system's own warm-started tableau, built from ``b`` on the first miss;
-    it runs phase 1 first and so decides feasibility, and the basis it ends
-    in joins the cache.  The result thus depends only on the sequence of
-    right-hand sides projected.
+    objective rows; :meth:`project` and :meth:`project_block` take only
+    right-hand sides ``b``.  Reduced costs do not depend on ``b``, so a
+    basis optimal for one system is optimal for every other whose basic
+    solution ``B^-1 b`` is nonnegative.  The projector caches each basis a
+    tableau solve ends in, with ``B^-1``, the reduced costs of both
+    objective rows and the rows of the basic variables in them.  An
+    objective is answered by the first cached basis, in caching order, that
+    passes the test the simplex stops on (reduced costs ``>= -tol``; for a
+    corner lexicographically: the secondary's on the primary's optimal face)
+    and whose basic solution is nonnegative up to ``BASIS_TOL``.  Any other
+    objective goes to the system's own warm-started tableau, built from
+    ``b`` on the first miss; it runs phase 1 first and so decides
+    feasibility, and the basis it ends in joins the cache.  The result thus
+    depends only on the sequence of right-hand sides projected, not on how
+    it is split into blocks.
     """
 
     def __init__(
@@ -426,6 +522,7 @@ class Projector:
         self._keys: set[bytes] = set()
         self._inverses: list[np.ndarray] = []
         self._images: list[np.ndarray] = []
+        self._spread: list[float] = []
         self._reduced = np.zeros((0, 2, self._matrix.shape[1]))
         self._corners = np.zeros((0, 2), dtype=bool)
         self.phase1_runs = self.cached_solves = self.tableau_solves = 0
@@ -459,28 +556,189 @@ class Projector:
         ]
         self._inverses.append(inverse)
         self._images.append(self._rows[:, basis].T.copy())
+        # Two roundings of a dot product of length m differ by at most
+        # 2 m u |B^-1| |b| (u = eps / 2), bounded by this times max |b|.
+        self._spread.append(
+            len(inverse) * np.finfo(float).eps * np.abs(inverse).sum(axis=1).max())
         self._reduced = np.concatenate([self._reduced, reduced[np.newaxis]])
         self._corners = np.concatenate([self._corners, [corners]])
 
-    def _cached(self, rhs: np.ndarray, weights: tuple[float, float] | None,
-                corner: int, basic: dict) -> tuple[float, float] | None:
-        """Image of the first cached basis that solves the objective and is
-        feasible for ``rhs``; ``basic`` memoizes each basis's basic values
-        for ``rhs`` (None when infeasible)."""
+    def _feasible(self, rows: np.ndarray, known: np.ndarray) -> np.ndarray:
+        """Which cached bases are feasible for each of ``rows``, (bases,
+        rows): ``known``, the answer for the first bases, extended to all.
+
+        One product per basis tests the whole window.  It may round apart
+        from the one-row product :meth:`_image` uses; where the difference
+        could flip the verdict, the one-row product decides, so a verdict
+        never depends on the window.
+        """
+        have, total = len(known), len(self._inverses)
+        if have == total:
+            return known
+        scale = np.abs(rows).max(axis=1)
+        floor = -BASIS_TOL * np.maximum(1.0, scale)
+        lowest = np.array([(inverse @ rows.T).min(axis=0) for inverse in self._inverses[have:]])
+        extra = lowest >= floor
+        unsure = np.abs(lowest - floor) <= np.multiply.outer(self._spread[have:total], scale)
+        for i, j in zip(*np.nonzero(unsure)):
+            extra[i, j] = (self._inverses[have + i] @ rows[j]).min() >= floor[j]
+        return np.concatenate([known, extra])
+
+    def _optimal(self, objectives: list) -> np.ndarray:
+        """Which cached bases pass the simplex's stopping test for each
+        objective, (bases, objectives)."""
+        optimal = self._corners[:, [corner for _, corner in objectives]]
+        segment = [i for i, (weights, _) in enumerate(objectives) if weights is not None]
+        if segment:
+            w = np.array([objectives[i][0] for i in segment])
+            reduced = self._reduced[:, np.newaxis]
+            priced = w[:, 0, None] * reduced[:, :, 0] + w[:, 1, None] * reduced[:, :, 1]
+            optimal[:, segment] = priced.min(axis=2) >= -FEASIBILITY_TOL
+        return optimal
+
+    def _image(self, k: int, rows: np.ndarray) -> list[tuple[float, float]]:
+        """Image of cached basis k's basic solution for each of ``rows``.
+
+        ``B^-1 b`` is one matrix-vector product per row, the same product
+        for a row whatever the other rows are, so an image never depends
+        on the window."""
+        values = np.matmul(self._inverses[k], rows[:, :, np.newaxis])
+        np.maximum(values, 0.0, out=values)
+        images = np.matmul(values.transpose(0, 2, 1), self._images[k])[:, 0]
+        return [(max(r1, 0.0), max(r2, 0.0)) for r1, r2 in images.tolist()]
+
+    def _tableau_solve(self, search: _Search) -> tuple[float, float]:
+        """Image of an optimum of the search's objective from its own
+        tableau, built and run through phase 1 on its first miss; the basis
+        the solve ends in joins the cache."""
+        tol = FEASIBILITY_TOL
+        r1_row, r2_row = self.r1_row, self.r2_row
+        weights, corner = search.objective
+        tableau = search.tableau
+        if tableau is None:
+            n_ub, rhs = self._a_ub.shape[0], search.rhs
+            system = RateSystem(self._a_ub, rhs[:n_ub], self._a_eq, rhs[n_ub:])
+            tableau = search.tableau = _Tableau(system)
+            self.phase1_runs += 1
+            if not tableau.phase1(tol):
+                raise _Infeasible
         if weights is None:
-            optimal = self._corners[:, corner]
-        else:
-            priced = weights[0] * self._reduced[:, 0] + weights[1] * self._reduced[:, 1]
-            optimal = priced.min(axis=1) >= -FEASIBILITY_TOL
-        floor = -BASIS_TOL * max(1.0, float(np.abs(rhs).max()))
-        for k in np.flatnonzero(optimal):
-            if k not in basic:
-                values = self._inverses[k] @ rhs
-                basic[k] = values if values.min() >= floor else None
-            if basic[k] is not None:
-                r1, r2 = np.maximum(basic[k], 0.0) @ self._images[k]
-                return max(float(r1), 0.0), max(float(r2), 0.0)
-        return None
+            rows = (r1_row, r2_row)
+            if tableau.maximize(rows[corner], tol) != "optimal":
+                raise SolverFailure("projection unbounded along a corner objective")
+            face = tableau.optimal_face(tol)
+            if tableau.maximize(rows[1 - corner], tol, face) != "optimal":
+                raise SolverFailure("lexicographic refinement failed")
+        elif tableau.maximize(weights[0] * r1_row + weights[1] * r2_row, tol) != "optimal":
+            raise SolverFailure("projection unbounded along a segment normal")
+        self.tableau_solves += 1
+        self._remember(tableau)
+        x = tableau.solution(tol)
+        return max(float(r1_row @ x), 0.0), max(float(r2_row @ x), 0.0)
+
+    def _rounds(self, searches: list[_Search], rows: np.ndarray, feasible: np.ndarray,
+                *, tableau: bool) -> np.ndarray:
+        """Answer the searches' objectives round by round, one lookup over
+        all of them per round, until each search is done or paused.
+
+        ``rows`` are the searches' right-hand sides and ``feasible`` which
+        cached bases are known feasible for them; it is returned extended
+        to every basis cached meanwhile.  An objective no cached basis
+        answers goes to the search's tableau with ``tableau`` set, and
+        otherwise leaves the search paused at it.
+        """
+        active = [i for i, search in enumerate(searches) if search.objective is not None]
+        while active:
+            feasible = self._feasible(rows, feasible)
+            hit = self._optimal([searches[i].objective for i in active]) & feasible[:, active]
+            if len(hit):
+                first = hit.argmax(axis=0)
+                found = hit[first, np.arange(len(active))]
+            else:
+                first = found = np.zeros(len(active), dtype=np.intp)
+            first, found = first.tolist(), found.tolist()
+            # the images this round needs, one product per basis
+            needed: dict[int, list[int]] = {}
+            for i, k, ok in zip(active, first, found):
+                if ok and k not in searches[i].images:
+                    needed.setdefault(k, []).append(i)
+            for k, group in needed.items():
+                for i, point in zip(group, self._image(k, rows[group])):
+                    searches[i].images[k] = point
+            still = []
+            for i, k, ok in zip(active, first, found):
+                search = searches[i]
+                if ok:
+                    self.cached_solves += 1
+                    search.answer(search.images[k])
+                elif not tableau:
+                    continue
+                else:
+                    try:
+                        search.answer(self._tableau_solve(search))
+                    except _Infeasible:
+                        search.objective, search.infeasible = None, True
+                if search.objective is not None:
+                    still.append(i)
+            active = still
+        return feasible
+
+    def project_block(
+        self, rows: np.ndarray, *, metadata: dict | None = None
+    ) -> list[Frontier | SolverFailure]:
+        """:meth:`project` for each row of ``rows``, (n, m), in order: the
+        frontier, or the SolverFailure its projection raised.
+
+        Answers equal those of one :meth:`project` call per row.  Each
+        window of ``BLOCK_WINDOW`` rows is run against the cache as it
+        stands, every round of the dichotomic searches one lookup for the
+        whole window; a search that misses pauses at that objective.  Then
+        the first paused search, in row order, resumes alone with its
+        tableau, which caches the bases it ends in, and the other paused
+        searches run against the grown cache again; this repeats until all
+        are done, or until such a pass finishes none of them, after which
+        they resume one by one.  New bases join the cache after every
+        basis already there, so the basis that answered an objective
+        before would answer it after, and a search meets the bases of the
+        rows before it whenever it misses.  Any non-finite entry is a
+        ValueError, raised before any cached basis could turn a row into a
+        point.
+        """
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self._matrix.shape[0]:
+            raise ValueError(f"right-hand sides must have {self._matrix.shape[0]} entries")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("constraint data must be finite")
+        results: list[Frontier | SolverFailure] = []
+        for start in range(0, len(rows), BLOCK_WINDOW):
+            window = rows[start:start + BLOCK_WINDOW]
+            searches = [_Search(rhs) for rhs in window]
+            failures: dict[int, SolverFailure] = {}
+            paused = list(range(len(window)))
+            feasible = np.zeros((0, len(window)), dtype=bool)
+            speculate = True
+            while paused:
+                if speculate:
+                    feasible = self._rounds([searches[j] for j in paused], window[paused],
+                                            feasible, tableau=False)
+                    left = [i for i, j in enumerate(paused) if searches[j].objective is not None]
+                    # Once a pass after a resumed search finishes none of
+                    # the others, the cache is not catching up with the
+                    # window: the rest resume in turn without more passes.
+                    speculate = len(left) < len(paused) or len(paused) == len(window)
+                    paused, feasible = [paused[i] for i in left], feasible[:, left]
+                    if not paused:
+                        break
+                first = paused.pop(0)
+                try:
+                    self._rounds([searches[first]], window[first:first + 1], feasible[:, :1],
+                                 tableau=True)
+                except SolverFailure as exc:
+                    failures[first] = exc
+                feasible = feasible[:, 1:]
+            results += [failures.get(j) or search.frontier(metadata)
+                        for j, search in enumerate(searches)]
+        return results
 
     def project(self, rhs: np.ndarray, *, metadata: dict | None = None) -> Frontier:
         """Pareto frontier of the image of the system with right-hand side
@@ -493,70 +751,14 @@ class Projector:
         segment is a new vertex and splits it, otherwise the segment is a
         frontier edge.  Infeasible systems give an empty frontier.  A
         non-finite ``rhs`` is a ValueError, raised before any cached basis
-        could turn it into a point.
+        could turn it into a point.  A block of one: see
+        :meth:`project_block`.
         """
-        r1_row, r2_row = self.r1_row, self.r2_row
-        tol = FEASIBILITY_TOL
-        meta = dict(metadata or {})
-        rhs = np.asarray(rhs, dtype=float)
-        if not np.all(np.isfinite(rhs)):
-            raise ValueError("constraint data must be finite")
-        basic: dict = {}
-        tableau = None
-
-        def solve(weights: tuple[float, float] | None, corner: int = 0):
-            """Image of an optimum: of ``weights`` . (r1, r2), or with None
-            of corner 0 (r1, then r2) or 1 (r2, then r1)."""
-            nonlocal tableau
-            point = self._cached(rhs, weights, corner, basic)
-            if point is not None:
-                self.cached_solves += 1
-                return point
-            if tableau is None:
-                n_ub = self._a_ub.shape[0]
-                system = RateSystem(self._a_ub, rhs[:n_ub], self._a_eq, rhs[n_ub:])
-                tableau = _Tableau(system)
-                self.phase1_runs += 1
-                if not tableau.phase1(tol):
-                    raise _Infeasible
-            if weights is None:
-                rows = (r1_row, r2_row)
-                if tableau.maximize(rows[corner], tol) != "optimal":
-                    raise SolverFailure("projection unbounded along a corner objective")
-                face = tableau.optimal_face(tol)
-                if tableau.maximize(rows[1 - corner], tol, face) != "optimal":
-                    raise SolverFailure("lexicographic refinement failed")
-            elif tableau.maximize(weights[0] * r1_row + weights[1] * r2_row, tol) != "optimal":
-                raise SolverFailure("projection unbounded along a segment normal")
-            self.tableau_solves += 1
-            self._remember(tableau)
-            x = tableau.solution(tol)
-            return max(float(r1_row @ x), 0.0), max(float(r2_row @ x), 0.0)
-
-        try:
-            right = solve(None, 0)
-            top = solve(None, 1)
-            vertices = [top, right]
-            # Segments run from the upper-left vertex to the lower-right one.
-            segments = [(top, right)]
-            while segments:
-                upper, lower = segments.pop()
-                w1, w2 = upper[1] - lower[1], lower[0] - upper[0]
-                if not (w1 > 0.0 and w2 > 0.0):
-                    continue  # one end dominates the other: nothing lies between
-                norm = math.hypot(w1, w2)
-                w1, w2 = w1 / norm, w2 / norm
-                point = solve((w1, w2))
-                value = w1 * point[0] + w2 * point[1]
-                chord = max(w1 * upper[0] + w2 * upper[1], w1 * lower[0] + w2 * lower[1])
-                if value > chord + tol * max(1.0, abs(value)):
-                    vertices.append(point)
-                    segments += [(point, lower), (upper, point)]
-        except _Infeasible:
-            meta["infeasible"] = True
-            return Frontier(points=(), metadata=meta)
-        meta["infeasible"] = False
-        return Frontier(points=_pareto_prune(vertices), metadata=meta)
+        [result] = self.project_block(
+            np.asarray(rhs, dtype=float)[np.newaxis], metadata=metadata)
+        if isinstance(result, SolverFailure):
+            raise result
+        return result
 
 
 def project_frontier(

@@ -11,6 +11,7 @@ observes.  Unions over power grids are merged by convex closure.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import astuple, dataclass
 from itertools import combinations_with_replacement, product
 
@@ -233,8 +234,12 @@ def bound_rows(channel: ChannelParams, allocations: np.ndarray) -> np.ndarray:
     numerator_map, floor_map = _power_maps(channel)
     numerator = np.zeros(allocations.shape[:2] + (N_BOUNDS,))
     floor = np.ones_like(numerator)
+    # A power that is zero throughout the block adds 0 * gain = +0.0 to
+    # every sum, which leaves it bit for bit unchanged, so it is skipped
+    # (r3 grids never use the self and other powers).
+    used = np.flatnonzero(allocations[:, :, 1:].any(axis=(0, 1)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(8):
+        for p in used:
             column = allocations[:, :, p + 1, np.newaxis]
             numerator += column * numerator_map[p]
             floor += column * floor_map[p]
@@ -423,46 +428,55 @@ def region_union(spec: RegionSpec) -> Frontier:
     One process runs the grid array of :func:`_family_allocations`, all
     within budget, in its fixed order, in blocks of ``CHUNK`` whose bounds
     come from one pass.  The allocations the screen certifies infeasible
-    are only counted; the bound row of every other one is projected by one
-    :class:`Projector`, so it reuses the optimal bases of the allocations
-    before it.  The projector lives for this call only, so the result
-    depends on the spec alone; its LP counts go into the metadata as
-    ``lp``.  A solver failure does not stop the sweep; the failures are
-    raised at its end.
+    are only counted; the bound rows of the others go to one
+    :class:`Projector` a block at a time, so each reuses the optimal bases
+    of the allocations before it.  The projector lives for this call only,
+    so the result depends on the spec alone; its LP counts go into the
+    metadata as ``lp``, and the seconds spent enumerating, computing
+    bounds, screening, projecting and merging as ``timing``.  A solver
+    failure does not stop the sweep; the failures are raised at its end.
     """
+    clock = time.perf_counter
+    timing = dict.fromkeys(("enumerate", "bounds", "screen", "project", "merge"), 0.0)
+    start = clock()
     allocations = _family_allocations(spec)
+    timing["enumerate"] = clock() - start
     projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
     frontiers: list[Frontier] = []
     failures: list[str] = []
     screened = infeasible = 0
-    for start in range(0, len(allocations), CHUNK):
-        block = bound_rows(spec.channel, allocations[start:start + CHUNK])
+    for at in range(0, len(allocations), CHUNK):
+        start = clock()
+        block = bound_rows(spec.channel, allocations[at:at + CHUNK])
+        bounded = clock()
         certified = certified_infeasible(block)
         screened += int(certified.sum())
-        for bounds in block[~certified]:
-            try:
-                frontier = projector.project(bounds, metadata=_META)
-            except SolverFailure as exc:
-                failures.append(str(exc))
-                continue
-            if frontier.is_empty:
+        checked = clock()
+        for result in projector.project_block(block[~certified], metadata=_META):
+            if isinstance(result, SolverFailure):
+                failures.append(str(result))
+            elif result.is_empty:
                 infeasible += 1
             else:
-                frontiers.append(frontier)
+                frontiers.append(result)
+        timing["bounds"] += bounded - start
+        timing["screen"] += checked - bounded
+        timing["project"] += clock() - checked
     if failures:
         raise SolverFailure(
             f"{len(failures)} of {len(allocations)} allocations failed; "
             f"first: {failures[0]}"
         )
-    return pareto_merge(
-        frontiers,
-        metadata={
-            "scheme": spec.variant,
-            "steps": spec.steps,
-            "states": spec.states,
-            "allocations": len(allocations),
-            "infeasible_allocations": screened + infeasible,
-            "screened_allocations": screened,
-            "lp": projector.counts,
-        },
-    )
+    start = clock()
+    merged = pareto_merge(frontiers)
+    timing["merge"] = clock() - start
+    return Frontier(points=merged.points, metadata={
+        "scheme": spec.variant,
+        "steps": spec.steps,
+        "states": spec.states,
+        "allocations": len(allocations),
+        "infeasible_allocations": screened + infeasible,
+        "screened_allocations": screened,
+        "lp": projector.counts,
+        "timing": timing,
+    })

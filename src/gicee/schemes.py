@@ -263,10 +263,11 @@ def _prefix_lengths(used: np.ndarray, levels: np.ndarray, cap: float) -> np.ndar
 
 # Largest time-division grid, in slot-grid rows over all time splits as
 # bounded by ``slot_rows_bound``; work and memory grow about linearly in
-# the rows.  Largest grids allowed, fig2 on a 2-vCPU host: ``ctdma`` steps
-# 34 (4.3 M rows enumerated, 4.1 s, 461 MB peak RSS), ``ctdma_nscp`` steps
-# 129 (6.3 M, 6.3 s, 631 MB) and ``tdma`` steps 1802 (6.5 M, 14 s, 884 MB);
-# ``ctdma`` at steps 17 takes 0.16 s and 52 MB.
+# the rows.  Largest grids allowed, fig2, the whole ``ctdma`` command on a
+# 2-vCPU host: ``ctdma`` steps 34 (4.3 M rows enumerated, 1.3 s, 160 MB
+# peak RSS), ``ctdma_nscp`` steps 129 (6.3 M, 1.7 s, 213 MB) and ``tdma``
+# steps 1802 (6.5 M, 3.2 s, 219 MB); ``ctdma`` at steps 17 takes 0.4 s and
+# 37 MB.
 MAX_SLOT_ROWS = 6_500_000
 
 
@@ -325,10 +326,9 @@ def ctdma_region(
         feasible = best > -np.inf
         r1_parts.append(r1[feasible])
         r2_parts.append(best[feasible])
-    points = list(zip(np.concatenate(r1_parts).tolist(),
-                      np.concatenate(r2_parts).tolist()))
+    points = np.column_stack([np.concatenate(r1_parts), np.concatenate(r2_parts)])
     meta = {"scheme": variant, "steps": steps, "alpha_steps": alpha_steps}
-    if not points:
+    if not len(points):
         return Frontier(points=(), metadata=meta)
     base = Frontier(points=_pareto_prune(points))
     return pareto_merge([base], metadata=meta)

@@ -103,6 +103,39 @@ def test_config_file_merging_and_flag_override(tmp_path):
     assert json.loads((tmp_path / "b.json").read_text())["variant"] == "r3"
 
 
+@pytest.mark.parametrize("command", ["region", "ctdma", "point"])
+def test_out_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys, command):
+    import gicee.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    for name in ("region_union", "ctdma_region", "region_for_allocation"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = [command, "--preset", "fig2", "--out", str(tmp_path)]
+    if command == "point":
+        argv += ["--alloc", str(write_alloc(tmp_path, pc1=1.0))]
+    assert main(argv) == 1
+    assert "is a directory" in capsys.readouterr().err
+
+
+def test_region_sidecar_reports_timing(tmp_path):
+    # the seconds per stage; every other sidecar field and the CSV bytes
+    # are the same from run to run
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.csv"
+        assert main(["region", "--preset", "fig3", "--steps", "6", "--out", str(out)]) == 0
+        runs.append((out.read_bytes(), json.loads((tmp_path / f"{name}.json").read_text())))
+    (csv_a, side_a), (csv_b, side_b) = runs
+    for sidecar in (side_a, side_b):
+        timing = sidecar.pop("timing")
+        assert set(timing) == {"enumerate", "bounds", "screen", "project", "merge", "write"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timing.values())
+    assert csv_a == csv_b
+    assert side_a == side_b
+
+
 def test_region_deterministic_across_worker_counts(tmp_path, monkeypatch):
     # GICEE_WORKERS is deprecated: parsed, checked, and without effect
     args = ["region", "--preset", "fig2", "--variant", "ncp",
@@ -352,6 +385,8 @@ OVERFLOWING = ["--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
     # time-division grids past MAX_SLOT_ROWS are refused before enumeration
     (["ctdma", "--preset", "fig2", "--steps", "1000000000"], {}),
     (["ctdma", "--preset", "fig2", "--steps", "35"], {}),
+    # an output path that names an existing directory
+    (REGION + ["--out", "{outdir}"], {}),
 ])
 def test_region_bad_input_is_config_error(tmp_path, argv, env):
     config = tmp_path / "run.json"
@@ -362,7 +397,8 @@ def test_region_bad_input_is_config_error(tmp_path, argv, env):
     huge.write_text(json.dumps(
         {"states": [{"weight": 1e-308, "pc1": 1.7e308}, {"weight": 1}]}
     ))
-    argv = [a.format(config=config, missing=tmp_path / "missing", huge=huge, bigint=bigint)
+    argv = [a.format(config=config, missing=tmp_path / "missing", huge=huge, bigint=bigint,
+                     outdir=tmp_path)
             for a in argv]
     if "--out" not in argv and argv[0] != "validate":
         argv += ["--out", str(tmp_path / "region.csv")]

@@ -20,7 +20,14 @@ from gicee import (
     preset,
     project_frontier,
 )
-from gicee.polytope import FEASIBILITY_TOL, Projector, _pareto_prune, _Tableau
+from gicee.polytope import (
+    _RECORD_FILTER_MIN,
+    FEASIBILITY_TOL,
+    PARETO_EPS,
+    Projector,
+    _pareto_prune,
+    _Tableau,
+)
 from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
 
 
@@ -245,6 +252,61 @@ def test_frontier_queries():
 def test_pareto_prune_drops_dominated():
     pruned = _pareto_prune([(0.5, 0.5), (0.7, 0.5), (0.7, 0.2), (0.1, 0.9)])
     assert pruned == ((0.1, 0.9), (0.7, 0.5))
+
+
+def set_sort_prune(points, eps=PARETO_EPS):
+    """The Pareto prune before the record filter: every point through a
+    set, a sort and the eps loops (oracle for ``_pareto_prune``)."""
+    pts = sorted(set((float(a), float(b)) for a, b in points))
+    kept = []
+    best = -math.inf
+    for r1, r2 in reversed(pts):
+        if r2 > best + eps:
+            kept.append((r1, r2))
+            best = r2
+    kept.reverse()
+    out = []
+    for pt in kept:
+        if out and pt[0] - out[-1][0] <= eps:
+            continue
+        out.append(pt)
+    return tuple(out)
+
+
+def exact(points):
+    """Points as hex strings, so that -0.0 and 0.0 differ."""
+    return [tuple(float(v).hex() for v in point) for point in points]
+
+
+# Few distinct values, so that ties, duplicates and signed zeros are
+# common, plus neighbours closer than PARETO_EPS.
+PRUNE_VALUES = st.sampled_from(
+    [0.0, -0.0, 1e-13, 0.5, 0.5 + 1e-13, 0.5 + 2e-12, 1.0, 1.0 - 1e-13, 2.0]
+) | st.floats(0.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(PRUNE_VALUES, PRUNE_VALUES), max_size=3 * _RECORD_FILTER_MIN),
+       st.sampled_from([PARETO_EPS, 0.0, 1e-3]))
+def test_pareto_prune_matches_set_sort_prune(points, eps):
+    # lists on both sides of the record filter's size cutoff, as tuples,
+    # as an (n, 2) array and as the rows of one
+    expected = exact(set_sort_prune(points, eps))
+    assert exact(_pareto_prune(points, eps)) == expected
+    if points:
+        array = np.array(points)
+        assert exact(_pareto_prune(array, eps)) == expected
+        assert exact(_pareto_prune(list(array), eps)) == expected
+
+
+def test_pareto_prune_keeps_the_first_of_signed_zero_ties():
+    # -0.0 == 0.0, so the set keeps the first occurrence; so does the
+    # record filter, at any size
+    for size in (1, _RECORD_FILTER_MIN, 2 * _RECORD_FILTER_MIN):
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            points = [(first, 1.0)] + [(0.0, 0.5)] * size + [(second, 1.0)]
+            assert exact(_pareto_prune(points)) == exact([(first, 1.0)])
+            assert exact(_pareto_prune(np.array(points))) == exact([(first, 1.0)])
 
 
 def test_system_validation():

@@ -25,7 +25,14 @@ from gicee import (
 )
 import gicee.region as region
 from gicee.model import BUDGET_TOL
-from gicee.polytope import FEASIBILITY_TOL, Projector, _Tableau, project_frontier
+from gicee.polytope import (
+    BLOCK_WINDOW,
+    FEASIBILITY_TOL,
+    Frontier,
+    Projector,
+    _Tableau,
+    project_frontier,
+)
 from gicee.region import (
     A_UB,
     EQ_ROW,
@@ -59,6 +66,11 @@ def stack(allocations):
 def to_allocation(row):
     """The allocation of one (k, 9) row of an allocation array."""
     return TimeSharedAllocation(tuple((w, PowerState(*p)) for w, *p in row.tolist()))
+
+
+def without_timing(metadata):
+    """Metadata or a sidecar minus its nondeterministic ``timing`` block."""
+    return {key: value for key, value in metadata.items() if key != "timing"}
 
 
 GAMMA_10 = 1.7297158093186487
@@ -217,7 +229,8 @@ def test_union_is_deterministic(monkeypatch, preset_name, variant, steps, states
                       states=states)
     first, second = region_union(spec), region_union(spec)
     assert first.points == second.points
-    assert first.metadata == second.metadata
+    # timing is the one field that may differ between runs
+    assert without_timing(first.metadata) == without_timing(second.metadata)
     forward = region._family_allocations
     monkeypatch.setattr(region, "_family_allocations", lambda spec: forward(spec)[::-1])
     backward = region_union(spec)
@@ -479,6 +492,66 @@ def test_shared_projector_matches_cold_projections(case):
         assert np.abs(np.subtract(shared.points, cold.points)).max(initial=0.0) <= 1e-12
 
 
+def fresh_projector():
+    return Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
+
+
+def assert_same_projections(blocked, rowwise):
+    """Bit-equal vertices (-0.0 and 0.0 told apart) and equal metadata."""
+    assert len(blocked) == len(rowwise)
+    for got, want in zip(blocked, rowwise):
+        assert isinstance(got, Frontier)
+        assert got.metadata == want.metadata
+        assert ([tuple(map(float.hex, p)) for p in got.points]
+                == [tuple(map(float.hex, p)) for p in want.points])
+
+
+@settings(max_examples=60, deadline=None)
+@given(allocation_sequences(), st.lists(st.integers(1, 30), max_size=4), st.integers(0, 3))
+def test_project_block_matches_row_by_row_projection(case, cuts, copies):
+    # one fresh projector takes the rows in blocks cut at drawn places, the
+    # other one row at a time: same frontiers, same LP counts.  Scaled
+    # copies (c * b is solved by the bases that solve b), in reverse order,
+    # make sequences that cross windows and miss inside them.
+    channel, allocations = case
+    allocations = [a for a in allocations if validate_allocation(channel, a).ok]
+    if not allocations:
+        return
+    rows = bound_rows(channel, stack(allocations))
+    rows = np.concatenate([rows] + [rows[::-1] * (1.0 + 0.3 * c) for c in range(copies)])
+    blocked = fresh_projector()
+    results, at = [], 0
+    for size in cuts + [len(rows)]:
+        results += blocked.project_block(rows[at:at + size], metadata={"scheme": "x"})
+        at += size
+    rowwise = fresh_projector()
+    assert_same_projections(results, [rowwise.project(b, metadata={"scheme": "x"}) for b in rows])
+    assert blocked.counts == rowwise.counts
+
+
+@pytest.mark.parametrize("preset_name, variant, steps, states, certified", PHASE1_GRIDS)
+def test_block_projector_decides_feasibility_like_phase1(
+    preset_name, variant, steps, states, certified
+):
+    # test_shared_projector_decides_feasibility_like_phase1 through the
+    # block path: every allocation, the infeasible ones too, in one call.
+    # Windows miss in their middle as new bases turn up; the frontiers and
+    # LP counts are those of one project() per row.
+    channel = preset(preset_name)
+    spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
+    block = bound_rows(channel, _family_allocations(spec))
+    assert len(block) > BLOCK_WINDOW
+    projector = fresh_projector()
+    frontiers = projector.project_block(block)
+    empty = np.array([frontier.is_empty for frontier in frontiers])
+    assert np.array_equal(empty, certified_infeasible(block))
+    assert empty.sum() == certified
+    assert projector.phase1_runs < certified + (len(block) - certified) // 2
+    rowwise = fresh_projector()
+    assert_same_projections(frontiers, [rowwise.project(bounds) for bounds in block])
+    assert projector.counts == rowwise.counts
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_projector_rejects_non_finite_bounds(fig3, bad):
     # a cached basis must never turn a non-finite bound into a point
@@ -487,15 +560,21 @@ def test_projector_rejects_non_finite_bounds(fig3, bad):
     assert not projector.project(good).is_empty
     counts = projector.counts
 
-    def no_lookup(*args):
+    def no_lookup(*args, **kwargs):
         raise AssertionError("a non-finite bound reached the basis cache")
 
-    projector._cached = no_lookup
+    projector._rounds = no_lookup
     for at in (0, 45, len(good) - 1):
         bounds = good.copy()
         bounds[at] = bad
         with pytest.raises(ValueError, match="finite"):
             projector.project(bounds)
+        # one bad row fails the whole block before any row is looked up,
+        # even rows the cache would answer
+        block = np.tile(good, (2 * BLOCK_WINDOW, 1))
+        block[BLOCK_WINDOW + 3] = bounds
+        with pytest.raises(ValueError, match="finite"):
+            projector.project_block(block)
     assert projector.counts == counts
 
 
@@ -606,6 +685,41 @@ def test_family_allocations_match_object_enumeration(fig2, fig3, variant, states
                 got = _family_allocations(spec)
                 assert got.shape == expected.shape
                 assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def eight_column_bound_rows(channel, allocations):
+    """``bound_rows`` summing all 8 power columns, zero or not (oracle for
+    its skipping of the powers that are zero throughout a block)."""
+    numerator_map, floor_map = region._power_maps(channel)
+    numerator = np.zeros(allocations.shape[:2] + (len(_BOUNDS),))
+    floor = np.ones_like(numerator)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(8):
+            column = allocations[:, :, p + 1, np.newaxis]
+            numerator += column * numerator_map[p]
+            floor += column * floor_map[p]
+        rates = 0.5 * np.log1p(numerator / floor) / region._LN2
+        return (allocations[:, :, :1] * rates).sum(axis=1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("states", [1, 2])
+def test_bound_rows_equal_the_eight_column_sum(fig2, fig3, variant, states):
+    # r3, borcp and ncp grids never use the self and other powers, and a
+    # zero budget silences a user: skipping those columns changes no bit
+    for channel in (fig2, fig3, ODD_BUDGETS, ZERO_BUDGET):
+        spec = RegionSpec(channel=channel, variant=variant, steps=3, states=states,
+                          weight_steps=3)
+        allocations = _family_allocations(spec)
+        for block in (allocations, allocations[:1], allocations[-7:]):
+            expected = eight_column_bound_rows(channel, block)
+            assert np.array_equal(bound_rows(channel, block).view(np.uint64),
+                                  expected.view(np.uint64))
+    # a power column that is -0.0 throughout is skipped as well
+    signed = _family_allocations(RegionSpec(channel=fig3, variant="r3", steps=3))
+    signed[:, :, 2] = -0.0
+    assert np.array_equal(bound_rows(fig3, signed).view(np.uint64),
+                          eight_column_bound_rows(fig3, signed).view(np.uint64))
 
 
 def product_filter_weights(k, steps):
