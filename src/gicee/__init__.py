@@ -10,7 +10,6 @@ from .gaussmi import (
     SignalIndex,
     clamp_rate,
     conditional_mi,
-    conditional_mi_timeshared,
     gamma,
     mi_covariance_oracle,
     receiver_view,
@@ -42,8 +41,6 @@ from .region import (
     region_union,
 )
 from .schemes import (
-    CtdmaParams,
-    ctdma_rates,
     ctdma_region,
     single_power_states,
     single_user_wiretap,
@@ -52,7 +49,6 @@ from .schemes import (
 __all__ = [
     "AllocationReport",
     "ChannelParams",
-    "CtdmaParams",
     "DECODABLE",
     "Frontier",
     "LpResult",
@@ -69,8 +65,6 @@ __all__ = [
     "build_system",
     "clamp_rate",
     "conditional_mi",
-    "conditional_mi_timeshared",
-    "ctdma_rates",
     "ctdma_region",
     "gamma",
     "grid_feasibility_oracle",

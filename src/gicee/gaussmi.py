@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping
 
-from .model import ChannelParams, PowerState, TimeSharedAllocation
+from .model import ChannelParams, PowerState
 
 _LN2 = math.log(2.0)
 
@@ -137,20 +137,6 @@ def conditional_mi(view: ReceiverView, subset: Iterable[int]) -> float:
     ``gamma(subset power / floor)``.
     """
     return gamma(view.subset_power(subset) / view.floor)
-
-
-def conditional_mi_timeshared(
-    channel: ChannelParams,
-    alloc: TimeSharedAllocation,
-    receiver: str,
-    subset: Iterable[int],
-) -> float:
-    """Weighted average of the per-state conditional MI over the time shares."""
-    subset = frozenset(int(i) for i in subset)
-    return sum(
-        w * conditional_mi(receiver_view(channel, state, receiver), subset)
-        for w, state in alloc.states
-    )
 
 
 def _received_amplitudes(channel: ChannelParams, receiver: str) -> tuple[dict, float, float]:

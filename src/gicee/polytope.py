@@ -91,18 +91,6 @@ class RateSystem:
             b_eq=np.concatenate([self.b_eq, np.asarray(values, dtype=float)]),
         )
 
-    def check_point(self, x: Sequence[float]) -> float:
-        """Minimum slack of a point: nonnegative iff the point is feasible.
-
-        Inequalities contribute ``b - a.x``, equalities ``-|a.x - b|`` and
-        the sign constraints ``min(x)``.
-        """
-        x = np.asarray(x, dtype=float)
-        slack = float(np.min(self.b_ub - self.a_ub @ x))
-        if self.n_equalities:
-            slack = min(slack, float(-np.max(np.abs(self.a_eq @ x - self.b_eq))))
-        return min(slack, float(np.min(x)))
-
 
 @dataclass(frozen=True)
 class LpResult:
@@ -366,13 +354,6 @@ class Frontier:
             raise ValueError("empty frontier has no maximum")
         return self.points[0][1]
 
-    def support(self, theta: float) -> float:
-        """Support value max(cos(theta) r1 + sin(theta) r2); -inf if empty."""
-        if not self.points:
-            return -math.inf
-        ct, st = math.cos(theta), math.sin(theta)
-        return max(ct * r1 + st * r2 for r1, r2 in self.points)
-
     def r2_at(self, r1: float) -> float:
         """Height of the piecewise-linear boundary at ``r1``.
 
@@ -392,27 +373,6 @@ class Frontier:
                 t = (r1 - a1) / (b1 - a1)
                 return a2 + t * (b2 - a2)
         return self.points[-1][1]
-
-    def dominates(self, other: "Frontier", *, tol: float = 1e-9) -> bool:
-        """True if this frontier's region contains the other's, up to ``tol``.
-
-        Exact vertex test against the convex hull of this frontier: every
-        point of ``other`` may pass the hull's right end by ``e1`` and its
-        boundary above by ``e2`` only with ``e1 + e2 <= tol``, so its support
-        value exceeds this one's by at most ``tol`` in every direction.
-        """
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
-        hull = pareto_merge([self])
-        right = hull.max_r1
-        for r1, r2 in other.points:
-            beyond = max(r1 - right, 0.0)
-            above = max(r2 - hull.r2_at(min(r1, right)), 0.0)
-            if beyond + above > tol:
-                return False
-        return True
 
 
 class _Infeasible(Exception):
@@ -458,13 +418,13 @@ def _dichotomic(tol: float):
 
 class _Search:
     """The dichotomic search of one right-hand side, paused at its next
-    ``objective`` (None once done)."""
+    ``objective`` (None once done); its ``vertices`` stay empty when phase 1
+    finds the system infeasible."""
 
     def __init__(self, rhs: np.ndarray) -> None:
         self.rhs = rhs
         self.images: dict[int, tuple[float, float]] = {}  # cached basis -> image
         self.tableau: _Tableau | None = None
-        self.infeasible = False
         self.vertices: list[tuple[float, float]] = []
         self._steps = _dichotomic(FEASIBILITY_TOL)
         self.objective = next(self._steps)
@@ -474,11 +434,6 @@ class _Search:
             self.objective = self._steps.send(point)
         except StopIteration as stop:
             self.objective, self.vertices = None, stop.value
-
-    def frontier(self, metadata: dict | None) -> Frontier:
-        meta = dict(metadata or {})
-        meta["infeasible"] = self.infeasible
-        return Frontier(points=_pareto_prune(self.vertices), metadata=meta)
 
 
 class Projector:
@@ -677,22 +632,25 @@ class Projector:
                     try:
                         search.answer(self._tableau_solve(search))
                     except _Infeasible:
-                        search.objective, search.infeasible = None, True
+                        search.objective = None
                 if search.objective is not None:
                     still.append(i)
             active = still
         return feasible
 
     def project_block(
-        self, rows: np.ndarray, *, metadata: dict | None = None
-    ) -> list[Frontier | SolverFailure]:
-        """:meth:`project` for each row of ``rows``, (n, m), in order: the
-        frontier, or the SolverFailure its projection raised.
+        self, rows: np.ndarray
+    ) -> list[list[tuple[float, float]] | SolverFailure]:
+        """The dichotomic vertices of each row of ``rows``, (n, m), in
+        order: a list of (r1, r2) image points, empty when the row's system
+        is infeasible, or the SolverFailure its projection raised.  The
+        vertices are neither sorted nor pruned; :meth:`project` turns one
+        row's into a :class:`Frontier`.
 
-        Answers equal those of one :meth:`project` call per row.  Each
-        window of ``BLOCK_WINDOW`` rows is run against the cache as it
-        stands, every round of the dichotomic searches one lookup for the
-        whole window; a search that misses pauses at that objective.  Then
+        Answers equal those of one call per row.  Each window of
+        ``BLOCK_WINDOW`` rows is run against the cache as it stands, every
+        round of the dichotomic searches one lookup for the whole window; a
+        search that misses pauses at that objective.  Then
         the first paused search, in row order, resumes alone with its
         tableau, which caches the bases it ends in, and the other paused
         searches run against the grown cache again; this repeats until all
@@ -709,7 +667,7 @@ class Projector:
             raise ValueError(f"right-hand sides must have {self._matrix.shape[0]} entries")
         if not np.all(np.isfinite(rows)):
             raise ValueError("constraint data must be finite")
-        results: list[Frontier | SolverFailure] = []
+        results: list[list[tuple[float, float]] | SolverFailure] = []
         for start in range(0, len(rows), BLOCK_WINDOW):
             window = rows[start:start + BLOCK_WINDOW]
             searches = [_Search(rhs) for rhs in window]
@@ -736,11 +694,10 @@ class Projector:
                 except SolverFailure as exc:
                     failures[first] = exc
                 feasible = feasible[:, 1:]
-            results += [failures.get(j) or search.frontier(metadata)
-                        for j, search in enumerate(searches)]
+            results += [failures.get(j, search.vertices) for j, search in enumerate(searches)]
         return results
 
-    def project(self, rhs: np.ndarray, *, metadata: dict | None = None) -> Frontier:
+    def project(self, rhs: np.ndarray) -> Frontier:
         """Pareto frontier of the image of the system with right-hand side
         ``rhs`` (the inequality bounds, then the equality values) under the
         objective rows.
@@ -749,24 +706,21 @@ class Projector:
         solve the two lexicographic corners, then maximize along the normal
         of each segment between adjacent known vertices; a point above the
         segment is a new vertex and splits it, otherwise the segment is a
-        frontier edge.  Infeasible systems give an empty frontier.  A
-        non-finite ``rhs`` is a ValueError, raised before any cached basis
-        could turn it into a point.  A block of one: see
-        :meth:`project_block`.
+        frontier edge.  Infeasible systems give an empty frontier, with
+        ``metadata["infeasible"]`` set.  A non-finite ``rhs`` is a
+        ValueError, raised before any cached basis could turn it into a
+        point.  A block of one: see :meth:`project_block`.
         """
-        [result] = self.project_block(
-            np.asarray(rhs, dtype=float)[np.newaxis], metadata=metadata)
-        if isinstance(result, SolverFailure):
-            raise result
-        return result
+        [vertices] = self.project_block(np.asarray(rhs, dtype=float)[np.newaxis])
+        if isinstance(vertices, SolverFailure):
+            raise vertices
+        return Frontier(points=_pareto_prune(vertices), metadata={"infeasible": not vertices})
 
 
 def project_frontier(
     system: RateSystem,
     r1_row: Sequence[float],
     r2_row: Sequence[float],
-    *,
-    metadata: dict | None = None,
 ) -> Frontier:
     """Pareto frontier of the polytope's image under (r1_row, r2_row).
 
@@ -775,7 +729,7 @@ def project_frontier(
     the previous optimal basis or reuses one of this projection's own.
     """
     projector = Projector(system.a_ub, system.a_eq, r1_row, r2_row)
-    return projector.project(np.concatenate([system.b_ub, system.b_eq]), metadata=metadata)
+    return projector.project(np.concatenate([system.b_ub, system.b_eq]))
 
 
 def _cross(o, a, b) -> float:

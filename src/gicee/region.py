@@ -31,6 +31,7 @@ from .polytope import (
     Projector,
     RateSystem,
     SolverFailure,
+    _pareto_prune,
     pareto_merge,
     project_frontier,
 )
@@ -269,14 +270,7 @@ def region_for_allocation(
     outcome, not an error.  Phase 1 decides feasibility here; only the
     grid sweeps screen first.
     """
-    return _project(build_system(channel, alloc))
-
-
-_META = {"scheme": "single-allocation"}
-
-
-def _project(system: RateSystem) -> Frontier:
-    return project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE, metadata=_META)
+    return project_frontier(build_system(channel, alloc), R1_OBJECTIVE, R2_OBJECTIVE)
 
 
 @dataclass(frozen=True)
@@ -435,6 +429,12 @@ def region_union(spec: RegionSpec) -> Frontier:
     metadata as ``lp``, and the seconds spent enumerating, computing
     bounds, screening, projecting and merging as ``timing``.  A solver
     failure does not stop the sweep; the failures are raised at its end.
+
+    The union is the convex closure of all allocations' vertices, so they
+    are pooled, pruned once and merged.  Pruning per allocation first can
+    keep another copy of a vertex that two allocations reach within
+    ``PARETO_EPS`` of each other (seen 1 ulp apart on an odd-budget
+    channel's two-state grid), so the support can differ by about that.
     """
     clock = time.perf_counter
     timing = dict.fromkeys(("enumerate", "bounds", "screen", "project", "merge"), 0.0)
@@ -442,7 +442,7 @@ def region_union(spec: RegionSpec) -> Frontier:
     allocations = _family_allocations(spec)
     timing["enumerate"] = clock() - start
     projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
-    frontiers: list[Frontier] = []
+    vertices: list[tuple[float, float]] = []
     failures: list[str] = []
     screened = infeasible = 0
     for at in range(0, len(allocations), CHUNK):
@@ -452,13 +452,13 @@ def region_union(spec: RegionSpec) -> Frontier:
         certified = certified_infeasible(block)
         screened += int(certified.sum())
         checked = clock()
-        for result in projector.project_block(block[~certified], metadata=_META):
+        for result in projector.project_block(block[~certified]):
             if isinstance(result, SolverFailure):
                 failures.append(str(result))
-            elif result.is_empty:
+            elif not result:
                 infeasible += 1
             else:
-                frontiers.append(result)
+                vertices += result
         timing["bounds"] += bounded - start
         timing["screen"] += checked - bounded
         timing["project"] += clock() - checked
@@ -468,9 +468,7 @@ def region_union(spec: RegionSpec) -> Frontier:
             f"first: {failures[0]}"
         )
     start = clock()
-    merged = pareto_merge(frontiers)
-    timing["merge"] = clock() - start
-    return Frontier(points=merged.points, metadata={
+    union = pareto_merge([Frontier(points=_pareto_prune(vertices))], metadata={
         "scheme": spec.variant,
         "steps": spec.steps,
         "states": spec.states,
@@ -480,3 +478,5 @@ def region_union(spec: RegionSpec) -> Frontier:
         "lp": projector.counts,
         "timing": timing,
     })
+    union.metadata["timing"]["merge"] = clock() - start
+    return union

@@ -9,12 +9,11 @@ so regions are plain grid sweeps plus a convex merge, no LP involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussmi import clamp_rate, gamma
-from .model import BUDGET_TOL, ChannelParams, PowerState, TimeSharedAllocation
+from .model import BUDGET_TOL, ChannelParams, PowerState
 from .polytope import Frontier, _pareto_prune, pareto_merge
 
 _LN2 = math.log(2.0)
@@ -25,82 +24,6 @@ CTDMA_TAGS = ("ctdma", "ctdma_nscp", "tdma")
 # Jamming grids are dense up to this level and coarse beyond: the useful
 # helper-jamming levels sit well below the power budgets.
 JAM_DENSE_MAX = 2.0
-
-
-@dataclass(frozen=True)
-class CtdmaParams:
-    """Two-slot time division: slot 1 belongs to user 1, slot 2 to user 2.
-
-    ``p1b``/``p2b`` are codeword powers in the owner's slot, ``pkj1``/``pkj2``
-    the jamming powers user k spends in slot 1 and slot 2.
-    """
-
-    alpha: float
-    p1b: float = 0.0
-    p1j1: float = 0.0
-    p2j1: float = 0.0
-    p2b: float = 0.0
-    p2j2: float = 0.0
-    p1j2: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "p1b", "p1j1", "p2j1", "p2b", "p2j2", "p1j2"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-        if self.alpha > 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-
-    def budget_violation(self, channel: ChannelParams) -> str | None:
-        a, ab = self.alpha, 1.0 - self.alpha
-        used1 = a * (self.p1b + self.p1j1) + ab * self.p1j2
-        if used1 > channel.p1 + BUDGET_TOL:
-            return f"user 1 average power {used1} exceeds budget {channel.p1}"
-        used2 = a * self.p2j1 + ab * (self.p2b + self.p2j2)
-        if used2 > channel.p2 + BUDGET_TOL:
-            return f"user 2 average power {used2} exceeds budget {channel.p2}"
-        return None
-
-
-def ctdma_rates(channel: ChannelParams, params: CtdmaParams) -> tuple[float, float]:
-    """Closed-form secrecy rate pair of one time-division operating point.
-
-    Each slot is a wiretap channel whose receiver and eavesdropper noise
-    floors include the slot's jamming; the rate difference is clamped at
-    zero before scaling by the slot length.
-    """
-    violation = params.budget_violation(channel)
-    if violation:
-        raise ValueError(violation)
-    a, ab = params.alpha, 1.0 - params.alpha
-    r1 = a * clamp_rate(
-        gamma(params.p1b / (1.0 + params.p1j1 + channel.c21 * params.p2j1))
-        - gamma(
-            channel.c1e * params.p1b
-            / (1.0 + channel.c1e * params.p1j1 + channel.c2e * params.p2j1)
-        )
-    )
-    r2 = ab * clamp_rate(
-        gamma(params.p2b / (1.0 + params.p2j2 + channel.c12 * params.p1j2))
-        - gamma(
-            channel.c2e * params.p2b
-            / (1.0 + channel.c2e * params.p2j2 + channel.c1e * params.p1j2)
-        )
-    )
-    return r1, r2
-
-
-def ctdma_allocation(params: CtdmaParams) -> TimeSharedAllocation:
-    """The two-state allocation realizing a time-division operating point.
-
-    The slot owner's codeword rides its self signal (decoded only by its own
-    receiver); everything else in the slot is jamming.
-    """
-    slot1 = PowerState(ps1=params.p1b, pj1=params.p1j1, pj2=params.p2j1)
-    slot2 = PowerState(ps2=params.p2b, pj2=params.p2j2, pj1=params.p1j2)
-    return TimeSharedAllocation(
-        states=((params.alpha, slot1), (1.0 - params.alpha, slot2))
-    )
 
 
 def single_user_wiretap(power: float, eve_gain: float) -> float:
@@ -328,7 +251,4 @@ def ctdma_region(
         r2_parts.append(best[feasible])
     points = np.column_stack([np.concatenate(r1_parts), np.concatenate(r2_parts)])
     meta = {"scheme": variant, "steps": steps, "alpha_steps": alpha_steps}
-    if not len(points):
-        return Frontier(points=(), metadata=meta)
-    base = Frontier(points=_pareto_prune(points))
-    return pareto_merge([base], metadata=meta)
+    return pareto_merge([Frontier(points=_pareto_prune(points))], metadata=meta)

@@ -1,7 +1,21 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from gicee import ChannelParams, CtdmaParams, PowerState, TimeSharedAllocation, gamma, preset
+from gicee import (
+    ChannelParams,
+    PowerState,
+    TimeSharedAllocation,
+    clamp_rate,
+    conditional_mi,
+    gamma,
+    pareto_merge,
+    preset,
+    receiver_view,
+)
+from gicee.model import BUDGET_TOL
 
 
 @pytest.fixture
@@ -69,3 +83,139 @@ def sample_nonneg_bracket_params(rng, channel, count, max_tries=20000):
         params = CtdmaParams(alpha, p1b, p1j1, p2j1, p2b, p2j2, p1j2)
         out.append((params, a1, b1, a2, b2))
     return out
+
+
+# Scalar oracles the tests check the program against; the program itself
+# has no use for them.
+
+def support(frontier, theta):
+    """Support value max(cos(theta) r1 + sin(theta) r2) of a frontier; -inf
+    if it is empty."""
+    if not frontier.points:
+        return -math.inf
+    ct, st = math.cos(theta), math.sin(theta)
+    return max(ct * r1 + st * r2 for r1, r2 in frontier.points)
+
+
+def dominates(big, small, *, tol=1e-9):
+    """True if the region of frontier ``big`` contains that of ``small``, up
+    to ``tol``.
+
+    Exact vertex test against the convex hull of ``big``: every point of
+    ``small`` may pass the hull's right end by ``e1`` and its boundary above
+    by ``e2`` only with ``e1 + e2 <= tol``, so its support value exceeds
+    ``big``'s by at most ``tol`` in every direction.
+    """
+    if small.is_empty:
+        return True
+    if big.is_empty:
+        return False
+    hull = pareto_merge([big])
+    right = hull.max_r1
+    for r1, r2 in small.points:
+        beyond = max(r1 - right, 0.0)
+        above = max(r2 - hull.r2_at(min(r1, right)), 0.0)
+        if beyond + above > tol:
+            return False
+    return True
+
+
+def check_point(system, x):
+    """Minimum slack of a point in a RateSystem: nonnegative iff the point
+    is feasible.
+
+    Inequalities contribute ``b - a.x``, equalities ``-|a.x - b|`` and the
+    sign constraints ``min(x)``.
+    """
+    x = np.asarray(x, dtype=float)
+    slack = float(np.min(system.b_ub - system.a_ub @ x))
+    if system.n_equalities:
+        slack = min(slack, float(-np.max(np.abs(system.a_eq @ x - system.b_eq))))
+    return min(slack, float(np.min(x)))
+
+
+def conditional_mi_timeshared(channel, alloc, receiver, subset):
+    """Weighted average of the per-state conditional MI over the time
+    shares (scalar oracle of ``region.bound_rows``)."""
+    subset = frozenset(int(i) for i in subset)
+    return sum(
+        w * conditional_mi(receiver_view(channel, state, receiver), subset)
+        for w, state in alloc.states
+    )
+
+
+@dataclass(frozen=True)
+class CtdmaParams:
+    """Two-slot time division: slot 1 belongs to user 1, slot 2 to user 2.
+
+    ``p1b``/``p2b`` are codeword powers in the owner's slot, ``pkj1``/``pkj2``
+    the jamming powers user k spends in slot 1 and slot 2.
+    """
+
+    alpha: float
+    p1b: float = 0.0
+    p1j1: float = 0.0
+    p2j1: float = 0.0
+    p2b: float = 0.0
+    p2j2: float = 0.0
+    p1j2: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("alpha", "p1b", "p1j1", "p2j1", "p2b", "p2j2", "p1j2"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if self.alpha > 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+
+    def budget_violation(self, channel):
+        a, ab = self.alpha, 1.0 - self.alpha
+        used1 = a * (self.p1b + self.p1j1) + ab * self.p1j2
+        if used1 > channel.p1 + BUDGET_TOL:
+            return f"user 1 average power {used1} exceeds budget {channel.p1}"
+        used2 = a * self.p2j1 + ab * (self.p2b + self.p2j2)
+        if used2 > channel.p2 + BUDGET_TOL:
+            return f"user 2 average power {used2} exceeds budget {channel.p2}"
+        return None
+
+
+def ctdma_rates(channel, params):
+    """Closed-form secrecy rate pair of one time-division operating point
+    (scalar oracle of ``schemes._slot_arrays``).
+
+    Each slot is a wiretap channel whose receiver and eavesdropper noise
+    floors include the slot's jamming; the rate difference is clamped at
+    zero before scaling by the slot length.
+    """
+    violation = params.budget_violation(channel)
+    if violation:
+        raise ValueError(violation)
+    a, ab = params.alpha, 1.0 - params.alpha
+    r1 = a * clamp_rate(
+        gamma(params.p1b / (1.0 + params.p1j1 + channel.c21 * params.p2j1))
+        - gamma(
+            channel.c1e * params.p1b
+            / (1.0 + channel.c1e * params.p1j1 + channel.c2e * params.p2j1)
+        )
+    )
+    r2 = ab * clamp_rate(
+        gamma(params.p2b / (1.0 + params.p2j2 + channel.c12 * params.p1j2))
+        - gamma(
+            channel.c2e * params.p2b
+            / (1.0 + channel.c2e * params.p2j2 + channel.c1e * params.p1j2)
+        )
+    )
+    return r1, r2
+
+
+def ctdma_allocation(params):
+    """The two-state allocation realizing a time-division operating point.
+
+    The slot owner's codeword rides its self signal (decoded only by its own
+    receiver); everything else in the slot is jamming.
+    """
+    slot1 = PowerState(ps1=params.p1b, pj1=params.p1j1, pj2=params.p2j1)
+    slot2 = PowerState(ps2=params.p2b, pj2=params.p2j2, pj1=params.p1j2)
+    return TimeSharedAllocation(
+        states=((params.alpha, slot1), (1.0 - params.alpha, slot2))
+    )

@@ -24,8 +24,14 @@ from gicee import (
 )
 from gicee.cli import mi_oracle_suite, projection_suite
 from gicee.region import N_VARS
-from gicee.schemes import ctdma_allocation
-from conftest import sample_nonneg_bracket_params, single
+from conftest import (
+    check_point,
+    ctdma_allocation,
+    dominates,
+    sample_nonneg_bracket_params,
+    single,
+    support,
+)
 
 WIRETAP_10 = 0.4372345589580706
 GAMMA_20 = 2.1961587113893803
@@ -134,16 +140,16 @@ def test_criterion_8_nesting_and_symmetry(fig2, fig3):
         tdma = ctdma_region(channel, "tdma", steps=7)
         nscp = ctdma_region(channel, "ctdma_nscp", steps=7)
         full = ctdma_region(channel, "ctdma", steps=7)
-        assert nscp.dominates(tdma, tol=1e-9)
-        assert full.dominates(nscp, tol=1e-9)
+        assert dominates(nscp, tdma, tol=1e-9)
+        assert dominates(full, nscp, tol=1e-9)
     ncp = region_union(RegionSpec(channel=fig2, variant="ncp", steps=4))
     r3 = region_union(RegionSpec(channel=fig2, variant="r3", steps=4))
-    assert r3.dominates(ncp, tol=1e-9)
+    assert dominates(r3, ncp, tol=1e-9)
     for frontier in (r3, ctdma_region(fig2, "ctdma", steps=7)):
         for k in range(41):
             theta = 0.5 * math.pi * k / 40
             assert abs(
-                frontier.support(theta) - frontier.support(0.5 * math.pi - theta)
+                support(frontier, theta) - support(frontier, 0.5 * math.pi - theta)
             ) <= 1e-9
     report(8, "tdma within ctdma_nscp within ctdma, ncp within r3, "
               "symmetric-channel frontiers swap-invariant")
@@ -168,7 +174,7 @@ def test_criterion_9_closed_form_embeds_in_general_system(fig2, fig3):
             x[3] = params.alpha * b1
             x[7] = (1 - params.alpha) * (a2 - b2)
             x[8] = (1 - params.alpha) * b2
-            slack = system.check_point(x)
+            slack = check_point(system, x)
             worst = min(worst, slack)
             assert slack >= -1e-9
             checked += 1

@@ -16,6 +16,13 @@ from gicee.schemes import CTDMA_TAGS
 
 WIRETAP_10 = 0.4372345589580706
 
+# Child interpreters running ``python -m gicee.cli`` get the source tree on
+# their path, so they run the code under test whether or not it is installed.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CHILD_ENV = os.environ | {
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
+
 
 def read_rows(path):
     lines = path.read_text().splitlines()
@@ -330,7 +337,7 @@ def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
 def test_console_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "gicee.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert result.returncode == 0
     assert result.stdout.strip()
@@ -405,7 +412,7 @@ def test_region_bad_input_is_config_error(tmp_path, argv, env):
     result = subprocess.run(
         [sys.executable, "-m", "gicee.cli", *argv],
         capture_output=True, text=True,
-        env={k: v for k, v in os.environ.items() if k != "GICEE_WORKERS"} | env,
+        env={k: v for k, v in CHILD_ENV.items() if k != "GICEE_WORKERS"} | env,
     )
     assert result.returncode == 1
     assert result.stderr.startswith("error:")

@@ -8,13 +8,12 @@ from gicee import (
     ReceiverView,
     SignalIndex,
     conditional_mi,
-    conditional_mi_timeshared,
     gamma,
     mi_covariance_oracle,
     receiver_view,
     TimeSharedAllocation,
 )
-from conftest import random_channel, single
+from conftest import conditional_mi_timeshared, random_channel, single
 
 # Closed-form reference values, frozen from 0.5*log2(1+x).
 GAMMA_10 = 1.7297158093186487

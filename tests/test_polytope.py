@@ -29,6 +29,7 @@ from gicee.polytope import (
     _Tableau,
 )
 from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
+from conftest import check_point, dominates, support
 
 
 def box_system():
@@ -201,7 +202,7 @@ def test_pareto_merge_matches_brute_hull():
         cloud += [(0.0, y) for _, y in pts] + [(x, 0.0) for x, _ in pts]
         for k in range(40):
             theta = 0.5 * math.pi * k / 39
-            assert merged.support(theta) == pytest.approx(
+            assert support(merged, theta) == pytest.approx(
                 brute_hull_support(cloud, theta), abs=1e-9
             )
 
@@ -242,11 +243,11 @@ def test_frontier_queries():
     assert frontier.max_r2 == 1.0
     assert frontier.r2_at(-0.2) == 1.0
     assert frontier.r2_at(2.0) == -math.inf
-    assert frontier.support(0.0) == pytest.approx(1.0)
+    assert support(frontier, 0.0) == pytest.approx(1.0)
     wider = Frontier(points=((0.0, 2.0), (2.0, 0.0)))
-    assert wider.dominates(frontier)
-    assert not frontier.dominates(wider)
-    assert frontier.dominates(Frontier(points=()))
+    assert dominates(wider, frontier)
+    assert not dominates(frontier, wider)
+    assert dominates(frontier, Frontier(points=()))
 
 
 def test_pareto_prune_drops_dominated():
@@ -318,11 +319,11 @@ def test_system_validation():
 
 def test_check_point_slack():
     system = polygon_system()
-    assert system.check_point([0.5, 0.5]) >= 0.0
-    assert system.check_point([1.2, 0.5]) < 0.0
+    assert check_point(system, [0.5, 0.5]) >= 0.0
+    assert check_point(system, [1.2, 0.5]) < 0.0
     pinned = system.with_equalities([[1.0, 0.0]], [0.5])
-    assert pinned.check_point([0.5, 0.2]) >= 0.0
-    assert pinned.check_point([0.6, 0.2]) < 0.0
+    assert check_point(pinned, [0.5, 0.2]) >= 0.0
+    assert check_point(pinned, [0.6, 0.2]) < 0.0
 
 
 def lexicographic_corner(system, primary, secondary):
@@ -435,7 +436,7 @@ def test_warm_started_projection_matches_cold_solves():
             continue
         # exact: the frontier's support equals the cold optimum at every angle
         for theta, value in cold:
-            assert frontier.support(theta) == pytest.approx(value, abs=1e-9)
+            assert support(frontier, theta) == pytest.approx(value, abs=1e-9)
         # the corner solves on their own, in the order project_frontier
         # runs them: the second starts from the first one's basis
         tableau = _Tableau(system)
@@ -465,7 +466,7 @@ def test_exact_frontier_dominates_fixed_angle_sweep(directions):
     checked = 0
     for system, r1, r2, frontier in bounded_cases():
         sweep = sweep_frontier(system, r1, r2, directions)
-        assert frontier.dominates(sweep, tol=1e-9)
+        assert dominates(frontier, sweep, tol=1e-9)
         # both run the same lexicographic corner solves
         assert frontier.max_r1 == pytest.approx(sweep.max_r1, abs=1e-9)
         assert frontier.max_r2 == pytest.approx(sweep.max_r2, abs=1e-9)
@@ -492,7 +493,7 @@ def sampled_dominates(big, small, directions=181, tol=1e-9):
     if big.is_empty:
         return False
     return all(
-        small.support(theta) <= big.support(theta) + tol
+        support(small, theta) <= support(big, theta) + tol
         for theta in (0.5 * math.pi * k / (directions - 1) for k in range(directions))
     )
 
@@ -505,12 +506,12 @@ def test_dominates_catches_a_point_between_sampled_angles():
     poke = np.array([0.5, 0.95]) + 1e-6 * normal
     other = Frontier(points=(tuple(poke),))
     assert sampled_dominates(edge, other)
-    assert not edge.dominates(other)
-    assert edge.dominates(Frontier(points=((0.5, 0.95),)))
+    assert not dominates(edge, other)
+    assert dominates(edge, Frontier(points=((0.5, 0.95),)))
     # within tol of the boundary still counts, beyond the right end too
-    assert edge.dominates(Frontier(points=((0.5, 0.95 + 5e-10),)))
-    assert edge.dominates(Frontier(points=((1.0 + 5e-10, 0.9),)))
-    assert not edge.dominates(Frontier(points=((1.0 + 5e-10, 0.9 + 6e-10),)))
+    assert dominates(edge, Frontier(points=((0.5, 0.95 + 5e-10),)))
+    assert dominates(edge, Frontier(points=((1.0 + 5e-10, 0.9),)))
+    assert not dominates(edge, Frontier(points=((1.0 + 5e-10, 0.9 + 6e-10),)))
 
 
 frontier_points = st.lists(
@@ -521,13 +522,13 @@ frontier_points = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(frontier_points, frontier_points)
 def test_dominates_is_at_least_as_strict_as_sampled(big, small):
-    if big.dominates(small):
+    if dominates(big, small):
         assert sampled_dominates(big, small)
     # and it is not stricter than containment: the hull of both frontiers
     # holds each of them, and a frontier holds itself
     merged = pareto_merge([big, small])
-    assert merged.dominates(big) and merged.dominates(small)
-    assert big.dominates(big)
+    assert dominates(merged, big) and dominates(merged, small)
+    assert dominates(big, big)
 
 
 def mixed_sign_systems(rng, count, a_ub, a_eq):

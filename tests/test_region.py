@@ -15,7 +15,6 @@ from gicee import (
     RegionSpec,
     TimeSharedAllocation,
     build_system,
-    conditional_mi_timeshared,
     lp_solve,
     mi_covariance_oracle,
     preset,
@@ -28,9 +27,13 @@ from gicee.model import BUDGET_TOL
 from gicee.polytope import (
     BLOCK_WINDOW,
     FEASIBILITY_TOL,
+    PARETO_EPS,
     Frontier,
     Projector,
+    SolverFailure,
+    _pareto_prune,
     _Tableau,
+    pareto_merge,
     project_frontier,
 )
 from gicee.region import (
@@ -55,8 +58,17 @@ from gicee.region import (
     grid_size,
     randomization_cover,
 )
-from gicee.schemes import _uniform_grid, ctdma_allocation
-from conftest import random_state, sample_nonneg_bracket_params, single
+from gicee.schemes import _uniform_grid
+from conftest import (
+    check_point,
+    conditional_mi_timeshared,
+    ctdma_allocation,
+    dominates,
+    random_state,
+    sample_nonneg_bracket_params,
+    single,
+    support,
+)
 
 def stack(allocations):
     """The sweeps' (n, k, 9) array form of allocations that all have k states."""
@@ -168,14 +180,14 @@ def test_union_of_zero_budget_channel():
 def test_union_nesting_ncp_inside_r3(fig2):
     ncp = region_union(RegionSpec(channel=fig2, variant="ncp", steps=4))
     r3 = region_union(RegionSpec(channel=fig2, variant="r3", steps=4))
-    assert r3.dominates(ncp, tol=1e-9)
+    assert dominates(r3, ncp, tol=1e-9)
 
 
 def test_union_nesting_r3_inside_full(fig2):
     r3 = region_union(RegionSpec(channel=fig2, variant="r3", steps=3))
     full = region_union(RegionSpec(channel=fig2, variant="full", steps=3))
     assert full.metadata["allocations"] > r3.metadata["allocations"]
-    assert full.dominates(r3, tol=1e-9)
+    assert dominates(full, r3, tol=1e-9)
 
 
 def test_feasible_points_saturate_randomization_total(fig2, fig3):
@@ -205,8 +217,8 @@ def test_union_symmetric_channel_symmetric_frontier(fig2):
     for k in range(33):
         theta = 0.5 * math.pi * k / 32
         mirrored = 0.5 * math.pi - theta
-        assert frontier.support(theta) == pytest.approx(
-            frontier.support(mirrored), abs=1e-9
+        assert support(frontier, theta) == pytest.approx(
+            support(frontier, mirrored), abs=1e-9
         )
 
 
@@ -263,7 +275,7 @@ def test_time_division_points_feasible_in_general_system(fig2, fig3):
             x[3] = alpha * b1                 # its randomization rate
             x[7] = (1 - alpha) * (a2 - b2)    # self-message rate, user 2
             x[8] = (1 - alpha) * b2
-            assert system.check_point(x) >= -1e-9
+            assert check_point(system, x) >= -1e-9
 
 
 def test_timeshared_union_bounds_match_manual_average(fig2):
@@ -496,21 +508,28 @@ def fresh_projector():
     return Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
 
 
+def rowwise_projections(rows):
+    """Each row's vertices from ``project_block`` of that row alone, all
+    through one fresh projector, and the projector."""
+    projector = fresh_projector()
+    return [projector.project_block(row[np.newaxis])[0] for row in rows], projector
+
+
 def assert_same_projections(blocked, rowwise):
-    """Bit-equal vertices (-0.0 and 0.0 told apart) and equal metadata."""
+    """Equal vertex lists, bit for bit and in order (-0.0 and 0.0 told
+    apart); an infeasible row's list is empty in both."""
     assert len(blocked) == len(rowwise)
     for got, want in zip(blocked, rowwise):
-        assert isinstance(got, Frontier)
-        assert got.metadata == want.metadata
-        assert ([tuple(map(float.hex, p)) for p in got.points]
-                == [tuple(map(float.hex, p)) for p in want.points])
+        assert isinstance(got, list) and isinstance(want, list)
+        assert ([tuple(map(float.hex, p)) for p in got]
+                == [tuple(map(float.hex, p)) for p in want])
 
 
 @settings(max_examples=60, deadline=None)
 @given(allocation_sequences(), st.lists(st.integers(1, 30), max_size=4), st.integers(0, 3))
 def test_project_block_matches_row_by_row_projection(case, cuts, copies):
     # one fresh projector takes the rows in blocks cut at drawn places, the
-    # other one row at a time: same frontiers, same LP counts.  Scaled
+    # other one row at a time: same vertices, same LP counts.  Scaled
     # copies (c * b is solved by the bases that solve b), in reverse order,
     # make sequences that cross windows and miss inside them.
     channel, allocations = case
@@ -522,11 +541,11 @@ def test_project_block_matches_row_by_row_projection(case, cuts, copies):
     blocked = fresh_projector()
     results, at = [], 0
     for size in cuts + [len(rows)]:
-        results += blocked.project_block(rows[at:at + size], metadata={"scheme": "x"})
+        results += blocked.project_block(rows[at:at + size])
         at += size
-    rowwise = fresh_projector()
-    assert_same_projections(results, [rowwise.project(b, metadata={"scheme": "x"}) for b in rows])
-    assert blocked.counts == rowwise.counts
+    rowwise, projector = rowwise_projections(rows)
+    assert_same_projections(results, rowwise)
+    assert blocked.counts == projector.counts
 
 
 @pytest.mark.parametrize("preset_name, variant, steps, states, certified", PHASE1_GRIDS)
@@ -535,21 +554,21 @@ def test_block_projector_decides_feasibility_like_phase1(
 ):
     # test_shared_projector_decides_feasibility_like_phase1 through the
     # block path: every allocation, the infeasible ones too, in one call.
-    # Windows miss in their middle as new bases turn up; the frontiers and
-    # LP counts are those of one project() per row.
+    # Windows miss in their middle as new bases turn up; the vertices and
+    # LP counts are those of one project_block() per row.
     channel = preset(preset_name)
     spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
     block = bound_rows(channel, _family_allocations(spec))
     assert len(block) > BLOCK_WINDOW
     projector = fresh_projector()
-    frontiers = projector.project_block(block)
-    empty = np.array([frontier.is_empty for frontier in frontiers])
+    results = projector.project_block(block)
+    empty = np.array([not vertices for vertices in results])
     assert np.array_equal(empty, certified_infeasible(block))
     assert empty.sum() == certified
     assert projector.phase1_runs < certified + (len(block) - certified) // 2
-    rowwise = fresh_projector()
-    assert_same_projections(frontiers, [rowwise.project(bounds) for bounds in block])
-    assert projector.counts == rowwise.counts
+    rowwise, single_rows = rowwise_projections(block)
+    assert_same_projections(results, rowwise)
+    assert projector.counts == single_rows.counts
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -580,9 +599,11 @@ def test_projector_rejects_non_finite_bounds(fig3, bad):
 
 def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
     # the sweep carries allocations as one array: no PowerState,
-    # TimeSharedAllocation or validation per allocation, and a RateSystem
-    # only where a tableau runs phase 1
-    built = {"PowerState": 0, "TimeSharedAllocation": 0, "RateSystem": 0, "validate": 0}
+    # TimeSharedAllocation or validation per allocation, a RateSystem only
+    # where a tableau runs phase 1, and no Frontier per allocation: the
+    # pooled vertices make one, the merge another
+    built = {"PowerState": 0, "TimeSharedAllocation": 0, "RateSystem": 0, "Frontier": 0,
+             "validate": 0}
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -590,7 +611,7 @@ def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
             return fn(*args, **kwargs)
         return counted
 
-    for cls in (PowerState, TimeSharedAllocation, RateSystem):
+    for cls in (PowerState, TimeSharedAllocation, RateSystem, Frontier):
         monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
     for module in (model, region):
         monkeypatch.setattr(module, "validate_allocation",
@@ -599,7 +620,7 @@ def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
     assert frontier.metadata["allocations"] == 4356
     phase1_runs = frontier.metadata["lp"]["phase1_runs"]
     assert built == {"PowerState": 0, "TimeSharedAllocation": 0,
-                     "RateSystem": phase1_runs, "validate": 0}
+                     "RateSystem": phase1_runs, "Frontier": 2, "validate": 0}
 
 
 def test_union_lp_counts(fig3):
@@ -616,6 +637,57 @@ def test_union_lp_counts(fig3):
 
 ODD_BUDGETS = ChannelParams(c12=1.3, c21=0.7, c1e=0.4, c2e=0.9, p1=7.3, p2=0.1)
 ZERO_BUDGET = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=0.0, p2=3.0)
+ZERO_GAINS = ChannelParams(c12=0.0, c21=0.0, c1e=0.0, c2e=0.0, p1=10.0, p2=10.0)
+
+
+def per_allocation_union(spec):
+    """The union as the sweep built it before it pooled vertices: one
+    ``Frontier(points=_pareto_prune(v))`` per feasible allocation, then
+    ``pareto_merge`` of them all (oracle for ``region_union``'s points).
+    One block, since projections do not depend on how rows are split."""
+    block = bound_rows(spec.channel, _family_allocations(spec))
+    frontiers = []
+    for vertices in fresh_projector().project_block(block[~certified_infeasible(block)]):
+        assert not isinstance(vertices, SolverFailure)
+        if vertices:
+            frontiers.append(Frontier(points=_pareto_prune(vertices)))
+    return pareto_merge(frontiers)
+
+
+UNION_CHANNELS = {"fig2": preset("fig2"), "fig3": preset("fig3"),
+                  "zero-gains": ZERO_GAINS, "odd-budgets": ODD_BUDGETS}
+UNION_GRIDS = (
+    [grid[:4] for grid in PHASE1_GRIDS]
+    + [("fig2", "full", 3, 1)]
+    + [(name, variant, {1: 5, 2: 3, 3: 2}[states], states)
+       for name in ("fig2", "fig3") for variant in ("r3", "borcp", "ncp")
+       for states in (1, 2, 3)]
+    + [(name, variant, steps, states) for name in ("zero-gains", "odd-budgets")
+       for variant, steps, states in (("r3", 11, 1), ("full", 3, 1), ("r3", 3, 2))]
+)
+
+
+# Grids on which two allocations reach one vertex a rounding apart: the
+# per-allocation frontiers hand both copies to the hull, which keeps one,
+# while the pooled prune keeps the other (the copies tie within PARETO_EPS).
+# Here r1 = 0.4983815859043567 against 0.49838158590435677, 1 ulp apart.
+VERTEX_TIES = {("odd-budgets", "r3", 3, 2)}
+
+
+@pytest.mark.parametrize("channel_name, variant, steps, states", UNION_GRIDS)
+def test_pooled_union_equals_per_allocation_union(channel_name, variant, steps, states):
+    # one prune over every allocation's vertices, then one merge, gives the
+    # points of a frontier per allocation merged, bit for bit unless two
+    # allocations tie on a vertex
+    spec = RegionSpec(channel=UNION_CHANNELS[channel_name], variant=variant, steps=steps,
+                      states=states)
+    pooled = region_union(spec).points
+    expected = per_allocation_union(spec).points
+    assert len(pooled) == len(expected)
+    assert np.abs(np.subtract(pooled, expected)).max(initial=0.0) <= PARETO_EPS
+    if (channel_name, variant, steps, states) not in VERTEX_TIES:
+        assert [tuple(map(float.hex, p)) for p in pooled] == [
+            tuple(map(float.hex, p)) for p in expected]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

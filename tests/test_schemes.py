@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from gicee import (
     ChannelParams,
-    CtdmaParams,
     Frontier,
     TimeSharedAllocation,
-    ctdma_rates,
     ctdma_region,
     pareto_merge,
     single_power_states,
@@ -27,8 +25,8 @@ from gicee.schemes import (
     _slot_arrays,
     _slot_grids,
     _uniform_grid,
-    ctdma_allocation,
 )
+from conftest import CtdmaParams, ctdma_allocation, ctdma_rates, dominates, support
 
 
 # Enumeration oracles: literal loops over the scheme grids, against which
@@ -319,16 +317,16 @@ def test_dominance_chain_at_equal_grids(fig2, fig3):
         tdma = ctdma_region(channel, "tdma", steps=5)
         nscp = ctdma_region(channel, "ctdma_nscp", steps=5)
         full = ctdma_region(channel, "ctdma", steps=5)
-        assert nscp.dominates(tdma, tol=1e-9)
-        assert full.dominates(nscp, tol=1e-9)
+        assert dominates(nscp, tdma, tol=1e-9)
+        assert dominates(full, nscp, tol=1e-9)
 
 
 def test_symmetric_channel_symmetric_region(fig2):
     frontier = ctdma_region(fig2, "ctdma", steps=6)
     for k in range(41):
         theta = 0.5 * math.pi * k / 40
-        assert frontier.support(theta) == pytest.approx(
-            frontier.support(0.5 * math.pi - theta), abs=1e-9
+        assert support(frontier, theta) == pytest.approx(
+            support(frontier, 0.5 * math.pi - theta), abs=1e-9
         )
 
 
