@@ -6,13 +6,10 @@ __version__ = "0.1.0"
 from .gaussmi import (
     DECODABLE,
     RECEIVERS,
-    ReceiverView,
     SignalIndex,
     clamp_rate,
-    conditional_mi,
     gamma,
     mi_covariance_oracle,
-    receiver_view,
 )
 from .model import (
     AllocationReport,
@@ -57,14 +54,12 @@ __all__ = [
     "R2_OBJECTIVE",
     "RECEIVERS",
     "RateSystem",
-    "ReceiverView",
     "RegionSpec",
     "SignalIndex",
     "SolverFailure",
     "TimeSharedAllocation",
     "build_system",
     "clamp_rate",
-    "conditional_mi",
     "ctdma_region",
     "gamma",
     "grid_feasibility_oracle",
@@ -73,7 +68,6 @@ __all__ = [
     "pareto_merge",
     "preset",
     "project_frontier",
-    "receiver_view",
     "region_for_allocation",
     "region_union",
     "single_power_states",

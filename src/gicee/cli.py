@@ -15,17 +15,12 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from . import __version__
-from .gaussmi import (
-    DECODABLE,
-    RECEIVERS,
-    conditional_mi,
-    mi_covariance_oracle,
-    receiver_view,
-)
+from .gaussmi import DECODABLE, RECEIVERS, mi_covariance_oracle
 from .model import (
     ChannelParams,
     PowerState,
@@ -35,15 +30,20 @@ from .model import (
 )
 from .polytope import (
     Frontier,
+    Projector,
     SolverFailure,
     grid_feasibility_oracle,
-    project_frontier,
 )
 from .region import (
+    _BOUNDS,
+    A_UB,
+    EQ_ROW,
+    N_BOUNDS,
     R1_OBJECTIVE,
     R2_OBJECTIVE,
     VARIANTS,
     RegionSpec,
+    bound_rows,
     build_system,
     region_for_allocation,
     region_union,
@@ -322,18 +322,39 @@ def _random_channel(rng: np.random.Generator) -> ChannelParams:
     )
 
 
+def _subset_columns() -> dict[str, np.ndarray]:
+    """Per receiver, the :func:`bound_rows` column of each subset of its
+    decodable components, indexed by the subset's bit mask over the sorted
+    components; the empty subset gets ``N_BOUNDS``, the index of a zero
+    appended to a row."""
+    tables = {r: np.full(2 ** len(DECODABLE[r]), N_BOUNDS) for r in RECEIVERS}
+    for column, (receiver, subset) in enumerate(_BOUNDS):
+        ground = sorted(DECODABLE[receiver])
+        tables[receiver][sum(1 << ground.index(i) for i in subset)] = column
+    return tables
+
+
+def _subset_values(channel: ChannelParams, powers: np.ndarray) -> np.ndarray:
+    """The bound row of one state with the given 8 powers, with a zero
+    appended for the empty subset."""
+    state = np.concatenate([[1.0], powers])[np.newaxis, np.newaxis]
+    return np.append(bound_rows(channel, state)[0], 0.0)
+
+
 def mi_oracle_suite(seed: int, samples: int) -> float:
-    """Max deviation between the closed MI form and the covariance oracle."""
+    """Max deviation between :func:`bound_rows` and the covariance oracle."""
     rng = np.random.default_rng(seed)
+    tables = _subset_columns()
     worst = 0.0
     for _ in range(samples):
         channel = _random_channel(rng)
-        state = PowerState(*rng.uniform(0.0, 8.0, 8))
+        powers = rng.uniform(0.0, 8.0, 8)
         receiver = RECEIVERS[rng.integers(0, 3)]
         decodable = sorted(DECODABLE[receiver])
-        subset = [i for i in decodable if rng.uniform() < 0.5]
-        closed = conditional_mi(receiver_view(channel, state, receiver), subset)
-        oracle = mi_covariance_oracle(channel, state, receiver, subset)
+        mask = sum(1 << k for k in range(len(decodable)) if rng.uniform() < 0.5)
+        subset = [i for k, i in enumerate(decodable) if mask >> k & 1]
+        closed = _subset_values(channel, powers)[tables[receiver][mask]]
+        oracle = mi_covariance_oracle(channel, PowerState(*powers), receiver, subset)
         worst = max(worst, abs(closed - oracle))
     return worst
 
@@ -371,8 +392,12 @@ def projection_suite(seed: int, systems: int) -> float:
     Runs until ``systems`` feasible instances have been compared; infeasible
     draws still assert that the oracle agrees the region is empty.  The
     eavesdropper gains are kept moderate so feasible systems are common.
+    All systems go through one :class:`Projector`, built as
+    :func:`region_union` builds it, so the oracle also judges the answers
+    its cached bases give across systems.
     """
     rng = np.random.default_rng(seed)
+    projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
     worst = 0.0
     feasible_seen = 0
     for _ in range(50 * systems):
@@ -387,7 +412,7 @@ def projection_suite(seed: int, systems: int) -> float:
             _random_state(rng, channel.p1, channel.p2)
         )
         system = build_system(channel, alloc)
-        frontier = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE)
+        frontier = projector.project(np.concatenate([system.b_ub, system.b_eq]))
         if frontier.is_empty:
             if grid_feasibility_oracle(system, R1_OBJECTIVE, R2_OBJECTIVE, 0.25):
                 worst = max(worst, math.inf)
@@ -401,33 +426,30 @@ def projection_suite(seed: int, systems: int) -> float:
     return worst
 
 
+def _submodular_triples(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (small, big, element) of a ground set of ``size`` as bit masks,
+    with small a subset of big and the element outside big."""
+    masks = np.arange(2 ** size)
+    small, big, element = np.meshgrid(masks, masks, 1 << np.arange(size), indexing="ij")
+    keep = (small & ~big == 0) & (big & element == 0)
+    return small[keep], big[keep], element[keep]
+
+
 def submodularity_suite(seed: int, trials: int = 40) -> float:
-    """Worst submodularity margin of the subset-MI set function (>= 0 ok)."""
+    """Worst submodularity margin of the subset-MI set function that
+    :func:`bound_rows` gives (>= 0 ok)."""
     rng = np.random.default_rng(seed)
+    tables = _subset_columns()
+    triples = {r: _submodular_triples(len(DECODABLE[r])) for r in RECEIVERS}
     worst = 0.0
     for _ in range(trials):
         channel = _random_channel(rng)
-        state = PowerState(*rng.uniform(0.0, 8.0, 8))
+        powers = rng.uniform(0.0, 8.0, 8)
         receiver = RECEIVERS[rng.integers(0, 3)]
-        view = receiver_view(channel, state, receiver)
-        ground = sorted(DECODABLE[receiver])
-        subsets = []
-        for mask in range(2 ** len(ground)):
-            subsets.append(frozenset(
-                ground[k] for k in range(len(ground)) if mask >> k & 1
-            ))
-        value = {s: conditional_mi(view, s) for s in subsets}
-        for small in subsets:
-            for big in subsets:
-                if not small <= big:
-                    continue
-                for i in ground:
-                    if i in big:
-                        continue
-                    margin = (value[small | {i}] - value[small]) - (
-                        value[big | {i}] - value[big]
-                    )
-                    worst = min(worst, margin)
+        value = _subset_values(channel, powers)[tables[receiver]]
+        small, big, element = triples[receiver]
+        margin = (value[small | element] - value[small]) - (value[big | element] - value[big])
+        worst = min(worst, margin.min())
     return -worst
 
 
@@ -462,8 +484,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors:
+    argparse's own exit code 2 would read as a validation failure.
+    Subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        sys.stderr.write(f"error: {message}\n")
+        self.print_usage(sys.stderr)
+        sys.exit(EXIT_CONFIG)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gicee",
         description="Secrecy rate regions for the two-user Gaussian "
                     "interference channel with an external eavesdropper",

@@ -10,7 +10,7 @@ and jamming component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Averaged-power checks accept values this far past the cap so grid points
 # sitting exactly on the budget still validate after float rounding.
@@ -20,10 +20,6 @@ BUDGET_TOL = 1e-12
 # channel gain.  Every noise floor and SNR a sweep forms is a sum of a few
 # such terms, so below it all powers and rates stay finite.
 MAX_POWER = 1e150
-
-# Time-share state lists longer than this are rejected at construction
-# unless the caller raises the cap explicitly.
-DEFAULT_MAX_STATES = 4
 
 _PRESETS = {
     "fig2": (1.9, 1.9, 0.5, 0.5, 10.0, 10.0),
@@ -132,16 +128,11 @@ class TimeSharedAllocation:
     """
 
     states: tuple[tuple[float, PowerState], ...]
-    max_states: int = field(default=DEFAULT_MAX_STATES, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         states = tuple((float(w), s) for w, s in self.states)
         if not states:
             raise ValueError("allocation needs at least one state")
-        if len(states) > self.max_states:
-            raise ValueError(
-                f"allocation has {len(states)} states, cap is {self.max_states}"
-            )
         weights = [w for w, _ in states]
         if all(math.isfinite(w) and w >= 0 for w in weights):
             total = sum(weights)
@@ -169,7 +160,7 @@ class TimeSharedAllocation:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, max_states: int | None = None) -> "TimeSharedAllocation":
+    def from_dict(cls, data: dict) -> "TimeSharedAllocation":
         raw = data.get("states") if isinstance(data, dict) else None
         if not isinstance(raw, list) or not raw:
             raise ValueError("allocation JSON needs a nonempty 'states' list")
@@ -179,9 +170,7 @@ class TimeSharedAllocation:
             (float(entry.get("weight", 0.0)), PowerState.from_dict(entry))
             for entry in raw
         )
-        if max_states is None:
-            max_states = max(DEFAULT_MAX_STATES, len(states))
-        return cls(states=states, max_states=max_states)
+        return cls(states=states)
 
 
 # Violation codes reported by validate_allocation.

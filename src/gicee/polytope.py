@@ -22,10 +22,13 @@ PARETO_EPS = 1e-12
 _MAX_PIVOTS = 5000
 
 # A cached basis answers a new right-hand side only if its basic solution
-# is nonnegative up to this much rounding, relative to the largest bound.
-# The tableau's own basic solutions stay feasible to rounding, so a looser
-# test (FEASIBILITY_TOL) let a basis infeasible by 7e-10 answer bounds
-# below 1e-9 with a point the tableau does not reach.
+# is nonnegative up to this much rounding.  The answer moves by about as
+# much as a clipped basic value, so the floor is absolute: scaled by the
+# largest bound, it let a basis infeasible by 2.9e-12 answer a corner that
+# far short of the tableau's.  The tableau's own basic solutions stay
+# feasible to rounding, so a looser test (FEASIBILITY_TOL) let a basis
+# infeasible by 7e-10 answer bounds below 1e-9 with a point the tableau
+# does not reach.
 BASIS_TOL = 1e-12
 
 
@@ -531,12 +534,11 @@ class Projector:
         if have == total:
             return known
         scale = np.abs(rows).max(axis=1)
-        floor = -BASIS_TOL * np.maximum(1.0, scale)
         lowest = np.array([(inverse @ rows.T).min(axis=0) for inverse in self._inverses[have:]])
-        extra = lowest >= floor
-        unsure = np.abs(lowest - floor) <= np.multiply.outer(self._spread[have:total], scale)
+        extra = lowest >= -BASIS_TOL
+        unsure = np.abs(lowest + BASIS_TOL) <= np.multiply.outer(self._spread[have:total], scale)
         for i, j in zip(*np.nonzero(unsure)):
-            extra[i, j] = (self._inverses[have + i] @ rows[j]).min() >= floor[j]
+            extra[i, j] = (self._inverses[have + i] @ rows[j]).min() >= -BASIS_TOL
         return np.concatenate([known, extra])
 
     def _optimal(self, objectives: list) -> np.ndarray:

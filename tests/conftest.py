@@ -1,19 +1,21 @@
 import math
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 import pytest
 
 from gicee import (
+    DECODABLE,
+    RECEIVERS,
     ChannelParams,
     PowerState,
+    SignalIndex,
     TimeSharedAllocation,
     clamp_rate,
-    conditional_mi,
     gamma,
     pareto_merge,
     preset,
-    receiver_view,
 )
 from gicee.model import BUDGET_TOL
 
@@ -132,6 +134,86 @@ def check_point(system, x):
     if system.n_equalities:
         slack = min(slack, float(-np.max(np.abs(system.a_eq @ x - system.b_eq))))
     return min(slack, float(np.min(x)))
+
+
+@dataclass(frozen=True)
+class ReceiverView:
+    """One receiver's take on a power state.
+
+    ``effective`` maps each decodable component to its received power;
+    ``floor`` is the total undecodable received power plus the unit noise.
+    """
+
+    receiver: str
+    effective: Mapping[int, float]
+    floor: float
+
+    def __post_init__(self) -> None:
+        if self.receiver not in DECODABLE:
+            raise ValueError(f"receiver must be one of {RECEIVERS}, got {self.receiver!r}")
+        if not self.floor >= 1.0:
+            raise ValueError(f"floor must be at least the unit noise, got {self.floor!r}")
+        extra = set(self.effective) - DECODABLE[self.receiver]
+        if extra:
+            raise ValueError(f"effective powers outside the decodable set: {sorted(extra)}")
+        if any(not v >= 0.0 for v in self.effective.values()):
+            raise ValueError("effective powers must be nonnegative")
+
+    def subset_power(self, subset: Iterable[int]) -> float:
+        indices = frozenset(int(i) for i in subset)
+        extra = indices - DECODABLE[self.receiver]
+        if extra:
+            raise ValueError(
+                f"subset {sorted(indices)} not decodable at {self.receiver}"
+                f" (offending: {sorted(extra)})"
+            )
+        return sum(self.effective[i] for i in indices)
+
+
+def receiver_view(channel, state, receiver):
+    """Received per-component powers and the noise floor at one receiver,
+    written out from the channel equations (scalar oracle of the power maps
+    of ``region.bound_rows``)."""
+    if receiver == "y1":
+        effective = {
+            int(SignalIndex.C1): state.pc1,
+            int(SignalIndex.S1): state.ps1,
+            int(SignalIndex.C2): channel.c21 * state.pc2,
+            int(SignalIndex.O2): channel.c21 * state.po2,
+        }
+        floor = 1.0 + state.po1 + state.pj1 + channel.c21 * (state.ps2 + state.pj2)
+    elif receiver == "y2":
+        effective = {
+            int(SignalIndex.C1): channel.c12 * state.pc1,
+            int(SignalIndex.O1): channel.c12 * state.po1,
+            int(SignalIndex.C2): state.pc2,
+            int(SignalIndex.S2): state.ps2,
+        }
+        floor = 1.0 + channel.c12 * (state.ps1 + state.pj1) + state.po2 + state.pj2
+    elif receiver == "ye":
+        effective = {
+            int(SignalIndex.C1): channel.c1e * state.pc1,
+            int(SignalIndex.S1): channel.c1e * state.ps1,
+            int(SignalIndex.O1): channel.c1e * state.po1,
+            int(SignalIndex.C2): channel.c2e * state.pc2,
+            int(SignalIndex.S2): channel.c2e * state.ps2,
+            int(SignalIndex.O2): channel.c2e * state.po2,
+        }
+        floor = 1.0 + channel.c1e * state.pj1 + channel.c2e * state.pj2
+    else:
+        raise ValueError(f"receiver must be one of {RECEIVERS}, got {receiver!r}")
+    return ReceiverView(receiver=receiver, effective=effective, floor=floor)
+
+
+def conditional_mi(view, subset):
+    """MI between the subset's components and the observation, conditioned on
+    the rest of the decodable set.
+
+    With independent Gaussian components, conditioning on the complement
+    removes its received power from the observation, so the value is
+    ``gamma(subset power / floor)``.
+    """
+    return gamma(view.subset_power(subset) / view.floor)
 
 
 def conditional_mi_timeshared(channel, alloc, receiver, subset):

@@ -318,6 +318,18 @@ def test_validate_corrupted_tolerance_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_validate_judges_the_sweeps_bound_rows(monkeypatch, capsys):
+    # the MI suites read the bounds the sweeps use, so a perturbed
+    # bound_rows fails validation
+    import gicee.cli as cli
+
+    real = cli.bound_rows
+    monkeypatch.setattr(cli, "bound_rows", lambda *args: 1.01 * real(*args))
+    code = main(["validate", "--samples", "100", "--systems", "2"])
+    assert code == 2
+    assert "mi-oracle: FAIL" in capsys.readouterr().out
+
+
 def test_validate_zero_samples_is_config_error(capsys):
     assert main(["validate", "--samples", "0"]) == 1
 
@@ -394,6 +406,10 @@ OVERFLOWING = ["--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
     (["ctdma", "--preset", "fig2", "--steps", "35"], {}),
     # an output path that names an existing directory
     (REGION + ["--out", "{outdir}"], {}),
+    # usage errors argparse finds: exit 2 is reserved for validation failures
+    (REGION + ["--steps", "abc"], {}),
+    (REGION + ["--bogus"], {}),
+    ([], {}),
 ])
 def test_region_bad_input_is_config_error(tmp_path, argv, env):
     config = tmp_path / "run.json"
@@ -407,7 +423,7 @@ def test_region_bad_input_is_config_error(tmp_path, argv, env):
     argv = [a.format(config=config, missing=tmp_path / "missing", huge=huge, bigint=bigint,
                      outdir=tmp_path)
             for a in argv]
-    if "--out" not in argv and argv[0] != "validate":
+    if argv and "--out" not in argv and argv[0] != "validate":
         argv += ["--out", str(tmp_path / "region.csv")]
     result = subprocess.run(
         [sys.executable, "-m", "gicee.cli", *argv],
@@ -545,5 +561,6 @@ def test_sweep_commands_keep_exit_contract(invocation):
             code = main(argv)
         except SystemExit as exc:  # argparse rejects malformed flags
             code = exc.code
-    # any other exception would reach the user as a traceback
-    assert code in (0, 1, 2, 3)
+    # any other exception would reach the user as a traceback; only the
+    # validation suites may report a failure
+    assert code in (0, 1, 3) or (argv[0] == "validate" and code == 2)

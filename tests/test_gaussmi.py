@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,23 @@ from gicee import (
     DECODABLE,
     RECEIVERS,
     PowerState,
-    ReceiverView,
     SignalIndex,
-    conditional_mi,
     gamma,
     mi_covariance_oracle,
-    receiver_view,
     TimeSharedAllocation,
 )
-from conftest import conditional_mi_timeshared, random_channel, single
+from gicee.region import _BOUNDS, bound_rows
+from conftest import (
+    ReceiverView,
+    conditional_mi,
+    conditional_mi_timeshared,
+    random_channel,
+    receiver_view,
+    single,
+)
+
+# bound_rows column of each (receiver, nonempty subset)
+COLUMN = {(receiver, frozenset(subset)): k for k, (receiver, subset) in enumerate(_BOUNDS)}
 
 # Closed-form reference values, frozen from 0.5*log2(1+x).
 GAMMA_10 = 1.7297158093186487
@@ -138,6 +148,26 @@ def test_oracle_equivalence_randomized():
     assert worst <= 1e-12
 
 
+def state_row(channel, state):
+    """``bound_rows`` of the allocation of one state, (93,)."""
+    return bound_rows(channel, np.array([[(1.0,) + astuple(state)]]))[0]
+
+
+def test_bound_rows_oracle_equivalence_randomized():
+    rng = np.random.default_rng(20240811)
+    worst = 0.0
+    for _ in range(1000):
+        channel = random_channel(rng)
+        state = PowerState(*rng.uniform(0.0, 8.0, 8))
+        receiver = RECEIVERS[rng.integers(0, 3)]
+        subset = [i for i in sorted(DECODABLE[receiver]) if rng.uniform() < 0.5]
+        row = state_row(channel, state)
+        closed = row[COLUMN[receiver, frozenset(subset)]] if subset else 0.0
+        oracle = mi_covariance_oracle(channel, state, receiver, subset)
+        worst = max(worst, abs(closed - oracle))
+    assert worst <= 1e-12
+
+
 def test_mi_monotone_in_subset_power_and_floor():
     base = ReceiverView(receiver="y1", effective={1: 2.0, 2: 1.0, 4: 0.0, 6: 0.0}, floor=2.0)
     more_power = ReceiverView(receiver="y1", effective={1: 3.0, 2: 1.0, 4: 0.0, 6: 0.0}, floor=2.0)
@@ -167,6 +197,31 @@ def test_subset_mi_is_normalized_monotone_submodular():
             for mask in range(16)
         ]
         f = {s: conditional_mi(view, s) for s in subsets}
+        assert f[frozenset()] == 0.0
+        for small in subsets:
+            for big in subsets:
+                if small <= big:
+                    assert f[small] <= f[big] + 1e-12
+                    for i in ground:
+                        if i not in big:
+                            gain_small = f[small | {i}] - f[small]
+                            gain_big = f[big | {i}] - f[big]
+                            assert gain_small >= gain_big - 1e-12
+
+
+@pytest.mark.parametrize("receiver", RECEIVERS)
+def test_bound_rows_subset_mi_is_normalized_monotone_submodular(receiver):
+    rng = np.random.default_rng(99)
+    ground = sorted(DECODABLE[receiver])
+    subsets = [
+        frozenset(ground[k] for k in range(len(ground)) if mask >> k & 1)
+        for mask in range(2 ** len(ground))
+    ]
+    for _ in range(25):
+        channel = random_channel(rng)
+        state = PowerState(*rng.uniform(0.0, 8.0, 8))
+        row = state_row(channel, state)
+        f = {s: float(row[COLUMN[receiver, s]]) if s else 0.0 for s in subsets}
         assert f[frozenset()] == 0.0
         for small in subsets:
             for big in subsets:

@@ -89,10 +89,9 @@ def test_weights_normalized_at_construction():
 
 
 def test_state_count_cap():
+    # no cap: five states construct
     states = tuple((0.2, PowerState()) for _ in range(5))
-    with pytest.raises(ValueError, match="cap"):
-        TimeSharedAllocation(states=states)
-    assert len(TimeSharedAllocation(states=states, max_states=5).states) == 5
+    assert len(TimeSharedAllocation(states=states).states) == 5
 
 
 def test_empty_states_rejected():

@@ -508,6 +508,21 @@ def fresh_projector():
     return Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
 
 
+def test_cached_basis_answers_only_within_an_absolute_floor():
+    # At bounds near 6.1 bits the first allocation's basis is infeasible by
+    # 2.9e-12 for the second; a floor relative to the largest bound let it
+    # answer the r1 corner 2.9e-12 short of the tableau's.
+    channel = ChannelParams(c12=1.0, c21=0.0, c1e=0.0, c2e=0.0, p1=1e4, p2=0.0)
+    projector = fresh_projector()
+    for state in (PowerState(ps1=5000.0, po1=5000.0),
+                  PowerState(pc1=0.01, ps1=0.01, po1=5000.0)):
+        system = build_system(channel, single(state))
+        cold = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE)
+        shared = projector.project(np.append(system.b_ub, system.b_eq))
+        assert len(shared.points) == len(cold.points)
+        assert np.abs(np.subtract(shared.points, cold.points)).max(initial=0.0) <= 1e-12
+
+
 def rowwise_projections(rows):
     """Each row's vertices from ``project_block`` of that row alone, all
     through one fresh projector, and the projector."""
