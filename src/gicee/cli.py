@@ -25,6 +25,7 @@ from .model import (
     ChannelParams,
     PowerState,
     TimeSharedAllocation,
+    _number,
     preset,
     validate_allocation,
 )
@@ -105,7 +106,7 @@ def _resolve_channel(cfg: dict) -> ChannelParams:
         values = {}
         for name in _CHANNEL_FLAGS:
             try:
-                values[name] = float(cfg[name])
+                values[name] = _number(cfg[name], name)
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(
                     f"channel field {name} must be a number, got {cfg[name]!r}"
@@ -240,6 +241,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         "variant": variant,
         "grid": {"steps": steps, "states": states},
         "allocations": frontier.metadata.get("allocations"),
+        "examined_allocations": frontier.metadata.get("examined_allocations"),
         "infeasible_allocations": frontier.metadata.get("infeasible_allocations"),
         "screened_allocations": frontier.metadata.get("screened_allocations"),
         "lp": frontier.metadata.get("lp"),
@@ -267,6 +269,7 @@ def cmd_ctdma(args: argparse.Namespace) -> int:
         "variant": variant,
         "grid": {"steps": steps},
         "baseline": _baseline(channel, frontier),
+        "timing": frontier.metadata.get("timing"),
     })
     return EXIT_OK
 

@@ -75,7 +75,15 @@ class ChannelParams:
         missing = [name for name in _CHANNEL_FIELDS if name not in data]
         if missing:
             raise ValueError(f"channel JSON is missing fields {missing}")
-        return cls(**{name: float(data[name]) for name in _CHANNEL_FIELDS})
+        return cls(**{name: _number(data[name], name) for name in _CHANNEL_FIELDS})
+
+
+def _number(value, name: str) -> float:
+    """A JSON field as a float; a boolean is refused, though Python counts
+    it as the number 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def preset(name: str) -> ChannelParams:
@@ -115,7 +123,7 @@ class PowerState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PowerState":
-        return cls(**{name: float(data.get(name, 0.0)) for name in _STATE_FIELDS})
+        return cls(**{name: _number(data.get(name, 0.0), name) for name in _STATE_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -167,7 +175,7 @@ class TimeSharedAllocation:
         if not all(isinstance(entry, dict) for entry in raw):
             raise ValueError("every allocation state must be a JSON object")
         states = tuple(
-            (float(entry.get("weight", 0.0)), PowerState.from_dict(entry))
+            (_number(entry.get("weight", 0.0), "weight"), PowerState.from_dict(entry))
             for entry in raw
         )
         return cls(states=states)

@@ -382,16 +382,6 @@ class _Infeasible(Exception):
     """Phase 1 found no feasible point."""
 
 
-# Right-hand sides whose lookups one pass of :meth:`Projector.project_block`
-# answers together.  A pass tests every cached basis against its window
-# with one (93, 93) @ (93, W) product per basis.  OpenBLAS splits a product
-# over threads only past a size threshold (4 * 65536 multiply-adds per
-# thread in its sources); at W = 24 a product is 207 576, so a pass stays
-# on one thread.  Measured with OpenBLAS 0.3.31 on a 2-CPU host: CPU time
-# equals wall time up to W = 64 and doubles it from W = 128 on.
-BLOCK_WINDOW = 24
-
-
 def _dichotomic(tol: float):
     """The dichotomic search of one frontier, as a generator: it yields each
     objective ``(weights, corner)``, is sent the image of that objective's
@@ -419,45 +409,356 @@ def _dichotomic(tol: float):
     return vertices
 
 
-class _Search:
-    """The dichotomic search of one right-hand side, paused at its next
-    ``objective`` (None once done); its ``vertices`` stay empty when phase 1
-    finds the system infeasible."""
+def _keys(objective, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What an objective maximizes at each of an (n, 2) array of image
+    points, first and second: ``weights . point`` (then nothing), or for a
+    corner the primary coordinate, then the secondary one."""
+    weights, corner = objective
+    if weights is None:
+        return points[:, corner], points[:, 1 - corner]
+    return weights[0] * points[:, 0] + weights[1] * points[:, 1], np.zeros(len(points))
 
-    def __init__(self, rhs: np.ndarray) -> None:
-        self.rhs = rhs
-        self.images: dict[int, tuple[float, float]] = {}  # cached basis -> image
-        self.tableau: _Tableau | None = None
-        self.vertices: list[tuple[float, float]] = []
-        self._steps = _dichotomic(FEASIBILITY_TOL)
-        self.objective = next(self._steps)
 
-    def answer(self, point: tuple[float, float]) -> None:
-        try:
-            self.objective = self._steps.send(point)
-        except StopIteration as stop:
-            self.objective, self.vertices = None, stop.value
+# Bound values read per call (rows times columns), so that a read's arrays
+# and the screen's stay within a few megabytes however large the grid; and
+# right-hand sides tested per product against a cached basis.  A (93, 93)
+# @ (93, 64) product stays under OpenBLAS's threading threshold (4 * 65536
+# multiply-adds per thread in its sources), so each test runs on one core.
+_READ_VALUES = 1 << 15
+_PRODUCT_BLOCK = 64
+
+
+class _Union:
+    """The state of one :meth:`Projector.search` over ``count`` right-hand
+    sides, whose bounds ``bounds(at, columns)`` computes on demand.
+
+    Every right-hand side has the bound columns the weak-duality bounds
+    read (``columns``, one array per column) and, once a bound needs it,
+    its bound on the sum of the variables (``sums``).  An examined one
+    also has a slot, in examination order, and by slot its verdict
+    (``alive`` is False once the screen or phase 1 finds it infeasible),
+    its tableau once one has run, and per cached basis whether that basis
+    is feasible for it and the image of its basic solution.  Full rows are
+    read again when needed rather than kept, so memory stays small when
+    many right-hand sides are examined.
+    """
+
+    def __init__(self, projector: "Projector", count: int, bounds, screen) -> None:
+        self.projector = projector
+        self.count = count
+        self._bounds, self._screen = bounds, screen
+        self.m = projector._matrix.shape[0]
+        self.columns: dict[int, np.ndarray] = {}
+        self.sums: np.ndarray | None = None
+        self.alive = np.ones(count, dtype=bool)
+        self.slot = np.full(count, -1)
+        self.examined = 0
+        self.tableaus: dict[int, _Tableau] = {}
+        self.fits = np.zeros((0, 0), dtype=np.int8)  # -1 not yet tested
+        self.images = np.zeros((0, 0, 2))
+        self.screened = self.infeasible = 0
+
+    def _read(self, at, columns) -> np.ndarray:
+        values = self._bounds(at, columns)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("constraint data must be finite")
+        return values
+
+    def _blocks(self, width: int):
+        """Slices of the right-hand sides that a read of ``width`` columns
+        takes at a time."""
+        step = max(1, _READ_VALUES // width)
+        return (slice(start, start + step) for start in range(0, self.count, step))
+
+    def _require(self, columns: np.ndarray) -> None:
+        """Read the given bound columns for every right-hand side."""
+        missing = [j for j in columns.tolist() if j not in self.columns]
+        if missing:
+            values = {j: np.empty(self.count) for j in missing}
+            for at in self._blocks(len(missing)):
+                block = self._read(at, np.array(missing))
+                for i, j in enumerate(missing):
+                    values[j][at] = block[:, i]
+            self.columns.update(values)
+
+    def _sums(self) -> np.ndarray:
+        """``sum b + s max b`` for every right-hand side (see :meth:`upper`),
+        read once."""
+        if self.sums is None:
+            n_ub, scale = self.projector._a_ub.shape[0], self.projector._sum_scale
+            self.sums = np.empty(self.count)
+            for at in self._blocks(self.m):
+                rows = self._read(at, None)
+                self.sums[at] = rows[:, :n_ub].sum(axis=1) + scale * rows.max(axis=1)
+        return self.sums
+
+    def upper(self, objective) -> np.ndarray:
+        """An upper bound on the objective's optimum for every right-hand
+        side, (count,); infinite where nothing bounds it.
+
+        Weak duality.  Let ``M`` be the matrix with one slack column per
+        inequality row, so that the feasible points of right-hand side
+        ``b`` are the ``v = (x, z) >= 0`` with ``M v = b``, and let ``c``
+        be the objective on ``v``.  For any vector ``y``, ``c . v = y . b +
+        d . v`` with ``d = c - y M``.  A cached basis that passes the
+        objective's stopping test gives ``y = c_B B^-1`` (the duals stored
+        per basis, weighted like the objective) with ``d_j <= delta`` for
+        every column, ``delta`` being its most negative accepted reduced
+        cost of the minimization, negated, or 0.  So ``c . v <= y . b +
+        delta * sum(v)`` for every feasible ``v`` of every ``b``.  When all
+        inequality rows are nonnegative, each slack is at most its row's
+        bound, ``z_i = b_i - a_i x <= b_i``, and each variable at most
+        ``max b / s_j``, ``s_j`` its largest coefficient in a nonnegative
+        row; on the region matrix ``s_j = 1``, since every rate variable
+        has coefficient 1 in some single-subset row, so ``sum(v) <= sum b +
+        10 max b`` (``Projector._sum_scale`` is the 10).  Otherwise there is
+        no such bound and a basis with ``delta > 0`` bounds nothing.  A
+        nonnegative inequality row at least the objective row, coefficient
+        by coefficient, is the dual ``y = e_i`` with ``d <= 0`` everywhere,
+        so before any basis is cached its bound (weighted for a segment)
+        already orders the right-hand sides.  The bound of ``b`` is the
+        least over these duals of ``y . b + delta * (sum b + s max b)``
+        plus ``2 m eps |y| . |b|``, which covers the rounding of the
+        product and of the image an examination computes.
+        """
+        duals = self.projector._duals(objective)
+        if duals:  # one read of the columns every bound below needs
+            self._require(np.flatnonzero(np.any([y for y, _ in duals], axis=0)))
+        bound = np.full(self.count, math.inf)
+        for y, delta in duals:
+            np.minimum(bound, self.dual_bound(y, delta), out=bound)
+        return bound
+
+    def dual_bound(self, y: np.ndarray, delta: float) -> np.ndarray:
+        """``y . b`` plus the margin of :meth:`upper` for every right-hand
+        side, (count,); infinite when ``delta > 0`` and the variables'
+        sum has no bound."""
+        scale = self.projector._sum_scale
+        if delta > 0.0 and not math.isfinite(scale):
+            return np.full(self.count, math.inf)
+        columns = np.flatnonzero(y)
+        self._require(columns)
+        value, size = np.zeros(self.count), np.zeros(self.count)
+        for j in columns.tolist():
+            value += y[j] * self.columns[j]
+            size += abs(y[j]) * np.abs(self.columns[j])
+        value += 2 * self.m * np.finfo(float).eps * size
+        if delta > 0.0:
+            value += delta * self._sums()
+        return value
+
+    def _sync(self) -> None:
+        """Grow the verdict and image tables to every slot and basis, the
+        slots by doubling."""
+        have = self.fits.shape
+        need = (self.examined, len(self.projector._inverses))
+        if need[0] > have[0] or need[1] > have[1]:
+            shape = (have[0] if need[0] <= have[0] else max(need[0], 2 * have[0]), need[1])
+            fits = np.full(shape, -1, dtype=np.int8)
+            images = np.zeros(shape + (2,))
+            fits[:have[0], :have[1]] = self.fits
+            images[:have[0], :have[1]] = self.images
+            self.fits, self.images = fits, images
+
+    def _feasible(self, slots: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+        """Whether cached basis k is feasible for each of ``rows``, the full
+        rows of ``slots``, and where it is, the image of its basic
+        solution; computed once per slot and basis.
+
+        One product per block of rows, ``B^-1 b``, decides a verdict unless
+        its rounding could flip it; then the one-row product decides, so a
+        verdict never depends on the other rows.  An image needs only the
+        basic values the objective rows weigh, each summed elementwise per
+        row, so it too depends on the row alone.
+        """
+        self._sync()
+        todo = np.flatnonzero(self.fits[slots, k] < 0)
+        projector = self.projector
+        inverse = projector._inverses[k]
+        carriers, weights = projector._carriers[k]
+        for start in range(0, todo.size, _PRODUCT_BLOCK):
+            at = todo[start:start + _PRODUCT_BLOCK]
+            block = rows[at]
+            lowest = (inverse @ block.T).min(axis=0)
+            fits = lowest >= -BASIS_TOL
+            spread = projector._spread[k] * np.abs(block).max(axis=1)
+            for j in np.flatnonzero(np.abs(lowest + BASIS_TOL) <= spread):
+                fits[j] = (inverse @ block[j]).min() >= -BASIS_TOL
+            self.fits[slots[at], k] = fits
+            values = (block[:, np.newaxis, :] * carriers).sum(axis=2)
+            np.maximum(values, 0.0, out=values)
+            images = (values[:, :, np.newaxis] * weights).sum(axis=1)
+            self.images[slots[at], k] = np.maximum(images, 0.0)
+        return self.fits[slots, k] == 1
+
+    def _answer(self, at: np.ndarray, rows: np.ndarray, bases,
+                waiting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of ``at`` (full rows ``rows``) that are ``waiting`` one of
+        ``bases`` answers, the first feasible in their order, and the
+        images the answers give."""
+        found = np.zeros(at.size, dtype=bool)
+        points = np.zeros((at.size, 2))
+        slots = self.slot[at]
+        for k in bases:
+            todo = np.flatnonzero(waiting & ~found)
+            if not todo.size:
+                break
+            hit = todo[self._feasible(slots[todo], rows[todo], k)]
+            points[hit] = self.images[slots[hit], k]
+            found[hit] = True
+        self.projector.cached_solves += int(found.sum())
+        return found, points
+
+    def _tableau_point(self, slot: int, rhs: np.ndarray, objective) -> tuple[float, float]:
+        """The objective's optimum from the slot's own tableau, built from
+        its full row ``rhs`` and run through phase 1 on first use."""
+        projector = self.projector
+        tableau = self.tableaus.get(slot)
+        if tableau is None:
+            n_ub = projector._a_ub.shape[0]
+            tableau = _Tableau(RateSystem(projector._a_ub, rhs[:n_ub],
+                                          projector._a_eq, rhs[n_ub:]))
+            projector.phase1_runs += 1
+            if not tableau.phase1(FEASIBILITY_TOL):
+                raise _Infeasible
+            self.tableaus[slot] = tableau
+        return projector._tableau_solve(tableau, objective)
+
+    def _examine(self, at: np.ndarray, objective, bound: np.ndarray) -> np.ndarray:
+        """The images of the objective's optima at those of ``at`` that are
+        not infeasible, (n, 2).
+
+        Each right-hand side is screened on its first examination.  Then
+        the first cached basis, in caching order, that passes the stopping
+        test and is feasible answers it; full rows are read, a block at a
+        time, only where a verdict is not known yet.  The rest go to their
+        tableaus one at a time, in decreasing bound, ties broken by row;
+        each basis a tableau solve caches is then tried on those still
+        waiting.
+        """
+        projector = self.projector
+        points = np.zeros((at.size, 2))
+        passing = np.flatnonzero(projector._passing(objective))
+        # Where the verdicts of the passing bases are known up to the first
+        # feasible one, that basis answers without reading the row.
+        self._sync()
+        old = np.flatnonzero(self.slot[at] >= 0)
+        known = np.zeros(old.size, dtype=bool)
+        if passing.size and old.size:
+            verdicts = self.fits[self.slot[at[old]]][:, passing]
+            first = (verdicts != 0).argmax(axis=1)
+            known = verdicts[np.arange(old.size), first] == 1
+            hit = old[known]
+            points[hit] = self.images[self.slot[at[hit]], passing[first[known]]]
+            projector.cached_solves += hit.size
+        waiting = self.alive[at].copy()
+        waiting[old[known]] = False
+        rest = np.flatnonzero(waiting)
+        missed, missed_rows = [], []
+        step = _READ_VALUES // self.m
+        for start in range(0, rest.size, step):
+            block = rest[start:start + step]
+            rows = self._read(at[block], None)
+            new = self.slot[at[block]] < 0
+            fresh = at[block][new]
+            if fresh.size:
+                self.slot[fresh] = self.examined + np.arange(fresh.size)
+                self.examined += fresh.size
+                if self._screen is not None:
+                    certified = self._screen(rows[new])
+                    self.alive[fresh[certified]] = False
+                    self.screened += int(certified.sum())
+            waiting[block] = self.alive[at[block]]
+            found, images = self._answer(at[block], rows, passing, waiting[block])
+            points[block[found]] = images[found]
+            waiting[block[found]] = False
+            left = np.flatnonzero(waiting[block])
+            missed.append(block[left])
+            missed_rows.append(rows[left])
+        missed = np.concatenate(missed) if missed else np.zeros(0, dtype=np.intp)
+        if missed.size:
+            rows = np.concatenate(missed_rows)
+            order = sorted(range(missed.size), reverse=True,
+                           key=lambda i: (bound[at[missed[i]]], rows[i].tobytes()))
+            missed, rows = missed[order], rows[order]
+            tried = len(projector._inverses)
+            for i, j in enumerate(missed.tolist()):
+                if not waiting[j]:
+                    continue
+                waiting[j] = False
+                try:
+                    points[j] = self._tableau_point(int(self.slot[at[j]]), rows[i], objective)
+                except _Infeasible:
+                    self.alive[at[j]] = False
+                    self.infeasible += 1
+                    continue
+                new = np.flatnonzero(projector._passing(objective)[tried:]) + tried
+                tried = len(projector._inverses)
+                later = missed[i + 1:]
+                found, images = self._answer(at[later], rows[i + 1:], new, waiting[later])
+                points[later[found]] = images[found]
+                waiting[later[found]] = False
+        return points[self.alive[at]]
+
+    def best(self, objective) -> tuple[float, float] | None:
+        """The image of the objective's optimum over all right-hand sides,
+        or None when every one is infeasible.
+
+        Right-hand sides are examined in decreasing upper bound, in batches:
+        the first takes those whose bound reaches the largest, each next one
+        the most that reach the incumbent, up to twice as many as before,
+        and a batch always takes every bound tied with its lowest.  The
+        search stops when no bound left reaches the incumbent.  Among the
+        examined optima the largest key wins (see :func:`_keys`), ties broken
+        by the point, so every choice depends on values, not on the order
+        of the right-hand sides.  Bounds are recomputed whenever a basis
+        joins the cache.
+        """
+        weights, corner = objective
+        answered = np.zeros(self.count, dtype=bool)
+        best = np.zeros((0, 2))
+        size, bases = 1, -1
+        bound = np.full(self.count, math.inf)
+        while True:
+            if self.count > 1 and bases != len(self.projector._inverses):
+                bases = len(self.projector._inverses)
+                bound = self.upper(objective)
+            open_ = self.alive & ~answered
+            if len(best):
+                open_ &= bound >= _keys(objective, best)[0]
+            at = np.flatnonzero(open_)
+            if not at.size:
+                return tuple(best[0].tolist()) if len(best) else None
+            if at.size > size:
+                reach = bound[at]
+                at = at[reach >= np.partition(reach, at.size - size)[at.size - size]]
+            answered[at] = True
+            points = np.concatenate([best, self._examine(at, objective, bound)])
+            if len(points):
+                primary, secondary = _keys(objective, points)
+                best = points[np.lexsort((points[:, 1], points[:, 0], secondary, primary))[-1:]]
+            size *= 2
 
 
 class Projector:
     """Frontier projections of many systems that share one matrix.
 
     The projector holds the constraint matrix (``a_ub``, ``a_eq``) and the
-    objective rows; :meth:`project` and :meth:`project_block` take only
-    right-hand sides ``b``.  Reduced costs do not depend on ``b``, so a
-    basis optimal for one system is optimal for every other whose basic
-    solution ``B^-1 b`` is nonnegative.  The projector caches each basis a
-    tableau solve ends in, with ``B^-1``, the reduced costs of both
-    objective rows and the rows of the basic variables in them.  An
-    objective is answered by the first cached basis, in caching order, that
-    passes the test the simplex stops on (reduced costs ``>= -tol``; for a
-    corner lexicographically: the secondary's on the primary's optimal face)
-    and whose basic solution is nonnegative up to ``BASIS_TOL``.  Any other
-    objective goes to the system's own warm-started tableau, built from
-    ``b`` on the first miss; it runs phase 1 first and so decides
-    feasibility, and the basis it ends in joins the cache.  The result thus
-    depends only on the sequence of right-hand sides projected, not on how
-    it is split into blocks.
+    objective rows; :meth:`search` and :meth:`project` take only right-hand
+    sides ``b``.  Reduced costs do not depend on ``b``, so a basis optimal
+    for one system is optimal for every other whose basic solution ``B^-1
+    b`` is nonnegative, and its duals ``c_B B^-1`` bound every system's
+    optimum (weak duality, see :meth:`_Union.upper`).  The projector caches
+    each basis a tableau solve ends in, with ``B^-1``, the duals and reduced
+    costs of both objective rows and the rows of the basic variables in
+    them.  An objective is answered for a system by the first cached basis,
+    in caching order, that passes the test the simplex stops on (reduced
+    costs ``>= -tol``; for a corner lexicographically: the secondary's on
+    the primary's optimal face) and whose basic solution is nonnegative up
+    to ``BASIS_TOL``.  Any other objective goes to the system's own
+    warm-started tableau, built from ``b`` on the first miss; it runs phase
+    1 first and so decides feasibility, and the basis it ends in joins the
+    cache.
     """
 
     def __init__(
@@ -477,10 +778,25 @@ class Projector:
         self.r2_row = np.asarray(r2_row, dtype=float)
         self._rows = np.zeros((2, self._matrix.shape[1]))
         self._rows[:, :n] = self.r1_row, self.r2_row
+        # Weak-duality constants (see _Union.upper): the bound on the sum
+        # of the variables per max b, and per objective row the nonnegative
+        # inequality row that covers it, if any, with the fewest nonzeros.
+        nonneg = np.all(a >= 0.0, axis=1)
+        largest = np.where(nonneg[:, np.newaxis], a, 0.0).max(axis=0)
+        bounded = nonneg[:n_ub].all() and np.all(largest > 0.0)
+        self._sum_scale = float((1.0 / largest).sum()) if bounded else math.inf
+        cover = []
+        for row in (self.r1_row, self.r2_row):
+            fits = nonneg[:n_ub] & np.all(self._a_ub >= row, axis=1)
+            fits = np.flatnonzero(fits)
+            if fits.size:
+                cover.append(int(fits[np.argmin(np.count_nonzero(self._a_ub[fits], axis=1))]))
+        self._cover = cover if len(cover) == 2 else None
         self._keys: set[bytes] = set()
         self._inverses: list[np.ndarray] = []
-        self._images: list[np.ndarray] = []
+        self._carriers: list[tuple[np.ndarray, np.ndarray]] = []
         self._spread: list[float] = []
+        self._dual_rows = np.zeros((0, 2, a.shape[0]))
         self._reduced = np.zeros((0, 2, self._matrix.shape[1]))
         self._corners = np.zeros((0, 2), dtype=bool)
         self.phase1_runs = self.cached_solves = self.tableau_solves = 0
@@ -513,72 +829,60 @@ class Projector:
             for p, s in ((0, 1), (1, 0))
         ]
         self._inverses.append(inverse)
-        self._images.append(self._rows[:, basis].T.copy())
+        images = self._rows[:, basis].T
+        carriers = np.flatnonzero(images.any(axis=1))
+        self._carriers.append((inverse[carriers], images[carriers][np.newaxis]))
         # Two roundings of a dot product of length m differ by at most
         # 2 m u |B^-1| |b| (u = eps / 2), bounded by this times max |b|.
         self._spread.append(
             len(inverse) * np.finfo(float).eps * np.abs(inverse).sum(axis=1).max())
+        duals = self._rows[:, basis] @ inverse
+        self._dual_rows = np.concatenate([self._dual_rows, duals[np.newaxis]])
         self._reduced = np.concatenate([self._reduced, reduced[np.newaxis]])
         self._corners = np.concatenate([self._corners, [corners]])
 
-    def _feasible(self, rows: np.ndarray, known: np.ndarray) -> np.ndarray:
-        """Which cached bases are feasible for each of ``rows``, (bases,
-        rows): ``known``, the answer for the first bases, extended to all.
+    def _priced(self, objective) -> np.ndarray:
+        """Each cached basis's reduced costs of the objective's primary row
+        (the weighted row of a segment), (bases, columns)."""
+        weights, corner = objective
+        if weights is None:
+            return self._reduced[:, corner]
+        return weights[0] * self._reduced[:, 0] + weights[1] * self._reduced[:, 1]
 
-        One product per basis tests the whole window.  It may round apart
-        from the one-row product :meth:`_image` uses; where the difference
-        could flip the verdict, the one-row product decides, so a verdict
-        never depends on the window.
-        """
-        have, total = len(known), len(self._inverses)
-        if have == total:
-            return known
-        scale = np.abs(rows).max(axis=1)
-        lowest = np.array([(inverse @ rows.T).min(axis=0) for inverse in self._inverses[have:]])
-        extra = lowest >= -BASIS_TOL
-        unsure = np.abs(lowest + BASIS_TOL) <= np.multiply.outer(self._spread[have:total], scale)
-        for i, j in zip(*np.nonzero(unsure)):
-            extra[i, j] = (self._inverses[have + i] @ rows[j]).min() >= -BASIS_TOL
-        return np.concatenate([known, extra])
+    def _passing(self, objective) -> np.ndarray:
+        """Which cached bases pass the simplex's stopping test for the
+        objective, (bases,)."""
+        weights, corner = objective
+        if weights is None:
+            return self._corners[:, corner]
+        return self._priced(objective).min(axis=1, initial=0.0) >= -FEASIBILITY_TOL
 
-    def _optimal(self, objectives: list) -> np.ndarray:
-        """Which cached bases pass the simplex's stopping test for each
-        objective, (bases, objectives)."""
-        optimal = self._corners[:, [corner for _, corner in objectives]]
-        segment = [i for i, (weights, _) in enumerate(objectives) if weights is not None]
-        if segment:
-            w = np.array([objectives[i][0] for i in segment])
-            reduced = self._reduced[:, np.newaxis]
-            priced = w[:, 0, None] * reduced[:, :, 0] + w[:, 1, None] * reduced[:, :, 1]
-            optimal[:, segment] = priced.min(axis=2) >= -FEASIBILITY_TOL
-        return optimal
+    def _duals(self, objective) -> list[tuple[np.ndarray, float]]:
+        """The dual vectors that bound the objective, each with its
+        ``delta``: those of the passing bases, then the covering rows'."""
+        weights, corner = objective
+        if weights is None:
+            duals = self._dual_rows[:, corner]
+        else:
+            duals = weights[0] * self._dual_rows[:, 0] + weights[1] * self._dual_rows[:, 1]
+        delta = -self._priced(objective).min(axis=1, initial=0.0)
+        out = [(duals[k], float(delta[k])) for k in np.flatnonzero(self._passing(objective))]
+        if self._cover is not None:
+            y = np.zeros(self._dual_rows.shape[2])
+            if weights is None:
+                y[self._cover[corner]] = 1.0
+            else:
+                y[self._cover[0]] += weights[0]
+                y[self._cover[1]] += weights[1]
+            out.append((y, 0.0))
+        return out
 
-    def _image(self, k: int, rows: np.ndarray) -> list[tuple[float, float]]:
-        """Image of cached basis k's basic solution for each of ``rows``.
-
-        ``B^-1 b`` is one matrix-vector product per row, the same product
-        for a row whatever the other rows are, so an image never depends
-        on the window."""
-        values = np.matmul(self._inverses[k], rows[:, :, np.newaxis])
-        np.maximum(values, 0.0, out=values)
-        images = np.matmul(values.transpose(0, 2, 1), self._images[k])[:, 0]
-        return [(max(r1, 0.0), max(r2, 0.0)) for r1, r2 in images.tolist()]
-
-    def _tableau_solve(self, search: _Search) -> tuple[float, float]:
-        """Image of an optimum of the search's objective from its own
-        tableau, built and run through phase 1 on its first miss; the basis
-        the solve ends in joins the cache."""
+    def _tableau_solve(self, tableau: _Tableau, objective) -> tuple[float, float]:
+        """Image of an optimum of the objective from a tableau past phase 1;
+        the basis the solve ends in joins the cache."""
         tol = FEASIBILITY_TOL
         r1_row, r2_row = self.r1_row, self.r2_row
-        weights, corner = search.objective
-        tableau = search.tableau
-        if tableau is None:
-            n_ub, rhs = self._a_ub.shape[0], search.rhs
-            system = RateSystem(self._a_ub, rhs[:n_ub], self._a_eq, rhs[n_ub:])
-            tableau = search.tableau = _Tableau(system)
-            self.phase1_runs += 1
-            if not tableau.phase1(tol):
-                raise _Infeasible
+        weights, corner = objective
         if weights is None:
             rows = (r1_row, r2_row)
             if tableau.maximize(rows[corner], tol) != "optimal":
@@ -593,129 +897,55 @@ class Projector:
         x = tableau.solution(tol)
         return max(float(r1_row @ x), 0.0), max(float(r2_row @ x), 0.0)
 
-    def _rounds(self, searches: list[_Search], rows: np.ndarray, feasible: np.ndarray,
-                *, tableau: bool) -> np.ndarray:
-        """Answer the searches' objectives round by round, one lookup over
-        all of them per round, until each search is done or paused.
+    def search(self, count: int, bounds, screen=None) -> tuple[list, dict]:
+        """The dichotomic vertices of the union of ``count`` systems'
+        projections, and how many systems were examined, screened and found
+        infeasible by phase 1.
 
-        ``rows`` are the searches' right-hand sides and ``feasible`` which
-        cached bases are known feasible for them; it is returned extended
-        to every basis cached meanwhile.  An objective no cached basis
-        answers goes to the search's tableau with ``tableau`` set, and
-        otherwise leaves the search paused at it.
+        Exact, by the bicriteria dichotomic search (Aneja & Nair 1979) run
+        once over the union: solve the two lexicographic corners, then
+        maximize along the normal of each segment between adjacent known
+        vertices; a point above the segment is a new vertex and splits it,
+        otherwise the segment is a frontier edge.  The optimum of each
+        objective over the union is found by :meth:`_Union.best`, which
+        examines only the systems whose weak-duality bound reaches the best
+        optimum found.  The vertices are neither sorted nor pruned, and
+        empty when every system is infeasible.
+
+        ``bounds(at, columns)`` gives the right-hand sides of the systems
+        ``at`` (an index array, or a slice for all), only the given columns
+        of them, or whole rows for ``columns`` None; every value the search
+        reads is checked finite first, and a non-finite one is a
+        ValueError.  ``screen(rows)``, if given, marks whole rows that are
+        certainly infeasible; they count as examined and screened.  A
+        SolverFailure ends the search.
         """
-        active = [i for i, search in enumerate(searches) if search.objective is not None]
-        while active:
-            feasible = self._feasible(rows, feasible)
-            hit = self._optimal([searches[i].objective for i in active]) & feasible[:, active]
-            if len(hit):
-                first = hit.argmax(axis=0)
-                found = hit[first, np.arange(len(active))]
-            else:
-                first = found = np.zeros(len(active), dtype=np.intp)
-            first, found = first.tolist(), found.tolist()
-            # the images this round needs, one product per basis
-            needed: dict[int, list[int]] = {}
-            for i, k, ok in zip(active, first, found):
-                if ok and k not in searches[i].images:
-                    needed.setdefault(k, []).append(i)
-            for k, group in needed.items():
-                for i, point in zip(group, self._image(k, rows[group])):
-                    searches[i].images[k] = point
-            still = []
-            for i, k, ok in zip(active, first, found):
-                search = searches[i]
-                if ok:
-                    self.cached_solves += 1
-                    search.answer(search.images[k])
-                elif not tableau:
-                    continue
-                else:
-                    try:
-                        search.answer(self._tableau_solve(search))
-                    except _Infeasible:
-                        search.objective = None
-                if search.objective is not None:
-                    still.append(i)
-            active = still
-        return feasible
-
-    def project_block(
-        self, rows: np.ndarray
-    ) -> list[list[tuple[float, float]] | SolverFailure]:
-        """The dichotomic vertices of each row of ``rows``, (n, m), in
-        order: a list of (r1, r2) image points, empty when the row's system
-        is infeasible, or the SolverFailure its projection raised.  The
-        vertices are neither sorted nor pruned; :meth:`project` turns one
-        row's into a :class:`Frontier`.
-
-        Answers equal those of one call per row.  Each window of
-        ``BLOCK_WINDOW`` rows is run against the cache as it stands, every
-        round of the dichotomic searches one lookup for the whole window; a
-        search that misses pauses at that objective.  Then
-        the first paused search, in row order, resumes alone with its
-        tableau, which caches the bases it ends in, and the other paused
-        searches run against the grown cache again; this repeats until all
-        are done, or until such a pass finishes none of them, after which
-        they resume one by one.  New bases join the cache after every
-        basis already there, so the basis that answered an objective
-        before would answer it after, and a search meets the bases of the
-        rows before it whenever it misses.  Any non-finite entry is a
-        ValueError, raised before any cached basis could turn a row into a
-        point.
-        """
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != self._matrix.shape[0]:
-            raise ValueError(f"right-hand sides must have {self._matrix.shape[0]} entries")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("constraint data must be finite")
-        results: list[list[tuple[float, float]] | SolverFailure] = []
-        for start in range(0, len(rows), BLOCK_WINDOW):
-            window = rows[start:start + BLOCK_WINDOW]
-            searches = [_Search(rhs) for rhs in window]
-            failures: dict[int, SolverFailure] = {}
-            paused = list(range(len(window)))
-            feasible = np.zeros((0, len(window)), dtype=bool)
-            speculate = True
-            while paused:
-                if speculate:
-                    feasible = self._rounds([searches[j] for j in paused], window[paused],
-                                            feasible, tableau=False)
-                    left = [i for i, j in enumerate(paused) if searches[j].objective is not None]
-                    # Once a pass after a resumed search finishes none of
-                    # the others, the cache is not catching up with the
-                    # window: the rest resume in turn without more passes.
-                    speculate = len(left) < len(paused) or len(paused) == len(window)
-                    paused, feasible = [paused[i] for i in left], feasible[:, left]
-                    if not paused:
-                        break
-                first = paused.pop(0)
-                try:
-                    self._rounds([searches[first]], window[first:first + 1], feasible[:, :1],
-                                 tableau=True)
-                except SolverFailure as exc:
-                    failures[first] = exc
-                feasible = feasible[:, 1:]
-            results += [failures.get(j, search.vertices) for j, search in enumerate(searches)]
-        return results
+        union = _Union(self, count, bounds, screen)
+        steps = _dichotomic(FEASIBILITY_TOL)
+        objective = next(steps)
+        vertices: list[tuple[float, float]] = []
+        try:
+            while (point := union.best(objective)) is not None:
+                objective = steps.send(point)
+        except StopIteration as stop:
+            vertices = stop.value
+        return vertices, {"examined": union.examined, "screened": union.screened,
+                          "infeasible": union.infeasible}
 
     def project(self, rhs: np.ndarray) -> Frontier:
         """Pareto frontier of the image of the system with right-hand side
         ``rhs`` (the inequality bounds, then the equality values) under the
-        objective rows.
-
-        Exact, by the bicriteria dichotomic search (Aneja & Nair 1979):
-        solve the two lexicographic corners, then maximize along the normal
-        of each segment between adjacent known vertices; a point above the
-        segment is a new vertex and splits it, otherwise the segment is a
-        frontier edge.  Infeasible systems give an empty frontier, with
-        ``metadata["infeasible"]`` set.  A non-finite ``rhs`` is a
-        ValueError, raised before any cached basis could turn it into a
-        point.  A block of one: see :meth:`project_block`.
+        objective rows: :meth:`search` over that one system, without a
+        screen, so phase 1 decides feasibility.  Infeasible systems give an
+        empty frontier, with ``metadata["infeasible"]`` set.  A non-finite
+        ``rhs`` is a ValueError, raised before any cached basis could turn
+        it into a point.
         """
-        [vertices] = self.project_block(np.asarray(rhs, dtype=float)[np.newaxis])
-        if isinstance(vertices, SolverFailure):
-            raise vertices
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self._matrix.shape[0],):
+            raise ValueError(f"right-hand sides must have {self._matrix.shape[0]} entries")
+        vertices, _ = self.search(
+            1, lambda at, columns: (rhs if columns is None else rhs[columns])[np.newaxis])
         return Frontier(points=_pareto_prune(vertices), metadata={"infeasible": not vertices})
 
 

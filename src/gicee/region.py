@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import astuple, dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -30,7 +31,6 @@ from .polytope import (
     Frontier,
     Projector,
     RateSystem,
-    SolverFailure,
     _pareto_prune,
     pareto_merge,
     project_frontier,
@@ -201,9 +201,11 @@ _USER1 = (np.arange(8) < 4)[:, np.newaxis]
 _RECEIVER_OF = np.array([receiver for receiver, _ in _BOUNDS])
 
 
+@lru_cache(maxsize=16)
 def _power_maps(channel: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel (8, 93) maps from state powers to each bound's SNR
-    numerator and to the part of its noise floor above the unit noise."""
+    numerator and to the part of its noise floor above the unit noise,
+    read-only and cached, since a sweep asks for them per block."""
     user_gains = {
         "y1": (1.0, channel.c21),
         "y2": (channel.c12, 1.0),
@@ -211,7 +213,10 @@ def _power_maps(channel: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     }
     g1, g2 = np.array([user_gains[r] for r in _RECEIVER_OF]).T
     gains = np.where(_USER1, g1, g2)
-    return _SUBSET_OF * gains, _FLOOR_OF * gains
+    maps = _SUBSET_OF * gains, _FLOOR_OF * gains
+    for array in maps:
+        array.setflags(write=False)
+    return maps
 
 
 def _allocation_arrays(alloc: TimeSharedAllocation) -> np.ndarray:
@@ -220,20 +225,24 @@ def _allocation_arrays(alloc: TimeSharedAllocation) -> np.ndarray:
     return np.array([[(w,) + astuple(s) for w, s in alloc.states]], dtype=float)
 
 
-def bound_rows(channel: ChannelParams, allocations: np.ndarray) -> np.ndarray:
+def bound_rows(channel: ChannelParams, allocations: np.ndarray,
+               columns: np.ndarray | None = None) -> np.ndarray:
     """Time-share-averaged MI bounds of a block of allocations, (n, 93).
 
     ``allocations`` is (n, k, 9): per state a weight, then the 8 powers.
     Columns follow the system rows: the 92 inequality bounds, then the
-    eavesdropper equality.  Each is ``gamma(subset power / floor)``
-    averaged over the states.  Elementwise arithmetic only, so a row does
-    not depend on the other allocations in the block.  A power so large
-    that a received power overflows gives a non-finite bound, which
-    :class:`RateSystem` and :meth:`Projector.project` reject; the sweeps'
-    grids stay below that.
+    eavesdropper equality; ``columns`` picks some of them, in its order.
+    Each is ``gamma(subset power / floor)`` averaged over the states.
+    Elementwise arithmetic only, so a value depends neither on the other
+    allocations in the block nor on the other columns asked for.  A power
+    so large that a received power overflows gives a non-finite bound,
+    which :class:`RateSystem` and :meth:`Projector.search` reject; the
+    sweeps' grids stay below that.
     """
     numerator_map, floor_map = _power_maps(channel)
-    numerator = np.zeros(allocations.shape[:2] + (N_BOUNDS,))
+    if columns is not None:
+        numerator_map, floor_map = numerator_map[:, columns], floor_map[:, columns]
+    numerator = np.zeros(allocations.shape[:2] + numerator_map.shape[1:])
     floor = np.ones_like(numerator)
     # A power that is zero throughout the block adds 0 * gain = +0.0 to
     # every sum, which leaves it bit for bit unchanged, so it is skipped
@@ -303,9 +312,11 @@ class RegionSpec:
             )
 
 
-# Largest grid a sweep may enumerate.  A sweep holds about 0.6 kB per
-# allocation (fig3 r3 at steps 31: 246 016 allocations, 174 MB peak RSS,
-# 12 s on a 2-vCPU host), so this keeps a run within about a gigabyte.
+# Largest grid a sweep may enumerate.  A sweep holds about 0.23 kB per
+# allocation (fig3 r3 at steps 31: 246 016 allocations, 87 MB peak RSS
+# against 31 MB for a tiny grid, 0.7 s on a 2-vCPU host), and about 0.37
+# kB when every allocation ties and all are examined (zero gains at steps
+# 31: 121 MB), so this keeps a run within about half a gigabyte.
 MAX_ALLOCATIONS = 1_000_000
 
 
@@ -411,70 +422,54 @@ def _family_allocations(spec: RegionSpec) -> np.ndarray:
     return out
 
 
-# Allocations per bound block: small enough that a block's bound arrays
-# stay well under a megabyte.
-CHUNK = 256
-
-
 def region_union(spec: RegionSpec) -> Frontier:
     """Convex-closure union of the per-allocation regions of a family grid.
 
-    One process runs the grid array of :func:`_family_allocations`, all
-    within budget, in its fixed order, in blocks of ``CHUNK`` whose bounds
-    come from one pass.  The allocations the screen certifies infeasible
-    are only counted; the bound rows of the others go to one
-    :class:`Projector` a block at a time, so each reuses the optimal bases
-    of the allocations before it.  The projector lives for this call only,
-    so the result depends on the spec alone; its LP counts go into the
-    metadata as ``lp``, and the seconds spent enumerating, computing
-    bounds, screening, projecting and merging as ``timing``.  A solver
-    failure does not stop the sweep; the failures are raised at its end.
-
-    The union is the convex closure of all allocations' vertices, so they
-    are pooled, pruned once and merged.  Pruning per allocation first can
-    keep another copy of a vertex that two allocations reach within
-    ``PARETO_EPS`` of each other (seen 1 ulp apart on an odd-budget
-    channel's two-state grid), so the support can differ by about that.
+    One process runs one :meth:`Projector.search` over the grid array of
+    :func:`_family_allocations`, all within budget: a single dichotomic
+    search of the union, which examines only the allocations whose
+    weak-duality bound reaches the best point found for an objective.
+    Bounds come from :func:`bound_rows` on demand: for every allocation
+    the few columns the bounds read, for the examined ones whole rows,
+    which the screen sees first.  The projector lives for this call only,
+    and its choices depend on values, not on the order of the grid, so the
+    result depends on the spec alone.  Its LP counts go into the metadata
+    as ``lp``, the allocations it examined, screened and found infeasible
+    as counts, and the seconds spent enumerating, computing bounds,
+    screening, projecting and merging as ``timing``.  A solver failure
+    ends the sweep.
     """
     clock = time.perf_counter
     timing = dict.fromkeys(("enumerate", "bounds", "screen", "project", "merge"), 0.0)
     start = clock()
     allocations = _family_allocations(spec)
     timing["enumerate"] = clock() - start
+
+    def bounds(at, columns):
+        begin = clock()
+        rows = bound_rows(spec.channel, allocations[at], columns)
+        timing["bounds"] += clock() - begin
+        return rows
+
+    def screen(rows):
+        begin = clock()
+        certified = certified_infeasible(rows)
+        timing["screen"] += clock() - begin
+        return certified
+
     projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
-    vertices: list[tuple[float, float]] = []
-    failures: list[str] = []
-    screened = infeasible = 0
-    for at in range(0, len(allocations), CHUNK):
-        start = clock()
-        block = bound_rows(spec.channel, allocations[at:at + CHUNK])
-        bounded = clock()
-        certified = certified_infeasible(block)
-        screened += int(certified.sum())
-        checked = clock()
-        for result in projector.project_block(block[~certified]):
-            if isinstance(result, SolverFailure):
-                failures.append(str(result))
-            elif not result:
-                infeasible += 1
-            else:
-                vertices += result
-        timing["bounds"] += bounded - start
-        timing["screen"] += checked - bounded
-        timing["project"] += clock() - checked
-    if failures:
-        raise SolverFailure(
-            f"{len(failures)} of {len(allocations)} allocations failed; "
-            f"first: {failures[0]}"
-        )
+    start = clock()
+    vertices, counts = projector.search(len(allocations), bounds, screen)
+    timing["project"] = clock() - start - timing["bounds"] - timing["screen"]
     start = clock()
     union = pareto_merge([Frontier(points=_pareto_prune(vertices))], metadata={
         "scheme": spec.variant,
         "steps": spec.steps,
         "states": spec.states,
         "allocations": len(allocations),
-        "infeasible_allocations": screened + infeasible,
-        "screened_allocations": screened,
+        "examined_allocations": counts["examined"],
+        "infeasible_allocations": counts["screened"] + counts["infeasible"],
+        "screened_allocations": counts["screened"],
         "lp": projector.counts,
         "timing": timing,
     })

@@ -9,6 +9,7 @@ so regions are plain grid sweeps plus a convex merge, no LP involved.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -221,6 +222,10 @@ def ctdma_region(
     :func:`_best_partners` for why the lookup equals the maximum over all
     feasible pairs.
 
+    The metadata's ``timing`` holds the seconds spent building the slot
+    grids and their rates (``grid``), looking up partners (``pair``) and
+    pruning and merging the points (``merge``).
+
     Raises ValueError for an unknown variant, a grid whose
     :func:`slot_rows_bound` passes ``MAX_SLOT_ROWS``, or a channel whose
     budgets, stretched by the shortest nonzero slot, would overflow the
@@ -239,16 +244,25 @@ def ctdma_region(
     # The shortest nonzero slot is 1 / (alpha_steps - 1) of the block.
     channel.check_power_scale(max(alpha_steps - 1, 1))
     cap1, cap2 = channel.p1 + BUDGET_TOL, channel.p2 + BUDGET_TOL
+    clock = time.perf_counter
+    timing = dict.fromkeys(("grid", "pair", "merge"), 0.0)
     r1_parts, r2_parts = [], []
     for alpha in np.linspace(0.0, 1.0, alpha_steps):
         alpha = float(alpha)
+        start = clock()
         slot1, slot2 = _slot_grids(variant, channel, alpha, steps)
         r1, used1_a, used2_a = _slot_arrays(channel, alpha, 1, slot1)
         r2, used2_b, used1_b = _slot_arrays(channel, alpha, 2, slot2)
+        paired = clock()
         best = _best_partners(r2, used1_b, used2_b, used1_a, used2_a, cap1, cap2)
         feasible = best > -np.inf
         r1_parts.append(r1[feasible])
         r2_parts.append(best[feasible])
+        timing["grid"] += paired - start
+        timing["pair"] += clock() - paired
+    start = clock()
     points = np.column_stack([np.concatenate(r1_parts), np.concatenate(r2_parts)])
-    meta = {"scheme": variant, "steps": steps, "alpha_steps": alpha_steps}
-    return pareto_merge([Frontier(points=_pareto_prune(points))], metadata=meta)
+    meta = {"scheme": variant, "steps": steps, "alpha_steps": alpha_steps, "timing": timing}
+    union = pareto_merge([Frontier(points=_pareto_prune(points))], metadata=meta)
+    timing["merge"] = clock() - start
+    return union

@@ -126,18 +126,25 @@ def test_out_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
     assert "is a directory" in capsys.readouterr().err
 
 
-def test_region_sidecar_reports_timing(tmp_path):
+STAGES = {
+    "region": {"enumerate", "bounds", "screen", "project", "merge", "write"},
+    "ctdma": {"grid", "pair", "merge", "write"},
+}
+
+
+@pytest.mark.parametrize("command", ["region", "ctdma"])
+def test_region_sidecar_reports_timing(tmp_path, command):
     # the seconds per stage; every other sidecar field and the CSV bytes
     # are the same from run to run
     runs = []
     for name in ("a", "b"):
         out = tmp_path / f"{name}.csv"
-        assert main(["region", "--preset", "fig3", "--steps", "6", "--out", str(out)]) == 0
+        assert main([command, "--preset", "fig3", "--steps", "6", "--out", str(out)]) == 0
         runs.append((out.read_bytes(), json.loads((tmp_path / f"{name}.json").read_text())))
     (csv_a, side_a), (csv_b, side_b) = runs
     for sidecar in (side_a, side_b):
         timing = sidecar.pop("timing")
-        assert set(timing) == {"enumerate", "bounds", "screen", "project", "merge", "write"}
+        assert set(timing) == STAGES[command]
         assert all(isinstance(v, float) and v >= 0.0 for v in timing.values())
     assert csv_a == csv_b
     assert side_a == side_b
@@ -175,6 +182,10 @@ def test_region_sidecar_counts_screened_allocations(tmp_path):
     assert main(["region", "--preset", "fig3", "--steps", "6", "--out", str(out)]) == 0
     sidecar = json.loads((tmp_path / "fig3.json").read_text())
     assert 0 < sidecar["screened_allocations"] <= sidecar["infeasible_allocations"]
+    # the union search examines only some allocations; the infeasible
+    # ones are counted among those
+    assert sidecar["infeasible_allocations"] <= sidecar["examined_allocations"]
+    assert sidecar["examined_allocations"] <= sidecar["allocations"]
 
 
 def test_region_sidecar_reports_lp_work(tmp_path):
@@ -410,6 +421,11 @@ OVERFLOWING = ["--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
     (REGION + ["--steps", "abc"], {}),
     (REGION + ["--bogus"], {}),
     ([], {}),
+    # a JSON boolean is no number, though Python counts it as 0 or 1
+    (["region", "--config", "{boolchannel}"], {}),
+    (["ctdma", "--config", "{boolchannel}"], {}),
+    (["point", "--preset", "fig2", "--alloc", "{boolpower}"], {}),
+    (["point", "--preset", "fig2", "--alloc", "{boolweight}"], {}),
 ])
 def test_region_bad_input_is_config_error(tmp_path, argv, env):
     config = tmp_path / "run.json"
@@ -420,8 +436,16 @@ def test_region_bad_input_is_config_error(tmp_path, argv, env):
     huge.write_text(json.dumps(
         {"states": [{"weight": 1e-308, "pc1": 1.7e308}, {"weight": 1}]}
     ))
+    boolchannel = tmp_path / "boolchannel.json"
+    boolchannel.write_text(json.dumps(
+        {"c12": True, "c21": 1.9, "c1e": 0.5, "c2e": 0.5, "p1": 10, "p2": 10}))
+    boolpower = tmp_path / "boolpower.json"
+    boolpower.write_text(json.dumps({"states": [{"weight": 1, "pc1": True}]}))
+    boolweight = tmp_path / "boolweight.json"
+    boolweight.write_text(json.dumps({"states": [{"weight": True, "pc1": 1.0}]}))
     argv = [a.format(config=config, missing=tmp_path / "missing", huge=huge, bigint=bigint,
-                     outdir=tmp_path)
+                     outdir=tmp_path, boolchannel=boolchannel, boolpower=boolpower,
+                     boolweight=boolweight)
             for a in argv]
     if argv and "--out" not in argv and argv[0] != "validate":
         argv += ["--out", str(tmp_path / "region.csv")]

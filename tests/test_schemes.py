@@ -231,6 +231,9 @@ def test_region_matches_dense_pairing(channel, variant, steps, alpha_steps):
     fast = ctdma_region(channel, variant, steps=steps, alpha_steps=alpha_steps)
     dense = dense_pairing_region(channel, variant, steps, alpha_steps)
     assert fast.points == dense.points
+    # timing is the one metadata field the literal pairing does not have
+    timing = fast.metadata.pop("timing")
+    assert set(timing) == {"grid", "pair", "merge"}
     assert fast.metadata == dense.metadata
     for alpha in np.linspace(0.0, 1.0, alpha_steps):
         for grid, literal in zip(_slot_grids(variant, channel, float(alpha), steps),

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import gicee
@@ -27,3 +28,17 @@ def test_every_public_name_is_used_by_the_program():
     sources += list((ROOT / "bench").glob("*.py"))
     used = set().union(*(used_names(p) for p in sources))
     assert sorted(set(gicee.__all__) - used) == []
+
+
+def test_every_traced_layer_exists():
+    # bench/tracer.py wraps the functions its LAYERS table names; one the
+    # program no longer has reads as trace.missing, so a refactor that
+    # drops or renames one must fail here first
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    [layers] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)]
+    missing = [f"{module}.{name}"
+               for module, names in ast.literal_eval(layers).items()
+               for name in names
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []
