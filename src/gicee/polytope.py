@@ -428,6 +428,23 @@ _READ_VALUES = 1 << 15
 _PRODUCT_BLOCK = 64
 
 
+class _Rows:
+    """The full rows of some right-hand sides of a :class:`_Union`, each
+    read on first use; indexed by position in ``at``."""
+
+    def __init__(self, union: "_Union", at: np.ndarray) -> None:
+        self._union, self._at = union, at
+        self._values = np.zeros((at.size, union.m))
+        self._read = np.zeros(at.size, dtype=bool)
+
+    def __getitem__(self, index: np.ndarray) -> np.ndarray:
+        need = index[~self._read[index]]
+        if need.size:
+            self._values[need] = self._union._read(self._at[need], None)
+            self._read[need] = True
+        return self._values[index]
+
+
 class _Union:
     """The state of one :meth:`Projector.search` over ``count`` right-hand
     sides, whose bounds ``bounds(at, columns)`` computes on demand.
@@ -591,19 +608,24 @@ class _Union:
             self.images[slots[at], k] = np.maximum(images, 0.0)
         return self.fits[slots, k] == 1
 
-    def _answer(self, at: np.ndarray, rows: np.ndarray, bases,
+    def _answer(self, at: np.ndarray, rows, bases,
                 waiting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which of ``at`` (full rows ``rows``) that are ``waiting`` one of
-        ``bases`` answers, the first feasible in their order, and the
-        images the answers give."""
+        """Which of ``at`` that are ``waiting`` one of ``bases`` answers,
+        the first feasible in their order, and the images the answers give.
+        ``rows`` (an array or :class:`_Rows`) gives their full rows, taken
+        only where a verdict is not known yet."""
         found = np.zeros(at.size, dtype=bool)
         points = np.zeros((at.size, 2))
         slots = self.slot[at]
+        self._sync()
         for k in bases:
             todo = np.flatnonzero(waiting & ~found)
             if not todo.size:
                 break
-            hit = todo[self._feasible(slots[todo], rows[todo], k)]
+            untested = todo[self.fits[slots[todo], k] < 0]
+            if untested.size:
+                self._feasible(slots[untested], rows[untested], k)
+            hit = todo[self.fits[slots[todo], k] == 1]
             points[hit] = self.images[slots[hit], k]
             found[hit] = True
         self.projector.cached_solves += int(found.sum())
@@ -630,44 +652,27 @@ class _Union:
 
         Each right-hand side is screened on its first examination.  Then
         the first cached basis, in caching order, that passes the stopping
-        test and is feasible answers it; full rows are read, a block at a
-        time, only where a verdict is not known yet.  The rest go to their
-        tableaus one at a time, in decreasing bound, ties broken by row;
-        each basis a tableau solve caches is then tried on those still
-        waiting.
+        test and is feasible answers it.  The rest go to their tableaus one
+        at a time, in decreasing bound, ties broken by row; each basis a
+        tableau solve caches is then tried on those still waiting.
         """
         projector = self.projector
         points = np.zeros((at.size, 2))
         passing = np.flatnonzero(projector._passing(objective))
-        # Where the verdicts of the passing bases are known up to the first
-        # feasible one, that basis answers without reading the row.
-        self._sync()
-        old = np.flatnonzero(self.slot[at] >= 0)
-        known = np.zeros(old.size, dtype=bool)
-        if passing.size and old.size:
-            verdicts = self.fits[self.slot[at[old]]][:, passing]
-            first = (verdicts != 0).argmax(axis=1)
-            known = verdicts[np.arange(old.size), first] == 1
-            hit = old[known]
-            points[hit] = self.images[self.slot[at[hit]], passing[first[known]]]
-            projector.cached_solves += hit.size
-        waiting = self.alive[at].copy()
-        waiting[old[known]] = False
-        rest = np.flatnonzero(waiting)
+        waiting = np.zeros(at.size, dtype=bool)
         missed, missed_rows = [], []
         step = _READ_VALUES // self.m
-        for start in range(0, rest.size, step):
-            block = rest[start:start + step]
-            rows = self._read(at[block], None)
-            new = self.slot[at[block]] < 0
-            fresh = at[block][new]
+        for start in range(0, at.size, step):
+            block = np.arange(start, min(start + step, at.size))
+            rows = _Rows(self, at[block])
+            fresh = np.flatnonzero(self.slot[at[block]] < 0)
             if fresh.size:
-                self.slot[fresh] = self.examined + np.arange(fresh.size)
+                self.slot[at[block[fresh]]] = self.examined + np.arange(fresh.size)
                 self.examined += fresh.size
                 if self._screen is not None:
-                    certified = self._screen(rows[new])
-                    self.alive[fresh[certified]] = False
-                    self.screened += int(certified.sum())
+                    certified = fresh[self._screen(rows[fresh])]
+                    self.alive[at[block[certified]]] = False
+                    self.screened += certified.size
             waiting[block] = self.alive[at[block]]
             found, images = self._answer(at[block], rows, passing, waiting[block])
             points[block[found]] = images[found]

@@ -690,9 +690,9 @@ def test_projector_rejects_non_finite_bounds(monkeypatch, fig3, bad):
     counts = projector.counts
     feasible = polytope._Union._feasible
 
-    def finite_lookup(self, slots, k):
-        assert np.all(np.isfinite(self.rows[slots])), "a non-finite bound reached the cache"
-        return feasible(self, slots, k)
+    def finite_lookup(self, slots, rows, k):
+        assert np.all(np.isfinite(rows)), "a non-finite bound reached the cache"
+        return feasible(self, slots, rows, k)
 
     monkeypatch.setattr(polytope._Union, "_feasible", finite_lookup)
     for at in (0, 45, len(good) - 1):
@@ -770,11 +770,17 @@ UNION_GRIDS = (
 )
 
 
+# On odd-budgets r3 steps 3 states 2, the merge of per-allocation frontiers
+# keeps a point that lies on the segment between its neighbours up to the
+# last bit (its cross product rounds positive in _hull_vertices); a
+# dichotomic search never reports such a point, so on this grid alone the
+# oracle's points are compared without it.
+COLLINEAR_GRIDS = {("odd-budgets", "r3", 3, 2)}
+
+
 def strict_vertices(points, tol=FEASIBILITY_TOL):
     """Frontier points less those that lie within the dichotomic search's
-    tolerance of the segment between their neighbours; the search never
-    reports such a point, while the hull of per-allocation frontiers keeps
-    one whose cross product rounds positive."""
+    tolerance of the segment between their neighbours."""
     points = list(points)
     at = 1
     while at < len(points) - 1:
@@ -791,24 +797,23 @@ def strict_vertices(points, tol=FEASIBILITY_TOL):
     return points
 
 
-def assert_same_union(union, expected):
-    """Equal CSV text of the strict vertices, and every coordinate within
-    4 ulps of the largest one: the union search reads a vertex through
-    whichever cached basis answers the union's objective, which may round
-    apart from the projection of the allocation alone."""
-    union, expected = strict_vertices(union), strict_vertices(expected)
-    assert csv_rows(union) == csv_rows(expected)
-    ulp = np.spacing(np.abs(expected).max(initial=0.0))
-    assert np.abs(np.subtract(union, expected)).max(initial=0.0) <= 4 * ulp
-
-
 @pytest.mark.parametrize("channel_name, variant, steps, states", UNION_GRIDS)
 def test_pooled_union_equals_per_allocation_union(channel_name, variant, steps, states):
     # one search over the union gives the points of a frontier per
-    # allocation merged
+    # allocation merged: equal CSV text, and every coordinate within 4 ulps
+    # of the largest one, since the union search reads a vertex through
+    # whichever cached basis answers the union's objective, which may round
+    # apart from the projection of the allocation alone
     spec = RegionSpec(channel=UNION_CHANNELS[channel_name], variant=variant, steps=steps,
                       states=states)
-    assert_same_union(region_union(spec).points, per_allocation_union(spec).points)
+    union = region_union(spec).points
+    expected = per_allocation_union(spec).points
+    if (channel_name, variant, steps, states) in COLLINEAR_GRIDS:
+        assert len(strict_vertices(expected)) == len(expected) - 1
+        expected = strict_vertices(expected)
+    assert csv_rows(union) == csv_rows(expected)
+    ulp = np.spacing(np.abs(expected).max(initial=0.0))
+    assert np.abs(np.subtract(union, expected)).max(initial=0.0) <= 4 * ulp
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
