@@ -1,76 +1,34 @@
 """Secrecy rate regions for the two-user Gaussian interference channel
-with an external eavesdropper."""
+with an external eavesdropper.
+
+The public names below are imported from their modules on first use, so
+that ``import gicee`` loads no submodule and each command of
+:mod:`gicee.cli` compiles only the code it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .gaussmi import (
-    DECODABLE,
-    RECEIVERS,
-    SignalIndex,
-    clamp_rate,
-    gamma,
-    mi_covariance_oracle,
-)
-from .model import (
-    AllocationReport,
-    ChannelParams,
-    PowerState,
-    TimeSharedAllocation,
-    preset,
-    validate_allocation,
-)
-from .polytope import (
-    Frontier,
-    LpResult,
-    RateSystem,
-    SolverFailure,
-    grid_feasibility_oracle,
-    lp_solve,
-    pareto_merge,
-    project_frontier,
-)
-from .region import (
-    R1_OBJECTIVE,
-    R2_OBJECTIVE,
-    RegionSpec,
-    build_system,
-    region_for_allocation,
-    region_union,
-)
-from .schemes import (
-    ctdma_region,
-    single_power_states,
-    single_user_wiretap,
-)
+_HOMES = {
+    "gaussmi": ("DECODABLE", "RECEIVERS", "SignalIndex", "clamp_rate", "gamma",
+                "mi_covariance_oracle"),
+    "model": ("AllocationReport", "ChannelParams", "PowerState", "TimeSharedAllocation",
+              "preset", "validate_allocation"),
+    "frontier": ("Frontier", "SolverFailure", "pareto_merge"),
+    "polytope": ("LpResult", "RateSystem", "grid_feasibility_oracle", "lp_solve",
+                 "project_frontier"),
+    "region": ("R1_OBJECTIVE", "R2_OBJECTIVE", "RegionSpec", "build_system",
+               "region_for_allocation", "region_union"),
+    "schemes": ("ctdma_region", "single_power_states", "single_user_wiretap"),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "AllocationReport",
-    "ChannelParams",
-    "DECODABLE",
-    "Frontier",
-    "LpResult",
-    "PowerState",
-    "R1_OBJECTIVE",
-    "R2_OBJECTIVE",
-    "RECEIVERS",
-    "RateSystem",
-    "RegionSpec",
-    "SignalIndex",
-    "SolverFailure",
-    "TimeSharedAllocation",
-    "build_system",
-    "clamp_rate",
-    "ctdma_region",
-    "gamma",
-    "grid_feasibility_oracle",
-    "lp_solve",
-    "mi_covariance_oracle",
-    "pareto_merge",
-    "preset",
-    "project_frontier",
-    "region_for_allocation",
-    "region_union",
-    "single_power_states",
-    "single_user_wiretap",
-    "validate_allocation",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

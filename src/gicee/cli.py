@@ -4,52 +4,25 @@ Commands write frontiers as CSV (``r1_bits,r2_bits``) with a JSON sidecar
 describing the run, so any plotting tool can reproduce the region charts.
 Exit codes: 0 ok, 1 configuration error, 2 validation failure, 3 solver
 failure.
+
+Each command imports the modules it needs when it runs, so ``ctdma`` never
+loads the simplex or the region sweep, and only ``validate`` loads the
+oracle suites.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from pathlib import Path
 from typing import NoReturn
 
-import numpy as np
-
 from . import __version__
-from .gaussmi import DECODABLE, RECEIVERS, mi_covariance_oracle
-from .model import (
-    ChannelParams,
-    PowerState,
-    TimeSharedAllocation,
-    _number,
-    preset,
-    validate_allocation,
-)
-from .polytope import (
-    Frontier,
-    Projector,
-    SolverFailure,
-    grid_feasibility_oracle,
-)
-from .region import (
-    _BOUNDS,
-    A_UB,
-    EQ_ROW,
-    N_BOUNDS,
-    R1_OBJECTIVE,
-    R2_OBJECTIVE,
-    VARIANTS,
-    RegionSpec,
-    bound_rows,
-    build_system,
-    region_for_allocation,
-    region_union,
-)
-from .schemes import CTDMA_TAGS, ctdma_region, single_user_wiretap
+from .frontier import Frontier, SolverFailure
+from .model import ChannelParams, TimeSharedAllocation, _number, preset, validate_allocation
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -204,6 +177,8 @@ def _write_frontier(out: Path, frontier: Frontier, sidecar: dict) -> None:
 def _baseline(channel: ChannelParams, frontier: Frontier) -> dict:
     """Each user's lone wiretap rate, the other user silent, and how far
     the frontier's best rate for that user passes it (None if empty)."""
+    from .schemes import single_user_wiretap
+
     r1 = single_user_wiretap(channel.p1, channel.c1e)
     r2 = single_user_wiretap(channel.p2, channel.c2e)
     empty = frontier.is_empty
@@ -216,6 +191,8 @@ def _baseline(channel: ChannelParams, frontier: Frontier) -> dict:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
+    from .region import VARIANTS, RegionSpec, region_union
+
     cfg = _merge_config(args)
     channel = _resolve_channel(cfg)
     variant = cfg.get("variant", "r3")
@@ -252,6 +229,8 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def cmd_ctdma(args: argparse.Namespace) -> int:
+    from .schemes import CTDMA_TAGS, ctdma_region
+
     cfg = _merge_config(args)
     channel = _resolve_channel(cfg)
     variant = cfg.get("variant", "ctdma")
@@ -275,6 +254,8 @@ def cmd_ctdma(args: argparse.Namespace) -> int:
 
 
 def cmd_point(args: argparse.Namespace) -> int:
+    from .region import region_for_allocation
+
     cfg = _merge_config(args)
     channel = _resolve_channel(cfg)
     alloc_path = cfg.get("alloc")
@@ -310,153 +291,9 @@ def cmd_point(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _random_state(rng: np.random.Generator, p1: float, p2: float) -> PowerState:
-    shares = rng.uniform(0.0, 1.0, 8)
-    u1 = shares[:4] / max(shares[:4].sum(), 1e-12) * p1 * rng.uniform(0.0, 1.0)
-    u2 = shares[4:] / max(shares[4:].sum(), 1e-12) * p2 * rng.uniform(0.0, 1.0)
-    return PowerState(*u1, *u2)
-
-
-def _random_channel(rng: np.random.Generator) -> ChannelParams:
-    return ChannelParams(
-        c12=rng.uniform(0.0, 2.5), c21=rng.uniform(0.0, 2.5),
-        c1e=rng.uniform(0.0, 1.2), c2e=rng.uniform(0.0, 1.2),
-        p1=rng.uniform(1.0, 15.0), p2=rng.uniform(1.0, 15.0),
-    )
-
-
-def _subset_columns() -> dict[str, np.ndarray]:
-    """Per receiver, the :func:`bound_rows` column of each subset of its
-    decodable components, indexed by the subset's bit mask over the sorted
-    components; the empty subset gets ``N_BOUNDS``, the index of a zero
-    appended to a row."""
-    tables = {r: np.full(2 ** len(DECODABLE[r]), N_BOUNDS) for r in RECEIVERS}
-    for column, (receiver, subset) in enumerate(_BOUNDS):
-        ground = sorted(DECODABLE[receiver])
-        tables[receiver][sum(1 << ground.index(i) for i in subset)] = column
-    return tables
-
-
-def _subset_values(channel: ChannelParams, powers: np.ndarray) -> np.ndarray:
-    """The bound row of one state with the given 8 powers, with a zero
-    appended for the empty subset."""
-    state = np.concatenate([[1.0], powers])[np.newaxis, np.newaxis]
-    return np.append(bound_rows(channel, state)[0], 0.0)
-
-
-def mi_oracle_suite(seed: int, samples: int) -> float:
-    """Max deviation between :func:`bound_rows` and the covariance oracle."""
-    rng = np.random.default_rng(seed)
-    tables = _subset_columns()
-    worst = 0.0
-    for _ in range(samples):
-        channel = _random_channel(rng)
-        powers = rng.uniform(0.0, 8.0, 8)
-        receiver = RECEIVERS[rng.integers(0, 3)]
-        decodable = sorted(DECODABLE[receiver])
-        mask = sum(1 << k for k in range(len(decodable)) if rng.uniform() < 0.5)
-        subset = [i for k, i in enumerate(decodable) if mask >> k & 1]
-        closed = _subset_values(channel, powers)[tables[receiver][mask]]
-        oracle = mi_covariance_oracle(channel, PowerState(*powers), receiver, subset)
-        worst = max(worst, abs(closed - oracle))
-    return worst
-
-
-def hausdorff_gap(frontier: Frontier,
-                  feasible: frozenset[tuple[float, float]],
-                  pitch: float) -> float:
-    """Chessboard Hausdorff distance between the oracle's feasible grid set
-    and the grid points under the projected frontier, in pitch units."""
-    if frontier.is_empty:
-        return math.inf if feasible else 0.0
-    under = set()
-    n1 = int(frontier.max_r1 / pitch + 1e-9)
-    n2 = int(frontier.max_r2 / pitch + 1e-9)
-    for i in range(n1 + 1):
-        limit = frontier.r2_at(i * pitch) + 1e-9
-        for j in range(n2 + 1):
-            if j * pitch <= limit:
-                under.add((i * pitch, j * pitch))
-    if not feasible or not under:
-        return math.inf if feasible != frozenset(under) else 0.0
-
-    def one_sided(src, dst):
-        return max(
-            min(max(abs(a1 - b1), abs(a2 - b2)) for b1, b2 in dst)
-            for a1, a2 in src
-        )
-
-    return max(one_sided(feasible, under), one_sided(under, feasible)) / pitch
-
-
-def projection_suite(seed: int, systems: int) -> float:
-    """Worst frontier-vs-grid-oracle gap (pitch units) over random systems.
-
-    Runs until ``systems`` feasible instances have been compared; infeasible
-    draws still assert that the oracle agrees the region is empty.  The
-    eavesdropper gains are kept moderate so feasible systems are common.
-    All systems go through one :class:`Projector`, built as
-    :func:`region_union` builds it, so the oracle also judges the answers
-    its cached bases give across systems.
-    """
-    rng = np.random.default_rng(seed)
-    projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
-    worst = 0.0
-    feasible_seen = 0
-    for _ in range(50 * systems):
-        if feasible_seen >= systems:
-            break
-        channel = ChannelParams(
-            c12=rng.uniform(0.1, 2.2), c21=rng.uniform(0.1, 2.2),
-            c1e=rng.uniform(0.0, 0.7), c2e=rng.uniform(0.0, 0.7),
-            p1=rng.uniform(1.0, 15.0), p2=rng.uniform(1.0, 15.0),
-        )
-        alloc = TimeSharedAllocation.single_state(
-            _random_state(rng, channel.p1, channel.p2)
-        )
-        system = build_system(channel, alloc)
-        frontier = projector.project(np.concatenate([system.b_ub, system.b_eq]))
-        if frontier.is_empty:
-            if grid_feasibility_oracle(system, R1_OBJECTIVE, R2_OBJECTIVE, 0.25):
-                worst = max(worst, math.inf)
-            continue
-        feasible_seen += 1
-        pitch = max(frontier.max_r1, frontier.max_r2, 1e-3) / 10.0
-        feasible = grid_feasibility_oracle(system, R1_OBJECTIVE, R2_OBJECTIVE, pitch)
-        worst = max(worst, hausdorff_gap(frontier, feasible, pitch))
-    if feasible_seen < systems:
-        return math.inf
-    return worst
-
-
-def _submodular_triples(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every (small, big, element) of a ground set of ``size`` as bit masks,
-    with small a subset of big and the element outside big."""
-    masks = np.arange(2 ** size)
-    small, big, element = np.meshgrid(masks, masks, 1 << np.arange(size), indexing="ij")
-    keep = (small & ~big == 0) & (big & element == 0)
-    return small[keep], big[keep], element[keep]
-
-
-def submodularity_suite(seed: int, trials: int = 40) -> float:
-    """Worst submodularity margin of the subset-MI set function that
-    :func:`bound_rows` gives (>= 0 ok)."""
-    rng = np.random.default_rng(seed)
-    tables = _subset_columns()
-    triples = {r: _submodular_triples(len(DECODABLE[r])) for r in RECEIVERS}
-    worst = 0.0
-    for _ in range(trials):
-        channel = _random_channel(rng)
-        powers = rng.uniform(0.0, 8.0, 8)
-        receiver = RECEIVERS[rng.integers(0, 3)]
-        value = _subset_values(channel, powers)[tables[receiver]]
-        small, big, element = triples[receiver]
-        margin = (value[small | element] - value[small]) - (value[big | element] - value[big])
-        worst = min(worst, margin.min())
-    return -worst
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .validation import mi_oracle_suite, projection_suite, submodularity_suite
+
     cfg = _merge_config(args)
     seed = _require(cfg, "seed", 0, "seed")
     samples = _require(cfg, "samples", 1, "samples", default=1000)

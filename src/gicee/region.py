@@ -26,15 +26,8 @@ from .model import (
     TimeSharedAllocation,
     validate_allocation,
 )
-from .polytope import (
-    FEASIBILITY_TOL,
-    Frontier,
-    Projector,
-    RateSystem,
-    _pareto_prune,
-    pareto_merge,
-    project_frontier,
-)
+from .frontier import FEASIBILITY_TOL, Frontier, _pareto_prune, pareto_merge
+from .polytope import Projector, RateSystem, project_frontier
 
 # Variable order of every RateSystem built here.  The two "other" message
 # rates are pinned to zero by the construction and eliminated, leaving

@@ -15,7 +15,7 @@ import numpy as np
 
 from .gaussmi import clamp_rate, gamma
 from .model import BUDGET_TOL, ChannelParams, PowerState
-from .polytope import Frontier, _pareto_prune, pareto_merge
+from .frontier import Frontier, _pareto_prune, _records, pareto_merge
 
 _LN2 = math.log(2.0)
 
@@ -92,18 +92,21 @@ def single_power_states(
     return [PowerState(*p1, *p2) for p1 in user1 for p2 in user2]
 
 
-def _slot_grid(
+def _slot_factors(
     tag: str, own_budget: float, other_budget: float, share: float, steps: int
-) -> np.ndarray:
-    """Power tuples of one slot as an (n, 3) array of rows
-    (codeword, own jamming, helper jamming).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One slot's grid as its two factors: the (codeword, own jamming)
+    combos, as one array per component, and the helper-jamming levels.
 
-    Per-slot powers may exceed the nominal budgets when the slot is short;
-    the joint average constraint is enforced by the caller.  Rows run over
-    the codeword level, then own jamming, then helper jamming.
+    The slot's power tuples are every combo with every helper level, the
+    combos running over the codeword level, then own jamming, and the
+    helper level fastest.  Per-slot powers may exceed the nominal budgets
+    when the slot is short; the joint average constraint is enforced by
+    the caller.
     """
     if share <= 0:
-        return np.zeros((1, 3))
+        zero = np.zeros(1)
+        return zero, zero, zero
     own_cap, other_cap = own_budget / share, other_budget / share
     sig = np.array(_uniform_grid(own_cap, steps))
     # ``ctdma`` may jam in its own slot; every tag but ``tdma`` may help
@@ -111,22 +114,15 @@ def _slot_grid(
     self_jam = np.array(_jam_grid(own_cap, steps) if tag == "ctdma" else (0.0,))
     other_jam = np.array(_jam_grid(other_cap, steps) if tag != "tdma" else (0.0,))
     ib, ij = np.nonzero(sig[:, None] + self_jam[None, :] <= own_cap + BUDGET_TOL)
-    n = other_jam.size
-    return np.column_stack(
-        (np.repeat(sig[ib], n), np.repeat(self_jam[ij], n), np.tile(other_jam, ib.size))
-    )
+    return sig[ib], self_jam[ij], other_jam
 
 
-def _slot_grids(
-    tag: str, channel: ChannelParams, alpha: float, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slot power tuples for one time split.
-
-    Slot 1 rows are (p1b, p1j1, p2j1), slot 2 rows (p2b, p2j2, p1j2).
-    """
+def _split_factors(tag: str, channel: ChannelParams, alpha: float, steps: int):
+    """Both slots' factors for one time split: slot 1's combos are
+    (p1b, p1j1) with helper levels p2j1, slot 2's (p2b, p2j2) with p1j2."""
     return (
-        _slot_grid(tag, channel.p1, channel.p2, alpha, steps),
-        _slot_grid(tag, channel.p2, channel.p1, 1.0 - alpha, steps),
+        _slot_factors(tag, channel.p1, channel.p2, alpha, steps),
+        _slot_factors(tag, channel.p2, channel.p1, 1.0 - alpha, steps),
     )
 
 
@@ -134,24 +130,27 @@ def _gamma_vec(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.log1p(x) / _LN2
 
 
-def _slot_arrays(channel: ChannelParams, alpha: float, slot: int, grid: np.ndarray):
-    """Vectorized rates and per-user consumed average power for one slot."""
-    pb, self_jam, other_jam = grid[:, 0], grid[:, 1], grid[:, 2]
+def _slot_rates(
+    channel: ChannelParams, alpha: float, slot: int,
+    codeword: np.ndarray, own_jam: np.ndarray, helper_jam: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One slot's rates as an (m, n) array, combo by helper level, with the
+    average power each of the m combos uses of its owner's budget and each
+    of the n helper levels uses of the helper's."""
     share = alpha if slot == 1 else 1.0 - alpha
     if slot == 1:
         cross, own_eve, other_eve = channel.c21, channel.c1e, channel.c2e
     else:
         cross, own_eve, other_eve = channel.c12, channel.c2e, channel.c1e
+    pb, self_jam = codeword[:, None], own_jam[:, None]
     rate = share * np.maximum(
         0.0,
-        _gamma_vec(pb / (1.0 + self_jam + cross * other_jam))
+        _gamma_vec(pb / (1.0 + self_jam + cross * helper_jam))
         - _gamma_vec(
-            own_eve * pb / (1.0 + own_eve * self_jam + other_eve * other_jam)
+            own_eve * pb / (1.0 + own_eve * self_jam + other_eve * helper_jam)
         ),
     )
-    owner_used = share * (pb + self_jam)
-    helper_used = share * other_jam
-    return rate, owner_used, helper_used
+    return rate, share * (codeword + own_jam), share * helper_jam
 
 
 def _best_partners(
@@ -160,23 +159,27 @@ def _best_partners(
 ) -> np.ndarray:
     """Best slot-2 rate jointly feasible with each slot-1 tuple, else -inf.
 
-    A slot-1 tuple using (``used1_a``, ``used2_a``) and a slot-2 tuple using
-    (``used1_b``, ``used2_b``) pair up when ``used1_a + used1_b <= cap1`` and
-    ``used2_a + used2_b <= cap2``.  Slot-2 rates are scattered into a table
-    indexed by the ranks of their two uses among the sorted distinct levels
-    and prefix-maximized along both axes, so cell (k1, k2) holds the best
-    rate among tuples whose uses are within the k1 and k2 smallest levels.
-    Rounded addition is monotone, so the levels a slot-1 tuple can afford
-    are a prefix of each sorted list; the cell at the two prefix lengths is
-    the maximum over exactly the feasible partners.
+    Both slots' tuples form grids.  ``r2[i, j]`` is the rate of the slot-2
+    tuple that uses ``used2_b[i]`` of user 2's budget and ``used1_b[j]`` of
+    user 1's; entry [i, j] of the result is for the slot-1 tuple that uses
+    ``used1_a[i]`` and ``used2_a[j]``.  Two tuples pair up when
+    ``used1_a + used1_b <= cap1`` and ``used2_a + used2_b <= cap2``.
+    Slot-2 rates are scattered into a table indexed by the ranks of their
+    two uses among the sorted distinct levels and prefix-maximized along
+    both axes, so cell (k1, k2) holds the best rate among tuples whose uses
+    are within the k1 and k2 smallest levels.  Rounded addition is
+    monotone, so the levels a slot-1 tuple can afford are a prefix of each
+    sorted list; the cell at the two prefix lengths is the maximum over
+    exactly the feasible partners.
     """
     lv1, rank1 = np.unique(used1_b, return_inverse=True)
     lv2, rank2 = np.unique(used2_b, return_inverse=True)
     table = np.full((lv1.size + 1, lv2.size + 1), -np.inf)
-    np.maximum.at(table, (rank1 + 1, rank2 + 1), r2)
+    np.maximum.at(table, (rank1[np.newaxis, :] + 1, rank2[:, np.newaxis] + 1), r2)
     np.maximum.accumulate(table, axis=0, out=table)
     np.maximum.accumulate(table, axis=1, out=table)
-    return table[_prefix_lengths(used1_a, lv1, cap1), _prefix_lengths(used2_a, lv2, cap2)]
+    return table[np.ix_(_prefix_lengths(used1_a, lv1, cap1),
+                        _prefix_lengths(used2_a, lv2, cap2))]
 
 
 def _prefix_lengths(used: np.ndarray, levels: np.ndarray, cap: float) -> np.ndarray:
@@ -186,12 +189,14 @@ def _prefix_lengths(used: np.ndarray, levels: np.ndarray, cap: float) -> np.ndar
 
 
 # Largest time-division grid, in slot-grid rows over all time splits as
-# bounded by ``slot_rows_bound``; work and memory grow about linearly in
-# the rows.  Largest grids allowed, fig2, the whole ``ctdma`` command on a
-# 2-vCPU host: ``ctdma`` steps 34 (4.3 M rows enumerated, 1.3 s, 160 MB
-# peak RSS), ``ctdma_nscp`` steps 129 (6.3 M, 1.7 s, 213 MB) and ``tdma``
-# steps 1802 (6.5 M, 3.2 s, 219 MB); ``ctdma`` at steps 17 takes 0.4 s and
-# 37 MB.
+# bounded by ``slot_rows_bound``; work grows about linearly in the rows.
+# Memory grows only with one split's rows, since each split is cut to its
+# records before the next.  Largest grids allowed, fig2, the whole
+# ``ctdma`` command on a 2-vCPU host: ``ctdma`` steps 34 (4.3 M rows
+# enumerated, 0.5 s, 35 MB peak RSS), ``ctdma_nscp`` steps 129 (6.3 M,
+# 0.65 s, 31 MB) and ``tdma`` steps 1802 (6.5 M, 2.5 s, 31 MB, most of it
+# the per-split work of 1802 splits); ``ctdma`` at steps 17 takes 0.3 s
+# and 30 MB.
 MAX_SLOT_ROWS = 6_500_000
 
 
@@ -220,11 +225,15 @@ def ctdma_region(
     below it and cannot change the hull), found by one lookup in a 2-D
     prefix-max table over the slot-2 power levels; see
     :func:`_best_partners` for why the lookup equals the maximum over all
-    feasible pairs.
+    feasible pairs.  Each slot grid is its combos by its helper-jamming
+    levels, so rates are one (combos, levels) broadcast and the level
+    tables are built from the factors.  Each split's points are cut to
+    their strict records, which keeps the records of all splits together
+    (see :func:`gicee.frontier._records`), before one prune and merge.
 
     The metadata's ``timing`` holds the seconds spent building the slot
     grids and their rates (``grid``), looking up partners (``pair``) and
-    pruning and merging the points (``merge``).
+    cutting, pruning and merging the points (``merge``).
 
     Raises ValueError for an unknown variant, a grid whose
     :func:`slot_rows_bound` passes ``MAX_SLOT_ROWS``, or a channel whose
@@ -246,23 +255,23 @@ def ctdma_region(
     cap1, cap2 = channel.p1 + BUDGET_TOL, channel.p2 + BUDGET_TOL
     clock = time.perf_counter
     timing = dict.fromkeys(("grid", "pair", "merge"), 0.0)
-    r1_parts, r2_parts = [], []
+    parts = []
     for alpha in np.linspace(0.0, 1.0, alpha_steps):
         alpha = float(alpha)
         start = clock()
-        slot1, slot2 = _slot_grids(variant, channel, alpha, steps)
-        r1, used1_a, used2_a = _slot_arrays(channel, alpha, 1, slot1)
-        r2, used2_b, used1_b = _slot_arrays(channel, alpha, 2, slot2)
+        slot1, slot2 = _split_factors(variant, channel, alpha, steps)
+        r1, used1_a, used2_a = _slot_rates(channel, alpha, 1, *slot1)
+        r2, used2_b, used1_b = _slot_rates(channel, alpha, 2, *slot2)
         paired = clock()
         best = _best_partners(r2, used1_b, used2_b, used1_a, used2_a, cap1, cap2)
         feasible = best > -np.inf
-        r1_parts.append(r1[feasible])
-        r2_parts.append(best[feasible])
+        pruned = clock()
+        parts.append(_records(np.column_stack((r1[feasible], best[feasible]))))
         timing["grid"] += paired - start
-        timing["pair"] += clock() - paired
+        timing["pair"] += pruned - paired
+        timing["merge"] += clock() - pruned
     start = clock()
-    points = np.column_stack([np.concatenate(r1_parts), np.concatenate(r2_parts)])
     meta = {"scheme": variant, "steps": steps, "alpha_steps": alpha_steps, "timing": timing}
-    union = pareto_merge([Frontier(points=_pareto_prune(points))], metadata=meta)
-    timing["merge"] = clock() - start
+    union = pareto_merge([Frontier(points=_pareto_prune(np.concatenate(parts)))], metadata=meta)
+    timing["merge"] += clock() - start
     return union

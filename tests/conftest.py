@@ -9,6 +9,7 @@ from gicee import (
     DECODABLE,
     RECEIVERS,
     ChannelParams,
+    Frontier,
     PowerState,
     SignalIndex,
     TimeSharedAllocation,
@@ -17,7 +18,9 @@ from gicee import (
     pareto_merge,
     preset,
 )
+from gicee.frontier import _pareto_prune
 from gicee.model import BUDGET_TOL
+from gicee.schemes import _jam_grid, _uniform_grid
 
 
 @pytest.fixture
@@ -263,7 +266,7 @@ class CtdmaParams:
 
 def ctdma_rates(channel, params):
     """Closed-form secrecy rate pair of one time-division operating point
-    (scalar oracle of ``schemes._slot_arrays``).
+    (scalar oracle of ``schemes._slot_rates``).
 
     Each slot is a wiretap channel whose receiver and eavesdropper noise
     floors include the slot's jamming; the rate difference is clamped at
@@ -301,3 +304,80 @@ def ctdma_allocation(params):
     return TimeSharedAllocation(
         states=((params.alpha, slot1), (1.0 - params.alpha, slot2))
     )
+
+
+# Row-wise time-division pairing: every slot tuple is one row of an (n, 3)
+# array and carries its own rates and uses, every split's points are
+# concatenated, and one prune and merge follow.  ``schemes.ctdma_region``
+# works on the slot grids' factors and cuts each split to its records; it
+# must give these frontiers bit for bit.
+
+def rowwise_slot_grid(tag, own_budget, other_budget, share, steps):
+    """Power tuples of one slot as an (n, 3) array of rows (codeword, own
+    jamming, helper jamming), helper jamming fastest."""
+    if share <= 0:
+        return np.zeros((1, 3))
+    own_cap, other_cap = own_budget / share, other_budget / share
+    sig = np.array(_uniform_grid(own_cap, steps))
+    self_jam = np.array(_jam_grid(own_cap, steps) if tag == "ctdma" else (0.0,))
+    other_jam = np.array(_jam_grid(other_cap, steps) if tag != "tdma" else (0.0,))
+    ib, ij = np.nonzero(sig[:, None] + self_jam[None, :] <= own_cap + BUDGET_TOL)
+    n = other_jam.size
+    return np.column_stack(
+        (np.repeat(sig[ib], n), np.repeat(self_jam[ij], n), np.tile(other_jam, ib.size))
+    )
+
+
+def rowwise_slot_arrays(channel, alpha, slot, grid):
+    """Rates and per-user consumed average power of each row of one slot."""
+    pb, self_jam, other_jam = grid[:, 0], grid[:, 1], grid[:, 2]
+    share = alpha if slot == 1 else 1.0 - alpha
+    if slot == 1:
+        cross, own_eve, other_eve = channel.c21, channel.c1e, channel.c2e
+    else:
+        cross, own_eve, other_eve = channel.c12, channel.c2e, channel.c1e
+    def gamma_vec(x):
+        return 0.5 * np.log1p(x) / math.log(2.0)
+
+    rate = share * np.maximum(
+        0.0,
+        gamma_vec(pb / (1.0 + self_jam + cross * other_jam))
+        - gamma_vec(own_eve * pb / (1.0 + own_eve * self_jam + other_eve * other_jam)),
+    )
+    return rate, share * (pb + self_jam), share * other_jam
+
+
+def rowwise_best_partners(r2, used1_b, used2_b, used1_a, used2_a, cap1, cap2):
+    """Best jointly feasible slot-2 rate per slot-1 row, else -inf, by a
+    prefix-max table over the ranks of the slot-2 rows' two uses."""
+    def prefix_lengths(used, levels, cap):
+        distinct, inverse = np.unique(used, return_inverse=True)
+        return (distinct[:, None] + levels[None, :] <= cap).sum(axis=1)[inverse]
+
+    lv1, rank1 = np.unique(used1_b, return_inverse=True)
+    lv2, rank2 = np.unique(used2_b, return_inverse=True)
+    table = np.full((lv1.size + 1, lv2.size + 1), -np.inf)
+    np.maximum.at(table, (rank1 + 1, rank2 + 1), r2)
+    np.maximum.accumulate(table, axis=0, out=table)
+    np.maximum.accumulate(table, axis=1, out=table)
+    return table[prefix_lengths(used1_a, lv1, cap1), prefix_lengths(used2_a, lv2, cap2)]
+
+
+def rowwise_ctdma_region(channel, variant, steps, alpha_steps=None):
+    """Time-division region by the row-wise pairing, without ``timing``."""
+    alpha_steps = alpha_steps or steps
+    cap1, cap2 = channel.p1 + BUDGET_TOL, channel.p2 + BUDGET_TOL
+    r1_parts, r2_parts = [], []
+    for alpha in np.linspace(0.0, 1.0, alpha_steps):
+        alpha = float(alpha)
+        slot1 = rowwise_slot_grid(variant, channel.p1, channel.p2, alpha, steps)
+        slot2 = rowwise_slot_grid(variant, channel.p2, channel.p1, 1.0 - alpha, steps)
+        r1, used1_a, used2_a = rowwise_slot_arrays(channel, alpha, 1, slot1)
+        r2, used2_b, used1_b = rowwise_slot_arrays(channel, alpha, 2, slot2)
+        best = rowwise_best_partners(r2, used1_b, used2_b, used1_a, used2_a, cap1, cap2)
+        feasible = best > -np.inf
+        r1_parts.append(r1[feasible])
+        r2_parts.append(best[feasible])
+    points = np.column_stack([np.concatenate(r1_parts), np.concatenate(r2_parts)])
+    meta = {"scheme": variant, "steps": steps, "alpha_steps": alpha_steps}
+    return pareto_merge([Frontier(points=_pareto_prune(points))], metadata=meta)

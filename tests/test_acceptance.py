@@ -22,7 +22,7 @@ from gicee import (
     region_union,
     single_user_wiretap,
 )
-from gicee.cli import mi_oracle_suite, projection_suite
+from gicee.validation import mi_oracle_suite, projection_suite
 from gicee.region import N_VARS
 from conftest import (
     check_point,

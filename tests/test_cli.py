@@ -112,13 +112,16 @@ def test_config_file_merging_and_flag_override(tmp_path):
 
 @pytest.mark.parametrize("command", ["region", "ctdma", "point"])
 def test_out_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys, command):
-    import gicee.cli as cli
+    import gicee.region as region
+    import gicee.schemes as schemes
 
     def no_work(*args, **kwargs):
         raise AssertionError("the sweep ran before --out was checked")
 
-    for name in ("region_union", "ctdma_region", "region_for_allocation"):
-        monkeypatch.setattr(cli, name, no_work)
+    # the commands look these up in their modules when they run
+    for module, name in ((region, "region_union"), (schemes, "ctdma_region"),
+                         (region, "region_for_allocation")):
+        monkeypatch.setattr(module, name, no_work)
     argv = [command, "--preset", "fig2", "--out", str(tmp_path)]
     if command == "point":
         argv += ["--alloc", str(write_alloc(tmp_path, pc1=1.0))]
@@ -332,10 +335,10 @@ def test_validate_corrupted_tolerance_fails(capsys):
 def test_validate_judges_the_sweeps_bound_rows(monkeypatch, capsys):
     # the MI suites read the bounds the sweeps use, so a perturbed
     # bound_rows fails validation
-    import gicee.cli as cli
+    import gicee.validation as validation
 
-    real = cli.bound_rows
-    monkeypatch.setattr(cli, "bound_rows", lambda *args: 1.01 * real(*args))
+    real = validation.bound_rows
+    monkeypatch.setattr(validation, "bound_rows", lambda *args: 1.01 * real(*args))
     code = main(["validate", "--samples", "100", "--systems", "2"])
     assert code == 2
     assert "mi-oracle: FAIL" in capsys.readouterr().out
@@ -346,13 +349,14 @@ def test_validate_zero_samples_is_config_error(capsys):
 
 
 def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
-    import gicee.cli as cli
+    import gicee.region as region
     from gicee import SolverFailure
 
     def boom(*args, **kwargs):
         raise SolverFailure("stalled")
 
-    monkeypatch.setattr(cli, "region_union", boom)
+    # cmd_region looks region_union up in gicee.region when it runs
+    monkeypatch.setattr(region, "region_union", boom)
     code = main(["region", "--preset", "fig2", "--out", str(tmp_path / "x.csv")])
     assert code == 3
 

@@ -20,14 +20,8 @@ from gicee import (
     preset,
     project_frontier,
 )
-from gicee.polytope import (
-    _RECORD_FILTER_MIN,
-    FEASIBILITY_TOL,
-    PARETO_EPS,
-    Projector,
-    _pareto_prune,
-    _Tableau,
-)
+from gicee.frontier import _RECORD_FILTER_MIN, PARETO_EPS, _pareto_prune, _records
+from gicee.polytope import FEASIBILITY_TOL, Projector, _Tableau
 from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
 from conftest import check_point, dominates, support
 
@@ -308,6 +302,33 @@ def test_pareto_prune_keeps_the_first_of_signed_zero_ties():
             points = [(first, 1.0)] + [(0.0, 0.5)] * size + [(second, 1.0)]
             assert exact(_pareto_prune(points)) == exact([(first, 1.0)])
             assert exact(_pareto_prune(np.array(points))) == exact([(first, 1.0)])
+
+
+def literal_records(points):
+    """Strict records by a loop: points in decreasing (r1, r2) order, ties
+    in input order, kept when their r2 beats every point before them
+    (oracle for ``_records``)."""
+    order = sorted(range(len(points)), key=lambda i: (-points[i][0], -points[i][1], i))
+    kept, best = [], -math.inf
+    for i in order:
+        if points[i][1] > best:
+            kept.append(points[i])
+            best = points[i][1]
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.tuples(PRUNE_VALUES, PRUNE_VALUES), min_size=1, max_size=40),
+                min_size=1, max_size=4))
+def test_records_of_parts_give_the_records_of_the_whole(parts):
+    # the cheap pass ahead of the sort drops no record, and cutting each
+    # part to its records first keeps the records of the concatenation,
+    # signed zeros and ties included
+    whole = [point for part in parts for point in part]
+    expected = exact(literal_records(whole))
+    assert exact(_records(np.array(whole))) == expected
+    cut = np.concatenate([_records(np.array(part)) for part in parts])
+    assert exact(_records(cut)) == expected
 
 
 def test_system_validation():

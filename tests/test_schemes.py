@@ -22,11 +22,19 @@ from gicee.schemes import (
     R3_TAGS,
     _best_partners,
     _jam_grid,
-    _slot_arrays,
-    _slot_grids,
+    _slot_rates,
+    _split_factors,
     _uniform_grid,
 )
-from conftest import CtdmaParams, ctdma_allocation, ctdma_rates, dominates, support
+from conftest import (
+    CtdmaParams,
+    ctdma_allocation,
+    ctdma_rates,
+    dominates,
+    rowwise_ctdma_region,
+    rowwise_slot_arrays,
+    support,
+)
 
 
 # Enumeration oracles: literal loops over the scheme grids, against which
@@ -99,24 +107,45 @@ def dense_best_partners(r2, used1_b, used2_b, used1_a, used2_a, cap1, cap2):
     return np.where(ok, r2[None, :], -np.inf).max(axis=1)
 
 
+def grid_rows(codeword, own_jam, helper_jam):
+    """The slot tuples a slot's factors span, helper jamming fastest."""
+    return [(pb, sj, hj) for pb, sj in zip(codeword.tolist(), own_jam.tolist())
+            for hj in helper_jam.tolist()]
+
+
 def dense_pairing_region(channel, variant, steps, alpha_steps=None):
     """Time-division region with each slot-1 tuple checked against every
-    slot-2 tuple by a dense joint-budget mask."""
+    slot-2 tuple by a dense joint-budget mask over the literal slot grids.
+
+    On the way it checks the factored rates, uses and pairing against the
+    row-wise ones of every tuple."""
     points = []
     alpha_steps = alpha_steps or steps
+    caps = (channel.p1 + BUDGET_TOL, channel.p2 + BUDGET_TOL)
     for alpha in np.linspace(0.0, 1.0, alpha_steps):
         alpha = float(alpha)
         slot1, slot2 = (
             np.asarray(tuples, dtype=float).reshape(-1, 3)
             for tuples in literal_slot_grids(variant, channel, alpha, steps)
         )
-        r1, used1_a, used2_a = _slot_arrays(channel, alpha, 1, slot1)
-        r2, used2_b, used1_b = _slot_arrays(channel, alpha, 2, slot2)
-        caps = (channel.p1 + BUDGET_TOL, channel.p2 + BUDGET_TOL)
-        args = (r2, used1_b, used2_b, used1_a, used2_a, *caps)
-        best = dense_best_partners(*args)
+        r1, used1_a, used2_a = rowwise_slot_arrays(channel, alpha, 1, slot1)
+        r2, used2_b, used1_b = rowwise_slot_arrays(channel, alpha, 2, slot2)
+        best = dense_best_partners(r2, used1_b, used2_b, used1_a, used2_a, *caps)
+        factors1, factors2 = _split_factors(variant, channel, alpha, steps)
+        f_r1, f_used1_a, f_used2_a = _slot_rates(channel, alpha, 1, *factors1)
+        f_r2, f_used2_b, f_used1_b = _slot_rates(channel, alpha, 2, *factors2)
+        # a grid's rows are its combos by its helper levels
+        for rows, (rate, owner, helper) in (
+            ((r1, used1_a, used2_a), (f_r1, f_used1_a, f_used2_a)),
+            ((r2, used2_b, used1_b), (f_r2, f_used2_b, f_used1_b)),
+        ):
+            combos, levels = rate.shape
+            assert np.array_equal(rate.ravel(), rows[0])
+            assert np.array_equal(np.repeat(owner, levels), rows[1])
+            assert np.array_equal(np.tile(helper, combos), rows[2])
         # the pairing itself must agree, not only the hull it yields
-        assert np.array_equal(_best_partners(*args), best)
+        paired = _best_partners(f_r2, f_used1_b, f_used2_b, f_used1_a, f_used2_a, *caps)
+        assert np.array_equal(paired.ravel(), best)
         points += [(float(a), float(b)) for a, b in zip(r1, best) if b > -np.inf]
     meta = {"scheme": variant, "steps": steps, "alpha_steps": alpha_steps}
     if not points:
@@ -236,23 +265,64 @@ def test_region_matches_dense_pairing(channel, variant, steps, alpha_steps):
     assert set(timing) == {"grid", "pair", "merge"}
     assert fast.metadata == dense.metadata
     for alpha in np.linspace(0.0, 1.0, alpha_steps):
-        for grid, literal in zip(_slot_grids(variant, channel, float(alpha), steps),
-                                 literal_slot_grids(variant, channel, float(alpha), steps)):
-            assert grid.tolist() == [list(row) for row in literal]
+        for factors, literal in zip(_split_factors(variant, channel, float(alpha), steps),
+                                    literal_slot_grids(variant, channel, float(alpha), steps)):
+            assert grid_rows(*factors) == literal
 
 
 def test_best_partners_on_the_budget_boundary():
-    # uses that meet a cap exactly pair up; any excess does not
-    r2 = np.array([1.0, 2.0, 3.0, 4.0])
-    used1_b = np.array([0.25, 0.5, 0.5, 0.75])
+    # uses that meet a cap exactly pair up; any excess does not.  Slot-2
+    # rates grow with both uses: row i uses used2_b[i], column j used1_b[j].
     used2_b = np.array([0.5, 0.25, 0.75, 0.0])
-    used1_a = np.array([0.5, 0.5, 0.25, 0.75, 0.25 + 1e-9, 1.5])
-    used2_a = np.array([0.5, 0.25, 0.25, 0.0, 0.0, 0.0])
+    used1_b = np.array([0.25, 0.5, 0.75])
+    r2 = 40.0 * used2_b[:, None] + 4.0 * used1_b[None, :]
+    used1_a = np.array([0.5, 0.25, 0.75, 0.25 + 1e-9, 1.5])
+    used2_a = np.array([0.5, 0.25, 0.0, 1.0 + 1e-9])
     best = _best_partners(r2, used1_b, used2_b, used1_a, used2_a, 1.0, 1.0)
-    assert best.tolist() == [2.0, 3.0, 4.0, 1.0, 3.0, -np.inf]
-    assert np.array_equal(
-        best, dense_best_partners(r2, used1_b, used2_b, used1_a, used2_a, 1.0, 1.0)
+    assert best.tolist() == [
+        [22.0, 32.0, 32.0, -np.inf],
+        [23.0, 33.0, 33.0, -np.inf],
+        [21.0, 31.0, 31.0, -np.inf],
+        [22.0, 32.0, 32.0, -np.inf],
+        [-np.inf, -np.inf, -np.inf, -np.inf],
+    ]
+    # the same pairs, tuple by tuple, as the dense mask over every pair
+    dense = dense_best_partners(
+        r2.ravel(), np.tile(used1_b, used2_b.size), np.repeat(used2_b, used1_b.size),
+        np.repeat(used1_a, used2_a.size), np.tile(used2_a, used1_a.size), 1.0, 1.0,
     )
+    assert np.array_equal(best.ravel(), dense)
+
+
+def hex_points(frontier):
+    return [(r1.hex(), r2.hex()) for r1, r2 in frontier.points]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(ChannelParams, gains, gains, gains, gains,
+              st.sampled_from([0.0, 1e-3, 10.0, 1e4]), st.sampled_from([0.0, 1e-3, 10.0, 1e4])),
+    st.sampled_from(CTDMA_TAGS),
+    st.integers(2, 17),
+    st.one_of(st.none(), st.integers(2, 17)),
+)
+def test_region_matches_rowwise_pairing_bit_for_bit(channel, variant, steps, alpha_steps):
+    # the factored grids and the per-split record cut give the row-wise
+    # pairing's frontier exactly, for alpha_steps equal to steps or not
+    fast = ctdma_region(channel, variant, steps=steps, alpha_steps=alpha_steps)
+    rowwise = rowwise_ctdma_region(channel, variant, steps, alpha_steps)
+    assert hex_points(fast) == hex_points(rowwise)
+
+
+def test_region_ties_between_splits_resolve_as_rowwise():
+    # with no power every split reaches the one point (0, 0), so each
+    # split's record cut keeps a copy of it, and the global prune must
+    # resolve the tie as the row-wise pairing does
+    silent = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=0.0, p2=0.0)
+    for variant in CTDMA_TAGS:
+        fast = ctdma_region(silent, variant, steps=3, alpha_steps=5)
+        assert fast.points == ((0.0, 0.0),)
+        assert hex_points(fast) == hex_points(rowwise_ctdma_region(silent, variant, 3, 5))
 
 
 def test_region_matches_dense_pairing_on_presets(fig2, fig3):

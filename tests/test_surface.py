@@ -1,5 +1,7 @@
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import gicee
@@ -42,3 +44,34 @@ def test_every_traced_layer_exists():
                for name in names
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert missing == []
+
+
+IMPORT_PROBE = """
+import sys
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("gicee."))
+import gicee
+print(loaded())
+import gicee.cli
+print(loaded())
+gicee.cli.main(["ctdma", "--preset", "fig2", "--steps", "3", "--out", sys.argv[1]])
+print(loaded())
+"""
+
+
+def test_each_command_imports_only_its_own_modules(tmp_path):
+    # ``ctdma`` runs no LP, so neither it nor ``import gicee.cli`` may
+    # compile the simplex or the region sweep; ``import gicee`` loads no
+    # submodule at all
+    from test_cli import CHILD_ENV
+
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "ctdma.csv")],
+        capture_output=True, text=True, env=CHILD_ENV, check=True,
+    )
+    bare, cli, ctdma = (ast.literal_eval(line) for line in result.stdout.splitlines())
+    assert bare == []
+    assert {"gicee.region", "gicee.polytope"}.isdisjoint(cli)
+    assert {"gicee.region", "gicee.polytope"}.isdisjoint(ctdma)
+    assert "gicee.schemes" in ctdma
+    assert (tmp_path / "ctdma.csv").read_text().startswith("r1_bits,r2_bits")
