@@ -20,9 +20,15 @@ import time
 from pathlib import Path
 from typing import NoReturn
 
-from . import __version__
-from .frontier import Frontier, SolverFailure
-from .model import ChannelParams, TimeSharedAllocation, _number, preset, validate_allocation
+# set before numpy loads: OpenBLAS would start a worker thread per extra CPU
+# that busy-waits, and no product here reaches its threaded kernels
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import __version__  # noqa: E402
+from .frontier import Frontier, SolverFailure  # noqa: E402
+from .model import (  # noqa: E402
+    ChannelParams, TimeSharedAllocation, _number, preset, validate_allocation,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -134,9 +140,10 @@ def _deprecated_workers(cfg: dict) -> None:
             raise ConfigError(f"GICEE_WORKERS must be at least 1, got {env!r}")
 
 
-def _output_path(value) -> Path:
-    """An output file path whose directory must already exist and which is
-    not itself a directory, checked before any work is done."""
+def _output_path(value, *, sidecar: bool) -> Path:
+    """An output file path whose directory must already exist and which,
+    like its sidecar's path if the command writes one, is not itself a
+    directory, checked before any work is done."""
     if not isinstance(value, str):
         raise ConfigError(f"out must be a file path, got {value!r}")
     out = Path(value)
@@ -144,6 +151,9 @@ def _output_path(value) -> Path:
         raise ConfigError(f"output directory {str(out.parent)!r} does not exist")
     if out.is_dir():
         raise ConfigError(f"out {value!r} is a directory, not a file path")
+    if sidecar and _sidecar_path(out).is_dir():
+        raise ConfigError(f"sidecar path {str(_sidecar_path(out))!r} of out {value!r} "
+                          "is a directory, not a file path")
     return out
 
 
@@ -203,7 +213,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     states = _require(cfg, "states", 1, "states", default=1)
     weight_steps = _require(cfg, "weight_steps", None, "weight_steps", default=5)
     _deprecated_workers(cfg)
-    out = _output_path(cfg.get("out") or "region.csv")
+    out = _output_path(cfg.get("out") or "region.csv", sidecar=True)
     try:
         spec = RegionSpec(
             channel=channel, variant=variant, steps=steps,
@@ -237,7 +247,7 @@ def cmd_ctdma(args: argparse.Namespace) -> int:
     if variant not in CTDMA_TAGS:
         raise ConfigError(f"variant must be one of {CTDMA_TAGS}, got {variant!r}")
     steps = _require(cfg, "steps", 2, "steps", default=11)
-    out = _output_path(cfg.get("out") or "ctdma.csv")
+    out = _output_path(cfg.get("out") or "ctdma.csv", sidecar=True)
     try:
         frontier = ctdma_region(channel, variant=variant, steps=steps)
     except ValueError as exc:
@@ -272,7 +282,7 @@ def cmd_point(args: argparse.Namespace) -> int:
     _deprecated_directions(cfg)
     out = cfg.get("out")
     if out:
-        out = _output_path(out)
+        out = _output_path(out, sidecar=False)
     try:
         frontier = region_for_allocation(channel, alloc)
     except ValueError as exc:

@@ -305,6 +305,8 @@ def _keys(objective, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # right-hand sides tested per product against a cached basis.  A (93, 93)
 # @ (93, 64) product stays under OpenBLAS's threading threshold (4 * 65536
 # multiply-adds per thread in its sources), so each test runs on one core.
+# The command line starts OpenBLAS on one thread anyway; the block keeps a
+# library caller whose numpy loaded with BLAS threads on one core too.
 _READ_VALUES = 1 << 15
 _PRODUCT_BLOCK = 64
 

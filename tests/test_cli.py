@@ -129,6 +129,25 @@ def test_out_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
     assert "is a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["region", "ctdma"])
+@pytest.mark.parametrize("out, sidecar", [("y.csv", "y.json"), ("z.x", "z.x.json")])
+def test_sidecar_directory_is_refused_before_any_work(tmp_path, capsys, command, out, sidecar):
+    (tmp_path / sidecar).mkdir()
+    argv = [command, "--preset", "fig2", "--steps", "3", "--out", str(tmp_path / out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / out).exists()
+
+
+def test_point_writes_no_sidecar_so_its_path_may_be_a_directory(tmp_path):
+    (tmp_path / "p.json").mkdir()
+    out = tmp_path / "p.csv"
+    argv = ["point", "--preset", "fig2", "--out", str(out),
+            "--alloc", str(write_alloc(tmp_path, pc1=1.0))]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["points"]
+
+
 STAGES = {
     "region": {"enumerate", "bounds", "screen", "project", "merge", "write"},
     "ctdma": {"grid", "pair", "merge", "write"},
@@ -359,6 +378,26 @@ def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
     monkeypatch.setattr(region, "region_union", boom)
     code = main(["region", "--preset", "fig2", "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--preset", "fig3", "--variant", "r3", "--steps", "11"],
+    ["ctdma", "--preset", "fig2", "--steps", "17"],
+])
+def test_blas_thread_count_changes_no_output(tmp_path, argv):
+    # no product reaches OpenBLAS's threaded kernels (see _PRODUCT_BLOCK in
+    # polytope.py), so a caller's OPENBLAS_NUM_THREADS changes no byte
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "gicee.cli", *argv, "--out", str(out)],
+            capture_output=True, env=CHILD_ENV | {"OPENBLAS_NUM_THREADS": threads}, check=True,
+        )
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        del sidecar["timing"]
+        runs.append((out.read_bytes(), sidecar))
+    assert runs[0] == runs[1]
 
 
 def test_console_entry_point(tmp_path):

@@ -1,8 +1,11 @@
 import ast
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gicee
 
@@ -75,3 +78,60 @@ def test_each_command_imports_only_its_own_modules(tmp_path):
     assert {"gicee.region", "gicee.polytope"}.isdisjoint(ctdma)
     assert "gicee.schemes" in ctdma
     assert (tmp_path / "ctdma.csv").read_text().startswith("r1_bits,r2_bits")
+
+
+THREAD_PROBE = """
+import os, sys
+def threads():
+    return len(os.listdir("/proc/self/task"))
+import gicee.cli
+print(threads())
+gicee.cli.main(["region", "--preset", "fig3", "--steps", "4", "--out", sys.argv[1]])
+print(threads())
+gicee.cli.main(["ctdma", "--preset", "fig2", "--steps", "3", "--out", sys.argv[2]])
+print(threads())
+"""
+
+ENV_PROBE = """
+import os
+before = dict(os.environ)
+import gicee, gicee.region
+print(dict(os.environ) == before)
+import gicee.cli
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_free_env(**extra):
+    # this process imported gicee.cli, so its own environment already
+    # carries OPENBLAS_NUM_THREADS; a child must start without it
+    from test_cli import CHILD_ENV
+
+    env = {k: v for k, v in CHILD_ENV.items() if k not in BLAS_THREAD_VARIABLES}
+    return env | extra
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task and a second CPU for a BLAS worker")
+def test_the_command_line_runs_on_one_thread(tmp_path):
+    # numpy's OpenBLAS would start a worker thread per extra CPU, which
+    # busy-waits; the command line starts none
+    result = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE, str(tmp_path / "r.csv"), str(tmp_path / "c.csv")],
+        capture_output=True, text=True, env=blas_free_env(), check=True,
+    )
+    assert [int(line) for line in result.stdout.splitlines()] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_only_the_command_line_pins_blas_threads(given, expected):
+    # library imports leave the environment alone, and a value the caller
+    # set wins over the command line's default
+    extra = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    result = subprocess.run(
+        [sys.executable, "-c", ENV_PROBE],
+        capture_output=True, text=True, env=blas_free_env(**extra), check=True,
+    )
+    assert result.stdout.splitlines() == ["True", expected]
