@@ -8,11 +8,17 @@ failure.
 Each command imports the modules it needs when it runs, so ``ctdma`` never
 loads the simplex or the region sweep, and only ``validate`` loads the
 oracle suites.
+
+``run()`` is the process entry point (``python -m gicee.cli`` and the
+``gicee`` script): it exits with ``main()``'s code and freezes the heap on
+the way out.  ``main()`` is for in-process callers and leaves the garbage
+collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -140,10 +146,15 @@ def _deprecated_workers(cfg: dict) -> None:
             raise ConfigError(f"GICEE_WORKERS must be at least 1, got {env!r}")
 
 
-def _output_path(value, *, sidecar: bool) -> Path:
+def _output_path(value, *, sidecar: bool, default: str | None = None) -> Path:
     """An output file path whose directory must already exist and which,
     like its sidecar's path if the command writes one, is not itself a
-    directory, checked before any work is done."""
+    directory, checked before any work is done.  Only a missing (None)
+    value takes ``default``; an empty one names no file."""
+    if value is None:
+        value = default
+    if value == "":
+        raise ConfigError("out must name a file, got an empty path")
     if not isinstance(value, str):
         raise ConfigError(f"out must be a file path, got {value!r}")
     out = Path(value)
@@ -162,6 +173,28 @@ def _write_text(path: Path, text: str) -> None:
         path.write_text(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _stdout(text: str | None = None) -> None:
+    """Print ``text`` to standard output, or flush it when ``text`` is None.
+    A write that fails is a configuration error; stdout is then pointed at
+    the null device, so that the interpreter's final flush has nothing left
+    to fail on (the SIGPIPE recipe in Python's documentation)."""
+    if sys.stdout is None:   # started with its descriptor closed
+        return
+    try:
+        if text is None:
+            sys.stdout.flush()
+        else:
+            print(text)
+    except OSError as exc:
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except OSError:
+            pass
+        raise ConfigError(f"cannot write standard output: {exc}") from None
 
 
 def _sidecar_path(out: Path) -> Path:
@@ -213,7 +246,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     states = _require(cfg, "states", 1, "states", default=1)
     weight_steps = _require(cfg, "weight_steps", None, "weight_steps", default=5)
     _deprecated_workers(cfg)
-    out = _output_path(cfg.get("out") or "region.csv", sidecar=True)
+    out = _output_path(cfg.get("out"), sidecar=True, default="region.csv")
     try:
         spec = RegionSpec(
             channel=channel, variant=variant, steps=steps,
@@ -247,7 +280,7 @@ def cmd_ctdma(args: argparse.Namespace) -> int:
     if variant not in CTDMA_TAGS:
         raise ConfigError(f"variant must be one of {CTDMA_TAGS}, got {variant!r}")
     steps = _require(cfg, "steps", 2, "steps", default=11)
-    out = _output_path(cfg.get("out") or "ctdma.csv", sidecar=True)
+    out = _output_path(cfg.get("out"), sidecar=True, default="ctdma.csv")
     try:
         frontier = ctdma_region(channel, variant=variant, steps=steps)
     except ValueError as exc:
@@ -281,7 +314,7 @@ def cmd_point(args: argparse.Namespace) -> int:
         raise ConfigError(f"allocation invalid ({report.code}): {report.detail}")
     _deprecated_directions(cfg)
     out = cfg.get("out")
-    if out:
+    if out is not None:
         out = _output_path(out, sidecar=False)
     try:
         frontier = region_for_allocation(channel, alloc)
@@ -295,9 +328,9 @@ def cmd_point(args: argparse.Namespace) -> int:
         "points": [[r1, r2] for r1, r2 in frontier.points],
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
+    if out is not None:
         _write_text(out, text + "\n")
-    print(text)
+    _stdout(text)
     return EXIT_OK
 
 
@@ -316,20 +349,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
     dev = mi_oracle_suite(seed, samples)
     passed = dev <= tol
     ok &= passed
-    print(f"mi-oracle: {'pass' if passed else 'FAIL'} "
-          f"max_dev={dev:.3e} tol={tol:.1e} samples={samples}")
+    _stdout(f"mi-oracle: {'pass' if passed else 'FAIL'} "
+            f"max_dev={dev:.3e} tol={tol:.1e} samples={samples}")
 
     gap = projection_suite(seed + 1, systems)
     passed = gap <= 1.0 + 1e-6
     ok &= passed
-    print(f"projection: {'pass' if passed else 'FAIL'} "
-          f"max_gap={gap:.3f} pitch units, systems={systems}")
+    _stdout(f"projection: {'pass' if passed else 'FAIL'} "
+            f"max_gap={gap:.3f} pitch units, systems={systems}")
 
     margin = submodularity_suite(seed + 2)
     passed = margin <= 1e-12
     ok &= passed
-    print(f"submodularity: {'pass' if passed else 'FAIL'} "
-          f"worst_violation={margin:.3e}")
+    _stdout(f"submodularity: {'pass' if passed else 'FAIL'} "
+            f"worst_violation={margin:.3e}")
 
     return EXIT_OK if ok else EXIT_VALIDATION
 
@@ -395,9 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        finally:
+            # flushed here, so an unwritable stdout is exit 1 whatever the
+            # outcome, --help and --version (argparse's SystemExit) included
+            _stdout()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -406,5 +444,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SOLVER
 
 
+def run() -> NoReturn:
+    """Run ``main()`` on the command line's arguments and exit with its code."""
+    try:
+        sys.exit(main())
+    finally:
+        # the heap dies with the process: frozen objects skip exit's final collection
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

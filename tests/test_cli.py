@@ -148,6 +148,29 @@ def test_point_writes_no_sidecar_so_its_path_may_be_a_directory(tmp_path):
     assert json.loads(out.read_text())["points"]
 
 
+@pytest.mark.parametrize("command", ["region", "ctdma", "point"])
+def test_empty_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys, command):
+    # only a missing --out takes the default; an empty one names no file
+    import gicee.region as region
+    import gicee.schemes as schemes
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    for module, name in ((region, "region_union"), (schemes, "ctdma_region"),
+                         (region, "region_for_allocation")):
+        monkeypatch.setattr(module, name, no_work)
+    argv = [command, "--preset", "fig2", "--steps", "3", "--out", ""]
+    if command == "point":
+        argv = [command, "--preset", "fig2", "--out", "",
+                "--alloc", str(write_alloc(tmp_path, pc1=1.0))]
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 STAGES = {
     "region": {"enumerate", "bounds", "screen", "project", "merge", "write"},
     "ctdma": {"grid", "pair", "merge", "write"},
@@ -407,6 +430,101 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip()
+
+
+VALIDATE_ONE = ["validate", "--samples", "1", "--systems", "1"]
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+def test_unwritable_stdout_is_config_error(target, unbuffered):
+    if target == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    if target == "/dev/full":
+        stdout = open("/dev/full", "wb")
+    else:
+        read, write = os.pipe()
+        os.close(read)   # every write to the pipe fails with EPIPE
+        stdout = os.fdopen(write, "wb")
+    with stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "gicee.cli", *VALIDATE_ONE],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: cannot write standard output")
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
+
+
+def test_console_script_is_run():
+    import tomllib
+
+    import gicee.cli
+
+    root = os.path.dirname(SRC)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["gicee"] == "gicee.cli:run"
+    assert callable(gicee.cli.run)
+
+
+def test_in_process_main_freezes_nothing(tmp_path):
+    import gc
+
+    before = gc.get_freeze_count()
+    assert main(["ctdma", "--preset", "fig2", "--steps", "3",
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+# registers an exit hook, then runs the process entry point on its arguments
+RUN_CHILD = """
+import atexit, gc, sys
+from gicee.cli import run
+atexit.register(lambda: print(f"frozen={gc.get_freeze_count()}", file=sys.stderr))
+run()
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["ctdma", "--preset", "fig2", "--steps", "3", "--out", "{out}"], 0),
+    (["ctdma", "--preset", "fig2", "--bogus"], 1),
+    (["ctdma", "--preset", "nope", "--out", "{out}"], 1),
+    (["--version"], 0),
+])
+def test_run_exits_with_mains_code_and_a_frozen_heap(tmp_path, argv, code):
+    argv = [a.format(out=tmp_path / "c.csv") for a in argv]
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_CHILD, *argv],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert result.returncode == code
+    frozen = [line for line in result.stderr.splitlines() if line.startswith("frozen=")]
+    assert len(frozen) == 1 and int(frozen[0].split("=")[1]) > 0
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--preset", "fig3", "--steps", "4"],
+    ["ctdma", "--preset", "fig2", "--steps", "3"],
+])
+def test_module_entry_point_writes_what_main_writes(tmp_path, argv):
+    runs = []
+    for how in ("child", "main"):
+        out = tmp_path / f"{how}.csv"
+        if how == "child":
+            subprocess.run([sys.executable, "-m", "gicee.cli", *argv, "--out", str(out)],
+                           capture_output=True, env=CHILD_ENV, check=True)
+        else:
+            assert main([*argv, "--out", str(out)]) == 0
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        del sidecar["timing"]
+        runs.append((out.read_bytes(), sidecar))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("steps", [
