@@ -434,7 +434,8 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
         finally:
             # flushed here, so an unwritable stdout is exit 1 whatever the
-            # outcome, --help and --version (argparse's SystemExit) included
+            # outcome; argparse's --help and --version only while stdout is
+            # buffered, since unbuffered argparse drops its own failed write
             _stdout()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,25 +107,20 @@ def dominates(big, small, *, tol=1e-9):
     to ``tol``.
 
     Exact vertex test against the convex hull of ``big``: every point of
-    ``small`` must move left by ``e1`` and down by ``e2`` into the hull with
-    ``e1 + e2 <= tol``, so its support value exceeds ``big``'s by at most
-    ``tol`` in every direction.  The shortest such move ends straight below
-    the point, straight left of it or at a hull vertex.  A move measured
-    one way only would not do: next to a near-vertical edge it multiplies a
-    rounding of r1 by the edge's slope.
+    ``small`` may pass the hull's right end by ``e1`` and its boundary above
+    by ``e2`` only with ``e1 + e2 <= tol``, so its support value exceeds
+    ``big``'s by at most ``tol`` in every direction.
     """
     if small.is_empty:
         return True
     if big.is_empty:
         return False
     hull = pareto_merge([big])
-    # the hull with its axes swapped, whose r2_at reads r1 at a height
-    mirror = Frontier(points=tuple((r2, r1) for r1, r2 in reversed(hull.points)))
-    for point in small.points:
-        below, left = min(point[0], hull.max_r1), min(point[1], hull.max_r2)
-        ends = [(below, hull.r2_at(below)), (mirror.r2_at(left), left), *hull.points]
-        gap = min(sum(max(p - q, 0.0) for p, q in zip(point, end)) for end in ends)
-        if gap > tol:
+    right = hull.max_r1
+    for r1, r2 in small.points:
+        beyond = max(r1 - right, 0.0)
+        above = max(r2 - hull.r2_at(min(r1, right)), 0.0)
+        if beyond + above > tol:
             return False
     return True
 

@@ -535,19 +535,6 @@ def test_dominates_catches_a_point_between_sampled_angles():
     assert not dominates(edge, Frontier(points=((1.0 + 5e-10, 0.9 + 6e-10),)))
 
 
-def test_dominates_measures_the_shortest_move_into_the_hull():
-    # next to an edge of slope -1e11, a point 3e-17 right of the vertex
-    # sits 3e-6 above the edge but 3e-17 right of the hull
-    steep = Frontier(points=((0.0, 3.6), (0.15, 3.6), (0.15 + 4e-12, 3.2)))
-    assert dominates(steep, Frontier(points=((0.15 + 3e-17, 3.6),)))
-    assert dominates(steep, Frontier(points=((0.15 + 2e-12 + 5e-10, 3.4),)))
-    assert not dominates(steep, Frontier(points=((0.15 + 2e-12 + 2e-9, 3.4),)))
-    # above the flat top, the move is down; past a vertex, it ends there
-    assert dominates(steep, Frontier(points=((0.05, 3.6 + 5e-10),)))
-    assert not dominates(steep, Frontier(points=((0.05, 3.6 + 2e-9),)))
-    assert not dominates(steep, Frontier(points=((0.15 + 6e-10, 3.6 + 6e-10),)))
-
-
 frontier_points = st.lists(
     st.tuples(st.floats(0, 2), st.floats(0, 2)), min_size=1, max_size=6,
 ).map(lambda pts: Frontier(points=_pareto_prune(pts)))
