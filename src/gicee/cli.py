@@ -127,6 +127,18 @@ def _deprecated_directions(cfg: dict) -> None:
         _require(cfg, "directions", 3, "directions")
 
 
+def _deprecated_weight_steps(cfg: dict, states: int) -> None:
+    """Check ``weight_steps``, which no longer has an effect.
+
+    The region time-shares over any weights, so the option is deprecated;
+    it is still parsed, a non-integer is still a configuration error, and
+    so is a value below 2 with more than one state, so that command lines
+    which worked before keep their exit codes.
+    """
+    if "weight_steps" in cfg:
+        _require(cfg, "weight_steps", 2 if states > 1 else None, "weight_steps")
+
+
 def _deprecated_workers(cfg: dict) -> None:
     """Check ``workers`` and ``GICEE_WORKERS``, which no longer have an effect.
 
@@ -244,14 +256,11 @@ def cmd_region(args: argparse.Namespace) -> int:
     steps = _require(cfg, "steps", 2, "steps", default=11)
     _deprecated_directions(cfg)
     states = _require(cfg, "states", 1, "states", default=1)
-    weight_steps = _require(cfg, "weight_steps", None, "weight_steps", default=5)
+    _deprecated_weight_steps(cfg, states)
     _deprecated_workers(cfg)
     out = _output_path(cfg.get("out"), sidecar=True, default="region.csv")
     try:
-        spec = RegionSpec(
-            channel=channel, variant=variant, steps=steps,
-            states=states, weight_steps=weight_steps,
-        )
+        spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     frontier = region_union(spec)
@@ -261,10 +270,8 @@ def cmd_region(args: argparse.Namespace) -> int:
         "variant": variant,
         "grid": {"steps": steps, "states": states},
         "allocations": frontier.metadata.get("allocations"),
-        "examined_allocations": frontier.metadata.get("examined_allocations"),
-        "infeasible_allocations": frontier.metadata.get("infeasible_allocations"),
-        "screened_allocations": frontier.metadata.get("screened_allocations"),
         "lp": frontier.metadata.get("lp"),
+        "vertices": frontier.metadata.get("vertices"),
         "baseline": _baseline(channel, frontier),
         "timing": frontier.metadata.get("timing"),
     })
@@ -394,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--directions", type=int,
                           help="deprecated, no effect: frontiers are exact")
     p_region.add_argument("--states", type=int)
-    p_region.add_argument("--weight-steps", dest="weight_steps", type=int)
+    p_region.add_argument("--weight-steps", dest="weight_steps", type=int,
+                          help="deprecated, no effect: time sharing takes any weights")
     p_region.add_argument("--workers", type=int,
                           help="deprecated, no effect: sweeps run in one process")
     p_region.add_argument("--out", type=str)

@@ -1,8 +1,11 @@
 """Small dense linear programs and rate-polytope projections.
 
 Everything here is sized for systems of ten variables and about a hundred
-constraints, so the solver is a plain dense two-phase simplex with Bland's
-anti-cycling pivot rule: deterministic, no sparsity, no scaling tricks.
+constraints, so the solver is a plain dense two-phase simplex: Bland's
+lowest-index entering column, Harris's ratio test for the leaving row,
+deterministic, no sparsity, no scaling tricks.
+Frontiers come from one master LP over right-hand sides shared out by
+time sharing (:class:`Projector`), grown column by column.
 """
 
 from __future__ import annotations
@@ -21,15 +24,13 @@ from .frontier import pareto_merge  # noqa: F401
 
 _MAX_PIVOTS = 5000
 
-# A cached basis answers a new right-hand side only if its basic solution
-# is nonnegative up to this much rounding.  The answer moves by about as
-# much as a clipped basic value, so the floor is absolute: scaled by the
-# largest bound, it let a basis infeasible by 2.9e-12 answer a corner that
-# far short of the tableau's.  The tableau's own basic solutions stay
-# feasible to rounding, so a looser test (FEASIBILITY_TOL) let a basis
-# infeasible by 7e-10 answer bounds below 1e-9 with a point the tableau
-# does not reach.
-BASIS_TOL = 1e-12
+# How far below zero the ratio test lets a basic value drift, so that it
+# can pick a large pivot among nearly tied rows.
+_DRIFT = 1e-12
+
+# Columns a pricing round adds to the master at most: the most negative
+# reduced costs, ties broken by column index.
+_ENTER = 8
 
 
 @dataclass(frozen=True)
@@ -136,10 +137,6 @@ class _Tableau:
         basis[le_rows] = slack_at + np.arange(le_rows.size)
         basis[art_rows] = self.art_start + np.arange(art_rows.size)
         self.t, self.basis, self.n = t, basis, n
-        # The variable behind each column but the artificials: structural j
-        # is j, and inequality row i's slack or surplus is n + i, the same
-        # variable ``b_i - a_i x`` whichever way the row was flipped.
-        self.variables = np.concatenate([np.arange(n), n + le_rows, n + ge_rows])
         self.real = np.arange(ncols) < self.art_start
         # Each row's unit column in the initial tableau, and the row's sign
         # flip: ``t[:-1, unit] * sign`` is the inverse of the basis matrix
@@ -147,6 +144,7 @@ class _Tableau:
         self.unit = basis.copy()
         self.sign = np.where(flip, -1.0, 1.0)
         self.complete = True
+        self.pivots = 0
 
     def _pivot(self, row: int, col: int) -> None:
         t = self.t
@@ -155,14 +153,20 @@ class _Tableau:
         factors[row] = 0.0
         t -= factors[:, np.newaxis] * t[row]
         self.basis[row] = col
+        self.pivots += 1
 
     def _bland(self, allowed: np.ndarray | None, tol: float) -> str:
         """Pivot to an optimum of the objective row (minimization).
 
-        Bland's rule: entering is the lowest-index column with a negative
-        reduced cost among ``allowed`` (all columns when None); leaving is
-        the ratio-test row, ties within 1e-15 broken by the lowest basic
-        variable index.
+        Entering is the lowest-index column with a negative reduced cost
+        among ``allowed`` (all columns when None), as in Bland's rule.
+        Leaving follows Harris's ratio test: of the rows that bound the
+        step no shorter than the longest step leaving every basic value
+        above ``-_DRIFT``, the one with the largest pivot, ties broken by
+        the lowest basic variable index.  Bland's own leaving rule takes
+        pivots as small as the tolerance on a degenerate vertex, which
+        grew a time-sharing master's entries past 1e13 and ended it at a
+        wrong optimum.
         """
         t, basis = self.t, self.basis
         for _ in range(_MAX_PIVOTS):
@@ -176,8 +180,10 @@ class _Tableau:
             rows = (t[:-1, col] > tol).nonzero()[0]
             if not rows.size:
                 return "unbounded"
-            ratios = t[rows, -1] / t[rows, col]
-            ties = rows[ratios <= ratios.min() + 1e-15]
+            pivots, values = t[rows, col], t[rows, -1]
+            step = ((np.maximum(values, 0.0) + _DRIFT) / pivots).min()
+            within = values / pivots <= step
+            ties = rows[within & (pivots == pivots[within].max())]
             self._pivot(ties[np.argmin(basis[ties])], col)
         raise SolverFailure(f"simplex stalled after {_MAX_PIVOTS} pivots")
 
@@ -213,10 +219,12 @@ class _Tableau:
 
     def maximize(self, objective: np.ndarray, tol: float,
                  allowed: np.ndarray | None = None) -> str:
-        """Phase 2 from the current basis; entering columns limited to ``allowed``."""
+        """Phase 2 from the current basis; entering columns limited to
+        ``allowed``.  ``objective`` weighs the first structural columns,
+        the rest cost nothing."""
         t, basis = self.t, self.basis
         t[-1] = 0.0
-        t[-1, :self.n] = -objective
+        t[-1, :objective.size] = -objective
         priced = np.flatnonzero(t[-1, basis])
         if priced.size:
             t[-1] -= (t[-1, basis[priced], None] * t[priced]).sum(axis=0)
@@ -239,6 +247,25 @@ class _Tableau:
         rows in basis order; only for a ``complete`` tableau."""
         return self.t[:-1, self.unit] * self.sign
 
+    def duals(self) -> np.ndarray:
+        """Per row of the unflipped system, the reduced cost its objective
+        row gives a column that is that row's unit vector: a column ``a``
+        of cost 0 has reduced cost ``duals() . a``.  Only for a
+        ``complete`` tableau."""
+        return self.t[-1, self.unit] * self.sign
+
+    def append(self, columns: np.ndarray) -> None:
+        """Add structural columns of cost 0, given in the unflipped system
+        as an (m, k) array, after every other column: the basis stays, so
+        phase 2 goes on from it.  Their reduced costs are left at 0 until
+        the next :meth:`maximize`.  Only for a ``complete`` tableau."""
+        if not self.complete:
+            raise SolverFailure("cannot add columns to a tableau with redundant rows")
+        block = np.zeros((self.t.shape[0], columns.shape[1]))
+        block[:-1] = self.basis_inverse() @ columns
+        self.t = np.concatenate([self.t[:, :-1], block, self.t[:, -1:]], axis=1)
+        self.real = np.append(self.real, np.ones(columns.shape[1], dtype=bool))
+
 
 def lp_solve(
     system: RateSystem,
@@ -257,10 +284,6 @@ def lp_solve(
         return LpResult(status="unbounded")
     x = tableau.solution(tol)
     return LpResult(status="optimal", value=float(c_max @ x), x=x)
-
-
-class _Infeasible(Exception):
-    """Phase 1 found no feasible point."""
 
 
 def _dichotomic(tol: float):
@@ -290,73 +313,42 @@ def _dichotomic(tol: float):
     return vertices
 
 
-def _keys(objective, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What an objective maximizes at each of an (n, 2) array of image
-    points, first and second: ``weights . point`` (then nothing), or for a
-    corner the primary coordinate, then the secondary one."""
-    weights, corner = objective
-    if weights is None:
-        return points[:, corner], points[:, 1 - corner]
-    return weights[0] * points[:, 0] + weights[1] * points[:, 1], np.zeros(len(points))
+class _Master:
+    """The master LP of one :meth:`Projector.time_share` call.
 
-
-# Bound values read per call (rows times columns), so that a read's arrays
-# and the screen's stay within a few megabytes however large the grid; and
-# right-hand sides tested per product against a cached basis.  A (93, 93)
-# @ (93, 64) product stays under OpenBLAS's threading threshold (4 * 65536
-# multiply-adds per thread in its sources), so each test runs on one core.
-# The command line starts OpenBLAS on one thread anyway; the block keeps a
-# library caller whose numpy loaded with BLAS threads on one core too.
-_READ_VALUES = 1 << 15
-_PRODUCT_BLOCK = 64
-
-
-class _Rows:
-    """The full rows of some right-hand sides of a :class:`_Union`, each
-    read on first use; indexed by position in ``at``."""
-
-    def __init__(self, union: "_Union", at: np.ndarray) -> None:
-        self._union, self._at = union, at
-        self._values = np.zeros((at.size, union.m))
-        self._read = np.zeros(at.size, dtype=bool)
-
-    def __getitem__(self, index: np.ndarray) -> np.ndarray:
-        need = index[~self._read[index]]
-        if need.size:
-            self._values[need] = self._union._read(self._at[need], None)
-            self._read[need] = True
-        return self._values[index]
-
-
-class _Union:
-    """The state of one :meth:`Projector.search` over ``count`` right-hand
-    sides, whose bounds ``bounds(at, columns)`` computes on demand.
-
-    Every right-hand side has the bound columns the weak-duality bounds
-    read (``columns``, one array per column) and, once a bound needs it,
-    its bound on the sum of the variables (``sums``).  An examined one
-    also has a slot, in examination order, and by slot its verdict
-    (``alive`` is False once the screen or phase 1 finds it infeasible),
-    its tableau once one has run, and per cached basis whether that basis
-    is feasible for it and the image of its basic solution.  Full rows are
-    read again when needed rather than kept, so memory stays small when
-    many right-hand sides are examined.
+    The first column's weight is eliminated, ``w_f = 1 - sum_{s != f}
+    w_s``, so the tableau starts as the system of right-hand side f
+    itself, with one row per resource, ``0 <= caps - u_f``, and the row
+    ``0 <= 1`` whose slack is ``w_f``.  Column s enters as ``b_f - b_s``
+    on the inequality rows, ``u_s - u_f`` on the resource rows, 1 on the
+    ``w_f`` row and ``e_f - e_s`` on the equality rows, once it prices
+    out.  Bound columns (one bound of every right-hand side) are read when
+    a dual first needs them and kept for the call, whole rows only for the
+    right-hand sides that enter.  ``recipes`` maps the image of each
+    optimum to the right-hand sides it uses, their weights and its ``x``.
     """
 
-    def __init__(self, projector: "Projector", count: int, bounds, screen) -> None:
+    def __init__(self, projector: "Projector", count: int, bounds,
+                 usage: np.ndarray, caps: np.ndarray, first: int) -> None:
         self.projector = projector
-        self.count = count
-        self._bounds, self._screen = bounds, screen
-        self.m = projector._matrix.shape[0]
+        self.count, self.usage, self.caps, self.first = count, usage, caps, first
+        self._bounds = bounds
+        a_ub, a_eq = projector._a_ub, projector._a_eq
+        self.n_ub, self.n = a_ub.shape
         self.columns: dict[int, np.ndarray] = {}
-        self.sums: np.ndarray | None = None
-        self.alive = np.ones(count, dtype=bool)
-        self.slot = np.full(count, -1)
-        self.examined = 0
-        self.tableaus: dict[int, _Tableau] = {}
-        self.fits = np.zeros((0, 0), dtype=np.int8)  # -1 not yet tested
-        self.images = np.zeros((0, 0, 2))
-        self.screened = self.infeasible = 0
+        self.present = np.zeros(count, dtype=bool)
+        self.present[first] = True
+        # per weight column but the first one's: its right-hand side and
+        # its tableau column
+        self.states: list[int] = []
+        self.at: list[int] = []
+        self.recipes: dict[tuple[float, float], tuple] = {}
+        self.rhs = self._read(np.array([first]), None)[0]
+        self.tableau = _Tableau(RateSystem(
+            a_ub=np.vstack([a_ub, np.zeros((caps.size + 1, self.n))]),
+            b_ub=np.concatenate([self.rhs[:self.n_ub], caps - usage[first], [1.0]]),
+            a_eq=a_eq, b_eq=self.rhs[self.n_ub:],
+        ))
 
     def _read(self, at, columns) -> np.ndarray:
         values = self._bounds(at, columns)
@@ -364,289 +356,111 @@ class _Union:
             raise ValueError("constraint data must be finite")
         return values
 
-    def _blocks(self, width: int):
-        """Slices of the right-hand sides that a read of ``width`` columns
-        takes at a time."""
-        step = max(1, _READ_VALUES // width)
-        return (slice(start, start + step) for start in range(0, self.count, step))
-
-    def _require(self, columns: np.ndarray) -> None:
-        """Read the given bound columns for every right-hand side."""
-        missing = [j for j in columns.tolist() if j not in self.columns]
+    def _price(self, y: np.ndarray) -> np.ndarray:
+        """The reduced cost of every column under the duals ``y`` of the
+        master's rows, (count,), reading only the bound columns whose dual
+        is nonzero."""
+        n_ub, c = self.n_ub, self.caps.size
+        y_bounds = np.concatenate([y[:n_ub], y[n_ub + c + 1:]])
+        y_use, y_one = y[n_ub:n_ub + c], y[n_ub + c]
+        used = np.flatnonzero(y_bounds).tolist()
+        missing = [j for j in used if j not in self.columns]
         if missing:
-            values = {j: np.empty(self.count) for j in missing}
-            for at in self._blocks(len(missing)):
-                block = self._read(at, np.array(missing))
-                for i, j in enumerate(missing):
-                    values[j][at] = block[:, i]
-            self.columns.update(values)
+            values = self._read(slice(None), np.array(missing))
+            self.columns.update((j, values[:, i].copy()) for i, j in enumerate(missing))
+        used_first = self.usage[self.first]
+        cost = np.full(self.count, y_one + y_bounds @ self.rhs - y_use @ used_first)
+        if c:
+            cost += self.usage @ y_use
+        for j in used:
+            cost -= y_bounds[j] * self.columns[j]
+        return cost
 
-    def _sums(self) -> np.ndarray:
-        """``sum b + s max b`` for every right-hand side (see :meth:`upper`),
-        read once."""
-        if self.sums is None:
-            n_ub, scale = self.projector._a_ub.shape[0], self.projector._sum_scale
-            self.sums = np.empty(self.count)
-            for at in self._blocks(self.m):
-                rows = self._read(at, None)
-                self.sums[at] = rows[:, :n_ub].sum(axis=1) + scale * rows.max(axis=1)
-        return self.sums
+    def _add(self, at: np.ndarray) -> None:
+        rows = self.rhs - self._read(at, None)
+        n_ub = self.n_ub
+        start = self.tableau.t.shape[1] - 1
+        self.tableau.append(np.vstack([rows[:, :n_ub].T,
+                                       (self.usage[at] - self.usage[self.first]).T,
+                                       np.ones((1, at.size)), rows[:, n_ub:].T]))
+        self.present[at] = True
+        self.states += at.tolist()
+        self.at += range(start, start + at.size)
 
-    def upper(self, objective) -> np.ndarray:
-        """An upper bound on the objective's optimum for every right-hand
-        side, (count,); infinite where nothing bounds it.
-
-        Weak duality.  Let ``M`` be the matrix with one slack column per
-        inequality row, so that the feasible points of right-hand side
-        ``b`` are the ``v = (x, z) >= 0`` with ``M v = b``, and let ``c``
-        be the objective on ``v``.  For any vector ``y``, ``c . v = y . b +
-        d . v`` with ``d = c - y M``.  A cached basis that passes the
-        objective's stopping test gives ``y = c_B B^-1`` (the duals stored
-        per basis, weighted like the objective) with ``d_j <= delta`` for
-        every column, ``delta`` being its most negative accepted reduced
-        cost of the minimization, negated, or 0.  So ``c . v <= y . b +
-        delta * sum(v)`` for every feasible ``v`` of every ``b``.  When all
-        inequality rows are nonnegative, each slack is at most its row's
-        bound, ``z_i = b_i - a_i x <= b_i``, and each variable at most
-        ``max b / s_j``, ``s_j`` its largest coefficient in a nonnegative
-        row; on the region matrix ``s_j = 1``, since every rate variable
-        has coefficient 1 in some single-subset row, so ``sum(v) <= sum b +
-        10 max b`` (``Projector._sum_scale`` is the 10).  Otherwise there is
-        no such bound and a basis with ``delta > 0`` bounds nothing.  A
-        nonnegative inequality row at least the objective row, coefficient
-        by coefficient, is the dual ``y = e_i`` with ``d <= 0`` everywhere,
-        so before any basis is cached its bound (weighted for a segment)
-        already orders the right-hand sides.  The bound of ``b`` is the
-        least over these duals of ``y . b + delta * (sum b + s max b)``
-        plus ``2 m eps |y| . |b|``, which covers the rounding of the
-        product and of the image an examination computes.
-        """
-        duals = self.projector._duals(objective)
-        if duals:  # one read of the columns every bound below needs
-            self._require(np.flatnonzero(np.any([y for y, _ in duals], axis=0)))
-        bound = np.full(self.count, math.inf)
-        for y, delta in duals:
-            np.minimum(bound, self.dual_bound(y, delta), out=bound)
-        return bound
-
-    def dual_bound(self, y: np.ndarray, delta: float) -> np.ndarray:
-        """``y . b`` plus the margin of :meth:`upper` for every right-hand
-        side, (count,); infinite when ``delta > 0`` and the variables'
-        sum has no bound."""
-        scale = self.projector._sum_scale
-        if delta > 0.0 and not math.isfinite(scale):
-            return np.full(self.count, math.inf)
-        columns = np.flatnonzero(y)
-        self._require(columns)
-        value, size = np.zeros(self.count), np.zeros(self.count)
-        for j in columns.tolist():
-            value += y[j] * self.columns[j]
-            size += abs(y[j]) * np.abs(self.columns[j])
-        value += 2 * self.m * np.finfo(float).eps * size
-        if delta > 0.0:
-            value += delta * self._sums()
-        return value
-
-    def _sync(self) -> None:
-        """Grow the verdict and image tables to every slot and basis, the
-        slots by doubling."""
-        have = self.fits.shape
-        need = (self.examined, len(self.projector._inverses))
-        if need[0] > have[0] or need[1] > have[1]:
-            shape = (have[0] if need[0] <= have[0] else max(need[0], 2 * have[0]), need[1])
-            fits = np.full(shape, -1, dtype=np.int8)
-            images = np.zeros(shape + (2,))
-            fits[:have[0], :have[1]] = self.fits
-            images[:have[0], :have[1]] = self.images
-            self.fits, self.images = fits, images
-
-    def _feasible(self, slots: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
-        """Whether cached basis k is feasible for each of ``rows``, the full
-        rows of ``slots``, and where it is, the image of its basic
-        solution; computed once per slot and basis.
-
-        One product per block of rows, ``B^-1 b``, decides a verdict unless
-        its rounding could flip it; then the one-row product decides, so a
-        verdict never depends on the other rows.  An image needs only the
-        basic values the objective rows weigh, each summed elementwise per
-        row, so it too depends on the row alone.
-        """
-        self._sync()
-        todo = np.flatnonzero(self.fits[slots, k] < 0)
-        projector = self.projector
-        inverse = projector._inverses[k]
-        carriers, weights = projector._carriers[k]
-        for start in range(0, todo.size, _PRODUCT_BLOCK):
-            at = todo[start:start + _PRODUCT_BLOCK]
-            block = rows[at]
-            lowest = (inverse @ block.T).min(axis=0)
-            fits = lowest >= -BASIS_TOL
-            spread = projector._spread[k] * np.abs(block).max(axis=1)
-            for j in np.flatnonzero(np.abs(lowest + BASIS_TOL) <= spread):
-                fits[j] = (inverse @ block[j]).min() >= -BASIS_TOL
-            self.fits[slots[at], k] = fits
-            values = (block[:, np.newaxis, :] * carriers).sum(axis=2)
-            np.maximum(values, 0.0, out=values)
-            images = (values[:, :, np.newaxis] * weights).sum(axis=1)
-            self.images[slots[at], k] = np.maximum(images, 0.0)
-        return self.fits[slots, k] == 1
-
-    def _answer(self, at: np.ndarray, rows, bases,
-                waiting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which of ``at`` that are ``waiting`` one of ``bases`` answers,
-        the first feasible in their order, and the images the answers give.
-        ``rows`` (an array or :class:`_Rows`) gives their full rows, taken
-        only where a verdict is not known yet."""
-        found = np.zeros(at.size, dtype=bool)
-        points = np.zeros((at.size, 2))
-        slots = self.slot[at]
-        self._sync()
-        for k in bases:
-            todo = np.flatnonzero(waiting & ~found)
-            if not todo.size:
-                break
-            untested = todo[self.fits[slots[todo], k] < 0]
-            if untested.size:
-                self._feasible(slots[untested], rows[untested], k)
-            hit = todo[self.fits[slots[todo], k] == 1]
-            points[hit] = self.images[slots[hit], k]
-            found[hit] = True
-        self.projector.cached_solves += int(found.sum())
-        return found, points
-
-    def _tableau_point(self, slot: int, rhs: np.ndarray, objective) -> tuple[float, float]:
-        """The objective's optimum from the slot's own tableau, built from
-        its full row ``rhs`` and run through phase 1 on first use."""
-        projector = self.projector
-        tableau = self.tableaus.get(slot)
-        if tableau is None:
-            n_ub = projector._a_ub.shape[0]
-            tableau = _Tableau(RateSystem(projector._a_ub, rhs[:n_ub],
-                                          projector._a_eq, rhs[n_ub:]))
-            projector.phase1_runs += 1
-            if not tableau.phase1(FEASIBILITY_TOL):
-                raise _Infeasible
-            self.tableaus[slot] = tableau
-        return projector._tableau_solve(tableau, objective)
-
-    def _examine(self, at: np.ndarray, objective, bound: np.ndarray) -> np.ndarray:
-        """The images of the objective's optima at those of ``at`` that are
-        not infeasible, (n, 2).
-
-        Each right-hand side is screened on its first examination.  Then
-        the first cached basis, in caching order, that passes the stopping
-        test and is feasible answers it.  The rest go to their tableaus one
-        at a time, in decreasing bound, ties broken by row; each basis a
-        tableau solve caches is then tried on those still waiting.
-        """
-        projector = self.projector
-        points = np.zeros((at.size, 2))
-        passing = np.flatnonzero(projector._passing(objective))
-        waiting = np.zeros(at.size, dtype=bool)
-        missed, missed_rows = [], []
-        step = _READ_VALUES // self.m
-        for start in range(0, at.size, step):
-            block = np.arange(start, min(start + step, at.size))
-            rows = _Rows(self, at[block])
-            fresh = np.flatnonzero(self.slot[at[block]] < 0)
-            if fresh.size:
-                self.slot[at[block[fresh]]] = self.examined + np.arange(fresh.size)
-                self.examined += fresh.size
-                if self._screen is not None:
-                    certified = fresh[self._screen(rows[fresh])]
-                    self.alive[at[block[certified]]] = False
-                    self.screened += certified.size
-            waiting[block] = self.alive[at[block]]
-            found, images = self._answer(at[block], rows, passing, waiting[block])
-            points[block[found]] = images[found]
-            waiting[block[found]] = False
-            left = np.flatnonzero(waiting[block])
-            missed.append(block[left])
-            missed_rows.append(rows[left])
-        missed = np.concatenate(missed) if missed else np.zeros(0, dtype=np.intp)
-        if missed.size:
-            rows = np.concatenate(missed_rows)
-            order = sorted(range(missed.size), reverse=True,
-                           key=lambda i: (bound[at[missed[i]]], rows[i].tobytes()))
-            missed, rows = missed[order], rows[order]
-            tried = len(projector._inverses)
-            for i, j in enumerate(missed.tolist()):
-                if not waiting[j]:
-                    continue
-                waiting[j] = False
-                try:
-                    points[j] = self._tableau_point(int(self.slot[at[j]]), rows[i], objective)
-                except _Infeasible:
-                    self.alive[at[j]] = False
-                    self.infeasible += 1
-                    continue
-                new = np.flatnonzero(projector._passing(objective)[tried:]) + tried
-                tried = len(projector._inverses)
-                later = missed[i + 1:]
-                found, images = self._answer(at[later], rows[i + 1:], new, waiting[later])
-                points[later[found]] = images[found]
-                waiting[later[found]] = False
-        return points[self.alive[at]]
-
-    def best(self, objective) -> tuple[float, float] | None:
-        """The image of the objective's optimum over all right-hand sides,
-        or None when every one is infeasible.
-
-        Right-hand sides are examined in decreasing upper bound, in batches:
-        the first takes those whose bound reaches the largest, each next one
-        the most that reach the incumbent, up to twice as many as before,
-        and a batch always takes every bound tied with its lowest.  The
-        search stops when no bound left reaches the incumbent.  Among the
-        examined optima the largest key wins (see :func:`_keys`), ties broken
-        by the point, so every choice depends on values, not on the order
-        of the right-hand sides.  Bounds are recomputed whenever a basis
-        joins the cache.
-        """
-        weights, corner = objective
-        answered = np.zeros(self.count, dtype=bool)
-        best = np.zeros((0, 2))
-        size, bases = 1, -1
-        bound = np.full(self.count, math.inf)
+    def _optimize(self, objective: np.ndarray, allowed: np.ndarray | None = None,
+                  eligible: np.ndarray | None = None) -> np.ndarray | None:
+        """Maximize ``objective`` over the master, entering columns limited
+        to ``allowed`` and priced-in columns to ``eligible``; each round
+        adds the ``_ENTER`` columns of most negative reduced cost, ties
+        broken by index, until none is below ``-FEASIBILITY_TOL``.  Returns
+        every column's reduced cost at the optimum, or None when all
+        columns were in the master already."""
+        tableau, tol = self.tableau, FEASIBILITY_TOL
         while True:
-            if self.count > 1 and bases != len(self.projector._inverses):
-                bases = len(self.projector._inverses)
-                bound = self.upper(objective)
-            open_ = self.alive & ~answered
-            if len(best):
-                open_ &= bound >= _keys(objective, best)[0]
-            at = np.flatnonzero(open_)
-            if not at.size:
-                return tuple(best[0].tolist()) if len(best) else None
-            if at.size > size:
-                reach = bound[at]
-                at = at[reach >= np.partition(reach, at.size - size)[at.size - size]]
-            answered[at] = True
-            points = np.concatenate([best, self._examine(at, objective, bound)])
-            if len(points):
-                primary, secondary = _keys(objective, points)
-                best = points[np.lexsort((points[:, 1], points[:, 0], secondary, primary))[-1:]]
-            size *= 2
+            if tableau.maximize(objective, tol, allowed) != "optimal":
+                raise SolverFailure("projection unbounded along an objective")
+            if self.present.all():
+                return None
+            cost = self._price(tableau.duals())
+            self.projector.rounds += 1
+            open_ = ~self.present if eligible is None else ~self.present & eligible
+            candidates = np.flatnonzero(open_ & (cost < -tol))
+            if not candidates.size:
+                return cost
+            at = candidates[np.argsort(cost[candidates], kind="stable")[:_ENTER]]
+            self._add(at)
+            if allowed is not None:
+                allowed = np.append(allowed, np.ones(at.size, dtype=bool))
+
+    def best(self, objective) -> tuple[float, float]:
+        """The image of an optimum of a :func:`_dichotomic` objective: for a
+        corner, the secondary row maximized on the primary's optimal face,
+        where only columns the primary's duals price at most the tolerance
+        may enter."""
+        weights, corner = objective
+        tol = FEASIBILITY_TOL
+        rows = (self.projector.r1_row, self.projector.r2_row)
+        if weights is None:
+            cost = self._optimize(rows[corner])
+            face = self.tableau.optimal_face(tol)
+            self._optimize(rows[1 - corner], face, None if cost is None else cost <= tol)
+        else:
+            self._optimize(weights[0] * rows[0] + weights[1] * rows[1])
+        t = self.tableau.t
+        values = np.zeros(t.shape[1] - 1)
+        values[self.tableau.basis] = t[:-1, -1]
+        values[(values < 0.0) & (values > -tol)] = 0.0
+        x = values[:self.n]
+        point = (max(float(rows[0] @ x), 0.0), max(float(rows[1] @ x), 0.0))
+        # the first weight is the slack of the row before the equalities
+        one = self.n_ub + self.caps.size
+        weights_at = values[[self.tableau.unit[one]] + self.at]
+        used = np.flatnonzero(weights_at > 0.0)
+        self.recipes[point] = (np.array([self.first] + self.states)[used], weights_at[used], x)
+        return point
 
 
 class Projector:
-    """Frontier projections of many systems that share one matrix.
+    """Frontier projections of systems that share one matrix.
 
     The projector holds the constraint matrix (``a_ub``, ``a_eq``) and the
-    objective rows; :meth:`search` and :meth:`project` take only right-hand
-    sides ``b``.  Reduced costs do not depend on ``b``, so a basis optimal
-    for one system is optimal for every other whose basic solution ``B^-1
-    b`` is nonnegative, and its duals ``c_B B^-1`` bound every system's
-    optimum (weak duality, see :meth:`_Union.upper`).  The projector caches
-    each basis a tableau solve ends in, with ``B^-1``, the duals and reduced
-    costs of both objective rows and the rows of the basic variables in
-    them.  An objective is answered for a system by the first cached basis,
-    in caching order, that passes the test the simplex stops on (reduced
-    costs ``>= -tol``; for a corner lexicographically: the secondary's on
-    the primary's optimal face) and whose basic solution is nonnegative up
-    to ``BASIS_TOL``.  Any other objective goes to the system's own
-    warm-started tableau, built from ``b`` on the first miss; it runs phase
-    1 first and so decides feasibility, and the basis it ends in joins the
-    cache.
+    objective rows; right-hand sides ``(b, e)`` are the columns of one
+    master LP, which shares them out by time sharing:
+
+        maximize  c . x   over  x >= 0, w >= 0
+        a_ub x - sum_s w_s b_s <= 0
+        sum_s w_s u_s          <= caps
+        a_eq x - sum_s w_s e_s  = 0
+        sum_s w_s               = 1
+
+    ``u_s`` is right-hand side s's use of each resource.  With one
+    right-hand side, ``w = 1`` and the master is that system itself
+    (:meth:`project`).  Over many, :meth:`time_share` grows the master
+    column by column (Dantzig-Wolfe column generation) from one: each
+    optimum's duals price every column, and those with negative reduced
+    cost enter the live tableau, so phase 2 goes on from the last basis.
+    ``counts`` sums the pricing rounds, the columns in the masters and the
+    simplex pivots of every call.
     """
 
     def __init__(
@@ -657,182 +471,65 @@ class Projector:
         r2_row: Sequence[float],
     ) -> None:
         self._a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-        n_ub, n = self._a_ub.shape
-        self._a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n)
-        a = np.vstack([self._a_ub, self._a_eq])
-        # columns: the variables, then one slack per inequality row
-        self._matrix = np.hstack([a, np.eye(a.shape[0], n_ub)])
+        self._a_eq = np.asarray(a_eq, dtype=float).reshape(-1, self._a_ub.shape[1])
         self.r1_row = np.asarray(r1_row, dtype=float)
         self.r2_row = np.asarray(r2_row, dtype=float)
-        self._rows = np.zeros((2, self._matrix.shape[1]))
-        self._rows[:, :n] = self.r1_row, self.r2_row
-        # Weak-duality constants (see _Union.upper): the bound on the sum
-        # of the variables per max b, and per objective row the nonnegative
-        # inequality row that covers it, if any, with the fewest nonzeros.
-        nonneg = np.all(a >= 0.0, axis=1)
-        largest = np.where(nonneg[:, np.newaxis], a, 0.0).max(axis=0)
-        bounded = nonneg[:n_ub].all() and np.all(largest > 0.0)
-        self._sum_scale = float((1.0 / largest).sum()) if bounded else math.inf
-        cover = []
-        for row in (self.r1_row, self.r2_row):
-            fits = nonneg[:n_ub] & np.all(self._a_ub >= row, axis=1)
-            fits = np.flatnonzero(fits)
-            if fits.size:
-                cover.append(int(fits[np.argmin(np.count_nonzero(self._a_ub[fits], axis=1))]))
-        self._cover = cover if len(cover) == 2 else None
-        self._keys: set[bytes] = set()
-        self._inverses: list[np.ndarray] = []
-        self._carriers: list[tuple[np.ndarray, np.ndarray]] = []
-        self._spread: list[float] = []
-        self._dual_rows = np.zeros((0, 2, a.shape[0]))
-        self._reduced = np.zeros((0, 2, self._matrix.shape[1]))
-        self._corners = np.zeros((0, 2), dtype=bool)
-        self.phase1_runs = self.cached_solves = self.tableau_solves = 0
+        self.rounds = self.columns = self.pivots = 0
 
     @property
     def counts(self) -> dict:
-        """LP work so far: phase-1 runs, objectives answered from the cache
-        and by a tableau, and bases cached."""
-        return {
-            "phase1_runs": self.phase1_runs,
-            "cached_solves": self.cached_solves,
-            "tableau_solves": self.tableau_solves,
-            "bases_cached": len(self._inverses),
-        }
+        return {"rounds": self.rounds, "columns": self.columns, "pivots": self.pivots}
 
-    def _remember(self, tableau: _Tableau) -> None:
-        if not tableau.complete:
-            return
-        basis = tableau.variables[tableau.basis]
-        key = np.sort(basis).tobytes()
-        if key in self._keys:
-            return
-        self._keys.add(key)
-        inverse = tableau.basis_inverse()
-        costs = -self._rows  # the tableau minimizes the negated objective
-        reduced = costs - (costs[:, basis] @ inverse) @ self._matrix
-        tol = FEASIBILITY_TOL
-        corners = [
-            bool(np.all(reduced[p] >= -tol) and np.all(reduced[s][reduced[p] <= tol] >= -tol))
-            for p, s in ((0, 1), (1, 0))
-        ]
-        self._inverses.append(inverse)
-        images = self._rows[:, basis].T
-        carriers = np.flatnonzero(images.any(axis=1))
-        self._carriers.append((inverse[carriers], images[carriers][np.newaxis]))
-        # Two roundings of a dot product of length m differ by at most
-        # 2 m u |B^-1| |b| (u = eps / 2), bounded by this times max |b|.
-        self._spread.append(
-            len(inverse) * np.finfo(float).eps * np.abs(inverse).sum(axis=1).max())
-        duals = self._rows[:, basis] @ inverse
-        self._dual_rows = np.concatenate([self._dual_rows, duals[np.newaxis]])
-        self._reduced = np.concatenate([self._reduced, reduced[np.newaxis]])
-        self._corners = np.concatenate([self._corners, [corners]])
+    def time_share(self, count: int, bounds, usage: np.ndarray | None = None,
+                   caps: Sequence[float] = (), first: int = 0) -> tuple[list, dict]:
+        """The dichotomic vertices of the master's image over ``count``
+        right-hand sides, and the recipe of each (see :class:`_Master`).
 
-    def _priced(self, objective) -> np.ndarray:
-        """Each cached basis's reduced costs of the objective's primary row
-        (the weighted row of a segment), (bases, columns)."""
-        weights, corner = objective
-        if weights is None:
-            return self._reduced[:, corner]
-        return weights[0] * self._reduced[:, 0] + weights[1] * self._reduced[:, 1]
+        Exact, by the bicriteria dichotomic search (Aneja & Nair 1979):
+        solve the two lexicographic corners, then maximize along the normal
+        of each segment between adjacent known vertices; a point above the
+        segment is a new vertex and splits it, otherwise the segment is a
+        frontier edge.  Every objective is solved to optimality over all
+        columns, not only those in the master.  Phase 1 runs once, on
+        column ``first`` alone: if that system is infeasible, or overspends
+        a resource, the vertices are empty.  The vertices are neither
+        sorted nor pruned.
 
-    def _passing(self, objective) -> np.ndarray:
-        """Which cached bases pass the simplex's stopping test for the
-        objective, (bases,)."""
-        weights, corner = objective
-        if weights is None:
-            return self._corners[:, corner]
-        return self._priced(objective).min(axis=1, initial=0.0) >= -FEASIBILITY_TOL
-
-    def _duals(self, objective) -> list[tuple[np.ndarray, float]]:
-        """The dual vectors that bound the objective, each with its
-        ``delta``: those of the passing bases, then the covering rows'."""
-        weights, corner = objective
-        if weights is None:
-            duals = self._dual_rows[:, corner]
-        else:
-            duals = weights[0] * self._dual_rows[:, 0] + weights[1] * self._dual_rows[:, 1]
-        delta = -self._priced(objective).min(axis=1, initial=0.0)
-        out = [(duals[k], float(delta[k])) for k in np.flatnonzero(self._passing(objective))]
-        if self._cover is not None:
-            y = np.zeros(self._dual_rows.shape[2])
-            if weights is None:
-                y[self._cover[corner]] = 1.0
-            else:
-                y[self._cover[0]] += weights[0]
-                y[self._cover[1]] += weights[1]
-            out.append((y, 0.0))
-        return out
-
-    def _tableau_solve(self, tableau: _Tableau, objective) -> tuple[float, float]:
-        """Image of an optimum of the objective from a tableau past phase 1;
-        the basis the solve ends in joins the cache."""
-        tol = FEASIBILITY_TOL
-        r1_row, r2_row = self.r1_row, self.r2_row
-        weights, corner = objective
-        if weights is None:
-            rows = (r1_row, r2_row)
-            if tableau.maximize(rows[corner], tol) != "optimal":
-                raise SolverFailure("projection unbounded along a corner objective")
-            face = tableau.optimal_face(tol)
-            if tableau.maximize(rows[1 - corner], tol, face) != "optimal":
-                raise SolverFailure("lexicographic refinement failed")
-        elif tableau.maximize(weights[0] * r1_row + weights[1] * r2_row, tol) != "optimal":
-            raise SolverFailure("projection unbounded along a segment normal")
-        self.tableau_solves += 1
-        self._remember(tableau)
-        x = tableau.solution(tol)
-        return max(float(r1_row @ x), 0.0), max(float(r2_row @ x), 0.0)
-
-    def search(self, count: int, bounds, screen=None) -> tuple[list, dict]:
-        """The dichotomic vertices of the union of ``count`` systems'
-        projections, and how many systems were examined, screened and found
-        infeasible by phase 1.
-
-        Exact, by the bicriteria dichotomic search (Aneja & Nair 1979) run
-        once over the union: solve the two lexicographic corners, then
-        maximize along the normal of each segment between adjacent known
-        vertices; a point above the segment is a new vertex and splits it,
-        otherwise the segment is a frontier edge.  The optimum of each
-        objective over the union is found by :meth:`_Union.best`, which
-        examines only the systems whose weak-duality bound reaches the best
-        optimum found.  The vertices are neither sorted nor pruned, and
-        empty when every system is infeasible.
-
-        ``bounds(at, columns)`` gives the right-hand sides of the systems
-        ``at`` (an index array, or a slice for all), only the given columns
-        of them, or whole rows for ``columns`` None; every value the search
-        reads is checked finite first, and a non-finite one is a
-        ValueError.  ``screen(rows)``, if given, marks whole rows that are
-        certainly infeasible; they count as examined and screened.  A
-        SolverFailure ends the search.
+        ``bounds(at, columns)`` gives the right-hand sides ``at`` (an index
+        array, or a slice for all), only the given columns of them, or
+        whole rows for ``columns`` None; every value read is checked finite
+        first, and a non-finite one is a ValueError.  ``usage`` is
+        ``(count, len(caps))``.  A SolverFailure ends the search.
         """
-        union = _Union(self, count, bounds, screen)
-        steps = _dichotomic(FEASIBILITY_TOL)
-        objective = next(steps)
-        vertices: list[tuple[float, float]] = []
+        caps = np.asarray(caps, dtype=float)
+        usage = np.zeros((count, caps.size)) if usage is None else np.asarray(usage, dtype=float)
+        master = _Master(self, count, bounds, usage, caps, first)
         try:
-            while (point := union.best(objective)) is not None:
-                objective = steps.send(point)
+            if not master.tableau.phase1(FEASIBILITY_TOL):
+                return [], {}
+            steps = _dichotomic(FEASIBILITY_TOL)
+            objective = next(steps)
+            while True:
+                objective = steps.send(master.best(objective))
         except StopIteration as stop:
-            vertices = stop.value
-        return vertices, {"examined": union.examined, "screened": union.screened,
-                          "infeasible": union.infeasible}
+            return stop.value, master.recipes
+        finally:
+            self.columns += 1 + len(master.states)
+            self.pivots += master.tableau.pivots
 
     def project(self, rhs: np.ndarray) -> Frontier:
         """Pareto frontier of the image of the system with right-hand side
         ``rhs`` (the inequality bounds, then the equality values) under the
-        objective rows: :meth:`search` over that one system, without a
-        screen, so phase 1 decides feasibility.  Infeasible systems give an
-        empty frontier, with ``metadata["infeasible"]`` set.  A non-finite
-        ``rhs`` is a ValueError, raised before any cached basis could turn
-        it into a point.
+        objective rows: the master with that one column, whose phase 1
+        decides feasibility.  Infeasible systems give an empty frontier,
+        with ``metadata["infeasible"]`` set.  A non-finite ``rhs`` is a
+        ValueError.
         """
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self._matrix.shape[0],):
-            raise ValueError(f"right-hand sides must have {self._matrix.shape[0]} entries")
-        vertices, _ = self.search(
+        size = self._a_ub.shape[0] + self._a_eq.shape[0]
+        if rhs.shape != (size,):
+            raise ValueError(f"right-hand sides must have {size} entries")
+        vertices, _ = self.time_share(
             1, lambda at, columns: (rhs if columns is None else rhs[columns])[np.newaxis])
         return Frontier(points=_pareto_prune(vertices), metadata={"infeasible": not vertices})
 
@@ -844,9 +541,8 @@ def project_frontier(
 ) -> Frontier:
     """Pareto frontier of the polytope's image under (r1_row, r2_row).
 
-    See :meth:`Projector.project`.  The projection starts from an empty
-    cache, so phase 1 runs once and every later objective warm-starts from
-    the previous optimal basis or reuses one of this projection's own.
+    See :meth:`Projector.project`: phase 1 runs once, and every later
+    objective warm-starts from the previous optimal basis.
     """
     projector = Projector(system.a_ub, system.a_eq, r1_row, r2_row)
     return projector.project(np.concatenate([system.b_ub, system.b_eq]))

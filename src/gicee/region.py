@@ -1,11 +1,14 @@
-"""Assembly of the rate constraint systems and allocation-family unions.
+"""Assembly of the rate constraint systems and time-shared grid regions.
 
 The region for one allocation is the projection of a 10-variable polytope:
 for every receiver, each subset of its decodable components caps the summed
 message-plus-randomization rates by a conditional MI; the eavesdropper's
 subsets cap the randomization rates alone, with the full-set row promoted
 to an equality so the dummy rates exactly saturate what the eavesdropper
-observes.  Unions over power grids are merged by convex closure.
+observes.  The region of a power grid time-shares one codebook over any
+number of grid states: every bound, and each user's power, is averaged
+over the states, which is one master LP over the grid (see
+:class:`gicee.polytope.Projector`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 import time
 from dataclasses import astuple, dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .model import (
     TimeSharedAllocation,
     validate_allocation,
 )
-from .frontier import FEASIBILITY_TOL, Frontier, _pareto_prune, pareto_merge
+from .frontier import Frontier, _pareto_prune, pareto_merge
 from .polytope import Projector, RateSystem, project_frontier
 
 # Variable order of every RateSystem built here.  The two "other" message
@@ -104,69 +106,6 @@ _ROWS = _indicator_rows()
 A_UB, EQ_ROW = _ROWS[:-1], _ROWS[-1]
 
 
-def _set_partitions(items: list[int]):
-    """Every partition of ``items`` into blocks, each block a bit set."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in _set_partitions(rest):
-        yield [1 << first] + partition
-        for k, block in enumerate(partition):
-            yield partition[:k] + [block | 1 << first] + partition[k + 1:]
-
-
-def _screen_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables of the feasibility screen.
-
-    Every inequality row caps the randomization rates of its subset (the
-    message rates it also holds are nonnegative), so the rows with subset
-    T give a cap on the summed rates over T.  Returned: the inequality
-    rows in the order of their subset's bit set, the start of each of the
-    62 proper nonempty subsets in that order, and one row per partition of
-    the six components into two or more blocks, listing its blocks' subset
-    positions padded with 62 (an always-zero cap).
-    """
-    # bit i - 1 stands for component SignalIndex i
-    masks = np.array([sum(1 << (i - 1) for i in subset) for _, subset in _BOUNDS[:-1]])
-    components = len(DECODABLE["ye"])
-    full = (1 << components) - 1
-    order = np.argsort(masks, kind="stable")
-    starts = np.searchsorted(masks[order], np.arange(1, full))
-    partitions = [p for p in _set_partitions(list(range(components))) if len(p) > 1]
-    blocks = np.full((len(partitions), components), full - 1)
-    for k, partition in enumerate(partitions):
-        blocks[k, :len(partition)] = np.array(partition) - 1
-    return order, starts, blocks
-
-
-_CAP_ORDER, _CAP_STARTS, _PARTITION_BLOCKS = _screen_tables()
-# An allocation whose equality bound passes its cover by more than this is
-# certified infeasible without a tableau; the margin keeps the certificate
-# clear of the tolerance phase 1 decides with.
-SCREEN_MARGIN = 100 * FEASIBILITY_TOL
-
-
-def randomization_cover(bounds: np.ndarray) -> np.ndarray:
-    """Upper bound on the total randomization rate of each allocation, (n,).
-
-    ``bounds`` is a block of bound rows, (n, 93).  The subsets of any
-    partition of the eavesdropper's six components are disjoint, so their
-    caps add up to a bound on the full sum, the left side of the equality;
-    the cover is the least such bound over all 202 partitions with two or
-    more blocks.  By weak duality an allocation whose equality bound
-    exceeds its cover has no feasible rate point.
-    """
-    caps = np.minimum.reduceat(bounds[:, _CAP_ORDER], _CAP_STARTS, axis=1)
-    caps = np.concatenate([caps, np.zeros((caps.shape[0], 1))], axis=1)
-    return caps[:, _PARTITION_BLOCKS].sum(axis=2).min(axis=1)
-
-
-def certified_infeasible(bounds: np.ndarray) -> np.ndarray:
-    """Mask of the allocations in a block of bound rows that the cover
-    proves infeasible; the rest are left to phase 1."""
-    return bounds[:, -1] > randomization_cover(bounds) + SCREEN_MARGIN
-
 # Position of each codeword component among a state's 8 powers (pc1, ps1,
 # po1, pj1, pc2, ps2, po2, pj2); positions 3 and 7 are the users' jamming
 # powers.
@@ -229,7 +168,7 @@ def bound_rows(channel: ChannelParams, allocations: np.ndarray,
     Elementwise arithmetic only, so a value depends neither on the other
     allocations in the block nor on the other columns asked for.  A power
     so large that a received power overflows gives a non-finite bound,
-    which :class:`RateSystem` and :meth:`Projector.search` reject; the
+    which :class:`RateSystem` and :meth:`Projector.time_share` reject; the
     sweeps' grids stay below that.
     """
     numerator_map, floor_map = _power_maps(channel)
@@ -269,21 +208,23 @@ def region_for_allocation(
 
     An empty frontier means the allocation admits no rate point at all
     (the equality can outgrow the receiver bounds); that is an expected
-    outcome, not an error.  Phase 1 decides feasibility here; only the
-    grid sweeps screen first.
+    outcome, not an error.  Phase 1 decides feasibility.
     """
     return project_frontier(build_system(channel, alloc), R1_OBJECTIVE, R2_OBJECTIVE)
 
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """A region computation: channel, allocation family and grid sizes."""
+    """A region computation: channel, power-grid family and grid sizes.
+
+    The grid holds the per-state grids of spans 1 to ``states``, span k's
+    powers reaching k times the budgets (see :func:`_family_allocations`).
+    """
 
     channel: ChannelParams
     variant: str = "r3"
     steps: int = 11
     states: int = 1
-    weight_steps: int = 5
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -292,24 +233,23 @@ class RegionSpec:
             raise ValueError("steps must be at least 2 per swept dimension")
         if not 1 <= self.states <= 4:
             raise ValueError("states must be between 1 and 4")
-        if self.states > 1 and self.weight_steps < 2:
-            raise ValueError("weight_steps must be at least 2")
-        # per-state grids stretch to ``states`` times the budgets
+        # the widest span stretches the grid to ``states`` times the budgets
         self.channel.check_power_scale(self.states)
         size = grid_size(self)
         if size > MAX_ALLOCATIONS:
             shown = f"{size:,}" if size < 10**18 else "over 10^18"
             raise ValueError(
-                f"the grid enumerates {shown} allocations, more than the "
-                f"{MAX_ALLOCATIONS:,} allowed; lower steps, states or weight_steps"
+                f"the grid has {shown} states, more than the "
+                f"{MAX_ALLOCATIONS:,} allowed; lower steps or states"
             )
 
 
-# Largest grid a sweep may enumerate.  A sweep holds about 0.23 kB per
-# allocation (fig3 r3 at steps 31: 246 016 allocations, 87 MB peak RSS
-# against 31 MB for a tiny grid, 0.7 s on a 2-vCPU host), and about 0.37
-# kB when every allocation ties and all are examined (zero gains at steps
-# 31: 121 MB), so this keeps a run within about half a gigabyte.
+# Largest grid a sweep may hold, in states, so that a run stays within
+# about half a gigabyte.  A sweep keeps 72 bytes per state and 8 more per
+# bound column that pricing reads.  Peak RSS on a 2-vCPU host, against
+# 32 MB for a tiny grid: fig3 r3 at steps 31, 246 016 states, 84 MB in
+# 0.36 s; at steps 44, 980 100 states, 241 MB in 1.3 s; with two states at
+# steps 37, 988 418 states before duplicates, 346 MB in 2.8 s.
 MAX_ALLOCATIONS = 1_000_000
 
 
@@ -343,128 +283,112 @@ def _user_grid_size(variant: str, cap: float, steps: int) -> int:
 
 
 def grid_size(spec: RegionSpec) -> int:
-    """Allocations the spec's grid enumerates, in closed form.
-
-    With one state this is the allocation count.  With k states it counts
-    every multiset of k grid states times every weight tuple, before the
-    budget filter drops the mixtures that overspend.
-    """
-    k = spec.states
-    base = math.prod(
-        _user_grid_size(spec.variant, k * budget, spec.steps)
-        for budget in (spec.channel.p1, spec.channel.p2)
+    """States of the spec's grid in closed form: the sizes of the grids of
+    spans 1 to ``states`` added up, so a state two spans share counts
+    twice."""
+    return sum(
+        math.prod(_user_grid_size(spec.variant, span * budget, spec.steps)
+                  for budget in (spec.channel.p1, spec.channel.p2))
+        for span in range(1, spec.states + 1)
     )
-    if k == 1:
-        return base
-    return math.comb(base + k - 1, k) * math.comb(spec.weight_steps + k - 2, k - 1)
-
-
-def _weight_grid(k: int, steps: int) -> list[tuple[float, ...]]:
-    """Weight tuples of k states on the grid 0, 1/(steps - 1), ..., 1 that
-    sum to one, in lexicographic order; the last weight takes what the
-    others leave."""
-    values = np.linspace(0.0, 1.0, steps)
-    out = []
-    for head in product(range(steps), repeat=k - 1):
-        rest = steps - 1 - sum(head)
-        if rest >= 0:
-            out.append(tuple(float(values[i]) for i in head + (rest,)))
-    return out
 
 
 def _family_allocations(spec: RegionSpec) -> np.ndarray:
-    """The spec's grid of allocations, (n, k, 9): per state a weight, then
+    """The spec's grid of states, (n, 1, 9): per state a weight of 1, then
     the 8 powers (pc1, ps1, po1, pj1, pc2, ps2, po2, pj2).
 
-    Grid states run over user 1's power rows, then user 2's.  With k >= 2
-    states every multiset of k grid states is combined with every weight
-    tuple, weights normalized by their left-to-right sum; a mixture is
-    kept when each user's weighted power, summed over the states left to
-    right, stays within the budget plus ``BUDGET_TOL``.  That is the
-    arithmetic of :class:`TimeSharedAllocation` and
-    :func:`validate_allocation`, so every allocation is within budget.
+    Span k's grid runs over user 1's rows of :func:`schemes.user_power_grid`
+    capped at k times the budget, then user 2's.  The spans follow in
+    order, each without the states an earlier one has, so the first state
+    is the zero-power one.
     """
-    k = spec.states
-    user1, user2 = (
-        schemes.user_power_grid(spec.variant, k * budget, spec.steps)
-        for budget in (spec.channel.p1, spec.channel.p2)
-    )
-    states = np.concatenate(
-        [np.repeat(user1, len(user2), axis=0), np.tile(user2, (len(user1), 1))], axis=1
-    )
-    if k == 1:
-        return np.concatenate([np.ones((len(states), 1)), states], axis=1)[:, np.newaxis]
-    weights = np.array(_weight_grid(k, spec.weight_steps))
-    total = weights[:, 0]
-    for j in range(1, k):
-        total = total + weights[:, j]
-    weights = weights / total[:, np.newaxis]
-    combos = np.array(list(combinations_with_replacement(range(len(states)), k)))
-    keep = np.ones((len(combos), len(weights)), dtype=bool)
-    for user, budget in enumerate((spec.channel.p1, spec.channel.p2)):
-        p = states[:, 4 * user:4 * user + 4]
-        spent = (((p[:, 0] + p[:, 1]) + p[:, 2]) + p[:, 3])[combos]
-        used = spent[:, :1] * weights[:, 0]
-        for j in range(1, k):
-            used = used + spent[:, j:j + 1] * weights[:, j]
-        keep &= used <= budget + BUDGET_TOL
-    at, weight_at = np.nonzero(keep)
-    out = np.empty((len(at), k, 9))
-    out[:, :, 0] = weights[weight_at]
-    out[:, :, 1:] = states[combos[at]]
-    return out
+    grids = []
+    for span in range(1, spec.states + 1):
+        user1, user2 = (
+            schemes.user_power_grid(spec.variant, span * budget, spec.steps)
+            for budget in (spec.channel.p1, spec.channel.p2)
+        )
+        grids.append(np.concatenate(
+            [np.repeat(user1, len(user2), axis=0), np.tile(user2, (len(user1), 1))], axis=1))
+    states = np.concatenate(grids)
+    if len(grids) > 1:
+        _, first = np.unique(states, axis=0, return_index=True)
+        states = states[np.sort(first)]
+    return np.concatenate([np.ones((len(states), 1)), states], axis=1)[:, np.newaxis]
+
+
+# States whose bounds one call of bound_rows computes, so that its
+# temporaries stay within a few megabytes however large the grid.
+_READ_STATES = 1 << 13
 
 
 def region_union(spec: RegionSpec) -> Frontier:
-    """Convex-closure union of the per-allocation regions of a family grid.
+    """Frontier of one codebook time-shared over the spec's grid states.
 
-    One process runs one :meth:`Projector.search` over the grid array of
-    :func:`_family_allocations`, all within budget: a single dichotomic
-    search of the union, which examines only the allocations whose
-    weak-duality bound reaches the best point found for an objective.
-    Bounds come from :func:`bound_rows` on demand: for every allocation
-    the few columns the bounds read, for the examined ones whole rows,
-    which the screen sees first.  The projector lives for this call only,
-    and its choices depend on values, not on the order of the grid, so the
-    result depends on the spec alone.  Its LP counts go into the metadata
-    as ``lp``, the allocations it examined, screened and found infeasible
-    as counts, and the seconds spent enumerating, computing bounds,
-    screening, projecting and merging as ``timing``.  A solver failure
-    ends the sweep.
+    Every achievable point averages the bounds and each user's power over
+    the states with some weights: the master LP of
+    :meth:`Projector.time_share`, with one column per grid state and the
+    two power budgets as resource rows.  It starts from the zero-power
+    state, and pricing reads only the bound columns of :func:`bound_rows`
+    whose dual is nonzero, whole rows only for the states that enter.  Any
+    per-state region, and any mixture of states within budget, is one
+    choice of weights, so the frontier contains them all.  Ties in pricing
+    go to the lower grid index, so the result depends on the spec alone;
+    another order of the grid moves a vertex by rounding only.
+
+    The metadata holds the grid size as ``allocations``, the projector's
+    pricing rounds, columns and pivots as ``lp``, per frontier point the
+    states, weights and rates of its optimum as ``vertices``, and the
+    seconds spent enumerating, computing bounds, solving the master and
+    merging as ``timing``.  A solver failure ends the sweep.
     """
     clock = time.perf_counter
-    timing = dict.fromkeys(("enumerate", "bounds", "screen", "project", "merge"), 0.0)
+    timing = dict.fromkeys(("enumerate", "bounds", "solve", "merge"), 0.0)
     start = clock()
-    allocations = _family_allocations(spec)
+    grid = _family_allocations(spec)
     timing["enumerate"] = clock() - start
 
     def bounds(at, columns):
         begin = clock()
-        rows = bound_rows(spec.channel, allocations[at], columns)
+        states = grid[at]
+        rows = np.empty((len(states), N_BOUNDS if columns is None else len(columns)))
+        for first in range(0, len(states), _READ_STATES):
+            block = slice(first, first + _READ_STATES)
+            rows[block] = bound_rows(spec.channel, states[block], columns)
         timing["bounds"] += clock() - begin
         return rows
 
-    def screen(rows):
-        begin = clock()
-        certified = certified_infeasible(rows)
-        timing["screen"] += clock() - begin
-        return certified
-
+    powers = grid[:, 0, 1:]
+    usage = np.stack([((p[:, 0] + p[:, 1]) + p[:, 2]) + p[:, 3]
+                      for p in (powers[:, :4], powers[:, 4:])], axis=1)
     projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
     start = clock()
-    vertices, counts = projector.search(len(allocations), bounds, screen)
-    timing["project"] = clock() - start - timing["bounds"] - timing["screen"]
+    vertices, recipes = projector.time_share(
+        len(grid), bounds, usage, (spec.channel.p1, spec.channel.p2),
+        first=int(np.flatnonzero(~powers.any(axis=1))[0]))
+    timing["solve"] = clock() - start - timing["bounds"]
     start = clock()
     union = pareto_merge([Frontier(points=_pareto_prune(vertices))], metadata={
         "scheme": spec.variant,
         "steps": spec.steps,
         "states": spec.states,
-        "allocations": len(allocations),
-        "examined_allocations": counts["examined"],
-        "infeasible_allocations": counts["screened"] + counts["infeasible"],
-        "screened_allocations": counts["screened"],
+        "allocations": len(grid),
         "lp": projector.counts,
         "timing": timing,
     })
+    union.metadata["vertices"] = [_recipe(point, recipes, powers) for point in union.points]
     union.metadata["timing"]["merge"] = clock() - start
     return union
+
+
+def _recipe(point: tuple[float, float], recipes: dict, powers: np.ndarray) -> dict:
+    """The sidecar entry of a frontier point: the recipe of the optimum
+    whose image is nearest to it (the frontier snaps coordinates near 0)."""
+    image = min(recipes, key=lambda p: max(abs(p[0] - point[0]), abs(p[1] - point[1])))
+    at, weights, x = recipes[image]
+    return {
+        "point": list(point),
+        "states": powers[at].tolist(),
+        "weights": weights.tolist(),
+        "rates": dict(zip(VARIABLE_ORDER, x.tolist())),
+    }

@@ -18,8 +18,9 @@ from gicee import (
     pareto_merge,
     preset,
 )
-from gicee.frontier import _pareto_prune
+from gicee.frontier import FEASIBILITY_TOL, _pareto_prune
 from gicee.model import BUDGET_TOL
+from gicee.region import A_UB, EQ_ROW, R1_OBJECTIVE, R2_OBJECTIVE, VARIABLE_ORDER, bound_rows
 from gicee.schemes import _jam_grid, _uniform_grid
 
 
@@ -102,27 +103,66 @@ def support(frontier, theta):
     return max(ct * r1 + st * r2 for r1, r2 in frontier.points)
 
 
+def move_into_hull(hull, point):
+    """Length ``e1 + e2`` of the shortest move of ``point`` left by ``e1 >=
+    0`` and down by ``e2 >= 0`` into the down-closed region under the
+    frontier ``hull`` (a merged, convex one).
+
+    The region's points at or below and left of ``point`` form a convex
+    polygon, and the move maximizes ``r1 + r2`` over it, so it ends at one
+    of its corners: straight below the point, straight left of it, or at
+    a hull vertex clipped to the point.
+    """
+    # the hull with its axes swapped, whose r2_at reads r1 at a height
+    mirror = Frontier(points=tuple((r2, r1) for r1, r2 in reversed(hull.points)))
+    below, left = min(point[0], hull.max_r1), min(point[1], hull.max_r2)
+    ends = [(below, hull.r2_at(below)), (mirror.r2_at(left), left), *hull.points]
+    return min(sum(max(p - q, 0.0) for p, q in zip(point, end)) for end in ends)
+
+
 def dominates(big, small, *, tol=1e-9):
     """True if the region of frontier ``big`` contains that of ``small``, up
     to ``tol``.
 
     Exact vertex test against the convex hull of ``big``: every point of
-    ``small`` may pass the hull's right end by ``e1`` and its boundary above
-    by ``e2`` only with ``e1 + e2 <= tol``, so its support value exceeds
-    ``big``'s by at most ``tol`` in every direction.
+    ``small`` must move left by ``e1`` and down by ``e2`` into the hull with
+    ``e1 + e2 <= tol`` (:func:`move_into_hull`), so its support value
+    exceeds ``big``'s by at most ``tol`` in every direction.  A move
+    measured one way only would not do: next to a near-vertical edge it
+    multiplies a rounding of r1 by the edge's slope.
     """
     if small.is_empty:
         return True
     if big.is_empty:
         return False
     hull = pareto_merge([big])
-    right = hull.max_r1
-    for r1, r2 in small.points:
-        beyond = max(r1 - right, 0.0)
-        above = max(r2 - hull.r2_at(min(r1, right)), 0.0)
-        if beyond + above > tol:
-            return False
-    return True
+    return all(move_into_hull(hull, point) <= tol for point in small.points)
+
+
+def check_recipes(channel, grid, vertices):
+    """Check the recipes of a region's frontier vertices (a region
+    sidecar's ``vertices``) against the grid's states, ``(n, 8)`` powers:
+    each time-shares grid states with positive weights that sum to one
+    within 1e-12, its averaged powers are within the budgets plus
+    ``BUDGET_TOL``, and its rates meet its point and the averaged bounds
+    within ``FEASIBILITY_TOL``."""
+    on_grid = set(map(tuple, grid.tolist()))
+    for vertex in vertices:
+        weights, states = np.array(vertex["weights"]), np.array(vertex["states"])
+        assert len(weights) == len(states) >= 1
+        assert np.all(weights > 0.0) and abs(weights.sum() - 1.0) <= 1e-12
+        assert all(tuple(state) in on_grid for state in states.tolist())
+        assert weights @ states[:, :4].sum(axis=1) <= channel.p1 + BUDGET_TOL
+        assert weights @ states[:, 4:].sum(axis=1) <= channel.p2 + BUDGET_TOL
+        rows = bound_rows(channel, np.concatenate(
+            [np.ones((len(states), 1)), states], axis=1)[:, np.newaxis])
+        bounds = weights @ rows
+        x = np.array([vertex["rates"][name] for name in VARIABLE_ORDER])
+        assert np.all(x >= 0.0)
+        assert np.all(A_UB @ x <= bounds[:-1] + FEASIBILITY_TOL)
+        assert abs(EQ_ROW @ x - bounds[-1]) <= FEASIBILITY_TOL
+        assert np.abs(np.array([R1_OBJECTIVE @ x, R2_OBJECTIVE @ x])
+                      - vertex["point"]).max() <= FEASIBILITY_TOL
 
 
 def check_point(system, x):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from gicee import Frontier, preset, single_user_wiretap
 from gicee.cli import _baseline, main
 from gicee.region import VARIANTS
 from gicee.schemes import CTDMA_TAGS
+from conftest import check_recipes
 
 WIRETAP_10 = 0.4372345589580706
 
@@ -46,7 +48,8 @@ def test_region_command_writes_csv_and_sidecar(tmp_path, capsys):
     assert sidecar["channel"]["c12"] == 1.9
     assert sidecar["grid"]["steps"] == 3
     assert sidecar["tool"] == "gicee"
-    assert "infeasible_allocations" in sidecar
+    assert sidecar["allocations"] == 9
+    assert len(sidecar["vertices"]) == len(rows)
 
 
 def test_region_rejects_single_step(tmp_path, capsys):
@@ -172,7 +175,7 @@ def test_empty_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys, com
 
 
 STAGES = {
-    "region": {"enumerate", "bounds", "screen", "project", "merge", "write"},
+    "region": {"enumerate", "bounds", "solve", "merge", "write"},
     "ctdma": {"grid", "pair", "merge", "write"},
 }
 
@@ -219,29 +222,56 @@ def test_region_default_grid_sizes(tmp_path):
     assert sidecar["grid"]["steps"] == 11
     # frontiers are exact, so the sidecar no longer records a direction count
     assert "directions" not in sidecar
-    assert sidecar["screened_allocations"] == 0
-
-
-def test_region_sidecar_counts_screened_allocations(tmp_path):
-    out = tmp_path / "fig3.csv"
-    assert main(["region", "--preset", "fig3", "--steps", "6", "--out", str(out)]) == 0
-    sidecar = json.loads((tmp_path / "fig3.json").read_text())
-    assert 0 < sidecar["screened_allocations"] <= sidecar["infeasible_allocations"]
-    # the union search examines only some allocations; the infeasible
-    # ones are counted among those
-    assert sidecar["infeasible_allocations"] <= sidecar["examined_allocations"]
-    assert sidecar["examined_allocations"] <= sidecar["allocations"]
+    assert sidecar["allocations"] == 1
 
 
 def test_region_sidecar_reports_lp_work(tmp_path):
     out = tmp_path / "fig3.csv"
     assert main(["region", "--preset", "fig3", "--steps", "6", "--out", str(out)]) == 0
-    lp = json.loads((tmp_path / "fig3.json").read_text())["lp"]
-    assert set(lp) == {"phase1_runs", "cached_solves", "tableau_solves", "bases_cached"}
-    # every phase 1 is followed by at least one tableau solve, and every
-    # tableau solve leaves a basis that is either new or already cached
-    assert 0 < lp["phase1_runs"] <= lp["tableau_solves"]
-    assert 0 < lp["bases_cached"] <= lp["tableau_solves"] < lp["cached_solves"]
+    sidecar = json.loads((tmp_path / "fig3.json").read_text())
+    lp = sidecar["lp"]
+    assert set(lp) == {"rounds", "columns", "pivots"}
+    # the master starts from one state and takes some more, each round
+    # adding at most 8, and every column that enters takes a pivot or more
+    # to use
+    assert 1 < lp["columns"] <= min(1 + 8 * lp["rounds"], sidecar["allocations"])
+    assert lp["pivots"] >= lp["columns"] - 1
+    for gone in ("examined_allocations", "screened_allocations", "infeasible_allocations"):
+        assert gone not in sidecar
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "fig3", "--steps", "6"],
+    ["--preset", "fig2", "--variant", "full", "--steps", "3"],
+    ["--preset", "fig3", "--steps", "3", "--states", "2"],
+])
+def test_region_sidecar_reports_vertex_recipes(tmp_path, argv):
+    # every frontier point comes with the grid states its optimum
+    # time-shares, their weights and its rates
+    from gicee.region import RegionSpec, _family_allocations
+
+    out = tmp_path / "r.csv"
+    assert main(["region", *argv, "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "r.json").read_text())
+    vertices = sidecar["vertices"]
+    # the CSV prints nine significant digits
+    assert np.allclose([v["point"] for v in vertices], read_rows(out), rtol=1e-8, atol=0.0)
+    channel = preset(argv[1])
+    grid = _family_allocations(RegionSpec(
+        channel=channel, variant=sidecar["variant"], steps=sidecar["grid"]["steps"],
+        states=sidecar["grid"]["states"]))
+    check_recipes(channel, grid[:, 0, 1:], vertices)
+
+
+def test_region_runs_two_states_on_the_default_grid(tmp_path):
+    # 8271 grid states: the k-state enumeration refused this grid at
+    # 47 447 730 allocations
+    out = tmp_path / "two.csv"
+    assert main(["region", "--preset", "fig3", "--steps", "11", "--states", "2",
+                 "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert rows and rows[0][1] > 0.3399
+    assert json.loads((tmp_path / "two.json").read_text())["allocations"] == 8271
 
 
 @pytest.mark.parametrize("command", ["region", "ctdma"])
@@ -279,6 +309,26 @@ def test_directions_is_deprecated_without_effect(tmp_path, capsys):
     alloc = write_alloc(tmp_path, pc1=10.0, pc2=1.0)
     assert main(["point", "--preset", "fig3", "--alloc", str(alloc),
                  "--directions", "2"]) == 1
+
+
+def test_weight_steps_is_deprecated_without_effect(tmp_path, capsys):
+    base = ["region", "--preset", "fig3", "--steps", "3", "--states", "2"]
+    outputs = []
+    for extra in ([], ["--weight-steps", "2"], ["--weight-steps", "500"]):
+        out = tmp_path / f"w{len(outputs)}.csv"
+        assert main(base + extra + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    # with more than one state, values below 2 stay configuration errors,
+    # as before, and so does a value that is no integer
+    assert main(base + ["--weight-steps", "1", "--out", str(tmp_path / "x.csv")]) == 1
+    assert "weight_steps" in capsys.readouterr().err
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"weight_steps": 2.5}))
+    assert main(base + ["--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+    # with one state, any integer goes, as before
+    assert main(["region", "--preset", "fig3", "--steps", "3", "--weight-steps", "0",
+                 "--out", str(tmp_path / "y.csv")]) == 0
 
 
 def test_ctdma_symmetric_endpoints(tmp_path):
@@ -408,9 +458,10 @@ def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
     ["ctdma", "--preset", "fig2", "--steps", "17"],
 ])
 def test_blas_thread_count_changes_no_output(tmp_path, argv):
-    # no product reaches OpenBLAS's threaded kernels (see _PRODUCT_BLOCK in
-    # polytope.py), so a caller's OPENBLAS_NUM_THREADS changes no byte; and
-    # the process entry point, run(), writes what an in-process main() writes
+    # the products are small, and each entry of one is the same dot
+    # product however OpenBLAS splits it, so a caller's
+    # OPENBLAS_NUM_THREADS changes no byte; and the process entry point,
+    # run(), writes what an in-process main() writes
     runs = []
     for threads in ("1", "2", None):
         out = tmp_path / f"threads{threads}.csv"
@@ -550,7 +601,7 @@ OVERFLOWING = ["--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
     # grids past MAX_ALLOCATIONS are refused before any enumeration
     (REGION + ["--steps", "1000000000"], {}),
     (REGION + ["--variant", "full", "--steps", "12"], {}),
-    (REGION + ["--states", "2", "--weight-steps", "100000000"], {}),
+    (REGION + ["--states", "2", "--steps", "40"], {}),
     # an integer past Python's 4300-digit conversion limit in a config file
     (REGION + ["--config", "{bigint}"], {}),
     (["ctdma", "--preset", "fig2", "--config", "{bigint}"], {}),

@@ -23,7 +23,7 @@ from gicee import (
 from gicee.frontier import _RECORD_FILTER_MIN, PARETO_EPS, _pareto_prune, _records
 from gicee.polytope import FEASIBILITY_TOL, Projector, _Tableau
 from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
-from conftest import check_point, dominates, support
+from conftest import check_point, dominates, move_into_hull, support
 
 
 def box_system():
@@ -540,6 +540,54 @@ frontier_points = st.lists(
 ).map(lambda pts: Frontier(points=_pareto_prune(pts)))
 
 
+def vertical_gap(hull, point):
+    """The former dominance measure: how far the point passes the hull's
+    right end, plus how far it then sits above the boundary."""
+    right = hull.max_r1
+    beyond = max(point[0] - right, 0.0)
+    return beyond + max(point[1] - hull.r2_at(min(point[0], right)), 0.0)
+
+
+def hull_distance(hull, point):
+    """Euclidean distance from a point to the down-closed region under a
+    merged frontier: 0 inside, else to the nearest point of its boundary,
+    the frontier with its drops to both axes."""
+    chain = [(0.0, hull.max_r2), *hull.points, (hull.max_r1, 0.0)]
+    if point[0] <= hull.max_r1 and point[1] <= hull.r2_at(point[0]):
+        return 0.0
+    p = np.array(point)
+    best = math.inf
+    for a, b in zip(chain, chain[1:]):
+        a, b = np.array(a), np.array(b)
+        d = b - a
+        t = 0.0 if not d.any() else min(max((p - a) @ d / (d @ d), 0.0), 1.0)
+        best = min(best, float(np.linalg.norm(p - a - t * d)))
+    return best
+
+
+def test_dominates_measures_the_shortest_move_into_the_hull():
+    # next to an edge of slope -1e11, a point 3e-17 right of the vertex
+    # sits 3e-6 above the edge but 3e-17 right of the hull
+    steep = Frontier(points=((0.0, 3.6), (0.15, 3.6), (0.15 + 4e-12, 3.2)))
+    assert dominates(steep, Frontier(points=((0.15 + 3e-17, 3.6),)))
+    assert vertical_gap(pareto_merge([steep]), (0.15 + 3e-17, 3.6)) > 1e-6
+    assert dominates(steep, Frontier(points=((0.15 + 2e-12 + 5e-10, 3.4),)))
+    assert not dominates(steep, Frontier(points=((0.15 + 2e-12 + 2e-9, 3.4),)))
+    # above the flat top, the move is down; past a vertex, it ends there
+    assert dominates(steep, Frontier(points=((0.05, 3.6 + 5e-10),)))
+    assert not dominates(steep, Frontier(points=((0.05, 3.6 + 2e-9),)))
+    assert not dominates(steep, Frontier(points=((0.15 + 6e-10, 3.6 + 6e-10),)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(frontier_points, st.tuples(st.floats(0, 2.5), st.floats(0, 2.5)))
+def test_move_into_hull_lies_between_distance_and_vertical_gap(big, point):
+    hull = pareto_merge([big])
+    move = move_into_hull(hull, point)
+    assert hull_distance(hull, point) <= move + 1e-12
+    assert move <= vertical_gap(hull, point) + 1e-12
+
+
 @settings(max_examples=200, deadline=None)
 @given(frontier_points, frontier_points)
 def test_dominates_is_at_least_as_strict_as_sampled(big, small):
@@ -565,12 +613,15 @@ def mixed_sign_systems(rng, count, a_ub, a_eq):
 
 
 def test_basis_inverse_and_shared_bases_with_flipped_rows():
+    # the basis inverse of the unflipped system maps its right-hand side
+    # and every structural column to their tableau columns, as the master
+    # relies on when it appends a column; and one projector, which builds
+    # a master per system, projects systems whose rows phase 1 flips
     rng = np.random.default_rng(5)
     n = 4
     a_ub = np.vstack([rng.uniform(-1.0, 1.0, (6, n)), np.eye(n)])
     a_eq = rng.uniform(0.0, 1.0, (1, n))
     r1, r2 = np.array([1.0, 0.5, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.5])
-    columns = np.hstack([np.vstack([a_ub, a_eq]), np.eye(a_ub.shape[0] + 1, a_ub.shape[0])])
     projector = Projector(a_ub, a_eq, r1, r2)
     flipped = 0
     for system in mixed_sign_systems(rng, 30, a_ub, a_eq):
@@ -579,11 +630,38 @@ def test_basis_inverse_and_shared_bases_with_flipped_rows():
         assert tableau.phase1(FEASIBILITY_TOL)
         assert tableau.maximize(rng.uniform(0.0, 1.0, n), FEASIBILITY_TOL) == "optimal"
         assert tableau.complete
-        basis = tableau.variables[tableau.basis]
-        assert np.allclose(tableau.basis_inverse() @ columns[:, basis], np.eye(len(basis)),
-                           atol=1e-9)
+        inverse = tableau.basis_inverse()
+        rhs = np.append(system.b_ub, system.b_eq)
+        assert np.allclose(inverse @ rhs, tableau.t[:-1, -1], atol=1e-9)
+        a = np.vstack([a_ub, a_eq])
+        assert np.allclose(inverse @ a, tableau.t[:-1, :n], atol=1e-9)
         fresh = project_frontier(system, r1, r2)
-        shared = projector.project(np.append(system.b_ub, system.b_eq))
+        shared = projector.project(rhs)
         assert len(shared.points) == len(fresh.points)
         assert np.allclose(shared.points, fresh.points, rtol=0.0, atol=1e-9)
-    assert flipped and projector.cached_solves
+    assert flipped and projector.counts["columns"] == 30
+
+
+def test_appended_columns_continue_phase_2():
+    # a column appended to a live tableau, at cost 0, is the column a fresh
+    # tableau of the wider system has, so phase 2 goes on to that system's
+    # optimum; a mixed-sign matrix makes the old optimum move
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a = rng.uniform(-1.0, 1.0, (6, 5))
+        a[:, :3] = np.abs(a[:, :3])
+        b = rng.uniform(0.5, 2.0, 6)
+        c = np.append(rng.uniform(0.0, 1.0, 3), [0.0, 0.0])
+        tableau = _Tableau(RateSystem(a_ub=a[:, :3], b_ub=b))
+        assert tableau.phase1(FEASIBILITY_TOL)
+        assert tableau.maximize(c[:3], FEASIBILITY_TOL) == "optimal"
+        tableau.append(a[:, 3:])
+        status = tableau.maximize(c[:3], FEASIBILITY_TOL)
+        wide = lp_solve(RateSystem(a_ub=a, b_ub=b), c)
+        assert status == wide.status
+        if status != "optimal":
+            continue
+        values = np.zeros(tableau.t.shape[1] - 1)
+        values[tableau.basis] = tableau.t[:-1, -1]
+        x = np.append(values[:3], values[-3:-1])
+        assert c @ x == pytest.approx(wide.value, abs=1e-12)

@@ -1,11 +1,12 @@
 import math
 from dataclasses import astuple, replace
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import gicee.model as model
 from gicee import (
@@ -24,13 +25,10 @@ from gicee import (
 )
 import gicee.region as region
 from gicee.model import BUDGET_TOL
-import gicee.polytope as polytope
 from gicee.polytope import (
-    BASIS_TOL,
     FEASIBILITY_TOL,
     Frontier,
     Projector,
-    _pareto_prune,
     _Tableau,
     pareto_merge,
     project_frontier,
@@ -42,24 +40,18 @@ from gicee.region import (
     N_VARS,
     R1_OBJECTIVE,
     R2_OBJECTIVE,
-    SCREEN_MARGIN,
     VARIANTS,
     _BOUNDS,
-    _CAP_ORDER,
-    _CAP_STARTS,
-    _PARTITION_BLOCKS,
     _RX_COL,
     _allocation_arrays,
     _family_allocations,
-    _weight_grid,
     bound_rows,
-    certified_infeasible,
     grid_size,
-    randomization_cover,
 )
 from gicee.schemes import _uniform_grid
 from conftest import (
     check_point,
+    check_recipes,
     conditional_mi_timeshared,
     ctdma_allocation,
     dominates,
@@ -87,23 +79,14 @@ def without_timing(metadata):
 ODD_BUDGETS = ChannelParams(c12=1.3, c21=0.7, c1e=0.4, c2e=0.9, p1=7.3, p2=0.1)
 ZERO_BUDGET = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=0.0, p2=3.0)
 ZERO_GAINS = ChannelParams(c12=0.0, c21=0.0, c1e=0.0, c2e=0.0, p1=10.0, p2=10.0)
+BIG_BUDGET = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=1e6, p2=7.3)
 UNION_CHANNELS = {"fig2": preset("fig2"), "fig3": preset("fig3"),
-                  "zero-gains": ZERO_GAINS, "odd-budgets": ODD_BUDGETS}
+                  "zero-gains": ZERO_GAINS, "odd-budgets": ODD_BUDGETS,
+                  "zero-budget": ZERO_BUDGET, "big-budget": BIG_BUDGET}
 # grids of the degenerate channels: every allocation of the zero-gains
 # ones reaches the same point, so all of them tie
 DEGENERATE_GRIDS = [(name, variant, steps, states) for name in ("zero-gains", "odd-budgets")
                     for variant, steps, states in (("r3", 11, 1), ("full", 3, 1), ("r3", 3, 2))]
-
-
-def csv_rows(points):
-    """The lines the CLI writes for frontier points."""
-    return [f"{r1:.9g},{r2:.9g}" for r1, r2 in points]
-
-
-def assert_counts_are_nested(metadata):
-    """screened <= infeasible <= examined <= allocations."""
-    assert (0 <= metadata["screened_allocations"] <= metadata["infeasible_allocations"]
-            <= metadata["examined_allocations"] <= metadata["allocations"])
 
 
 GAMMA_10 = 1.7297158093186487
@@ -247,7 +230,9 @@ def test_union_metadata_counts(fig3):
     spec = RegionSpec(channel=fig3, variant="ncp", steps=3)
     frontier = region_union(spec)
     assert frontier.metadata["allocations"] == 9
-    assert 0 <= frontier.metadata["infeasible_allocations"] <= 9
+    lp = frontier.metadata["lp"]
+    assert set(lp) == {"rounds", "columns", "pivots"}
+    assert 1 <= lp["columns"] <= 9 and lp["rounds"] >= 1 and lp["pivots"] >= 1
 
 
 @pytest.mark.parametrize("channel_name, variant, steps, states", [
@@ -256,8 +241,10 @@ def test_union_metadata_counts(fig3):
     ("fig3", "r3", 3, 2),
 ] + DEGENERATE_GRIDS)
 def test_union_is_deterministic(monkeypatch, channel_name, variant, steps, states):
-    # the basis cache lives for one call: a second call, and a call that
-    # meets the allocations in reverse order, merge the same points
+    # a second call gives the same points and metadata; a call that meets
+    # the grid in reverse order breaks pricing ties the other way and may
+    # take other columns, but it solves every objective over all of them,
+    # so no vertex moves by more than rounding
     spec = RegionSpec(channel=UNION_CHANNELS[channel_name], variant=variant, steps=steps,
                       states=states)
     first, second = region_union(spec), region_union(spec)
@@ -267,17 +254,12 @@ def test_union_is_deterministic(monkeypatch, channel_name, variant, steps, state
     forward = region._family_allocations
     monkeypatch.setattr(region, "_family_allocations", lambda spec: forward(spec)[::-1])
     backward = region_union(spec)
-    assert backward.points == first.points
-    # every choice of the search depends on values, so it does the same
-    # work whatever the order
-    assert without_timing(backward.metadata) == without_timing(first.metadata)
-    assert_counts_are_nested(first.metadata)
+    assert len(backward.points) == len(first.points)
+    assert np.abs(np.subtract(backward.points, first.points)).max(initial=0.0) <= 1e-12
 
 
 def test_multi_state_search_runs(fig2):
-    spec = RegionSpec(
-        channel=fig2, variant="ncp", steps=3, states=2, weight_steps=3,
-    )
+    spec = RegionSpec(channel=fig2, variant="ncp", steps=3, states=2)
     frontier = region_union(spec)
     assert not frontier.is_empty
     assert frontier.max_r1 > 0.1
@@ -371,25 +353,6 @@ def test_bound_rows_match_scalar_mi(case):
             assert np.array_equal(np.append(system.b_ub, system.b_eq), row)
 
 
-def test_screen_tables():
-    # each proper nonempty subset of the six components owns a contiguous
-    # run of inequality rows, all with exactly that subset
-    masks = [sum(1 << (int(i) - 1) for i in subset) for _, subset in _BOUNDS[:-1]]
-    runs = np.split(_CAP_ORDER, _CAP_STARTS[1:])
-    assert len(runs) == 62
-    for mask, rows in enumerate(runs, start=1):
-        assert rows.size and all(masks[row] == mask for row in rows)
-    # 203 set partitions of six items (Bell number), less the single block
-    assert _PARTITION_BLOCKS.shape == (202, 6)
-    seen = set()
-    for blocks in _PARTITION_BLOCKS:
-        bits = [int(b) + 1 for b in blocks if b < 62]
-        assert len(bits) >= 2 and sum(bits) == 63
-        assert all(a & b == 0 for k, a in enumerate(bits) for b in bits[k + 1:])
-        seen.add(frozenset(bits))
-    assert len(seen) == 202
-
-
 def phase1_system(bounds):
     return RateSystem(a_ub=A_UB, b_ub=bounds[:-1],
                       a_eq=EQ_ROW[np.newaxis, :], b_eq=bounds[-1:])
@@ -399,98 +362,32 @@ def phase1_feasible(bounds):
     return _Tableau(phase1_system(bounds)).phase1(FEASIBILITY_TOL)
 
 
-@settings(max_examples=80, deadline=None)
-@given(channel_and_allocations())
-def test_screen_is_sound(case):
-    channel, allocations = case
-    allocations = [a for a in allocations if validate_allocation(channel, a).ok]
-    if not allocations:
-        return
-    block = bound_rows(channel, stack(allocations))
-    cover = randomization_cover(block)
-    for alloc, bounds, value, screened in zip(
-        allocations, block, cover, certified_infeasible(block)
-    ):
-        # weak duality: the cover bounds the total randomization rate the
-        # inequalities allow
-        most = lp_solve(RateSystem(a_ub=A_UB, b_ub=bounds[:-1]), EQ_ROW)
-        assert most.status == "optimal"
-        assert value >= most.value - 1e-9
-        if screened:
-            assert not phase1_feasible(bounds)
-            assert region_for_allocation(channel, alloc).is_empty
-
-
-# Grids and the number of their allocations phase 1 finds infeasible.
+# Grids and the number of their states phase 1 finds infeasible alone.
 PHASE1_GRIDS = [
     ("fig3", "r3", 11, 1, 3054),
     ("fig2", "r3", 11, 1, 2914),
-    ("fig3", "r3", 3, 2, 247),    # the two-state mixtures of the timeshare-fig3 grid
+    ("fig3", "r3", 3, 2, 27),     # the timeshare-fig3 grid
     ("fig2", "borcp", 11, 1, 180),
     ("fig3", "full", 3, 1, 158),
-    ("fig3", "full", 2, 2, 40),
+    ("fig3", "full", 2, 2, 28),
 ]
 
 
-@pytest.mark.parametrize("preset_name, variant, steps, states, certified", PHASE1_GRIDS)
-def test_screen_certifies_every_phase1_infeasible_grid_allocation(
-    preset_name, variant, steps, states, certified
-):
-    channel = preset(preset_name)
-    spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
-    block = bound_rows(channel, _family_allocations(spec))
-    screened = certified_infeasible(block)
-    feasible = np.array([phase1_feasible(bounds) for bounds in block])
-    assert np.array_equal(screened, ~feasible)
-    assert screened.sum() == certified
-
-
-@pytest.mark.parametrize("preset_name, variant, steps, states", [
-    ("fig3", "r3", 6, 1),
-    ("fig2", "borcp", 5, 1),
-    ("fig3", "r3", 2, 2),
-])
-def test_screen_leaves_the_union_unchanged(monkeypatch, preset_name, variant, steps, states):
-    spec = RegionSpec(channel=preset(preset_name), variant=variant, steps=steps,
-                      states=states, weight_steps=3)
-    screened = region_union(spec)
-    monkeypatch.setattr(region, "certified_infeasible",
-                        lambda block: np.zeros(len(block), dtype=bool))
-    unscreened = region_union(spec)
-    assert screened.points == unscreened.points
-    for metadata in (screened.metadata, unscreened.metadata):
-        assert_counts_are_nested(metadata)
-    assert unscreened.metadata["screened_allocations"] == 0
-
-
-def test_screen_margin_keeps_borderline_allocations_for_phase1(fig3):
-    alloc = single(PowerState(pc1=10.0, pc2=10.0))
-    bounds = bound_rows(fig3, _allocation_arrays(alloc))
-    assert certified_infeasible(bounds)[0]
-    # lift the equality bound to just inside the margin over the cover:
-    # not certified, so phase 1 decides
-    cover = randomization_cover(bounds)[0]
-    bounds[0, -1] = cover + 0.5 * SCREEN_MARGIN
-    assert not certified_infeasible(bounds)[0]
-
-
-@pytest.mark.parametrize("preset_name, variant, steps, states, certified", PHASE1_GRIDS)
+@pytest.mark.parametrize("preset_name, variant, steps, states, infeasible", PHASE1_GRIDS)
 def test_shared_projector_decides_feasibility_like_phase1(
-    preset_name, variant, steps, states, certified
+    preset_name, variant, steps, states, infeasible
 ):
-    # Every allocation of the grid, the screened ones too, goes through one
-    # shared projector in grid order.  Its empty frontiers are exactly the
-    # allocations the screen certifies, which the test above shows are
-    # exactly the phase-1-infeasible ones.
+    # every state of the grid goes through one shared projector in grid
+    # order, each as a master of its one column; its empty frontiers are
+    # exactly the states phase 1 finds infeasible alone
     channel = preset(preset_name)
     spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
     block = bound_rows(channel, _family_allocations(spec))
-    projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
+    projector = fresh_projector()
     empty = np.array([projector.project(bounds).is_empty for bounds in block])
-    assert np.array_equal(empty, certified_infeasible(block))
-    assert empty.sum() == certified
-    # one phase 1 per infeasible allocation; the feasible ones mostly reuse
-    assert projector.phase1_runs < certified + (len(block) - certified) // 2
+    assert np.array_equal(empty, [not phase1_feasible(bounds) for bounds in block])
+    assert empty.sum() == infeasible
+    assert projector.counts["columns"] == len(block) and projector.counts["rounds"] == 0
 
 
 @st.composite
@@ -513,8 +410,10 @@ def allocation_sequences(draw):
 @settings(max_examples=80, deadline=None)
 @given(allocation_sequences())
 def test_shared_projector_matches_cold_projections(case):
+    # one projector for many systems gives each system's own frontier, and
+    # that frontier's support is the optimum a cold lp_solve finds
     channel, allocations = case
-    projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
+    projector = fresh_projector()
     for alloc in allocations:
         if not validate_allocation(channel, alloc).ok:
             continue
@@ -524,197 +423,112 @@ def test_shared_projector_matches_cold_projections(case):
         assert shared.is_empty == cold.is_empty
         assert len(shared.points) == len(cold.points)
         assert np.abs(np.subtract(shared.points, cold.points)).max(initial=0.0) <= 1e-12
+        for theta in np.linspace(0.0, 0.5 * math.pi, 5):
+            res = lp_solve(system, math.cos(theta) * R1_OBJECTIVE + math.sin(theta) * R2_OBJECTIVE)
+            assert res.status == ("infeasible" if shared.is_empty else "optimal")
+            if not shared.is_empty:
+                assert support(shared, theta) == pytest.approx(res.value, abs=1e-9)
 
 
 def fresh_projector():
     return Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
 
 
-def test_cached_basis_answers_only_within_an_absolute_floor():
-    # At bounds near 6.1 bits the first allocation's basis is infeasible by
-    # 2.9e-12 for the second; a floor relative to the largest bound let it
-    # answer the r1 corner 2.9e-12 short of the tableau's.
-    channel = ChannelParams(c12=1.0, c21=0.0, c1e=0.0, c2e=0.0, p1=1e4, p2=0.0)
-    projector = fresh_projector()
-    for state in (PowerState(ps1=5000.0, po1=5000.0),
-                  PowerState(pc1=0.01, ps1=0.01, po1=5000.0)):
-        system = build_system(channel, single(state))
-        cold = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE)
-        shared = projector.project(np.append(system.b_ub, system.b_eq))
-        assert len(shared.points) == len(cold.points)
-        assert np.abs(np.subtract(shared.points, cold.points)).max(initial=0.0) <= 1e-12
+def grid_steps(variant, steps, states):
+    """A drawn step count cut down to a small grid of the variant."""
+    return min(steps, 2 if variant == "full" and states > 1 else 3 if variant == "full" else 4)
 
 
-def search_rows(rows, screen=None):
-    """One union search over the rows of an array on a fresh projector:
-    its vertices, its allocation counts and its projector, and the
-    indices of every whole row it read (the examined ones, some more than
-    once)."""
-    projector = fresh_projector()
-    read = []
-
-    def bounds(at, columns):
-        if columns is None:
-            read.extend(np.arange(len(rows))[at].tolist())
-            return rows[at]
-        return rows[at][:, columns]
-
-    vertices, counts = projector.search(len(rows), bounds, screen)
-    return vertices, counts, projector, read
-
-
-def exact(points):
-    """Points as hex strings, so that -0.0 and 0.0 differ."""
-    return [tuple(float(v).hex() for v in point) for point in points]
-
-
-@settings(max_examples=60, deadline=None)
-@given(allocation_sequences(), st.integers(0, 3), st.randoms(use_true_random=False))
-def test_union_search_does_not_depend_on_row_order(case, copies, random):
-    # the same rows in drawn orders give the same vertices, bit for bit,
-    # and the same work: every choice of the search depends on values.
-    # Scaled copies (c * b is solved by the bases that solve b) make rows
-    # that share bases and tie on bounds.
-    channel, allocations = case
-    allocations = [a for a in allocations if validate_allocation(channel, a).ok]
-    if not allocations:
-        return
-    rows = bound_rows(channel, stack(allocations))
-    rows = np.concatenate([rows] + [rows[::-1] * (1.0 + 0.3 * c) for c in range(copies)])
-    order = list(range(len(rows)))
+@settings(max_examples=25, deadline=None)
+@given(st.builds(ChannelParams, gains, gains, gains, gains, budgets, budgets),
+       st.sampled_from(VARIANTS), st.integers(2, 4), st.integers(1, 2),
+       st.randoms(use_true_random=False))
+def test_union_search_does_not_depend_on_row_order(channel, variant, steps, states, random):
+    # the master over the grid in a drawn order: ties in pricing go to
+    # another state, but every objective is solved over all of them, so
+    # the frontier moves by rounding only
+    spec = RegionSpec(channel=channel, variant=variant, steps=grid_steps(variant, steps, states),
+                      states=states)
+    expected = region_union(spec)
+    grid = _family_allocations(spec)
+    order = list(range(len(grid)))
     random.shuffle(order)
-    vertices, counts, projector, read = search_rows(rows)
-    for permuted in (rows[::-1], rows[order]):
-        again, again_counts, again_projector, again_read = search_rows(permuted)
-        assert exact(again) == exact(vertices)
-        assert again_counts == counts and again_projector.counts == projector.counts
-        assert len(again_read) == len(read)
-
-
-def row_reader(rows):
-    """The ``bounds`` callback of a search over the rows of an array."""
-    return lambda at, columns: rows[at] if columns is None else rows[at][:, columns]
-
-
-@settings(max_examples=60, deadline=None)
-@given(allocation_sequences(), st.floats(0.01, 1.0), st.floats(0.01, 1.0))
-def test_cached_bases_bound_every_allocation(case, w1, w2):
-    # weak duality: every cached basis that passes an objective's stopping
-    # test bounds that objective's optimum for every allocation, with its
-    # margin, and meets it where the basis is feasible
-    channel, allocations = case
-    allocations = [a for a in allocations if validate_allocation(channel, a).ok]
-    if not allocations:
-        return
-    rows = bound_rows(channel, stack(allocations))
-    projector = fresh_projector()
-    for row in rows:
-        projector.project(row)
-    union = polytope._Union(projector, len(rows), row_reader(rows), None)
-    norm = math.hypot(w1, w2)
-    for objective in ((None, 0), (None, 1), ((w1 / norm, w2 / norm), 0)):
-        weights, corner = objective
-        if weights is None:
-            c = (R1_OBJECTIVE, R2_OBJECTIVE)[corner]
-        else:
-            c = weights[0] * R1_OBJECTIVE + weights[1] * R2_OBJECTIVE
-        optima = [lp_solve(phase1_system(row), c) for row in rows]
-        passing = np.flatnonzero(projector._passing(objective)).tolist()
-        duals = projector._duals(objective)
-        # the passing bases, then the covering rows' dual
-        assert len(duals) == len(passing) + 1
-        for k, (y, delta) in zip(passing + [None], duals):
-            for row, bound, optimum in zip(rows, union.dual_bound(y, delta), optima):
-                if optimum.status != "optimal":
-                    continue
-                # lp_solve's point satisfies the rows up to a residual r
-                # (phase 1 accepts up to its tolerance), and weak duality
-                # bounds it by y . (b + r)
-                x = optimum.x
-                residual = np.append(np.maximum(A_UB @ x - row[:-1], 0.0), EQ_ROW @ x - row[-1])
-                assert bound + np.abs(y) @ np.abs(residual) >= optimum.value
-                if k is not None and (projector._inverses[k] @ row).min() >= -BASIS_TOL:
-                    assert bound - optimum.value <= 1e-12
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(region, "_family_allocations", lambda spec: grid[order])
+        shuffled = region_union(spec)
+    assert dominates(shuffled, expected, tol=1e-12)
+    assert dominates(expected, shuffled, tol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.builds(ChannelParams, gains, gains, gains, gains, budgets, budgets),
        st.sampled_from(VARIANTS), st.integers(2, 4), st.integers(1, 2))
+# the frontier of this grid has an edge of slope about -1e11, next to which
+# a vertical gap would multiply a rounding of r1 by the slope
+@example(ChannelParams(0.0, 1.0, 0.5, 1e-15, 1.0, 10000.0), "full", 2, 2)
 def test_union_search_equals_per_row_oracle(channel, variant, steps, states):
-    # the union of small grids on drawn channels, against every allocation
-    # projected alone and merged.  A cached basis answers a system when it
-    # is feasible up to BASIS_TOL, so either side may read a point about
-    # that far from the exact one (as in the shared-projector tests); and
-    # the search reports no point within its tolerance of a chord
-    steps = min(steps, 2 if variant == "full" and states > 1 else 3 if variant == "full" else 4)
-    spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states,
-                      weight_steps=3)
-    union, expected = region_union(spec), per_allocation_union(spec)
-    assert union.is_empty == expected.is_empty
-    if not union.is_empty:
-        assert union.max_r1 == pytest.approx(expected.max_r1, rel=0.0, abs=1e-12)
-        assert union.max_r2 == pytest.approx(expected.max_r2, rel=0.0, abs=1e-12)
-        assert dominates(union, expected, tol=1e-9)
-        assert dominates(expected, union, tol=1e-12)
+    # the master over small grids on drawn channels holds the region of
+    # every in-budget grid state, each projected alone and merged, and
+    # equals unlimited time sharing over every state's bound row (HiGHS)
+    spec = RegionSpec(channel=channel, variant=variant, steps=grid_steps(variant, steps, states),
+                      states=states)
+    union = region_union(spec)
+    assert not union.is_empty   # the zero-power state is always feasible
+    assert dominates(union, per_allocation_union(spec), tol=1e-9)
+    thetas = check_angles(union)
+    assert np.abs(supports(union, thetas) - highs_supports(spec, thetas)).max() <= 1e-9
 
 
-@pytest.mark.parametrize("preset_name, variant, steps, states, certified", PHASE1_GRIDS)
+@pytest.mark.parametrize("preset_name, variant, steps, states, infeasible", PHASE1_GRIDS)
 def test_union_search_decides_feasibility_like_phase1(
-    preset_name, variant, steps, states, certified
+    preset_name, variant, steps, states, infeasible
 ):
-    # test_shared_projector_decides_feasibility_like_phase1 for the union
-    # search: without the screen, the rows it finds infeasible are those
-    # of its examined rows that phase 1 finds infeasible (the screen's
-    # verdicts, shown equal above), and its union is the screened one's
+    # phase 1 agrees with every frontier point of the master: the system
+    # its recipe averages, with the point pinned by two equality rows, is
+    # feasible; recipes may use states that are infeasible alone
     channel = preset(preset_name)
     spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
-    block = bound_rows(channel, _family_allocations(spec))
-    vertices, counts, projector, read = search_rows(block)
-    examined = sorted(set(read))
-    assert counts["screened"] == 0 and counts["examined"] == len(examined)
-    assert counts["infeasible"] == certified_infeasible(block[examined]).sum()
-    assert projector.phase1_runs <= counts["examined"]
-    screened, screened_counts, _, screened_read = search_rows(block, certified_infeasible)
-    assert screened_counts["screened"] + screened_counts["infeasible"] == (
-        certified_infeasible(block[sorted(set(screened_read))]).sum())
-    assert csv_rows(pareto_merge([Frontier(points=_pareto_prune(vertices))]).points) == (
-        csv_rows(pareto_merge([Frontier(points=_pareto_prune(screened))]).points))
+    frontier = region_union(spec)
+    vertices = frontier.metadata["vertices"]
+    assert [tuple(v["point"]) for v in vertices] == list(frontier.points)
+    check_recipes(channel, _family_allocations(spec)[:, 0, 1:], vertices)
+    for vertex in vertices:
+        alloc = TimeSharedAllocation(tuple(
+            (w, PowerState(*powers)) for w, powers in zip(vertex["weights"], vertex["states"])))
+        system = build_system(channel, alloc).with_equalities(
+            [R1_OBJECTIVE, R2_OBJECTIVE], vertex["point"])
+        assert lp_solve(system, np.zeros(N_VARS)).status == "optimal"
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_projector_rejects_non_finite_bounds(monkeypatch, fig3, bad):
-    # a cached basis must never turn a non-finite bound into a point
+    # a non-finite bound never reaches a tableau, whether it is in the one
+    # column of a projection or in a bound column that pricing reads
     good = bound_rows(fig3, _allocation_arrays(single(PowerState(pc1=10.0, pc2=1.0))))[0]
-    projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
+    projector = fresh_projector()
     assert not projector.project(good).is_empty
-    counts = projector.counts
-    feasible = polytope._Union._feasible
-
-    def finite_lookup(self, slots, rows, k):
-        assert np.all(np.isfinite(rows)), "a non-finite bound reached the cache"
-        return feasible(self, slots, rows, k)
-
-    monkeypatch.setattr(polytope._Union, "_feasible", finite_lookup)
     for at in (0, 45, len(good) - 1):
         bounds = good.copy()
         bounds[at] = bad
         with pytest.raises(ValueError, match="finite"):
             projector.project(bounds)
-        assert projector.counts == counts
-        # in a union search, the bad value fails the search whether a bound
-        # column or a whole row reads it: here its row ties with the good
-        # ones, so the search examines it
-        block = np.tile(good, (40, 1))
-        block[23] = bounds
-        with pytest.raises(ValueError, match="finite"):
-            search_rows(block)
+    real = region.bound_rows
+
+    def poisoned(channel, allocations, columns=None):
+        rows = real(channel, allocations, columns)
+        rows[(allocations[:, 0, 1:] == (10.0, 0, 0, 0, 1.0, 0, 0, 0)).all(axis=1)] = bad
+        return rows
+
+    monkeypatch.setattr(region, "bound_rows", poisoned)
+    with pytest.raises(ValueError, match="finite"):
+        region_union(RegionSpec(channel=fig3, variant="ncp", steps=11))
 
 
 def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
-    # the sweep carries allocations as one array: no PowerState,
-    # TimeSharedAllocation or validation per allocation, a RateSystem only
-    # where a tableau runs phase 1, and no Frontier per allocation: the
-    # pooled vertices make one, the merge another
+    # the sweep carries the grid as one array: no PowerState,
+    # TimeSharedAllocation or validation per state, one RateSystem for the
+    # master's tableau, and no Frontier per state: the vertices make one,
+    # the merge another
     built = {"PowerState": 0, "TimeSharedAllocation": 0, "RateSystem": 0, "Frontier": 0,
              "validate": 0}
 
@@ -731,33 +545,70 @@ def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
                             counting("validate", module.validate_allocation))
     frontier = region_union(RegionSpec(channel=fig3, variant="r3", steps=11))
     assert frontier.metadata["allocations"] == 4356
-    phase1_runs = frontier.metadata["lp"]["phase1_runs"]
     assert built == {"PowerState": 0, "TimeSharedAllocation": 0,
-                     "RateSystem": phase1_runs, "Frontier": 2, "validate": 0}
+                     "RateSystem": 1, "Frontier": 2, "validate": 0}
 
 
 def test_union_lp_counts(fig3):
-    # fig3 r3 steps 11: the union search examines 64 of the 4356
-    # allocations, and the screen certifies half of those
+    # fig3 r3 steps 11: the master takes 37 of the 4356 states in 12
+    # pricing rounds
     frontier = region_union(RegionSpec(channel=fig3, variant="r3", steps=11))
-    assert frontier.metadata["lp"] == {
-        "phase1_runs": 3,
-        "cached_solves": 36,
-        "tableau_solves": 3,
-        "bases_cached": 3,
-    }
-    assert frontier.metadata["examined_allocations"] == 64
-    assert frontier.metadata["screened_allocations"] == 32
+    assert frontier.metadata["lp"] == {"rounds": 12, "columns": 37, "pivots": 42}
+
+
+def in_budget(channel, grid):
+    """Which states of a grid, (n, 8) powers, spend within both budgets."""
+    return ((((grid[:, 0] + grid[:, 1]) + grid[:, 2]) + grid[:, 3] <= channel.p1 + BUDGET_TOL)
+            & (((grid[:, 4] + grid[:, 5]) + grid[:, 6]) + grid[:, 7] <= channel.p2 + BUDGET_TOL))
 
 
 def per_allocation_union(spec):
-    """The union as the sweep built it before it searched the union: the
-    frontier of every allocation the screen leaves, each projected alone
-    through one fresh projector, then ``pareto_merge`` of them all (oracle
-    for ``region_union``'s points)."""
-    block = bound_rows(spec.channel, _family_allocations(spec))
+    """The region of every in-budget grid state, each projected alone
+    through one fresh projector, then ``pareto_merge`` of them all; the
+    master must contain it."""
+    grid = _family_allocations(spec)
+    block = bound_rows(spec.channel, grid[in_budget(spec.channel, grid[:, 0, 1:])])
     projector = fresh_projector()
-    return pareto_merge([projector.project(row) for row in block[~certified_infeasible(block)]])
+    return pareto_merge([projector.project(row) for row in block])
+
+
+def highs_supports(spec, thetas):
+    """Support at each angle of unlimited time sharing over the spec's
+    grid, solved as one LP over every state by scipy HiGHS (oracle for
+    ``region_union``): rates and one weight per state, the averaged bounds
+    and powers, and weights that sum to one."""
+    grid = _family_allocations(spec)
+    rows, powers = bound_rows(spec.channel, grid), grid[:, 0, 1:]
+    n = len(grid)
+    used = np.stack([((powers[:, 0] + powers[:, 1]) + powers[:, 2]) + powers[:, 3],
+                     ((powers[:, 4] + powers[:, 5]) + powers[:, 6]) + powers[:, 7]])
+    a_ub = np.block([[A_UB, -rows[:, :-1].T], [np.zeros((2, N_VARS)), used]])
+    b_ub = np.concatenate([np.zeros(len(A_UB)), [spec.channel.p1, spec.channel.p2]])
+    a_eq = np.block([[EQ_ROW[np.newaxis], -rows[:, -1:].T],
+                     [np.zeros((1, N_VARS)), np.ones((1, n))]])
+    values = []
+    for theta in thetas:
+        c = np.append(math.cos(theta) * R1_OBJECTIVE + math.sin(theta) * R2_OBJECTIVE,
+                      np.zeros(n))
+        res = linprog(-c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[0.0, 1.0],
+                      bounds=(0, None), method="highs")
+        assert res.status == 0
+        values.append(-res.fun)
+    return np.array(values)
+
+
+def check_angles(frontier):
+    """Angles that pin a convex frontier: both axes, the normal of every
+    edge, and between each two of those one inside a vertex's normal
+    cone.  A region with the same support at all of them is the same."""
+    normals = [math.atan2(b[0] - a[0], a[1] - b[1])
+               for a, b in zip(frontier.points, frontier.points[1:])]
+    angles = sorted({0.0, 0.5 * math.pi, *normals})
+    return angles + [0.5 * (a + b) for a, b in zip(angles, angles[1:])]
+
+
+def supports(frontier, thetas):
+    return np.array([support(frontier, theta) for theta in thetas])
 
 
 UNION_GRIDS = (
@@ -767,67 +618,42 @@ UNION_GRIDS = (
        for name in ("fig2", "fig3") for variant in ("r3", "borcp", "ncp")
        for states in (1, 2, 3)]
     + DEGENERATE_GRIDS
+    + [("fig3", "full", 2, 3)]
+    + [(name, variant, steps, states) for name in ("zero-budget", "big-budget")
+       for variant, steps, states in (("r3", 5, 1), ("full", 2, 1), ("r3", 3, 2), ("ncp", 3, 3))]
 )
-
-
-# On odd-budgets r3 steps 3 states 2, the merge of per-allocation frontiers
-# keeps a point that lies on the segment between its neighbours up to the
-# last bit (its cross product rounds positive in _hull_vertices); a
-# dichotomic search never reports such a point, so on this grid alone the
-# oracle's points are compared without it.
-COLLINEAR_GRIDS = {("odd-budgets", "r3", 3, 2)}
-
-
-def strict_vertices(points, tol=FEASIBILITY_TOL):
-    """Frontier points less those that lie within the dichotomic search's
-    tolerance of the segment between their neighbours."""
-    points = list(points)
-    at = 1
-    while at < len(points) - 1:
-        (a1, a2), (b1, b2), (c1, c2) = points[at - 1:at + 2]
-        w1, w2 = a2 - c2, c1 - a1
-        norm = math.hypot(w1, w2)
-        w1, w2 = w1 / norm, w2 / norm
-        value = w1 * b1 + w2 * b2
-        if value > max(w1 * a1 + w2 * a2, w1 * c1 + w2 * c2) + tol * max(1.0, abs(value)):
-            at += 1
-        else:
-            del points[at]
-            at = max(at - 1, 1)
-    return points
 
 
 @pytest.mark.parametrize("channel_name, variant, steps, states", UNION_GRIDS)
 def test_pooled_union_equals_per_allocation_union(channel_name, variant, steps, states):
-    # one search over the union gives the points of a frontier per
-    # allocation merged: equal CSV text, and every coordinate within 4 ulps
-    # of the largest one, since the union search reads a vertex through
-    # whichever cached basis answers the union's objective, which may round
-    # apart from the projection of the allocation alone
+    # the master over the grid equals unlimited time sharing over every
+    # allocation's bound row, one LP solved by scipy HiGHS: the same support
+    # at every angle that pins the master's frontier.  Every state of the
+    # grid that is within budget alone is one choice of weights, so the
+    # master also holds each one's own region
     spec = RegionSpec(channel=UNION_CHANNELS[channel_name], variant=variant, steps=steps,
                       states=states)
-    union = region_union(spec).points
-    expected = per_allocation_union(spec).points
-    if (channel_name, variant, steps, states) in COLLINEAR_GRIDS:
-        assert len(strict_vertices(expected)) == len(expected) - 1
-        expected = strict_vertices(expected)
-    assert csv_rows(union) == csv_rows(expected)
-    ulp = np.spacing(np.abs(expected).max(initial=0.0))
-    assert np.abs(np.subtract(union, expected)).max(initial=0.0) <= 4 * ulp
+    union = region_union(spec)
+    thetas = check_angles(union)
+    assert np.abs(supports(union, thetas) - highs_supports(spec, thetas)).max() <= 1e-9
+    assert dominates(union, per_allocation_union(spec), tol=1e-9)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("states", [1, 2, 3])
 def test_family_allocations_are_within_budget(fig2, fig3, variant, states):
-    # the sweep does not validate the allocations it is given, so the
-    # family must build every one of them within budget
+    # span k's states spend at most k times each budget, so every grid
+    # state spends at most ``states`` times it; the first spends nothing,
+    # and none repeats
     for channel in (fig2, fig3, ODD_BUDGETS, ZERO_BUDGET):
+        stretched = replace(channel, p1=states * channel.p1, p2=states * channel.p2)
         for steps in family_step_sizes(variant, states):
-            spec = RegionSpec(channel=channel, variant=variant, steps=steps,
-                              states=states, weight_steps=3)
-            allocations = _family_allocations(spec)
-            assert len(allocations)
-            assert all(validate_allocation(channel, to_allocation(a)).ok for a in allocations)
+            spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
+            grid = _family_allocations(spec)
+            assert len(grid) and not grid[0, 0, 1:].any()
+            assert np.all(grid[:, 0, 0] == 1.0)
+            assert len(np.unique(grid[:, 0, 1:], axis=0)) == len(grid)
+            assert all(validate_allocation(stretched, to_allocation(a)).ok for a in grid)
 
 
 def object_user_grid(variant, cap, steps):
@@ -842,23 +668,18 @@ def object_user_grid(variant, cap, steps):
 
 
 def object_family_allocations(spec):
-    """The grid as the sweep first enumerated it, one object per allocation:
-    PowerStates, TimeSharedAllocations of every multiset of k states and
-    every weight tuple, kept when validate_allocation passes; returned in
+    """The grid one object per state: the PowerStates of every span's
+    per-user grids, user 1's slowest, each kept where it first appears (as
+    ``bench/make_refs.py`` builds the upper reference's grid); returned in
     the sweep's array form."""
-    user1, user2 = (object_user_grid(spec.variant, spec.states * budget, spec.steps)
-                    for budget in (spec.channel.p1, spec.channel.p2))
-    base = [PowerState(*a, *b) for a in user1 for b in user2]
-    if spec.states == 1:
-        return stack([TimeSharedAllocation.single_state(s) for s in base])
-    allocations = []
-    weights = _weight_grid(spec.states, spec.weight_steps)
-    for combo in combinations_with_replacement(base, spec.states):
-        for w in weights:
-            alloc = TimeSharedAllocation(tuple(zip(w, combo)))
-            if validate_allocation(spec.channel, alloc).ok:
-                allocations.append(alloc)
-    return stack(allocations)
+    grid = {}
+    for span in range(1, spec.states + 1):
+        user1, user2 = (object_user_grid(spec.variant, span * budget, spec.steps)
+                        for budget in (spec.channel.p1, spec.channel.p2))
+        for a in user1:
+            for b in user2:
+                grid.setdefault(PowerState(*a, *b), None)
+    return stack([TimeSharedAllocation.single_state(s) for s in grid])
 
 
 def family_step_sizes(variant, states):
@@ -873,16 +694,14 @@ TINY_BUDGET = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=1e-13, p2=0.0
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("states", [1, 2, 3])
 def test_family_allocations_match_object_enumeration(fig2, fig3, variant, states):
-    # same allocations, same order, same bits as the object-based builder
+    # same states, same order, same bits as the object-based builder
     for channel in (fig2, fig3, ODD_BUDGETS, ZERO_BUDGET, TINY_BUDGET):
         for steps in family_step_sizes(variant, states):
-            for weight_steps in (2, 3) if states > 1 else (5,):
-                spec = RegionSpec(channel=channel, variant=variant, steps=steps,
-                                  states=states, weight_steps=weight_steps)
-                expected = object_family_allocations(spec)
-                got = _family_allocations(spec)
-                assert got.shape == expected.shape
-                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+            spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
+            expected = object_family_allocations(spec)
+            got = _family_allocations(spec)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def eight_column_bound_rows(channel, allocations):
@@ -906,8 +725,7 @@ def test_bound_rows_equal_the_eight_column_sum(fig2, fig3, variant, states):
     # r3, borcp and ncp grids never use the self and other powers, and a
     # zero budget silences a user: skipping those columns changes no bit
     for channel in (fig2, fig3, ODD_BUDGETS, ZERO_BUDGET):
-        spec = RegionSpec(channel=channel, variant=variant, steps=3, states=states,
-                          weight_steps=3)
+        spec = RegionSpec(channel=channel, variant=variant, steps=3, states=states)
         allocations = _family_allocations(spec)
         for block in (allocations, allocations[:1], allocations[-7:]):
             expected = eight_column_bound_rows(channel, block)
@@ -918,20 +736,6 @@ def test_bound_rows_equal_the_eight_column_sum(fig2, fig3, variant, states):
     signed[:, :, 2] = -0.0
     assert np.array_equal(bound_rows(fig3, signed).view(np.uint64),
                           eight_column_bound_rows(fig3, signed).view(np.uint64))
-
-
-def product_filter_weights(k, steps):
-    """The weight grid as it was first enumerated: every k-tuple of grid
-    values, kept when it sums to one."""
-    values = np.linspace(0.0, 1.0, steps)
-    return [tuple(float(v) for v in combo) for combo in product(values, repeat=k)
-            if abs(sum(combo) - 1.0) <= 1e-9]
-
-
-def test_weight_grid_enumerates_sums_of_one():
-    for k in range(2, 5):
-        for steps in range(2, 12):
-            assert _weight_grid(k, steps) == product_filter_weights(k, steps)
 
 
 @pytest.mark.parametrize("channel", [
@@ -947,26 +751,28 @@ def test_grid_size_counts_the_enumerated_allocations(channel):
         for steps in (2, 3) if variant == "full" else (2, 3, 5, 11, 17):
             spec = RegionSpec(channel=channel, variant=variant, steps=steps)
             assert grid_size(spec) == len(_family_allocations(spec))
-        # with two states: every pair of grid states times every weight pair
+        # with more states: the grids of every span added up, before the
+        # states two spans share are dropped
         steps = 2 if variant == "full" else 3
-        spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=2,
-                          weight_steps=4)
-        base = _family_allocations(RegionSpec(
-            channel=replace(channel, p1=2 * channel.p1, p2=2 * channel.p2), variant=variant,
-            steps=steps))
-        assert grid_size(spec) == math.comb(len(base) + 1, 2) * len(_weight_grid(2, 4))
+        for states in (2, 3):
+            spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
+            spans = [len(_family_allocations(RegionSpec(
+                channel=replace(channel, p1=k * channel.p1, p2=k * channel.p2),
+                variant=variant, steps=steps))) for k in range(1, states + 1)]
+            assert grid_size(spec) == sum(spans) >= len(_family_allocations(spec))
 
 
 def test_region_spec_caps_the_grid(fig3):
-    # r3 enumerates (steps (steps + 1) / 2) ** 2 allocations: 990 ** 2 at
-    # steps 44 and 1035 ** 2 at steps 45
+    # r3 holds (steps (steps + 1) / 2) ** 2 states per span: 990 ** 2 at
+    # steps 44 and 1035 ** 2 at steps 45; two spans count twice that,
+    # 2 * 703 ** 2 at steps 37 and 2 * 741 ** 2 at steps 38
     assert grid_size(RegionSpec(channel=fig3, steps=44)) == 990 ** 2 <= MAX_ALLOCATIONS
-    for steps in (45, 10**9, 10**30):
-        with pytest.raises(ValueError, match="allocations"):
-            RegionSpec(channel=fig3, steps=steps)
-    with pytest.raises(ValueError, match="allocations"):
-        RegionSpec(channel=fig3, steps=3, states=2, weight_steps=10**7)
-    # zero budgets leave one allocation however fine the grid
+    spec = RegionSpec(channel=fig3, steps=37, states=2)
+    assert grid_size(spec) == 2 * 703 ** 2 <= MAX_ALLOCATIONS
+    for steps, states in ((45, 1), (38, 2), (10**9, 1), (10**30, 1), (10**6, 4)):
+        with pytest.raises(ValueError, match="states"):
+            RegionSpec(channel=fig3, steps=steps, states=states)
+    # zero budgets leave one state however fine the grid
     still = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=0.0, p2=0.0)
     spec = RegionSpec(channel=still, variant="full", steps=10**9)
     assert grid_size(spec) == len(_family_allocations(spec)) == 1
