@@ -1,9 +1,9 @@
 """Small dense linear programs and rate-polytope projections.
 
 Everything here is sized for systems of ten variables and about a hundred
-constraints, so the solver is a plain dense two-phase simplex: Bland's
-lowest-index entering column, Harris's ratio test for the leaving row,
-deterministic, no sparsity, no scaling tricks.
+constraints, so the solver is a plain dense two-phase simplex: Dantzig's
+entering column, Harris's ratio test for the leaving row, deterministic,
+no sparsity, no scaling tricks.
 Frontiers come from one master LP over right-hand sides shared out by
 time sharing (:class:`Projector`), grown column by column.
 """
@@ -27,6 +27,11 @@ _MAX_PIVOTS = 5000
 # How far below zero the ratio test lets a basic value drift, so that it
 # can pick a large pivot among nearly tied rows.
 _DRIFT = 1e-12
+
+# Smallest pivot, as a share of its column's largest entry, that the
+# simplex takes while another entering column offers a larger one: a
+# pivot of 1.7e-9 in a column reaching 11 cost a master ten digits.
+_PIVOT_SHARE = 1e-4
 
 # Columns a pricing round adds to the master at most: the most negative
 # reduced costs, ties broken by column index.
@@ -109,6 +114,7 @@ class _Tableau:
     between objectives, so every phase-2 solve warm-starts from the last
     optimal basis.  After phase 1 the artificial columns stay in place but
     never enter again; with the slack columns they hold the basis inverse.
+    Columns added later (:meth:`append`) go before the right-hand side.
     """
 
     def __init__(self, system: RateSystem) -> None:
@@ -124,27 +130,29 @@ class _Tableau:
         art_rows = np.flatnonzero(~inequality | flip)
         slack_at = n
         surplus_at = slack_at + le_rows.size
-        self.art_start = surplus_at + ge_rows.size
-        ncols = self.art_start + art_rows.size
+        art_start = surplus_at + ge_rows.size
+        ncols = art_start + art_rows.size
 
         t = np.zeros((m + 1, ncols + 1))
         t[:m, :n] = a
         t[:m, -1] = b
         t[le_rows, slack_at + np.arange(le_rows.size)] = 1.0
         t[ge_rows, surplus_at + np.arange(ge_rows.size)] = -1.0
-        t[art_rows, self.art_start + np.arange(art_rows.size)] = 1.0
+        t[art_rows, art_start + np.arange(art_rows.size)] = 1.0
         basis = np.empty(m, dtype=np.intp)
         basis[le_rows] = slack_at + np.arange(le_rows.size)
-        basis[art_rows] = self.art_start + np.arange(art_rows.size)
+        basis[art_rows] = art_start + np.arange(art_rows.size)
         self.t, self.basis, self.n = t, basis, n
-        self.real = np.arange(ncols) < self.art_start
+        self.real = np.arange(ncols) < art_start
         # Each row's unit column in the initial tableau, and the row's sign
         # flip: ``t[:-1, unit] * sign`` is the inverse of the basis matrix
         # of the unflipped system.
         self.unit = basis.copy()
         self.sign = np.where(flip, -1.0, 1.0)
         self.complete = True
-        self.pivots = 0
+        self.pivots = self.restarts = 0
+        # the constraint rows as built, which refactor() solves afresh
+        self.rows = t[:m].copy()
 
     def _pivot(self, row: int, col: int) -> None:
         t = self.t
@@ -158,15 +166,19 @@ class _Tableau:
     def _bland(self, allowed: np.ndarray | None, tol: float) -> str:
         """Pivot to an optimum of the objective row (minimization).
 
-        Entering is the lowest-index column with a negative reduced cost
-        among ``allowed`` (all columns when None), as in Bland's rule.
-        Leaving follows Harris's ratio test: of the rows that bound the
-        step no shorter than the longest step leaving every basic value
-        above ``-_DRIFT``, the one with the largest pivot, ties broken by
-        the lowest basic variable index.  Bland's own leaving rule takes
-        pivots as small as the tolerance on a degenerate vertex, which
-        grew a time-sharing master's entries past 1e13 and ended it at a
-        wrong optimum.
+        Entering is the column of most negative reduced cost among
+        ``allowed`` (all columns when None), ties to the lowest index; a
+        column whose pivot would be below ``_PIVOT_SHARE`` of its largest
+        entry gives way to the next one, and if every such column does,
+        the largest of their pivots is taken.  Leaving follows Harris's
+        ratio test: of the rows that bound the step no shorter than the
+        longest step leaving every basic value above ``-_DRIFT``, the one
+        with the largest pivot, ties broken by the lowest basic variable
+        index.  Bland's rule (lowest index entering and leaving) takes
+        pivots as small as the tolerance on a degenerate vertex; on a
+        time-sharing master that grew the tableau's entries past 1e13 and
+        ended at a wrong optimum.  No rule here excludes cycling, so
+        ``_MAX_PIVOTS`` ends a stall.
         """
         t, basis = self.t, self.basis
         for _ in range(_MAX_PIVOTS):
@@ -176,15 +188,24 @@ class _Tableau:
             entering = negative.nonzero()[0]
             if not entering.size:
                 return "optimal"
-            col = entering[0]
-            rows = (t[:-1, col] > tol).nonzero()[0]
-            if not rows.size:
-                return "unbounded"
-            pivots, values = t[rows, col], t[rows, -1]
-            step = ((np.maximum(values, 0.0) + _DRIFT) / pivots).min()
-            within = values / pivots <= step
-            ties = rows[within & (pivots == pivots[within].max())]
-            self._pivot(ties[np.argmin(basis[ties])], col)
+            fallback = None
+            for col in entering[np.argsort(t[-1, entering], kind="stable")].tolist():
+                column = t[:-1, col]
+                rows = (column > tol).nonzero()[0]
+                if not rows.size:
+                    return "unbounded"
+                pivots, values = column[rows], t[rows, -1]
+                step = ((np.maximum(values, 0.0) + _DRIFT) / pivots).min()
+                within = values / pivots <= step
+                ties = rows[within & (pivots == pivots[within].max())]
+                row = ties[np.argmin(basis[ties])]
+                if column[row] >= _PIVOT_SHARE * column.max():
+                    break
+                if fallback is None or column[row] > t[fallback[0], fallback[1]]:
+                    fallback = (row, col)
+            else:
+                row, col = fallback
+            self._pivot(row, col)
         raise SolverFailure(f"simplex stalled after {_MAX_PIVOTS} pivots")
 
     def phase1(self, tol: float) -> bool:
@@ -194,25 +215,26 @@ class _Tableau:
         out of the basis, and rows where that is impossible are redundant
         and dropped (the tableau is then no longer ``complete``).
         """
-        t, art_start = self.t, self.art_start
-        if art_start == t.shape[1] - 1:
+        t, artificial = self.t, ~self.real
+        if not artificial.any():
             return True
         t[-1] = 0.0
-        t[-1, art_start:-1] = 1.0
-        t[-1] -= t[:-1][self.basis >= art_start].sum(axis=0)
+        t[-1, :-1][artificial] = 1.0
+        t[-1] -= t[:-1][artificial[self.basis]].sum(axis=0)
         if self._bland(None, tol) != "optimal":
             raise SolverFailure("phase 1 reported unbounded; system is malformed")
         if -t[-1, -1] > tol:
             return False
         keep = np.ones(t.shape[0], dtype=bool)
-        for row in np.flatnonzero(self.basis >= art_start):
-            candidates = np.flatnonzero(np.abs(t[row, :art_start]) > tol)
+        for row in np.flatnonzero(artificial[self.basis]):
+            candidates = np.flatnonzero(self.real & (np.abs(t[row, :-1]) > tol))
             if candidates.size:
                 self._pivot(row, candidates[0])
             else:
                 keep[row] = False
         if not keep.all():
             self.t = t[keep]
+            self.rows = self.rows[keep[:-1]]
             self.basis = self.basis[keep[:-1]]
             self.complete = False
         return True
@@ -242,11 +264,6 @@ class _Tableau:
         x[(x < 0) & (x > -tol)] = 0.0
         return x
 
-    def basis_inverse(self) -> np.ndarray:
-        """Inverse of the current basis matrix of the unflipped system, its
-        rows in basis order; only for a ``complete`` tableau."""
-        return self.t[:-1, self.unit] * self.sign
-
     def duals(self) -> np.ndarray:
         """Per row of the unflipped system, the reduced cost its objective
         row gives a column that is that row's unit vector: a column ``a``
@@ -256,15 +273,40 @@ class _Tableau:
 
     def append(self, columns: np.ndarray) -> None:
         """Add structural columns of cost 0, given in the unflipped system
-        as an (m, k) array, after every other column: the basis stays, so
-        phase 2 goes on from it.  Their reduced costs are left at 0 until
+        as an (m, k) array, after every other column, and refactor: the
+        basis stays, so phase 2 goes on from it, unless rounding had led
+        it astray (then :meth:`restart`).  The objective row is left for
         the next :meth:`maximize`.  Only for a ``complete`` tableau."""
         if not self.complete:
             raise SolverFailure("cannot add columns to a tableau with redundant rows")
         block = np.zeros((self.t.shape[0], columns.shape[1]))
-        block[:-1] = self.basis_inverse() @ columns
         self.t = np.concatenate([self.t[:, :-1], block, self.t[:, -1:]], axis=1)
+        self.rows = np.concatenate(
+            [self.rows[:, :-1], columns * self.sign[:, np.newaxis], self.rows[:, -1:]], axis=1)
         self.real = np.append(self.real, np.ones(columns.shape[1], dtype=bool))
+        if not self.refactor():
+            self.restart()
+
+    def refactor(self) -> bool:
+        """Recompute the constraint rows from the rows as built and the
+        current basis, which clears the rounding that pivots accumulate;
+        the objective row is left for the next :meth:`maximize`.  False
+        when rounding has led the basis astray: it is singular or its
+        basic solution is infeasible."""
+        try:
+            self.t[:-1] = np.linalg.solve(self.rows[:, self.basis], self.rows)
+        except np.linalg.LinAlgError:
+            return False
+        return self.t[:-1, -1].min() >= -FEASIBILITY_TOL
+
+    def restart(self) -> None:
+        """Go back to the basis the tableau was built with, keeping every
+        column, and run phase 1 again."""
+        self.t[:-1] = self.rows
+        self.basis = self.unit.copy()
+        self.restarts += 1
+        if not self.phase1(FEASIBILITY_TOL):
+            raise SolverFailure("the system became infeasible on a restart")
 
 
 def lp_solve(
@@ -330,6 +372,12 @@ class _Master:
 
     def __init__(self, projector: "Projector", count: int, bounds,
                  usage: np.ndarray, caps: np.ndarray, first: int) -> None:
+        # Each resource row is divided by its cap, so that its slack is on
+        # the scale of the weights: the simplex's absolute tolerance on a
+        # reduced cost then bounds the objective it can leave, where a cap
+        # of 1e4 let a stop at -1e-9 leave 1e-5 of it.
+        scale = np.where(caps > 0.0, caps, 1.0)
+        usage, caps = usage / scale, caps / scale
         self.projector = projector
         self.count, self.usage, self.caps, self.first = count, usage, caps, first
         self._bounds = bounds
@@ -396,17 +444,29 @@ class _Master:
         every column's reduced cost at the optimum, or None when all
         columns were in the master already."""
         tableau, tol = self.tableau, FEASIBILITY_TOL
+        confirming, restarted = False, False
         while True:
+            start = tableau.pivots
             if tableau.maximize(objective, tol, allowed) != "optimal":
                 raise SolverFailure("projection unbounded along an objective")
             if self.present.all():
                 return None
+            if confirming and tableau.pivots == start:
+                return cost
             cost = self._price(tableau.duals())
             self.projector.rounds += 1
             open_ = ~self.present if eligible is None else ~self.present & eligible
             candidates = np.flatnonzero(open_ & (cost < -tol))
-            if not candidates.size:
-                return cost
+            confirming = not candidates.size
+            if confirming:
+                # confirm the optimum on a tableau freed of pivot rounding,
+                # or solve again from the start if rounding led it astray
+                if not tableau.refactor():
+                    if restarted:
+                        raise SolverFailure("rounding led the master astray twice")
+                    tableau.restart()
+                    restarted, confirming = True, False
+                continue
             at = candidates[np.argsort(cost[candidates], kind="stable")[:_ENTER]]
             self._add(at)
             if allowed is not None:
@@ -421,9 +481,15 @@ class _Master:
         tol = FEASIBILITY_TOL
         rows = (self.projector.r1_row, self.projector.r2_row)
         if weights is None:
-            cost = self._optimize(rows[corner])
-            face = self.tableau.optimal_face(tol)
-            self._optimize(rows[1 - corner], face, None if cost is None else cost <= tol)
+            # a restart leaves the primary's face, so it is solved again
+            for _ in range(2):
+                cost = self._optimize(rows[corner])
+                face, restarts = self.tableau.optimal_face(tol), self.tableau.restarts
+                self._optimize(rows[1 - corner], face, None if cost is None else cost <= tol)
+                if self.tableau.restarts == restarts:
+                    break
+            else:
+                raise SolverFailure("rounding led the master astray on an optimal face")
         else:
             self._optimize(weights[0] * rows[0] + weights[1] * rows[1])
         t = self.tableau.t

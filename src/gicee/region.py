@@ -247,9 +247,9 @@ class RegionSpec:
 # Largest grid a sweep may hold, in states, so that a run stays within
 # about half a gigabyte.  A sweep keeps 72 bytes per state and 8 more per
 # bound column that pricing reads.  Peak RSS on a 2-vCPU host, against
-# 32 MB for a tiny grid: fig3 r3 at steps 31, 246 016 states, 84 MB in
-# 0.36 s; at steps 44, 980 100 states, 241 MB in 1.3 s; with two states at
-# steps 37, 988 418 states before duplicates, 346 MB in 2.8 s.
+# 32 MB for a tiny grid: fig3 r3 at steps 31, 246 016 states, 87 MB in
+# 0.5 s; at steps 44, 980 100 states, 248 MB in 1.7 s; with two states at
+# steps 37, 988 418 states before duplicates, 346 MB in 3.7 s.
 MAX_ALLOCATIONS = 1_000_000
 
 

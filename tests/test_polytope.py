@@ -613,10 +613,12 @@ def mixed_sign_systems(rng, count, a_ub, a_eq):
 
 
 def test_basis_inverse_and_shared_bases_with_flipped_rows():
-    # the basis inverse of the unflipped system maps its right-hand side
-    # and every structural column to their tableau columns, as the master
-    # relies on when it appends a column; and one projector, which builds
-    # a master per system, projects systems whose rows phase 1 flips
+    # the initial unit columns, their row flips undone, hold the inverse of
+    # the unflipped system's basis, which maps its right-hand side and
+    # every structural column to their tableau columns (the master reads
+    # its duals off the objective row at those columns); and one
+    # projector, which builds a master per system, projects systems whose
+    # rows phase 1 flips
     rng = np.random.default_rng(5)
     n = 4
     a_ub = np.vstack([rng.uniform(-1.0, 1.0, (6, n)), np.eye(n)])
@@ -630,7 +632,7 @@ def test_basis_inverse_and_shared_bases_with_flipped_rows():
         assert tableau.phase1(FEASIBILITY_TOL)
         assert tableau.maximize(rng.uniform(0.0, 1.0, n), FEASIBILITY_TOL) == "optimal"
         assert tableau.complete
-        inverse = tableau.basis_inverse()
+        inverse = tableau.t[:-1, tableau.unit] * tableau.sign
         rhs = np.append(system.b_ub, system.b_eq)
         assert np.allclose(inverse @ rhs, tableau.t[:-1, -1], atol=1e-9)
         a = np.vstack([a_ub, a_eq])
@@ -659,9 +661,16 @@ def test_appended_columns_continue_phase_2():
         status = tableau.maximize(c[:3], FEASIBILITY_TOL)
         wide = lp_solve(RateSystem(a_ub=a, b_ub=b), c)
         assert status == wide.status
+        assert tableau.refactor()
         if status != "optimal":
             continue
-        values = np.zeros(tableau.t.shape[1] - 1)
-        values[tableau.basis] = tableau.t[:-1, -1]
-        x = np.append(values[:3], values[-3:-1])
-        assert c @ x == pytest.approx(wide.value, abs=1e-12)
+        # and so does a restart from the first basis, every column kept,
+        # whose phase 1 tells the appended columns from the artificials
+        for restart in (False, True):
+            if restart:
+                tableau.restart()
+                assert tableau.maximize(c[:3], FEASIBILITY_TOL) == "optimal"
+            values = np.zeros(tableau.t.shape[1] - 1)
+            values[tableau.basis] = tableau.t[:-1, -1]
+            x = np.append(values[:3], values[-3:-1])
+            assert c @ x == pytest.approx(wide.value, abs=1e-12)
