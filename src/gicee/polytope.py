@@ -24,6 +24,11 @@ from .frontier import pareto_merge  # noqa: F401
 
 _MAX_PIVOTS = 5000
 
+# Pivots in a row without the objective gaining, after which Bland's rule
+# takes over: far past the longest run met on a master (219, budgets up to
+# 1e6), since there Bland's small pivots grew the tableau's entries to 1e16.
+_STALL = 1000
+
 # How far below zero the ratio test lets a basic value drift, so that it
 # can pick a large pivot among nearly tied rows.
 _DRIFT = 1e-12
@@ -34,7 +39,7 @@ _DRIFT = 1e-12
 _PIVOT_SHARE = 1e-4
 
 # Columns a pricing round adds to the master at most: the most negative
-# reduced costs, ties broken by column index.
+# reduced costs, ties broken by the columns' keys.
 _ENTER = 8
 
 
@@ -163,7 +168,7 @@ class _Tableau:
         self.basis[row] = col
         self.pivots += 1
 
-    def _bland(self, allowed: np.ndarray | None, tol: float) -> str:
+    def _pivot_to_optimum(self, allowed: np.ndarray | None, tol: float) -> str:
         """Pivot to an optimum of the objective row (minimization).
 
         Entering is the column of most negative reduced cost among
@@ -174,13 +179,14 @@ class _Tableau:
         ratio test: of the rows that bound the step no shorter than the
         longest step leaving every basic value above ``-_DRIFT``, the one
         with the largest pivot, ties broken by the lowest basic variable
-        index.  Bland's rule (lowest index entering and leaving) takes
-        pivots as small as the tolerance on a degenerate vertex; on a
-        time-sharing master that grew the tableau's entries past 1e13 and
-        ended at a wrong optimum.  No rule here excludes cycling, so
-        ``_MAX_PIVOTS`` ends a stall.
+        index.  Both keep pivots large, where lowest-index rules take them
+        as small as the tolerance on a degenerate vertex.  After ``_STALL``
+        pivots in a row without the objective gaining ``tol``, Bland's rule
+        (lowest index entering; leaving, the least ratio, ties to the
+        lowest basic index) takes over until it does: no cycling.
         """
         t, basis = self.t, self.basis
+        level, stalled = t[-1, -1], 0
         for _ in range(_MAX_PIVOTS):
             negative = t[-1, :-1] < -tol
             if allowed is not None:
@@ -188,24 +194,31 @@ class _Tableau:
             entering = negative.nonzero()[0]
             if not entering.size:
                 return "optimal"
+            bland = stalled >= _STALL
+            if not bland:
+                entering = entering[np.argsort(t[-1, entering], kind="stable")]
             fallback = None
-            for col in entering[np.argsort(t[-1, entering], kind="stable")].tolist():
+            for col in entering.tolist():
                 column = t[:-1, col]
                 rows = (column > tol).nonzero()[0]
                 if not rows.size:
                     return "unbounded"
                 pivots, values = column[rows], t[rows, -1]
-                step = ((np.maximum(values, 0.0) + _DRIFT) / pivots).min()
+                step = ((np.maximum(values, 0.0) + (0.0 if bland else _DRIFT)) / pivots).min()
                 within = values / pivots <= step
-                ties = rows[within & (pivots == pivots[within].max())]
+                ties = rows[within if bland else within & (pivots == pivots[within].max())]
                 row = ties[np.argmin(basis[ties])]
-                if column[row] >= _PIVOT_SHARE * column.max():
+                if bland or column[row] >= _PIVOT_SHARE * column.max():
                     break
                 if fallback is None or column[row] > t[fallback[0], fallback[1]]:
                     fallback = (row, col)
             else:
                 row, col = fallback
             self._pivot(row, col)
+            if t[-1, -1] > level + tol:
+                level, stalled = t[-1, -1], 0
+            else:
+                stalled += 1
         raise SolverFailure(f"simplex stalled after {_MAX_PIVOTS} pivots")
 
     def phase1(self, tol: float) -> bool:
@@ -221,7 +234,7 @@ class _Tableau:
         t[-1] = 0.0
         t[-1, :-1][artificial] = 1.0
         t[-1] -= t[:-1][artificial[self.basis]].sum(axis=0)
-        if self._bland(None, tol) != "optimal":
+        if self._pivot_to_optimum(None, tol) != "optimal":
             raise SolverFailure("phase 1 reported unbounded; system is malformed")
         if -t[-1, -1] > tol:
             return False
@@ -250,19 +263,19 @@ class _Tableau:
         priced = np.flatnonzero(t[-1, basis])
         if priced.size:
             t[-1] -= (t[-1, basis[priced], None] * t[priced]).sum(axis=0)
-        return self._bland(self.real if allowed is None else allowed & self.real, tol)
+        return self._pivot_to_optimum(self.real if allowed is None else allowed & self.real, tol)
 
     def optimal_face(self, tol: float) -> np.ndarray:
         """Columns that may move without leaving the current optimal face:
         those whose reduced cost is not positive."""
         return self.t[-1, :-1] <= tol
 
-    def solution(self, tol: float) -> np.ndarray:
-        x = np.zeros(self.n)
-        structural = self.basis < self.n
-        x[self.basis[structural]] = self.t[:-1, -1][structural]
-        x[(x < 0) & (x > -tol)] = 0.0
-        return x
+    def solution(self, tol: float, columns: bool = False) -> np.ndarray:
+        """The basic solution: the structural variables, or every column."""
+        values = np.zeros(self.t.shape[1] - 1)
+        values[self.basis] = self.t[:-1, -1]
+        values[(values < 0) & (values > -tol)] = 0.0
+        return values if columns else values[:self.n]
 
     def duals(self) -> np.ndarray:
         """Per row of the unflipped system, the reduced cost its objective
@@ -364,32 +377,25 @@ class _Master:
     ``0 <= 1`` whose slack is ``w_f``.  Column s enters as ``b_f - b_s``
     on the inequality rows, ``u_s - u_f`` on the resource rows, 1 on the
     ``w_f`` row and ``e_f - e_s`` on the equality rows, once it prices
-    out.  Bound columns (one bound of every right-hand side) are read when
-    a dual first needs them and kept for the call, whole rows only for the
-    right-hand sides that enter.  ``recipes`` maps the image of each
-    optimum to the right-hand sides it uses, their weights and its ``x``.
+    out (:meth:`_price`).  ``recipes`` maps the image of each optimum to
+    the right-hand sides it uses, their weights and its ``x``.
     """
 
     def __init__(self, projector: "Projector", count: int, bounds,
-                 usage: np.ndarray, caps: np.ndarray, first: int) -> None:
+                 usage: np.ndarray, caps: np.ndarray, first: int, keys: np.ndarray) -> None:
         # Each resource row is divided by its cap, so that its slack is on
         # the scale of the weights: the simplex's absolute tolerance on a
         # reduced cost then bounds the objective it can leave, where a cap
         # of 1e4 let a stop at -1e-9 leave 1e-5 of it.
         scale = np.where(caps > 0.0, caps, 1.0)
         usage, caps = usage / scale, caps / scale
-        self.projector = projector
+        self.projector, self._bounds, self.keys = projector, bounds, keys
         self.count, self.usage, self.caps, self.first = count, usage, caps, first
-        self._bounds = bounds
         a_ub, a_eq = projector._a_ub, projector._a_eq
         self.n_ub, self.n = a_ub.shape
         self.columns: dict[int, np.ndarray] = {}
         self.present = np.zeros(count, dtype=bool)
         self.present[first] = True
-        # per weight column but the first one's: its right-hand side and
-        # its tableau column
-        self.states: list[int] = []
-        self.at: list[int] = []
         self.recipes: dict[tuple[float, float], tuple] = {}
         self.rhs = self._read(np.array([first]), None)[0]
         self.tableau = _Tableau(RateSystem(
@@ -397,6 +403,9 @@ class _Master:
             b_ub=np.concatenate([self.rhs[:self.n_ub], caps - usage[first], [1.0]]),
             a_eq=a_eq, b_eq=self.rhs[self.n_ub:],
         ))
+        # per weight column, its right-hand side and its tableau column; the
+        # first one's is the slack of the row before the equalities
+        self.states, self.at = [first], [self.tableau.unit[self.n_ub + caps.size]]
 
     def _read(self, at, columns) -> np.ndarray:
         values = self._bounds(at, columns)
@@ -406,8 +415,9 @@ class _Master:
 
     def _price(self, y: np.ndarray) -> np.ndarray:
         """The reduced cost of every column under the duals ``y`` of the
-        master's rows, (count,), reading only the bound columns whose dual
-        is nonzero."""
+        master's rows, (count,).  Bound columns (one bound of every
+        right-hand side) are read when a nonzero dual first needs them and
+        kept for the call; whole rows are read only as columns enter."""
         n_ub, c = self.n_ub, self.caps.size
         y_bounds = np.concatenate([y[:n_ub], y[n_ub + c + 1:]])
         y_use, y_one = y[n_ub:n_ub + c], y[n_ub + c]
@@ -416,10 +426,9 @@ class _Master:
         if missing:
             values = self._read(slice(None), np.array(missing))
             self.columns.update((j, values[:, i].copy()) for i, j in enumerate(missing))
-        used_first = self.usage[self.first]
-        cost = np.full(self.count, y_one + y_bounds @ self.rhs - y_use @ used_first)
-        if c:
-            cost += self.usage @ y_use
+        cost = np.full(self.count, y_one + y_bounds @ self.rhs - y_use @ self.usage[self.first])
+        for u in range(c):
+            cost += y_use[u] * self.usage[:, u]
         for j in used:
             cost -= y_bounds[j] * self.columns[j]
         return cost
@@ -440,18 +449,24 @@ class _Master:
         """Maximize ``objective`` over the master, entering columns limited
         to ``allowed`` and priced-in columns to ``eligible``; each round
         adds the ``_ENTER`` columns of most negative reduced cost, ties
-        broken by index, until none is below ``-FEASIBILITY_TOL``.  Returns
-        every column's reduced cost at the optimum, or None when all
-        columns were in the master already."""
+        broken by their keys, until none is below ``-FEASIBILITY_TOL``; the
+        optimum stands unless the objective gains more than that on the
+        refactored tableau, so bases that only rounding tells apart cannot
+        take turns, and ``_MAX_PIVOTS`` pivots in all end the call.
+        Returns every column's reduced cost at the optimum, or None when
+        all columns were in the master already."""
         tableau, tol = self.tableau, FEASIBILITY_TOL
-        confirming, restarted = False, False
+        confirming, restarted, value = False, False, -math.inf
+        begin = tableau.pivots
         while True:
-            start = tableau.pivots
             if tableau.maximize(objective, tol, allowed) != "optimal":
                 raise SolverFailure("projection unbounded along an objective")
+            if tableau.pivots - begin > _MAX_PIVOTS:
+                raise SolverFailure(f"the master stalled after {_MAX_PIVOTS} pivots")
             if self.present.all():
                 return None
-            if confirming and tableau.pivots == start:
+            gained, value = tableau.t[-1, -1] > value + tol, tableau.t[-1, -1]
+            if confirming and not gained:
                 return cost
             cost = self._price(tableau.duals())
             self.projector.rounds += 1
@@ -467,7 +482,11 @@ class _Master:
                     tableau.restart()
                     restarted, confirming = True, False
                 continue
-            at = candidates[np.argsort(cost[candidates], kind="stable")[:_ENTER]]
+            if candidates.size > _ENTER:   # none above the _ENTER-th lowest cost enters
+                cut = np.partition(cost[candidates], _ENTER - 1)[_ENTER - 1]
+                candidates = candidates[cost[candidates] <= cut]
+            keys = self.keys[candidates].T[::-1]
+            at = candidates[np.lexsort((*keys, cost[candidates]))[:_ENTER]]
             self._add(at)
             if allowed is not None:
                 allowed = np.append(allowed, np.ones(at.size, dtype=bool))
@@ -492,17 +511,12 @@ class _Master:
                 raise SolverFailure("rounding led the master astray on an optimal face")
         else:
             self._optimize(weights[0] * rows[0] + weights[1] * rows[1])
-        t = self.tableau.t
-        values = np.zeros(t.shape[1] - 1)
-        values[self.tableau.basis] = t[:-1, -1]
-        values[(values < 0.0) & (values > -tol)] = 0.0
+        values = self.tableau.solution(tol, columns=True)
         x = values[:self.n]
         point = (max(float(rows[0] @ x), 0.0), max(float(rows[1] @ x), 0.0))
-        # the first weight is the slack of the row before the equalities
-        one = self.n_ub + self.caps.size
-        weights_at = values[[self.tableau.unit[one]] + self.at]
+        weights_at = values[self.at]
         used = np.flatnonzero(weights_at > 0.0)
-        self.recipes[point] = (np.array([self.first] + self.states)[used], weights_at[used], x)
+        self.recipes[point] = (np.array(self.states)[used], weights_at[used], x)
         return point
 
 
@@ -529,13 +543,8 @@ class Projector:
     simplex pivots of every call.
     """
 
-    def __init__(
-        self,
-        a_ub: np.ndarray,
-        a_eq: np.ndarray,
-        r1_row: Sequence[float],
-        r2_row: Sequence[float],
-    ) -> None:
+    def __init__(self, a_ub: np.ndarray, a_eq: np.ndarray,
+                 r1_row: Sequence[float], r2_row: Sequence[float]) -> None:
         self._a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
         self._a_eq = np.asarray(a_eq, dtype=float).reshape(-1, self._a_ub.shape[1])
         self.r1_row = np.asarray(r1_row, dtype=float)
@@ -547,7 +556,8 @@ class Projector:
         return {"rounds": self.rounds, "columns": self.columns, "pivots": self.pivots}
 
     def time_share(self, count: int, bounds, usage: np.ndarray | None = None,
-                   caps: Sequence[float] = (), first: int = 0) -> tuple[list, dict]:
+                   caps: Sequence[float] = (), first: int = 0,
+                   keys: np.ndarray | None = None) -> tuple[list, dict]:
         """The dichotomic vertices of the master's image over ``count``
         right-hand sides, and the recipe of each (see :class:`_Master`).
 
@@ -565,11 +575,15 @@ class Projector:
         array, or a slice for all), only the given columns of them, or
         whole rows for ``columns`` None; every value read is checked finite
         first, and a non-finite one is a ValueError.  ``usage`` is
-        ``(count, len(caps))``.  A SolverFailure ends the search.
+        ``(count, len(caps))``.  Pricing breaks ties by the lexicographic
+        order of ``keys`` (count, d), or by index: keys that depend on each
+        right-hand side alone make every step independent of their order.
+        A SolverFailure ends the search.
         """
         caps = np.asarray(caps, dtype=float)
         usage = np.zeros((count, caps.size)) if usage is None else np.asarray(usage, dtype=float)
-        master = _Master(self, count, bounds, usage, caps, first)
+        keys = np.arange(count)[:, np.newaxis] if keys is None else np.asarray(keys)
+        master = _Master(self, count, bounds, usage, caps, first, keys)
         try:
             if not master.tableau.phase1(FEASIBILITY_TOL):
                 return [], {}
@@ -580,7 +594,7 @@ class Projector:
         except StopIteration as stop:
             return stop.value, master.recipes
         finally:
-            self.columns += 1 + len(master.states)
+            self.columns += len(master.states)
             self.pivots += master.tableau.pivots
 
     def project(self, rhs: np.ndarray) -> Frontier:
@@ -600,11 +614,8 @@ class Projector:
         return Frontier(points=_pareto_prune(vertices), metadata={"infeasible": not vertices})
 
 
-def project_frontier(
-    system: RateSystem,
-    r1_row: Sequence[float],
-    r2_row: Sequence[float],
-) -> Frontier:
+def project_frontier(system: RateSystem, r1_row: Sequence[float],
+                     r2_row: Sequence[float]) -> Frontier:
     """Pareto frontier of the polytope's image under (r1_row, r2_row).
 
     See :meth:`Projector.project`: phase 1 runs once, and every later
@@ -614,12 +625,9 @@ def project_frontier(
     return projector.project(np.concatenate([system.b_ub, system.b_eq]))
 
 
-def grid_feasibility_oracle(
-    system: RateSystem,
-    r1_row: Sequence[float],
-    r2_row: Sequence[float],
-    pitch: float,
-) -> frozenset[tuple[float, float]]:
+def grid_feasibility_oracle(system: RateSystem, r1_row: Sequence[float],
+                            r2_row: Sequence[float], pitch: float
+                            ) -> frozenset[tuple[float, float]]:
     """LP-feasible points of a pitch-spaced grid over the projection's box.
 
     Brute-force comparison target for :func:`project_frontier`: each grid

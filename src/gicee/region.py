@@ -328,13 +328,11 @@ def region_union(spec: RegionSpec) -> Frontier:
     Every achievable point averages the bounds and each user's power over
     the states with some weights: the master LP of
     :meth:`Projector.time_share`, with one column per grid state and the
-    two power budgets as resource rows.  It starts from the zero-power
-    state, and pricing reads only the bound columns of :func:`bound_rows`
-    whose dual is nonzero, whole rows only for the states that enter.  Any
-    per-state region, and any mixture of states within budget, is one
-    choice of weights, so the frontier contains them all.  Ties in pricing
-    go to the lower grid index, so the result depends on the spec alone;
-    another order of the grid moves a vertex by rounding only.
+    two power budgets as resource rows, started from the zero-power state.
+    Any per-state region, and any mixture of states within budget, is one
+    choice of weights, so the frontier contains them all.  Pricing breaks
+    ties by the states' powers, so the result, bit for bit, does not
+    depend on the order of the grid.
 
     The metadata holds the grid size as ``allocations``, the projector's
     pricing rounds, columns and pivots as ``lp``, per frontier point the
@@ -365,7 +363,7 @@ def region_union(spec: RegionSpec) -> Frontier:
     start = clock()
     vertices, recipes = projector.time_share(
         len(grid), bounds, usage, (spec.channel.p1, spec.channel.p2),
-        first=int(np.flatnonzero(~powers.any(axis=1))[0]))
+        first=int(np.flatnonzero(~powers.any(axis=1))[0]), keys=powers)
     timing["solve"] = clock() - start - timing["bounds"]
     start = clock()
     union = pareto_merge([Frontier(points=_pareto_prune(vertices))], metadata={

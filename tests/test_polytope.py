@@ -11,6 +11,7 @@ from gicee import (
     Frontier,
     PowerState,
     RateSystem,
+    RegionSpec,
     SolverFailure,
     TimeSharedAllocation,
     build_system,
@@ -19,7 +20,9 @@ from gicee import (
     pareto_merge,
     preset,
     project_frontier,
+    region_union,
 )
+import gicee.polytope as polytope
 from gicee.frontier import _RECORD_FILTER_MIN, PARETO_EPS, _pareto_prune, _records
 from gicee.polytope import FEASIBILITY_TOL, Projector, _Tableau
 from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
@@ -95,6 +98,56 @@ def test_lp_matches_scipy_on_random_systems():
         elif ref.status == 3:
             assert mine.status == "unbounded"
     assert agreements > 30  # the sweep must hit plenty of solvable instances
+
+
+def test_bland_rule_takes_over_a_stall(monkeypatch):
+    # with no stall allowed, Bland's rule makes every pivot: it ends on
+    # Beale's example, which cycles under Dantzig's rule with the textbook
+    # ratio test, and reaches the optimum the default rules reach
+    rng = np.random.default_rng(42)
+    systems = [(RateSystem(a_ub=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
+                                 [0.0, 0.0, 1.0, 0.0]], b_ub=[0.0, 0.0, 1.0]),
+                np.array([0.75, -20.0, 0.5, -6.0]))]
+    for _ in range(60):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 12))
+        systems.append((RateSystem(a_ub=rng.uniform(-1.0, 2.0, (m, n)),
+                                   b_ub=rng.uniform(-0.5, 3.0, m)),
+                        rng.uniform(-1.0, 1.0, n)))
+    default = [lp_solve(system, c) for system, c in systems]
+    assert default[0].value == pytest.approx(1.25, abs=1e-12)
+    monkeypatch.setattr(polytope, "_STALL", 0)
+    for (system, c), expected in zip(systems, default):
+        res = lp_solve(system, c)
+        assert res.status == expected.status
+        if res.status == "optimal":
+            assert res.value == pytest.approx(expected.value, abs=1e-9)
+
+
+def test_master_confirms_an_optimum_that_rounding_moves(monkeypatch):
+    # a confirming solve that pivots without gaining the objective stands,
+    # as when two bases that only rounding tells apart take turns; one
+    # that keeps gaining ends at the pivot cap, as a SolverFailure
+    spec = RegionSpec(channel=preset("fig3"), variant="r3", steps=5)
+    expected = region_union(spec).points
+    maximize = _Tableau.maximize
+
+    def pivoting(tableau, *args):
+        status = maximize(tableau, *args)
+        tableau.pivots += 1
+        return status
+
+    monkeypatch.setattr(_Tableau, "maximize", pivoting)
+    assert region_union(spec).points == expected
+
+    def gaining(tableau, *args):
+        status = pivoting(tableau, *args)
+        tableau.t[-1, -1] += tableau.pivots
+        return status
+
+    monkeypatch.setattr(_Tableau, "maximize", gaining)
+    monkeypatch.setattr(polytope, "_MAX_PIVOTS", 200)
+    with pytest.raises(SolverFailure, match="200 pivots"):
+        region_union(spec)
 
 
 def test_project_frontier_polygon():
