@@ -15,6 +15,7 @@ from gicee import (
     PowerState,
     RateSystem,
     RegionSpec,
+    SolverFailure,
     TimeSharedAllocation,
     build_system,
     lp_solve,
@@ -24,6 +25,7 @@ from gicee import (
     region_union,
     validate_allocation,
 )
+import gicee.polytope as polytope
 import gicee.region as region
 from gicee.model import BUDGET_TOL
 from gicee.polytope import (
@@ -88,10 +90,20 @@ RESTART_FACE = ChannelParams(c12=2.0289643211701187, c21=1.1699224840373468,
                              c1e=0.03855827510231513, c2e=2.5985785781846884, p1=0.01, p2=1.0)
 RESTART_APPEND = ChannelParams(c12=0.36667129852080127, c21=0.4622523321400944,
                                c1e=0.9039351375826399, c2e=0.4439283758182192, p1=1e4, p2=0.01)
+# drawn channels whose masters never ended, confirming one optimum after
+# another (`full` steps 3), and stalled under Harris's rule alone until
+# Bland's rule took over (`full` steps 2, states 2)
+CONFIRM_CYCLE = ChannelParams(c12=0.7606444280072819, c21=2.974496878582743,
+                              c1e=1.8158768234664509, c2e=2.850203567286078,
+                              p1=0.846996581137931, p2=1e6)
+HARRIS_STALL = ChannelParams(c12=1.5857477975616279, c21=0.4954969467246435,
+                             c1e=2.0409955333021474, c2e=0.6792107599673199,
+                             p1=1e4, p2=10.09303607057203)
 UNION_CHANNELS = {"fig2": preset("fig2"), "fig3": preset("fig3"),
                   "zero-gains": ZERO_GAINS, "odd-budgets": ODD_BUDGETS,
                   "zero-budget": ZERO_BUDGET, "big-budget": BIG_BUDGET,
-                  "restart-face": RESTART_FACE, "restart-append": RESTART_APPEND}
+                  "restart-face": RESTART_FACE, "restart-append": RESTART_APPEND,
+                  "confirm-cycle": CONFIRM_CYCLE, "harris-stall": HARRIS_STALL}
 # grids of the degenerate channels: every allocation of the zero-gains
 # ones reaches the same point, so all of them tie
 DEGENERATE_GRIDS = [(name, variant, steps, states) for name in ("zero-gains", "odd-budgets")
@@ -635,7 +647,8 @@ UNION_GRIDS = (
     + [("fig3", "full", 2, 3)]
     + [(name, variant, steps, states) for name in ("zero-budget", "big-budget")
        for variant, steps, states in (("r3", 5, 1), ("full", 2, 1), ("r3", 3, 2), ("ncp", 3, 3))]
-    + [("restart-face", "full", 3, 1), ("restart-append", "full", 3, 1)]
+    + [("restart-face", "full", 3, 1), ("restart-append", "full", 3, 1),
+       ("confirm-cycle", "full", 3, 1), ("harris-stall", "full", 2, 2)]
 )
 
 
@@ -669,6 +682,16 @@ def test_restart_grids_restart(monkeypatch, channel_name, caller):
     monkeypatch.setattr(_Tableau, "restart", counted)
     region_union(RegionSpec(channel=UNION_CHANNELS[channel_name], variant="full", steps=3))
     assert callers == [caller]
+
+
+def test_bland_rule_ends_a_stall_of_harris_rule(monkeypatch):
+    # the harris-stall grid of test_pooled_union_equals_per_allocation_union
+    # needs the fallback to Bland's rule: without it the simplex stalls
+    spec = RegionSpec(channel=HARRIS_STALL, variant="full", steps=2, states=2)
+    assert not region_union(spec).is_empty
+    monkeypatch.setattr(polytope, "_STALL", 10**9)
+    with pytest.raises(SolverFailure, match="stalled"):
+        region_union(spec)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
