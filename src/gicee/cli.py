@@ -57,9 +57,14 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Flatten flags over config-file values; None means 'not given'."""
+    """Flatten flags over config-file values; None means 'not given'.
+
+    A config file's keys are the destinations of the command's own flags;
+    any other key is a configuration error."""
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "func", "config")}
     merged: dict = {}
-    config_path = getattr(args, "config", None)
+    config_path = args.config
     if config_path is not None:
         try:
             loaded = json.loads(Path(config_path).read_text())
@@ -69,11 +74,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(loaded) - set(flags))
+        if unknown:
+            raise ConfigError(f"config file {config_path} has unknown keys {unknown}; "
+                              f"{args.command} takes {sorted(flags)}")
         merged.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("config", "func") or value is None:
-            continue
-        merged[key] = value
+    merged.update((key, value) for key, value in flags.items() if value is not None)
     return merged
 
 
@@ -106,56 +112,13 @@ def _resolve_channel(cfg: dict) -> ChannelParams:
     raise ConfigError("no channel given: use --preset or all six inline values")
 
 
-def _require(cfg: dict, key: str, minimum: int | None, label: str,
-             default: int | None = None) -> int:
+def _require(cfg: dict, key: str, minimum: int, default: int | None = None) -> int:
     value = cfg.get(key, default if default is not None else minimum)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{label} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{label} must be at least {minimum}, got {value}")
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
     return value
-
-
-def _deprecated_directions(cfg: dict) -> None:
-    """Check ``directions``, which no longer has an effect.
-
-    Frontiers are exact, so the option is deprecated; it is still parsed
-    and a value below 3 is still a configuration error, so that command
-    lines which worked before keep their exit codes.
-    """
-    if "directions" in cfg:
-        _require(cfg, "directions", 3, "directions")
-
-
-def _deprecated_weight_steps(cfg: dict, states: int) -> None:
-    """Check ``weight_steps``, which no longer has an effect.
-
-    The region time-shares over any weights, so the option is deprecated;
-    it is still parsed, a non-integer is still a configuration error, and
-    so is a value below 2 with more than one state, so that command lines
-    which worked before keep their exit codes.
-    """
-    if "weight_steps" in cfg:
-        _require(cfg, "weight_steps", 2 if states > 1 else None, "weight_steps")
-
-
-def _deprecated_workers(cfg: dict) -> None:
-    """Check ``workers`` and ``GICEE_WORKERS``, which no longer have an effect.
-
-    Sweeps run in one process, so the options are deprecated; they are
-    still parsed, and a count below 1 or a non-integer ``GICEE_WORKERS`` is
-    still a configuration error, so command lines keep their exit codes.
-    """
-    if "workers" in cfg:
-        _require(cfg, "workers", 1, "workers")
-    env = os.environ.get("GICEE_WORKERS")
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            raise ConfigError(f"GICEE_WORKERS must be an integer, got {env!r}") from None
-        if count < 1:
-            raise ConfigError(f"GICEE_WORKERS must be at least 1, got {env!r}")
 
 
 def _output_path(value, *, sidecar: bool, default: str | None = None) -> Path:
@@ -246,18 +209,13 @@ def _baseline(channel: ChannelParams, frontier: Frontier) -> dict:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
-    from .region import VARIANTS, RegionSpec, region_union
+    from .region import RegionSpec, region_union
 
     cfg = _merge_config(args)
     channel = _resolve_channel(cfg)
     variant = cfg.get("variant", "r3")
-    if variant not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    steps = _require(cfg, "steps", 2, "steps", default=11)
-    _deprecated_directions(cfg)
-    states = _require(cfg, "states", 1, "states", default=1)
-    _deprecated_weight_steps(cfg, states)
-    _deprecated_workers(cfg)
+    steps = _require(cfg, "steps", 2, default=11)
+    states = _require(cfg, "states", 1, default=1)
     out = _output_path(cfg.get("out"), sidecar=True, default="region.csv")
     try:
         spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
@@ -279,14 +237,12 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def cmd_ctdma(args: argparse.Namespace) -> int:
-    from .schemes import CTDMA_TAGS, ctdma_region
+    from .schemes import ctdma_region
 
     cfg = _merge_config(args)
     channel = _resolve_channel(cfg)
     variant = cfg.get("variant", "ctdma")
-    if variant not in CTDMA_TAGS:
-        raise ConfigError(f"variant must be one of {CTDMA_TAGS}, got {variant!r}")
-    steps = _require(cfg, "steps", 2, "steps", default=11)
+    steps = _require(cfg, "steps", 2, default=11)
     out = _output_path(cfg.get("out"), sidecar=True, default="ctdma.csv")
     try:
         frontier = ctdma_region(channel, variant=variant, steps=steps)
@@ -319,7 +275,6 @@ def cmd_point(args: argparse.Namespace) -> int:
     report = validate_allocation(channel, alloc)
     if not report.ok:
         raise ConfigError(f"allocation invalid ({report.code}): {report.detail}")
-    _deprecated_directions(cfg)
     out = cfg.get("out")
     if out is not None:
         out = _output_path(out, sidecar=False)
@@ -345,9 +300,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from .validation import mi_oracle_suite, projection_suite, submodularity_suite
 
     cfg = _merge_config(args)
-    seed = _require(cfg, "seed", 0, "seed")
-    samples = _require(cfg, "samples", 1, "samples", default=1000)
-    systems = _require(cfg, "systems", 1, "systems", default=20)
+    seed = _require(cfg, "seed", 0)
+    samples = _require(cfg, "samples", 1, default=1000)
+    systems = _require(cfg, "systems", 1, default=20)
     tol = cfg.get("tol", 1e-12)
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol >= 0:
         raise ConfigError(f"tol must be a nonnegative number, got {tol!r}")
@@ -398,13 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_args(p_region)
     p_region.add_argument("--variant")
     p_region.add_argument("--steps", type=int)
-    p_region.add_argument("--directions", type=int,
-                          help="deprecated, no effect: frontiers are exact")
     p_region.add_argument("--states", type=int)
-    p_region.add_argument("--weight-steps", dest="weight_steps", type=int,
-                          help="deprecated, no effect: time sharing takes any weights")
-    p_region.add_argument("--workers", type=int,
-                          help="deprecated, no effect: sweeps run in one process")
     p_region.add_argument("--out", type=str)
     p_region.set_defaults(func=cmd_region)
 
@@ -418,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_point = sub.add_parser("point", help="frontier of one allocation file")
     _add_channel_args(p_point)
     p_point.add_argument("--alloc", type=str, help="allocation JSON file")
-    p_point.add_argument("--directions", type=int,
-                         help="deprecated, no effect: frontiers are exact")
     p_point.add_argument("--out", type=str)
     p_point.set_defaults(func=cmd_point)
 

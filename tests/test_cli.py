@@ -36,7 +36,7 @@ def test_region_command_writes_csv_and_sidecar(tmp_path, capsys):
     out = tmp_path / "region.csv"
     code = main([
         "region", "--preset", "fig2", "--variant", "ncp",
-        "--steps", "3", "--directions", "8", "--out", str(out),
+        "--steps", "3", "--out", str(out),
     ])
     assert code == 0
     rows = read_rows(out)
@@ -99,7 +99,7 @@ def test_unknown_preset_is_config_error(tmp_path, capsys):
 def test_config_file_merging_and_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
-        "preset": "fig2", "variant": "ncp", "steps": 3, "directions": 8,
+        "preset": "fig2", "variant": "ncp", "steps": 3,
     }))
     out1 = tmp_path / "a.csv"
     assert main(["region", "--config", str(cfg), "--out", str(out1)]) == 0
@@ -198,18 +198,6 @@ def test_region_sidecar_reports_timing(tmp_path, command):
     assert side_a == side_b
 
 
-def test_region_deterministic_across_worker_counts(tmp_path, monkeypatch):
-    # GICEE_WORKERS is deprecated: parsed, checked, and without effect
-    args = ["region", "--preset", "fig2", "--variant", "ncp",
-            "--steps", "7", "--directions", "8"]
-    out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    monkeypatch.setenv("GICEE_WORKERS", "1")
-    assert main(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("GICEE_WORKERS", "2")
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_region_default_grid_sizes(tmp_path):
     # zero budgets keep the default-size sweep to a single allocation
     out = tmp_path / "dflt.csv"
@@ -295,40 +283,54 @@ def test_baseline_gains_are_null_for_an_empty_frontier():
     assert baseline["r1"] == pytest.approx(WIRETAP_10)
 
 
-def test_directions_is_deprecated_without_effect(tmp_path, capsys):
-    base = ["region", "--preset", "fig3", "--steps", "4"]
-    outputs = []
-    for extra in ([], ["--directions", "3"], ["--directions", "500"]):
-        out = tmp_path / f"d{len(outputs)}.csv"
-        assert main(base + extra + ["--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
-    # values below 3 stay configuration errors, as before
-    assert main(base + ["--directions", "2", "--out", str(tmp_path / "x.csv")]) == 1
-    assert "directions" in capsys.readouterr().err
-    alloc = write_alloc(tmp_path, pc1=10.0, pc2=1.0)
-    assert main(["point", "--preset", "fig3", "--alloc", str(alloc),
-                 "--directions", "2"]) == 1
+@pytest.mark.parametrize("command, flag", [
+    ("region", "--directions"), ("region", "--weight-steps"), ("region", "--workers"),
+    ("point", "--directions"),
+])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    out = tmp_path / "x.csv"
+    argv = [command, "--preset", "fig3", flag, "8", "--out", str(out)]
+    if command == "point":
+        argv += ["--alloc", str(write_alloc(tmp_path, pc1=10.0, pc2=1.0))]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: unrecognized arguments: {flag} 8"]
+    assert not out.exists()
 
 
-def test_weight_steps_is_deprecated_without_effect(tmp_path, capsys):
-    base = ["region", "--preset", "fig3", "--steps", "3", "--states", "2"]
-    outputs = []
-    for extra in ([], ["--weight-steps", "2"], ["--weight-steps", "500"]):
-        out = tmp_path / f"w{len(outputs)}.csv"
-        assert main(base + extra + ["--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
-    # with more than one state, values below 2 stay configuration errors,
-    # as before, and so does a value that is no integer
-    assert main(base + ["--weight-steps", "1", "--out", str(tmp_path / "x.csv")]) == 1
-    assert "weight_steps" in capsys.readouterr().err
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"weight_steps": 2.5}))
-    assert main(base + ["--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
-    # with one state, any integer goes, as before
-    assert main(["region", "--preset", "fig3", "--steps", "3", "--weight-steps", "0",
-                 "--out", str(tmp_path / "y.csv")]) == 0
+@pytest.mark.parametrize("command, config, unknown", [
+    ("region", {"preset": "fig3", "stpes": 5}, ["stpes"]),
+    ("region", {"preset": "fig3", "steps": 3, "directions": 8, "weight_steps": 2, "workers": 2},
+     ["directions", "weight_steps", "workers"]),
+    ("ctdma", {"preset": "fig2", "states": 2}, ["states"]),
+    ("point", {"preset": "fig3", "directions": 8}, ["directions"]),
+    ("validate", {"command": "region", "func": None}, ["command", "func"]),
+])
+def test_config_keys_must_name_the_commands_flags(tmp_path, capsys, command, config, unknown):
+    # a key that names no flag of the command, such as a typo or a removed
+    # option, is refused before any work
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path)]
+    if command == "point":
+        argv += ["--alloc", str(write_alloc(tmp_path, pc1=10.0, pc2=1.0))]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: config file {path} has unknown keys {unknown};")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_gicee_workers_is_not_read(tmp_path, monkeypatch):
+    args = ["region", "--preset", "fig3", "--steps", "4"]
+    assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
+    monkeypatch.setenv("GICEE_WORKERS", "abc")
+    assert main(args + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_ctdma_symmetric_endpoints(tmp_path):
@@ -451,6 +453,23 @@ def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
     monkeypatch.setattr(region, "region_union", boom)
     code = main(["region", "--preset", "fig2", "--out", str(tmp_path / "x.csv")])
     assert code == 3
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_real_solver_failure_is_exit_3_and_writes_nothing(tmp_path, capsys):
+    # a 1e6 budget on which the master's rounding leads it astray; once the
+    # simplex solves this channel (ROADMAP item 2), another failing input
+    # takes its place
+    out = tmp_path / "x.csv"
+    code = main(["region", "--c12", "0.6814205929522703", "--c21", "2.229007133086246",
+                 "--c1e", "0.8580923816779529", "--c2e", "0", "--p1", "1e6", "--p2", "1",
+                 "--variant", "full", "--steps", "3", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("solver failure:")] == [
+        err.strip()]
+    assert "Traceback" not in err
+    assert not out.exists() and not out.with_suffix(".json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -560,38 +579,21 @@ def test_run_exits_with_mains_code_and_a_frozen_heap(tmp_path, argv, code):
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("steps", [
-    4,
-    6,   # the smallest r3 grid with more than one block of allocations
-])
-def test_region_fig3_identical_across_worker_counts(tmp_path, monkeypatch, steps):
-    # neither GICEE_WORKERS nor --workers changes a byte of the output
-    args = ["region", "--preset", "fig3", "--variant", "r3", "--steps", str(steps)]
-    outputs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("GICEE_WORKERS", workers)
-        out = tmp_path / f"w{workers}.csv"
-        assert main(args + ["--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    monkeypatch.delenv("GICEE_WORKERS")
-    out = tmp_path / "flag.csv"
-    assert main(args + ["--workers", "3", "--out", str(out)]) == 0
-    outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
 REGION = ["region", "--preset", "fig2"]
 # budgets whose per-slot powers and SNRs would overflow to inf
 OVERFLOWING = ["--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
                "--p1", "1.7e308", "--p2", "10", "--steps", "2"]
 
 
+# ``env`` is added to the child's environment; no case needs it now, and the
+# column keeps each case's id
 @pytest.mark.parametrize("argv, env", [
-    (REGION + ["--workers", "0"], {}),
-    (REGION, {"GICEE_WORKERS": "abc"}),
-    (REGION, {"GICEE_WORKERS": "0"}),
+    # a removed flag, a mistyped config key and the removed flags' keys
+    (REGION + ["--workers", "2"], {}),
+    (REGION + ["--config", "{typo}"], {}),
+    (REGION + ["--config", "{removed}"], {}),
     (REGION + ["--states", "9"], {}),
-    (REGION + ["--states", "2", "--weight-steps", "1"], {}),
+    (REGION + ["--weight-steps", "2"], {}),
     (REGION + ["--config", "{config}"], {}),
     (REGION + ["--out", "{missing}/region.csv"], {}),
     (["region", *OVERFLOWING], {}),
@@ -624,6 +626,10 @@ OVERFLOWING = ["--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
 def test_region_bad_input_is_config_error(tmp_path, argv, env):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"steps": "many"}))
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"stpes": 3}))
+    removed = tmp_path / "removed.json"
+    removed.write_text(json.dumps({"directions": 8, "weight_steps": 2, "workers": 2}))
     bigint = tmp_path / "bigint.json"
     bigint.write_text('{"steps": 1' + "0" * 5000 + "}")
     huge = tmp_path / "huge.json"
@@ -637,16 +643,16 @@ def test_region_bad_input_is_config_error(tmp_path, argv, env):
     boolpower.write_text(json.dumps({"states": [{"weight": 1, "pc1": True}]}))
     boolweight = tmp_path / "boolweight.json"
     boolweight.write_text(json.dumps({"states": [{"weight": True, "pc1": 1.0}]}))
-    argv = [a.format(config=config, missing=tmp_path / "missing", huge=huge, bigint=bigint,
-                     outdir=tmp_path, boolchannel=boolchannel, boolpower=boolpower,
-                     boolweight=boolweight)
+    argv = [a.format(config=config, typo=typo, removed=removed, missing=tmp_path / "missing",
+                     huge=huge, bigint=bigint, outdir=tmp_path, boolchannel=boolchannel,
+                     boolpower=boolpower, boolweight=boolweight)
             for a in argv]
     if argv and "--out" not in argv and argv[0] != "validate":
         argv += ["--out", str(tmp_path / "region.csv")]
     result = subprocess.run(
         [sys.executable, "-m", "gicee.cli", *argv],
         capture_output=True, text=True,
-        env={k: v for k, v in CHILD_ENV.items() if k != "GICEE_WORKERS"} | env,
+        env=CHILD_ENV | env,
     )
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
@@ -699,11 +705,10 @@ CHANNEL = setting(
 )
 SETTINGS = {
     # a huge grid is refused at once, before any enumeration
-    "region": {"steps": size(2, 4, 10**6, 10**9, 2**63, 10**30), "directions": size(3, 24),
-               "states": size(1, 1, 5, 9),
-               "weight_steps": size(2, 5), "workers": size(1, 2), "variant": name(*VARIANTS)},
+    "region": {"steps": size(2, 4, 10**6, 10**9, 2**63, 10**30), "states": size(1, 1, 5, 9),
+               "variant": name(*VARIANTS)},
     "ctdma": {"steps": size(2, 4, 10**6, 10**9, 2**63, 10**30), "variant": name(*CTDMA_TAGS)},
-    "point": {"directions": size(3, 24)},
+    "point": {},
     "validate": {"seed": size(0, 5), "samples": size(1, 20), "systems": size(1, 2),
                  "tol": setting(st.sampled_from([1e-12, 1e-20, 0.0, 1.0]), JUNK,
                                 st.sampled_from(["abc", "nan", "-1", ""]))},
@@ -752,7 +757,8 @@ def invocations(draw):
     for key, strategies in SETTINGS[command].items():
         if key in ALWAYS or draw(st.booleans()):
             put(key, strategies)
-    if draw(st.booleans()):
+    # a key that names no flag, one time in eight, so most runs reach the sweep
+    if not draw(st.integers(0, 7)):
         config["bogus"] = draw(JUNK)
     argv = [command] + [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
     allocation = draw(ALLOCATION) if command == "point" else None
@@ -781,4 +787,6 @@ def test_sweep_commands_keep_exit_contract(invocation):
             code = exc.code
     # any other exception would reach the user as a traceback; only the
     # validation suites may report a failure
+    if "bogus" in config:
+        assert code == 1
     assert code in (0, 1, 3) or (argv[0] == "validate" and code == 2)

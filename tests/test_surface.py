@@ -1,6 +1,8 @@
+import argparse
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,3 +137,18 @@ def test_only_the_command_line_pins_blas_threads(given, expected):
         capture_output=True, text=True, env=blas_free_env(**extra), check=True,
     )
     assert result.stdout.splitlines() == ["True", expected]
+
+
+def test_readme_shows_exactly_the_command_lines_flags():
+    # a flag the parser dropped, or one the README never mentions, fails
+    # here; -h/--help is argparse's and --no-build-isolation is pip's
+    from gicee.cli import build_parser
+
+    parsers, flags = [build_parser()], set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            flags.update(o for o in action.option_strings if o.startswith("--"))
+    shown = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", (ROOT / "README.md").read_text()))
+    assert shown - {"--no-build-isolation"} == flags - {"--help"}
