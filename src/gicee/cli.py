@@ -304,8 +304,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     samples = _require(cfg, "samples", 1, default=1000)
     systems = _require(cfg, "systems", 1, default=20)
     tol = cfg.get("tol", 1e-12)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol >= 0:
-        raise ConfigError(f"tol must be a nonnegative number, got {tol!r}")
+    # an infinite tolerance would pass any deviation, so it is refused
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
+            or not 0 <= tol <= sys.float_info.max:
+        raise ConfigError(f"tol must be a finite nonnegative number, got {tol!r}")
 
     ok = True
     dev = mi_oracle_suite(seed, samples)

@@ -26,13 +26,6 @@ class SolverFailure(RuntimeError):
     """The pivot sequence stalled or behaved inconsistently."""
 
 
-# Inputs of at least this many points are first cut to their records in
-# numpy (see ``_records``).  Shorter ones, such as the vertices of one
-# projection or of a hull, go straight to the loop, which at that size
-# costs less than numpy's per-call overhead.
-_RECORD_FILTER_MIN = 64
-
-
 def _records(points: np.ndarray) -> np.ndarray:
     """The strict records of an (n, 2) array of points, as a (k, 2) array:
     taken in decreasing (r1, r2) order, the points whose r2 exceeds that of
@@ -70,15 +63,14 @@ def _pareto_prune(
     increasing r1 and strictly decreasing r2.
 
     ``points`` holds finite (r1, r2) pairs, as pairs or as an (n, 2) array.
-    A long input is first cut to its strict records (:func:`_records`).
+    The input is first cut to its strict records (:func:`_records`).
     That loses nothing: the loop below visits points in decreasing order,
     and a point that is no record has r2 <= r2 of a point visited before
     it, which is <= ``best + eps``, so the loop skips it without moving
     ``best``.
     """
-    if len(points) >= _RECORD_FILTER_MIN:
-        points = _records(np.asarray(points, dtype=float).reshape(-1, 2)).tolist()
-    pts = sorted(set((float(a), float(b)) for a, b in points))
+    points = _records(np.asarray(points, dtype=float).reshape(-1, 2)).tolist()
+    pts = sorted(set(map(tuple, points)))
     kept: list[tuple[float, float]] = []
     best = -math.inf
     for r1, r2 in reversed(pts):

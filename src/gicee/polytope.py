@@ -341,14 +341,13 @@ def lp_solve(
     return LpResult(status="optimal", value=float(c_max @ x), x=x)
 
 
-def _dichotomic(tol: float):
-    """The dichotomic search of one frontier, as a generator: it yields each
-    objective ``(weights, corner)``, is sent the image of that objective's
-    optimum, and returns the vertices found.  ``weights`` None stands for
-    corner 0 (r1, then r2) or 1 (r2, then r1); otherwise the objective is
-    ``weights . (r1, r2)``."""
-    right = yield None, 0
-    top = yield None, 1
+def _dichotomic(best, tol: float) -> list:
+    """The vertices of one frontier, by the dichotomic search, where
+    ``best(weights, corner)`` gives the image of an optimum: ``weights``
+    None stands for corner 0 (r1, then r2) or 1 (r2, then r1); otherwise
+    the objective is ``weights . (r1, r2)``."""
+    right = best(None, 0)
+    top = best(None, 1)
     vertices = [top, right]
     # Segments run from the upper-left vertex to the lower-right one.
     segments = [(top, right)]
@@ -359,7 +358,7 @@ def _dichotomic(tol: float):
             continue  # one end dominates the other: nothing lies between
         norm = math.hypot(w1, w2)
         w1, w2 = w1 / norm, w2 / norm
-        point = yield (w1, w2), 0
+        point = best((w1, w2), 0)
         value = w1 * point[0] + w2 * point[1]
         chord = max(w1 * upper[0] + w2 * upper[1], w1 * lower[0] + w2 * lower[1])
         if value > chord + tol * max(1.0, abs(value)):
@@ -491,12 +490,11 @@ class _Master:
             if allowed is not None:
                 allowed = np.append(allowed, np.ones(at.size, dtype=bool))
 
-    def best(self, objective) -> tuple[float, float]:
+    def best(self, weights, corner: int) -> tuple[float, float]:
         """The image of an optimum of a :func:`_dichotomic` objective: for a
         corner, the secondary row maximized on the primary's optimal face,
         where only columns the primary's duals price at most the tolerance
         may enter."""
-        weights, corner = objective
         tol = FEASIBILITY_TOL
         rows = (self.projector.r1_row, self.projector.r2_row)
         if weights is None:
@@ -587,12 +585,7 @@ class Projector:
         try:
             if not master.tableau.phase1(FEASIBILITY_TOL):
                 return [], {}
-            steps = _dichotomic(FEASIBILITY_TOL)
-            objective = next(steps)
-            while True:
-                objective = steps.send(master.best(objective))
-        except StopIteration as stop:
-            return stop.value, master.recipes
+            return _dichotomic(master.best, FEASIBILITY_TOL), master.recipes
         finally:
             self.columns += len(master.states)
             self.pivots += master.tableau.pivots

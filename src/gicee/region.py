@@ -151,22 +151,16 @@ def _power_maps(channel: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     return maps
 
 
-def _allocation_arrays(alloc: TimeSharedAllocation) -> np.ndarray:
-    """One allocation in the sweeps' array form, (1, k, 9): per state its
-    weight, then its 8 powers."""
-    return np.array([[(w,) + astuple(s) for w, s in alloc.states]], dtype=float)
-
-
-def bound_rows(channel: ChannelParams, allocations: np.ndarray,
+def bound_rows(channel: ChannelParams, powers: np.ndarray,
                columns: np.ndarray | None = None) -> np.ndarray:
-    """Time-share-averaged MI bounds of a block of allocations, (n, 93).
+    """MI bounds of a block of power states, (n, 93).
 
-    ``allocations`` is (n, k, 9): per state a weight, then the 8 powers.
-    Columns follow the system rows: the 92 inequality bounds, then the
-    eavesdropper equality; ``columns`` picks some of them, in its order.
-    Each is ``gamma(subset power / floor)`` averaged over the states.
-    Elementwise arithmetic only, so a value depends neither on the other
-    allocations in the block nor on the other columns asked for.  A power
+    ``powers`` is (n, 8): per state (pc1, ps1, po1, pj1, pc2, ps2, po2,
+    pj2).  Columns follow the system rows: the 92 inequality bounds, then
+    the eavesdropper equality; ``columns`` picks some of them, in its
+    order.  Each is ``gamma(subset power / floor)``.  Elementwise
+    arithmetic only, so a value depends neither on the other states in
+    the block nor on the other columns asked for.  A power
     so large that a received power overflows gives a non-finite bound,
     which :class:`RateSystem` and :meth:`Projector.time_share` reject; the
     sweeps' grids stay below that.
@@ -174,19 +168,17 @@ def bound_rows(channel: ChannelParams, allocations: np.ndarray,
     numerator_map, floor_map = _power_maps(channel)
     if columns is not None:
         numerator_map, floor_map = numerator_map[:, columns], floor_map[:, columns]
-    numerator = np.zeros(allocations.shape[:2] + numerator_map.shape[1:])
+    numerator = np.zeros((len(powers), numerator_map.shape[1]))
     floor = np.ones_like(numerator)
     # A power that is zero throughout the block adds 0 * gain = +0.0 to
     # every sum, which leaves it bit for bit unchanged, so it is skipped
     # (r3 grids never use the self and other powers).
-    used = np.flatnonzero(allocations[:, :, 1:].any(axis=(0, 1)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for p in used:
-            column = allocations[:, :, p + 1, np.newaxis]
+        for p in np.flatnonzero(powers.any(axis=0)):
+            column = powers[:, p, np.newaxis]
             numerator += column * numerator_map[p]
             floor += column * floor_map[p]
-        rates = 0.5 * np.log1p(numerator / floor) / _LN2
-        return (allocations[:, :, :1] * rates).sum(axis=1)
+        return 0.5 * np.log1p(numerator / floor) / _LN2
 
 
 def build_system(channel: ChannelParams, alloc: TimeSharedAllocation) -> RateSystem:
@@ -195,7 +187,9 @@ def build_system(channel: ChannelParams, alloc: TimeSharedAllocation) -> RateSys
     report = validate_allocation(channel, alloc)
     if not report.ok:
         raise ValueError(f"invalid allocation ({report.code}): {report.detail}")
-    bounds = bound_rows(channel, _allocation_arrays(alloc))[0]
+    weights = np.array([w for w, _ in alloc.states])
+    rows = bound_rows(channel, np.array([astuple(s) for _, s in alloc.states], dtype=float))
+    bounds = (weights[:, np.newaxis] * rows).sum(axis=0)
     return RateSystem(
         a_ub=A_UB, b_ub=bounds[:-1], a_eq=EQ_ROW[np.newaxis, :], b_eq=bounds[-1:]
     )
@@ -245,11 +239,12 @@ class RegionSpec:
 
 
 # Largest grid a sweep may hold, in states, so that a run stays within
-# about half a gigabyte.  A sweep keeps 72 bytes per state and 8 more per
+# about half a gigabyte.  A sweep keeps 64 bytes per state and 8 more per
 # bound column that pricing reads.  Peak RSS on a 2-vCPU host, against
-# 32 MB for a tiny grid: fig3 r3 at steps 31, 246 016 states, 87 MB in
-# 0.5 s; at steps 44, 980 100 states, 248 MB in 1.7 s; with two states at
-# steps 37, 988 418 states before duplicates, 346 MB in 3.7 s.
+# 32 MB for a tiny grid: fig3 r3 at steps 31, 246 016 states, 84 MB in
+# 0.6 s; at steps 44, 980 100 states, 241 MB in 1.7 s; with two states at
+# steps 37, 988 418 states before duplicates, 346 MB in 4.2 s; full at
+# steps 66 with budgets (10, 0), 864 501 states, 225 MB in 1.7 s.
 MAX_ALLOCATIONS = 1_000_000
 
 
@@ -294,8 +289,8 @@ def grid_size(spec: RegionSpec) -> int:
 
 
 def _family_allocations(spec: RegionSpec) -> np.ndarray:
-    """The spec's grid of states, (n, 1, 9): per state a weight of 1, then
-    the 8 powers (pc1, ps1, po1, pj1, pc2, ps2, po2, pj2).
+    """The spec's grid of states, (n, 8): per state the 8 powers (pc1, ps1,
+    po1, pj1, pc2, ps2, po2, pj2).
 
     Span k's grid runs over user 1's rows of :func:`schemes.user_power_grid`
     capped at k times the budget, then user 2's.  The spans follow in
@@ -310,11 +305,11 @@ def _family_allocations(spec: RegionSpec) -> np.ndarray:
         )
         grids.append(np.concatenate(
             [np.repeat(user1, len(user2), axis=0), np.tile(user2, (len(user1), 1))], axis=1))
+    if len(grids) == 1:
+        return grids[0]
     states = np.concatenate(grids)
-    if len(grids) > 1:
-        _, first = np.unique(states, axis=0, return_index=True)
-        states = states[np.sort(first)]
-    return np.concatenate([np.ones((len(states), 1)), states], axis=1)[:, np.newaxis]
+    _, first = np.unique(states, axis=0, return_index=True)
+    return states[np.sort(first)]
 
 
 # States whose bounds one call of bound_rows computes, so that its
@@ -356,14 +351,13 @@ def region_union(spec: RegionSpec) -> Frontier:
         timing["bounds"] += clock() - begin
         return rows
 
-    powers = grid[:, 0, 1:]
     usage = np.stack([((p[:, 0] + p[:, 1]) + p[:, 2]) + p[:, 3]
-                      for p in (powers[:, :4], powers[:, 4:])], axis=1)
+                      for p in (grid[:, :4], grid[:, 4:])], axis=1)
     projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
     start = clock()
     vertices, recipes = projector.time_share(
         len(grid), bounds, usage, (spec.channel.p1, spec.channel.p2),
-        first=int(np.flatnonzero(~powers.any(axis=1))[0]), keys=powers)
+        first=int(np.flatnonzero(~grid.any(axis=1))[0]), keys=grid)
     timing["solve"] = clock() - start - timing["bounds"]
     start = clock()
     union = pareto_merge([Frontier(points=_pareto_prune(vertices))], metadata={
@@ -374,7 +368,7 @@ def region_union(spec: RegionSpec) -> Frontier:
         "lp": projector.counts,
         "timing": timing,
     })
-    union.metadata["vertices"] = [_recipe(point, recipes, powers) for point in union.points]
+    union.metadata["vertices"] = [_recipe(point, recipes, grid) for point in union.points]
     union.metadata["timing"]["merge"] = clock() - start
     return union
 

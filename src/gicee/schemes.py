@@ -61,19 +61,29 @@ def user_power_grid(tag: str, cap: float, steps: int) -> np.ndarray:
     and ``full`` sweeps all four components, the first slowest.  A row is
     kept when its powers, added left to right, stay within ``cap`` plus
     ``BUDGET_TOL``.
+
+    The components are joined one at a time, each row only with the levels
+    that keep its running sum within the cap, so no row past the cap is
+    ever built: adding a nonnegative level never lowers a rounded sum.
     """
     grid = np.array(_uniform_grid(cap, steps))
-    if tag == "full":
-        axes = np.meshgrid(grid, grid, grid, grid, indexing="ij")
-        rows = np.stack([a.ravel() for a in axes], axis=1)
+    zero = np.zeros(1)
+    if tag == "borcp":
+        # pc = 0 with every pj, then every pc > 0 with pj = 0
+        off, on = grid[grid == 0], grid[grid > 0]
+        products = [(off, zero, zero, grid), (on, zero, zero, off)]
     else:
-        jam = np.zeros(1) if tag == "ncp" else grid
-        pc, pj = (a.ravel() for a in np.meshgrid(grid, jam, indexing="ij"))
-        rows = np.column_stack([pc, np.zeros((pc.size, 2)), pj])
-        if tag == "borcp":
-            rows = rows[(pc == 0) | (pj == 0)]
-    total = ((rows[:, 0] + rows[:, 1]) + rows[:, 2]) + rows[:, 3]
-    return rows[total <= cap + BUDGET_TOL]
+        products = [{"full": (grid, grid, grid, grid), "r3": (grid, zero, zero, grid),
+                     "ncp": (grid, zero, zero, zero)}[tag]]
+    parts = []
+    for levels in products:
+        rows, total = np.zeros((1, 0)), np.zeros(1)
+        for level in levels:
+            at, pick = np.nonzero(total[:, np.newaxis] + level <= cap + BUDGET_TOL)
+            rows = np.column_stack([rows[at], level[pick]])
+            total = total[at] + level[pick]
+        parts.append(rows)
+    return np.concatenate(parts)
 
 
 def single_power_states(

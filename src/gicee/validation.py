@@ -59,8 +59,7 @@ def _subset_columns() -> dict[str, np.ndarray]:
 def _subset_values(channel: ChannelParams, powers: np.ndarray) -> np.ndarray:
     """The bound row of one state with the given 8 powers, with a zero
     appended for the empty subset."""
-    state = np.concatenate([[1.0], powers])[np.newaxis, np.newaxis]
-    return np.append(bound_rows(channel, state)[0], 0.0)
+    return np.append(bound_rows(channel, powers[np.newaxis])[0], 0.0)
 
 
 def mi_oracle_suite(seed: int, samples: int) -> float:

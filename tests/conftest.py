@@ -154,9 +154,7 @@ def check_recipes(channel, grid, vertices):
         assert all(tuple(state) in on_grid for state in states.tolist())
         assert weights @ states[:, :4].sum(axis=1) <= channel.p1 + BUDGET_TOL
         assert weights @ states[:, 4:].sum(axis=1) <= channel.p2 + BUDGET_TOL
-        rows = bound_rows(channel, np.concatenate(
-            [np.ones((len(states), 1)), states], axis=1)[:, np.newaxis])
-        bounds = weights @ rows
+        bounds = weights @ bound_rows(channel, states)
         x = np.array([vertex["rates"][name] for name in VARIABLE_ORDER])
         assert np.all(x >= 0.0)
         assert np.all(A_UB @ x <= bounds[:-1] + FEASIBILITY_TOL)

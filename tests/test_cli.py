@@ -248,7 +248,7 @@ def test_region_sidecar_reports_vertex_recipes(tmp_path, argv):
     grid = _family_allocations(RegionSpec(
         channel=channel, variant=sidecar["variant"], steps=sidecar["grid"]["steps"],
         states=sidecar["grid"]["states"]))
-    check_recipes(channel, grid[:, 0, 1:], vertices)
+    check_recipes(channel, grid, vertices)
 
 
 def test_region_runs_two_states_on_the_default_grid(tmp_path):
@@ -260,6 +260,19 @@ def test_region_runs_two_states_on_the_default_grid(tmp_path):
     rows = read_rows(out)
     assert rows and rows[0][1] > 0.3399
     assert json.loads((tmp_path / "two.json").read_text())["allocations"] == 8271
+
+
+def test_region_runs_a_fine_borcp_grid(tmp_path, capsys):
+    # 399 999 states, within MAX_ALLOCATIONS: each user's grid is built
+    # within its cap, where a meshgrid of every (pc, pj) candidate would
+    # take 320 GB
+    out = tmp_path / "borcp.csv"
+    assert main(["region", "--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
+                 "--p1", "10", "--p2", "0", "--variant", "borcp", "--steps", "200000",
+                 "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert read_rows(out)
+    assert json.loads((tmp_path / "borcp.json").read_text())["allocations"] == 399_999
 
 
 @pytest.mark.parametrize("command", ["region", "ctdma"])
@@ -622,6 +635,10 @@ OVERFLOWING = ["--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
     (["ctdma", "--config", "{boolchannel}"], {}),
     (["point", "--preset", "fig2", "--alloc", "{boolpower}"], {}),
     (["point", "--preset", "fig2", "--alloc", "{boolweight}"], {}),
+    # an infinite tolerance would pass any deviation of the MI suite, and
+    # an integer past the largest float has no float to print
+    (["validate", "--tol", "inf"], {}),
+    (["validate", "--config", "{bigtol}"], {}),
 ])
 def test_region_bad_input_is_config_error(tmp_path, argv, env):
     config = tmp_path / "run.json"
@@ -632,6 +649,8 @@ def test_region_bad_input_is_config_error(tmp_path, argv, env):
     removed.write_text(json.dumps({"directions": 8, "weight_steps": 2, "workers": 2}))
     bigint = tmp_path / "bigint.json"
     bigint.write_text('{"steps": 1' + "0" * 5000 + "}")
+    bigtol = tmp_path / "bigtol.json"
+    bigtol.write_text('{"tol": 1' + "0" * 400 + "}")
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(
         {"states": [{"weight": 1e-308, "pc1": 1.7e308}, {"weight": 1}]}
@@ -644,7 +663,8 @@ def test_region_bad_input_is_config_error(tmp_path, argv, env):
     boolweight = tmp_path / "boolweight.json"
     boolweight.write_text(json.dumps({"states": [{"weight": True, "pc1": 1.0}]}))
     argv = [a.format(config=config, typo=typo, removed=removed, missing=tmp_path / "missing",
-                     huge=huge, bigint=bigint, outdir=tmp_path, boolchannel=boolchannel,
+                     huge=huge, bigint=bigint, bigtol=bigtol, outdir=tmp_path,
+                     boolchannel=boolchannel,
                      boolpower=boolpower, boolweight=boolweight)
             for a in argv]
     if argv and "--out" not in argv and argv[0] != "validate":

@@ -149,8 +149,8 @@ def test_oracle_equivalence_randomized():
 
 
 def state_row(channel, state):
-    """``bound_rows`` of the allocation of one state, (93,)."""
-    return bound_rows(channel, np.array([[(1.0,) + astuple(state)]]))[0]
+    """``bound_rows`` of one state, (93,)."""
+    return bound_rows(channel, np.array([astuple(state)]))[0]
 
 
 def test_bound_rows_oracle_equivalence_randomized():

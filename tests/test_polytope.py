@@ -23,7 +23,7 @@ from gicee import (
     region_union,
 )
 import gicee.polytope as polytope
-from gicee.frontier import _RECORD_FILTER_MIN, PARETO_EPS, _pareto_prune, _records
+from gicee.frontier import PARETO_EPS, _pareto_prune, _records
 from gicee.polytope import FEASIBILITY_TOL, Projector, _Tableau
 from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
 from conftest import check_point, dominates, move_into_hull, support
@@ -334,11 +334,11 @@ PRUNE_VALUES = st.sampled_from(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(PRUNE_VALUES, PRUNE_VALUES), max_size=3 * _RECORD_FILTER_MIN),
+@given(st.lists(st.tuples(PRUNE_VALUES, PRUNE_VALUES), max_size=192),
        st.sampled_from([PARETO_EPS, 0.0, 1e-3]))
 def test_pareto_prune_matches_set_sort_prune(points, eps):
-    # lists on both sides of the record filter's size cutoff, as tuples,
-    # as an (n, 2) array and as the rows of one
+    # lists short and long, as tuples, as an (n, 2) array and as the rows
+    # of one
     expected = exact(set_sort_prune(points, eps))
     assert exact(_pareto_prune(points, eps)) == expected
     if points:
@@ -350,7 +350,7 @@ def test_pareto_prune_matches_set_sort_prune(points, eps):
 def test_pareto_prune_keeps_the_first_of_signed_zero_ties():
     # -0.0 == 0.0, so the set keeps the first occurrence; so does the
     # record filter, at any size
-    for size in (1, _RECORD_FILTER_MIN, 2 * _RECORD_FILTER_MIN):
+    for size in (1, 64, 128):
         for first, second in ((-0.0, 0.0), (0.0, -0.0)):
             points = [(first, 1.0)] + [(0.0, 0.5)] * size + [(second, 1.0)]
             assert exact(_pareto_prune(points)) == exact([(first, 1.0)])

@@ -46,12 +46,11 @@ from gicee.region import (
     VARIANTS,
     _BOUNDS,
     _RX_COL,
-    _allocation_arrays,
     _family_allocations,
     bound_rows,
     grid_size,
 )
-from gicee.schemes import _uniform_grid
+from gicee.schemes import _uniform_grid, user_power_grid
 from conftest import (
     check_point,
     check_recipes,
@@ -63,16 +62,6 @@ from conftest import (
     single,
     support,
 )
-
-def stack(allocations):
-    """The sweeps' (n, k, 9) array form of allocations that all have k states."""
-    return np.concatenate([_allocation_arrays(a) for a in allocations])
-
-
-def to_allocation(row):
-    """The allocation of one (k, 9) row of an allocation array."""
-    return TimeSharedAllocation(tuple((w, PowerState(*p)) for w, *p in row.tolist()))
-
 
 def without_timing(metadata):
     """Metadata or a sidecar minus its nondeterministic ``timing`` block."""
@@ -355,22 +344,32 @@ HIGH_SNR = (
 @example(HIGH_SNR)
 def test_bound_rows_match_scalar_mi(case):
     channel, allocations = case
-    block = bound_rows(channel, stack(allocations))
-    assert block.shape == (len(allocations), 93)
-    for alloc, row in zip(allocations, block):
-        # the row of an allocation does not depend on the rest of its block
-        assert np.array_equal(bound_rows(channel, _allocation_arrays(alloc))[0], row)
-        for value, (receiver, subset) in zip(row, _BOUNDS):
+    powers = np.array([astuple(s) for alloc in allocations for _, s in alloc.states])
+    block = bound_rows(channel, powers)
+    assert block.shape == (len(powers), 93)
+    for state, row in zip(powers, block):
+        # the row of a state does not depend on the rest of its block
+        assert np.array_equal(bound_rows(channel, state[np.newaxis])[0], row)
+    for alloc in allocations:
+        # the time-shared bounds, as the sweeps once averaged them
+        averaged = timeshared_bound_rows(channel, alloc)
+        for value, (receiver, subset) in zip(averaged, _BOUNDS):
             scalar = conditional_mi_timeshared(channel, alloc, receiver, subset)
             assert abs(value - scalar) <= 1e-14
             if len(alloc.states) == 1:
                 oracle = mi_covariance_oracle(channel, alloc.states[0][1], receiver, subset)
                 assert abs(value - oracle) <= 1e-12
+        if len(alloc.states) == 1:
+            row = bound_rows(channel, np.array([astuple(alloc.states[0][1])]))[0]
+            assert np.array_equal(row.view(np.uint64), averaged.view(np.uint64))
         if validate_allocation(channel, alloc).ok:
+            # build_system averages its states' rows in the same order,
+            # bit for bit
             system = build_system(channel, alloc)
             assert np.array_equal(system.a_ub, A_UB)
             assert np.array_equal(system.a_eq, EQ_ROW[np.newaxis, :])
-            assert np.array_equal(np.append(system.b_ub, system.b_eq), row)
+            assert np.array_equal(np.append(system.b_ub, system.b_eq).view(np.uint64),
+                                  averaged.view(np.uint64))
 
 
 def phase1_system(bounds):
@@ -511,7 +510,7 @@ def test_union_search_decides_feasibility_like_phase1(
     frontier = region_union(spec)
     vertices = frontier.metadata["vertices"]
     assert [tuple(v["point"]) for v in vertices] == list(frontier.points)
-    check_recipes(channel, _family_allocations(spec)[:, 0, 1:], vertices)
+    check_recipes(channel, _family_allocations(spec), vertices)
     for vertex in vertices:
         alloc = TimeSharedAllocation(tuple(
             (w, PowerState(*powers)) for w, powers in zip(vertex["weights"], vertex["states"])))
@@ -524,7 +523,7 @@ def test_union_search_decides_feasibility_like_phase1(
 def test_projector_rejects_non_finite_bounds(monkeypatch, fig3, bad):
     # a non-finite bound never reaches a tableau, whether it is in the one
     # column of a projection or in a bound column that pricing reads
-    good = bound_rows(fig3, _allocation_arrays(single(PowerState(pc1=10.0, pc2=1.0))))[0]
+    good = bound_rows(fig3, np.array([astuple(PowerState(pc1=10.0, pc2=1.0))]))[0]
     projector = fresh_projector()
     assert not projector.project(good).is_empty
     for at in (0, 45, len(good) - 1):
@@ -534,9 +533,9 @@ def test_projector_rejects_non_finite_bounds(monkeypatch, fig3, bad):
             projector.project(bounds)
     real = region.bound_rows
 
-    def poisoned(channel, allocations, columns=None):
-        rows = real(channel, allocations, columns)
-        rows[(allocations[:, 0, 1:] == (10.0, 0, 0, 0, 1.0, 0, 0, 0)).all(axis=1)] = bad
+    def poisoned(channel, powers, columns=None):
+        rows = real(channel, powers, columns)
+        rows[(powers == (10.0, 0, 0, 0, 1.0, 0, 0, 0)).all(axis=1)] = bad
         return rows
 
     monkeypatch.setattr(region, "bound_rows", poisoned)
@@ -587,7 +586,7 @@ def per_allocation_union(spec):
     through one fresh projector, then ``pareto_merge`` of them all; the
     master must contain it."""
     grid = _family_allocations(spec)
-    block = bound_rows(spec.channel, grid[in_budget(spec.channel, grid[:, 0, 1:])])
+    block = bound_rows(spec.channel, grid[in_budget(spec.channel, grid)])
     projector = fresh_projector()
     return pareto_merge([projector.project(row) for row in block])
 
@@ -597,9 +596,8 @@ def highs_supports(spec, thetas):
     grid, solved as one LP over every state by scipy HiGHS (oracle for
     ``region_union``): rates and one weight per state, the averaged bounds
     and powers, and weights that sum to one."""
-    grid = _family_allocations(spec)
-    rows, powers = bound_rows(spec.channel, grid), grid[:, 0, 1:]
-    n = len(grid)
+    powers = _family_allocations(spec)
+    rows, n = bound_rows(spec.channel, powers), len(powers)
     used = np.stack([((powers[:, 0] + powers[:, 1]) + powers[:, 2]) + powers[:, 3],
                      ((powers[:, 4] + powers[:, 5]) + powers[:, 6]) + powers[:, 7]])
     # power rows in units of the budget, and tolerances below HiGHS's 1e-7
@@ -705,10 +703,10 @@ def test_family_allocations_are_within_budget(fig2, fig3, variant, states):
         for steps in family_step_sizes(variant, states):
             spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
             grid = _family_allocations(spec)
-            assert len(grid) and not grid[0, 0, 1:].any()
-            assert np.all(grid[:, 0, 0] == 1.0)
-            assert len(np.unique(grid[:, 0, 1:], axis=0)) == len(grid)
-            assert all(validate_allocation(stretched, to_allocation(a)).ok for a in grid)
+            assert grid.shape[1:] == (8,) and len(grid) and not grid[0].any()
+            assert len(np.unique(grid, axis=0)) == len(grid)
+            assert all(validate_allocation(stretched, single(PowerState(*a))).ok
+                       for a in grid.tolist())
 
 
 def object_user_grid(variant, cap, steps):
@@ -726,7 +724,7 @@ def object_family_allocations(spec):
     """The grid one object per state: the PowerStates of every span's
     per-user grids, user 1's slowest, each kept where it first appears (as
     ``bench/make_refs.py`` builds the upper reference's grid); returned in
-    the sweep's array form."""
+    the sweep's array form, (n, 8)."""
     grid = {}
     for span in range(1, spec.states + 1):
         user1, user2 = (object_user_grid(spec.variant, span * budget, spec.steps)
@@ -734,24 +732,28 @@ def object_family_allocations(spec):
         for a in user1:
             for b in user2:
                 grid.setdefault(PowerState(*a, *b), None)
-    return stack([TimeSharedAllocation.single_state(s) for s in grid])
+    return np.array([astuple(s) for s in grid])
 
 
 def family_step_sizes(variant, states):
     if variant == "full":
         return (2, 3) if states == 1 else (2,)
-    return {1: (3, 11), 2: (2, 3), 3: (2,)}[states]
+    return {1: (3, 11), 2: (2, 3), 3: (2,), 4: (2,)}[states]
 
 
 TINY_BUDGET = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=1e-13, p2=0.0)
+# fig3's gains with user 2 silent: one user's grid alone, so a finer
+# ``full`` grid stays small
+ONE_BUDGET = ChannelParams(c12=1.9, c21=1.0, c1e=0.5, c2e=1.6, p1=10.0, p2=0.0)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("states", [1, 2, 3])
+@pytest.mark.parametrize("states", [1, 2, 3, 4])
 def test_family_allocations_match_object_enumeration(fig2, fig3, variant, states):
     # same states, same order, same bits as the object-based builder
-    for channel in (fig2, fig3, ODD_BUDGETS, ZERO_BUDGET, TINY_BUDGET):
-        for steps in family_step_sizes(variant, states):
+    for channel in (fig2, fig3, ODD_BUDGETS, ZERO_BUDGET, TINY_BUDGET, ONE_BUDGET):
+        finer = (8,) if channel is ONE_BUDGET and variant == "full" else ()
+        for steps in family_step_sizes(variant, states) + finer:
             spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
             expected = object_family_allocations(spec)
             got = _family_allocations(spec)
@@ -759,19 +761,48 @@ def test_family_allocations_match_object_enumeration(fig2, fig3, variant, states
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-def eight_column_bound_rows(channel, allocations):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_user_power_grid_matches_object_grid(variant):
+    # same rows, same order, same bits as the literal loop over every
+    # candidate, from a zero cap to a huge one
+    for cap in (0.0, 1e-13, 0.1, 7.3, 10.0, 1e6):
+        for steps in range(2, 8 if variant == "full" else 41):
+            expected = np.array(object_user_grid(variant, cap, steps)).reshape(-1, 4)
+            got = user_power_grid(variant, cap, steps)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def eight_column_bound_rows(channel, powers):
     """``bound_rows`` summing all 8 power columns, zero or not (oracle for
     its skipping of the powers that are zero throughout a block)."""
+    numerator_map, floor_map = region._power_maps(channel)
+    numerator = np.zeros((len(powers), len(_BOUNDS)))
+    floor = np.ones_like(numerator)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(8):
+            column = powers[:, p, np.newaxis]
+            numerator += column * numerator_map[p]
+            floor += column * floor_map[p]
+        return 0.5 * np.log1p(numerator / floor) / region._LN2
+
+
+def timeshared_bound_rows(channel, alloc):
+    """The time-shared bounds of one allocation, (93,), as the sweeps once
+    computed them for blocks of allocations: its states as a (1, k, 9)
+    array of a weight and the 8 powers, every state's rates weighted and
+    summed over the states' axis (oracle for ``build_system``)."""
+    allocations = np.array([[(w,) + astuple(s) for w, s in alloc.states]])
     numerator_map, floor_map = region._power_maps(channel)
     numerator = np.zeros(allocations.shape[:2] + (len(_BOUNDS),))
     floor = np.ones_like(numerator)
     with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(8):
+        for p in np.flatnonzero(allocations[:, :, 1:].any(axis=(0, 1))):
             column = allocations[:, :, p + 1, np.newaxis]
             numerator += column * numerator_map[p]
             floor += column * floor_map[p]
         rates = 0.5 * np.log1p(numerator / floor) / region._LN2
-        return (allocations[:, :, :1] * rates).sum(axis=1)
+        return (allocations[:, :, :1] * rates).sum(axis=1)[0]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -788,7 +819,7 @@ def test_bound_rows_equal_the_eight_column_sum(fig2, fig3, variant, states):
                                   expected.view(np.uint64))
     # a power column that is -0.0 throughout is skipped as well
     signed = _family_allocations(RegionSpec(channel=fig3, variant="r3", steps=3))
-    signed[:, :, 2] = -0.0
+    signed[:, 1] = -0.0
     assert np.array_equal(bound_rows(fig3, signed).view(np.uint64),
                           eight_column_bound_rows(fig3, signed).view(np.uint64))
 

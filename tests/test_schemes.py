@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from gicee.schemes import (
     _slot_rates,
     _split_factors,
     _uniform_grid,
+    user_power_grid,
 )
 from conftest import (
     CtdmaParams,
@@ -377,6 +379,19 @@ def test_variant_family_exclusive_binning_or_jamming():
 def test_variant_family_unknown_tag():
     with pytest.raises(ValueError, match="tag"):
         variant_family("nope", (10.0, 10.0), 3)
+
+
+@pytest.mark.parametrize("tag, steps", [("full", 30), ("borcp", 1000), ("r3", 1000)])
+def test_user_power_grid_builds_no_row_past_the_cap(tag, steps):
+    # building a user's grid costs a few times the grid itself, not the
+    # steps ** 4 (full) or steps ** 2 (the others) candidate rows
+    tracemalloc.start()
+    try:
+        grid = user_power_grid(tag, 10.0, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * grid.nbytes + 2**20
 
 
 def test_binning_grid_respects_budget_cap():
