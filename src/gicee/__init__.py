@@ -12,15 +12,15 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "gaussmi": ("DECODABLE", "RECEIVERS", "SignalIndex", "clamp_rate", "gamma",
-                "mi_covariance_oracle"),
+                "single_user_wiretap"),
     "model": ("AllocationReport", "ChannelParams", "PowerState", "TimeSharedAllocation",
               "preset", "validate_allocation"),
     "frontier": ("Frontier", "SolverFailure", "pareto_merge"),
-    "polytope": ("LpResult", "RateSystem", "grid_feasibility_oracle", "lp_solve",
-                 "project_frontier"),
+    "polytope": ("LpResult", "RateSystem", "lp_solve", "project_frontier"),
     "region": ("R1_OBJECTIVE", "R2_OBJECTIVE", "RegionSpec", "build_system",
                "region_for_allocation", "region_union"),
-    "schemes": ("ctdma_region", "single_power_states", "single_user_wiretap"),
+    "schemes": ("ctdma_region", "single_power_states"),
+    "validation": ("grid_feasibility_oracle", "mi_covariance_oracle"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
 

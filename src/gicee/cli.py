@@ -10,15 +10,13 @@ loads the simplex or the region sweep, and only ``validate`` loads the
 oracle suites.
 
 ``run()`` is the process entry point (``python -m gicee.cli`` and the
-``gicee`` script): it exits with ``main()``'s code and freezes the heap on
-the way out.  ``main()`` is for in-process callers and leaves the garbage
-collector alone.
+``gicee`` script): it ends the process with ``main()``'s code, skipping the
+interpreter's teardown.  ``main()`` is for in-process callers and returns.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
@@ -152,9 +150,7 @@ def _write_text(path: Path, text: str) -> None:
 
 def _stdout(text: str | None = None) -> None:
     """Print ``text`` to standard output, or flush it when ``text`` is None.
-    A write that fails is a configuration error; stdout is then pointed at
-    the null device, so that the interpreter's final flush has nothing left
-    to fail on (the SIGPIPE recipe in Python's documentation)."""
+    A write that fails is a configuration error."""
     if sys.stdout is None:   # started with its descriptor closed
         return
     try:
@@ -163,12 +159,6 @@ def _stdout(text: str | None = None) -> None:
         else:
             print(text)
     except OSError as exc:
-        try:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        except OSError:
-            pass
         raise ConfigError(f"cannot write standard output: {exc}") from None
 
 
@@ -195,7 +185,7 @@ def _write_frontier(out: Path, frontier: Frontier, sidecar: dict) -> None:
 def _baseline(channel: ChannelParams, frontier: Frontier) -> dict:
     """Each user's lone wiretap rate, the other user silent, and how far
     the frontier's best rate for that user passes it (None if empty)."""
-    from .schemes import single_user_wiretap
+    from .gaussmi import single_user_wiretap
 
     r1 = single_user_wiretap(channel.p1, channel.c1e)
     r2 = single_user_wiretap(channel.p2, channel.c2e)
@@ -403,12 +393,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> NoReturn:
-    """Run ``main()`` on the command line's arguments and exit with its code."""
+    """End the process with ``main()``'s code, flushing stderr first (``main()``
+    flushes stdout) and skipping the interpreter's teardown (exit hooks, the
+    final collection, freeing the heap)."""
     try:
-        sys.exit(main())
-    finally:
-        # the heap dies with the process: frozen objects skip exit's final collection
-        gc.freeze()
+        code = main()
+    except SystemExit as exc:   # argparse's --help and --version
+        code = exc.code
+    try:
+        sys.stderr.flush()
+    except (AttributeError, OSError):   # no stderr, or an unwritable one
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -6,19 +6,15 @@ Every rate bound in the region construction is then a conditional mutual
 information between a subset of those components and one receiver's scalar
 observation, which collapses to ``gamma(subset power / noise floor)``.
 
-The closed SNR form of every bound is :func:`gicee.region.bound_rows`; this
-module holds the signal bookkeeping it is built from and a
-covariance-determinant path (:func:`mi_covariance_oracle`) kept as an
-independent cross-check of it.
+This module holds the signal bookkeeping of :func:`gicee.region.bound_rows`,
+the closed SNR form of every bound, and the lone-user baseline rate; the
+bounds' oracle is :func:`gicee.validation.mi_covariance_oracle`.
 """
 
 from __future__ import annotations
 
 import math
 from enum import IntEnum
-from typing import Iterable
-
-from .model import ChannelParams, PowerState
 
 _LN2 = math.log(2.0)
 
@@ -59,85 +55,8 @@ def clamp_rate(x: float) -> float:
     return x if x > 0.0 else 0.0
 
 
-def _received_amplitudes(channel: ChannelParams, receiver: str) -> tuple[dict, float, float]:
-    """Amplitude of each component and of the two jamming signals at a receiver."""
-    if receiver == "y1":
-        a1, a2 = 1.0, math.sqrt(channel.c21)
-    elif receiver == "y2":
-        a1, a2 = math.sqrt(channel.c12), 1.0
-    elif receiver == "ye":
-        a1, a2 = math.sqrt(channel.c1e), math.sqrt(channel.c2e)
-    else:
-        raise ValueError(f"receiver must be one of {RECEIVERS}, got {receiver!r}")
-    amps = {
-        int(SignalIndex.C1): a1,
-        int(SignalIndex.S1): a1,
-        int(SignalIndex.O1): a1,
-        int(SignalIndex.C2): a2,
-        int(SignalIndex.S2): a2,
-        int(SignalIndex.O2): a2,
-    }
-    return amps, a1, a2
-
-
-_STATE_POWER = {
-    int(SignalIndex.C1): "pc1",
-    int(SignalIndex.S1): "ps1",
-    int(SignalIndex.O1): "po1",
-    int(SignalIndex.C2): "pc2",
-    int(SignalIndex.S2): "ps2",
-    int(SignalIndex.O2): "po2",
-}
-
-
-def mi_covariance_oracle(
-    channel: ChannelParams,
-    state: PowerState,
-    receiver: str,
-    subset: Iterable[int],
-) -> float:
-    """Covariance-determinant evaluation of one conditional MI bound.
-
-    Builds the scalar observation directly from the channel equations and
-    computes 0.5*log2(var(Y | complement) / var(Y | complement, subset))
-    through Schur complements of the joint covariance.  The variances are
-    exact rationals of the float inputs, so the subtraction in each Schur
-    complement cannot cancel; only the final logarithm rounds.  Kept as a
-    second, formula-independent path for validation; not used by the
-    region code.
-    """
-    decodable = DECODABLE[receiver]
-    subset = frozenset(int(i) for i in subset)
-    extra = subset - decodable
-    if extra:
-        raise ValueError(
-            f"subset {sorted(subset)} not decodable at {receiver}"
-            f" (offending: {sorted(extra)})"
-        )
-    complement = decodable - subset
-    # Imported here so that only the validation path loads it, not every
-    # command's start-up.
-    from fractions import Fraction
-
-    amps, a1, a2 = _received_amplitudes(channel, receiver)
-    amps = {i: Fraction(a) for i, a in amps.items()}
-    a1, a2 = Fraction(a1), Fraction(a2)
-    powers = {i: Fraction(getattr(state, _STATE_POWER[i])) for i in range(1, 7)}
-
-    # Anything outside the decodable set stays unexplained, as does jamming.
-    base_noise = 1 + a1 * a1 * Fraction(state.pj1) + a2 * a2 * Fraction(state.pj2)
-    base_noise += sum(amps[i] ** 2 * powers[i] for i in range(1, 7) if i not in decodable)
-    var_y = base_noise + sum(amps[i] ** 2 * powers[i] for i in decodable)
-
-    def conditional_var(cond: frozenset[int]) -> Fraction:
-        # Zero-power components are almost-surely zero; conditioning on them
-        # is a no-op and would only make the covariance singular.
-        cond = sorted(i for i in cond if powers[i] > 0)
-        # The components are independent, so the covariance of the
-        # conditioning set is diagonal and its solve is a division.
-        cross = [amps[i] * powers[i] for i in cond]
-        explained = sum(c * c / powers[i] for c, i in zip(cross, cond))
-        return var_y - explained
-
-    ratio = conditional_var(complement) / conditional_var(complement | subset)
-    return 0.5 * math.log(ratio) / _LN2
+def single_user_wiretap(power: float, eve_gain: float) -> float:
+    """Wiretap rate of a lone user: [gamma(P) - gamma(g_e P)]+."""
+    if not (math.isfinite(power) and math.isfinite(eve_gain)) or power < 0 or eve_gain < 0:
+        raise ValueError("power and eve_gain must be finite and nonnegative")
+    return clamp_rate(gamma(power) - gamma(eve_gain * power))

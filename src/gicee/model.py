@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Averaged-power checks accept values this far past the cap so grid points
-# sitting exactly on the budget still validate after float rounding.
+# Power checks accept values this far past the cap (times caps above 1 in
+# validate_allocation), so budget-exact states pass after float rounding.
 BUDGET_TOL = 1e-12
 
 # Ceiling on a sweep's largest per-state power, alone and times the largest
@@ -208,8 +208,8 @@ def validate_allocation(
 
     Returns an ok report iff every weight is a finite probability, every
     power component is finite and nonnegative, and the weighted average of
-    codeword-plus-jamming power stays within each user's budget (up to
-    ``BUDGET_TOL``).
+    codeword-plus-jamming power stays within each user's budget, up to
+    ``BUDGET_TOL`` times the budget or 1, whichever is larger.
     """
     for idx, (weight, state) in enumerate(alloc.states):
         if not math.isfinite(weight):
@@ -236,7 +236,7 @@ def validate_allocation(
         return AllocationReport(False, WEIGHT_SUM, f"weights sum to {total!r}")
     for user, budget in ((1, channel.p1), (2, channel.p2)):
         used = alloc.average_power(user)
-        if used > budget + BUDGET_TOL:
+        if used > budget + BUDGET_TOL * max(1.0, budget):
             return AllocationReport(
                 False, BUDGET, f"user {user}: average power {used!r} > budget {budget!r}"
             )

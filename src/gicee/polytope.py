@@ -156,8 +156,10 @@ class _Tableau:
         self.sign = np.where(flip, -1.0, 1.0)
         self.complete = True
         self.pivots = self.restarts = 0
-        # the constraint rows as built, which refactor() solves afresh
+        # the constraint rows as built, which refactor() solves afresh, and
+        # the pivot and column counts at its last solve that succeeded
         self.rows = t[:m].copy()
+        self.solved = None
 
     def _pivot(self, row: int, col: int) -> None:
         t = self.t
@@ -250,6 +252,7 @@ class _Tableau:
             self.rows = self.rows[keep[:-1]]
             self.basis = self.basis[keep[:-1]]
             self.complete = False
+            self.solved = None
         return True
 
     def maximize(self, objective: np.ndarray, tol: float,
@@ -305,12 +308,19 @@ class _Tableau:
         current basis, which clears the rounding that pivots accumulate;
         the objective row is left for the next :meth:`maximize`.  False
         when rounding has led the basis astray: it is singular or its
-        basic solution is infeasible."""
+        basic solution is infeasible.  After a solve that succeeded, a call
+        before the next pivot or column is a no-op."""
+        key = (self.pivots, self.t.shape[1])
+        if key == self.solved:
+            return True
         try:
             self.t[:-1] = np.linalg.solve(self.rows[:, self.basis], self.rows)
         except np.linalg.LinAlgError:
             return False
-        return self.t[:-1, -1].min() >= -FEASIBILITY_TOL
+        if not self.t[:-1, -1].min() >= -FEASIBILITY_TOL:
+            return False
+        self.solved = key
+        return True
 
     def restart(self) -> None:
         """Go back to the basis the tableau was built with, keeping every
@@ -318,6 +328,7 @@ class _Tableau:
         self.t[:-1] = self.rows
         self.basis = self.unit.copy()
         self.restarts += 1
+        self.solved = None
         if not self.phase1(FEASIBILITY_TOL):
             raise SolverFailure("the system became infeasible on a restart")
 
@@ -616,32 +627,3 @@ def project_frontier(system: RateSystem, r1_row: Sequence[float],
     """
     projector = Projector(system.a_ub, system.a_eq, r1_row, r2_row)
     return projector.project(np.concatenate([system.b_ub, system.b_eq]))
-
-
-def grid_feasibility_oracle(system: RateSystem, r1_row: Sequence[float],
-                            r2_row: Sequence[float], pitch: float
-                            ) -> frozenset[tuple[float, float]]:
-    """LP-feasible points of a pitch-spaced grid over the projection's box.
-
-    Brute-force comparison target for :func:`project_frontier`: each grid
-    point is pinned through two equality rows and tested for feasibility.
-    """
-    if not pitch > 0:
-        raise ValueError("pitch must be positive")
-    r1_row = np.asarray(r1_row, dtype=float)
-    r2_row = np.asarray(r2_row, dtype=float)
-    res1 = lp_solve(system, r1_row)
-    if res1.status == "infeasible":
-        return frozenset()
-    res2 = lp_solve(system, r2_row)
-    if res1.status != "optimal" or res2.status != "optimal":
-        raise SolverFailure("projection box is unbounded")
-    zero = np.zeros(system.dim)
-    feasible = set()
-    for i in range(int(res1.value / pitch + 1e-9) + 1):
-        for j in range(int(res2.value / pitch + 1e-9) + 1):
-            target = (i * pitch, j * pitch)
-            pinned = system.with_equalities([r1_row, r2_row], list(target))
-            if lp_solve(pinned, zero).status == "optimal":
-                feasible.add(target)
-    return frozenset(feasible)

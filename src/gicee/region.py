@@ -20,14 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import schemes
 from .gaussmi import DECODABLE, SignalIndex
-from .model import (
-    BUDGET_TOL,
-    ChannelParams,
-    TimeSharedAllocation,
-    validate_allocation,
-)
+from .grid import VARIANTS, _user_grid_size, first_user_rows, on_user_grid, user_power_grid
+from .model import ChannelParams, TimeSharedAllocation, validate_allocation
 from .frontier import Frontier, _pareto_prune, pareto_merge
 from .polytope import Projector, RateSystem, project_frontier
 
@@ -61,8 +56,6 @@ R1_OBJECTIVE.setflags(write=False)
 R2_OBJECTIVE = np.zeros(N_VARS)
 R2_OBJECTIVE[[_MSG_COL[int(SignalIndex.C2)], _MSG_COL[int(SignalIndex.S2)]]] = 1.0
 R2_OBJECTIVE.setflags(write=False)
-
-VARIANTS = ("full", "r3", "borcp", "ncp")
 
 _LN2 = math.log(2.0)
 
@@ -248,35 +241,6 @@ class RegionSpec:
 MAX_ALLOCATIONS = 1_000_000
 
 
-def _tuples_within(k: int, size: int, total: int) -> int:
-    """How many k-tuples of integers in [0, size) sum to at most ``total``:
-    stars and bars, with inclusion-exclusion over the entries that reach
-    ``size``."""
-    return sum(
-        (-1) ** j * math.comb(k, j) * math.comb(total - j * size + k, k)
-        for j in range(k + 1)
-        if total >= j * size
-    )
-
-
-def _user_grid_size(variant: str, cap: float, steps: int) -> int:
-    """Per-user power tuples of a state grid whose powers sum to at most
-    ``cap``, as :func:`schemes.user_power_grid` builds them."""
-    if cap <= 0:
-        return 1
-    if variant == "ncp":
-        return steps
-    if variant == "borcp":
-        return 2 * steps - 1
-    k = 4 if variant == "full" else 2
-    # Grid points sum within the cap plus BUDGET_TOL up to this many grid
-    # pitches, and always up to steps - 1 (the cap itself).
-    most = k * (steps - 1)
-    pitch = cap / (steps - 1)
-    reach = (cap + BUDGET_TOL) / pitch if pitch > 0 else math.inf
-    return _tuples_within(k, steps, most if reach >= most else max(int(reach), steps - 1))
-
-
 def grid_size(spec: RegionSpec) -> int:
     """States of the spec's grid in closed form: the sizes of the grids of
     spans 1 to ``states`` added up, so a state two spans share counts
@@ -292,24 +256,24 @@ def _family_allocations(spec: RegionSpec) -> np.ndarray:
     """The spec's grid of states, (n, 8): per state the 8 powers (pc1, ps1,
     po1, pj1, pc2, ps2, po2, pj2).
 
-    Span k's grid runs over user 1's rows of :func:`schemes.user_power_grid`
-    capped at k times the budget, then user 2's.  The spans follow in
-    order, each without the states an earlier one has, so the first state
-    is the zero-power one.
+    Span k's grid runs over user 1's rows of :func:`gicee.grid.user_power_grid`
+    capped at k times the budget, then user 2's.  Spans follow in order,
+    each state kept where it first appears, so the first is the zero-power
+    one.  A state repeats one of span j exactly when both its user rows are
+    on span j's user grids, so repeats are found per user, with no sort.
     """
-    grids = []
-    for span in range(1, spec.states + 1):
-        user1, user2 = (
-            schemes.user_power_grid(spec.variant, span * budget, spec.steps)
-            for budget in (spec.channel.p1, spec.channel.p2)
-        )
-        grids.append(np.concatenate(
-            [np.repeat(user1, len(user2), axis=0), np.tile(user2, (len(user1), 1))], axis=1))
+    caps = [(span * spec.channel.p1, span * spec.channel.p2) for span in range(1, spec.states + 1)]
+    users = [[user_power_grid(spec.variant, cap, spec.steps) for cap in pair] for pair in caps]
+    grids = [np.concatenate([np.repeat(user1, len(user2), axis=0),
+                             np.tile(user2, (len(user1), 1))], axis=1) for user1, user2 in users]
     if len(grids) == 1:
         return grids[0]
-    states = np.concatenate(grids)
-    _, first = np.unique(states, axis=0, return_index=True)
-    return states[np.sort(first)]
+    for k, rows in enumerate(users):
+        fresh = np.logical_and.outer(*map(first_user_rows, rows, caps[k], [spec.steps] * 2))
+        for earlier in caps[:k]:
+            fresh &= ~np.logical_and.outer(*map(on_user_grid, rows, earlier, [spec.steps] * 2))
+        grids[k] = grids[k][fresh.ravel()]
+    return np.concatenate(grids)
 
 
 # States whose bounds one call of bound_rows computes, so that its

@@ -1,4 +1,4 @@
-"""Closed-form cooperative TDMA region, variant grids and baselines.
+"""Closed-form cooperative TDMA region, and per-state lists of the variant grids.
 
 The time-division scheme splits the block into two slots.  In its own slot
 a user sends a wiretap codeword (optionally jamming as well); in the other
@@ -13,77 +13,14 @@ import time
 
 import numpy as np
 
-from .gaussmi import clamp_rate, gamma
+from .grid import VARIANTS, _jam_grid, _jam_grid_size, _uniform_grid, user_power_grid
 from .model import BUDGET_TOL, ChannelParams, PowerState
 from .frontier import Frontier, _pareto_prune, _records, pareto_merge
 
 _LN2 = math.log(2.0)
 
-R3_TAGS = ("r3", "borcp", "ncp")
+R3_TAGS = tuple(v for v in VARIANTS if v != "full")
 CTDMA_TAGS = ("ctdma", "ctdma_nscp", "tdma")
-
-# Jamming grids are dense up to this level and coarse beyond: the useful
-# helper-jamming levels sit well below the power budgets.
-JAM_DENSE_MAX = 2.0
-
-
-def single_user_wiretap(power: float, eve_gain: float) -> float:
-    """Wiretap rate of a lone user: [gamma(P) - gamma(g_e P)]+."""
-    if not (math.isfinite(power) and math.isfinite(eve_gain)) or power < 0 or eve_gain < 0:
-        raise ValueError("power and eve_gain must be finite and nonnegative")
-    return clamp_rate(gamma(power) - gamma(eve_gain * power))
-
-
-def _uniform_grid(cap: float, steps: int) -> tuple[float, ...]:
-    if cap <= 0:
-        return (0.0,)
-    return tuple(float(v) for v in np.linspace(0.0, cap, steps))
-
-
-def _jam_grid(cap: float, steps: int) -> tuple[float, ...]:
-    """Two-segment jamming grid: dense in [0, JAM_DENSE_MAX], coarse above."""
-    if cap <= 0:
-        return (0.0,)
-    values = set(np.linspace(0.0, min(cap, JAM_DENSE_MAX), steps))
-    if cap > JAM_DENSE_MAX:
-        coarse = max(2, steps // 2)
-        values.update(np.linspace(JAM_DENSE_MAX, cap, coarse))
-    return tuple(sorted(float(v) for v in values))
-
-
-def user_power_grid(tag: str, cap: float, steps: int) -> np.ndarray:
-    """One user's per-state powers on the grid of a variant in ``R3_TAGS``
-    or ``full``, capped at ``cap``.
-
-    Rows are (common, self, other, jamming), in the order the grid runs:
-    ``r3`` sweeps common over jamming power, ``borcp`` keeps only the rows
-    where the user bins or jams but not both, ``ncp`` pins jamming to zero,
-    and ``full`` sweeps all four components, the first slowest.  A row is
-    kept when its powers, added left to right, stay within ``cap`` plus
-    ``BUDGET_TOL``.
-
-    The components are joined one at a time, each row only with the levels
-    that keep its running sum within the cap, so no row past the cap is
-    ever built: adding a nonnegative level never lowers a rounded sum.
-    """
-    grid = np.array(_uniform_grid(cap, steps))
-    zero = np.zeros(1)
-    if tag == "borcp":
-        # pc = 0 with every pj, then every pc > 0 with pj = 0
-        off, on = grid[grid == 0], grid[grid > 0]
-        products = [(off, zero, zero, grid), (on, zero, zero, off)]
-    else:
-        products = [{"full": (grid, grid, grid, grid), "r3": (grid, zero, zero, grid),
-                     "ncp": (grid, zero, zero, zero)}[tag]]
-    parts = []
-    for levels in products:
-        rows, total = np.zeros((1, 0)), np.zeros(1)
-        for level in levels:
-            at, pick = np.nonzero(total[:, np.newaxis] + level <= cap + BUDGET_TOL)
-            rows = np.column_stack([rows[at], level[pick]])
-            total = total[at] + level[pick]
-        parts.append(rows)
-    return np.concatenate(parts)
 
 
 def single_power_states(
@@ -118,11 +55,11 @@ def _slot_factors(
         zero = np.zeros(1)
         return zero, zero, zero
     own_cap, other_cap = own_budget / share, other_budget / share
-    sig = np.array(_uniform_grid(own_cap, steps))
+    sig = _uniform_grid(own_cap, steps)
     # ``ctdma`` may jam in its own slot; every tag but ``tdma`` may help
     # jam in the other user's slot.
-    self_jam = np.array(_jam_grid(own_cap, steps) if tag == "ctdma" else (0.0,))
-    other_jam = np.array(_jam_grid(other_cap, steps) if tag != "tdma" else (0.0,))
+    self_jam = _jam_grid(own_cap, steps) if tag == "ctdma" else np.zeros(1)
+    other_jam = _jam_grid(other_cap, steps) if tag != "tdma" else np.zeros(1)
     ib, ij = np.nonzero(sig[:, None] + self_jam[None, :] <= own_cap + BUDGET_TOL)
     return sig[ib], self_jam[ij], other_jam
 
@@ -213,9 +150,9 @@ MAX_SLOT_ROWS = 6_500_000
 def slot_rows_bound(variant: str, steps: int, alpha_steps: int) -> int:
     """Upper bound on the slot-grid rows :func:`ctdma_region` enumerates,
     in closed form: per time split and slot, every codeword level times
-    every own and helper jamming level, a jamming grid having at most
-    ``steps`` dense and ``max(2, steps // 2)`` coarse levels."""
-    jam = steps + max(2, steps // 2)
+    every own and helper jamming level (see
+    :func:`gicee.grid._jam_grid_size`)."""
+    jam = _jam_grid_size(steps)
     own = jam if variant == "ctdma" else 1
     helper = 1 if variant == "tdma" else jam
     return 2 * alpha_steps * steps * own * helper

@@ -1,22 +1,25 @@
 """The oracle suites that ``gicee validate`` runs.
 
-Each suite judges code the sweeps use against an independent path: the
-closed-form bounds of :func:`gicee.region.bound_rows` against the
-covariance-determinant oracle and against submodularity, and the shared
-:class:`gicee.polytope.Projector` against a brute-force feasibility grid.
+Each suite judges code the sweeps use against an independent path, kept
+here with it: the closed-form bounds of :func:`gicee.region.bound_rows`
+against the covariance-determinant oracle (:func:`mi_covariance_oracle`)
+and against submodularity, and the shared :class:`gicee.polytope.Projector`
+against a brute-force feasibility grid (:func:`grid_feasibility_oracle`).
 Only ``validate`` loads this module.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .frontier import Frontier
-from .gaussmi import DECODABLE, RECEIVERS, mi_covariance_oracle
+from .frontier import Frontier, SolverFailure
+from .gaussmi import DECODABLE, RECEIVERS, SignalIndex
 from .model import ChannelParams, PowerState, TimeSharedAllocation
-from .polytope import Projector, grid_feasibility_oracle
+from .polytope import Projector, RateSystem, lp_solve
 from .region import (
     _BOUNDS,
     A_UB,
@@ -27,6 +30,86 @@ from .region import (
     bound_rows,
     build_system,
 )
+
+_LN2 = math.log(2.0)
+
+
+def mi_covariance_oracle(
+    channel: ChannelParams,
+    state: PowerState,
+    receiver: str,
+    subset: Iterable[int],
+) -> float:
+    """Covariance-determinant evaluation of one conditional MI bound.
+
+    Builds the scalar observation directly from the channel equations and
+    computes 0.5*log2(var(Y | complement) / var(Y | complement, subset))
+    through Schur complements of the joint covariance.  The variances are
+    exact rationals of the float inputs, so the subtraction in each Schur
+    complement cannot cancel; only the final logarithm rounds.
+    """
+    decodable = DECODABLE[receiver]
+    subset = frozenset(int(i) for i in subset)
+    extra = subset - decodable
+    if extra:
+        raise ValueError(
+            f"subset {sorted(subset)} not decodable at {receiver}"
+            f" (offending: {sorted(extra)})"
+        )
+    complement = decodable - subset
+    # each user's amplitude at the receiver, carried by its three components
+    gains = {"y1": (1.0, channel.c21), "y2": (channel.c12, 1.0), "ye": (channel.c1e, channel.c2e)}
+    a1, a2 = (Fraction(math.sqrt(gain)) for gain in gains[receiver])
+    amps = {i: a1 if i <= SignalIndex.O1 else a2 for i in range(1, 7)}
+    fields = ("pc1", "ps1", "po1", "pc2", "ps2", "po2")   # by SignalIndex
+    powers = {i: Fraction(getattr(state, name)) for i, name in enumerate(fields, start=1)}
+
+    # Anything outside the decodable set stays unexplained, as does jamming.
+    base_noise = 1 + a1 * a1 * Fraction(state.pj1) + a2 * a2 * Fraction(state.pj2)
+    base_noise += sum(amps[i] ** 2 * powers[i] for i in range(1, 7) if i not in decodable)
+    var_y = base_noise + sum(amps[i] ** 2 * powers[i] for i in decodable)
+
+    def conditional_var(cond: frozenset[int]) -> Fraction:
+        # Zero-power components are almost-surely zero; conditioning on them
+        # is a no-op and would only make the covariance singular.
+        cond = sorted(i for i in cond if powers[i] > 0)
+        # The components are independent, so the covariance of the
+        # conditioning set is diagonal and its solve is a division.
+        cross = [amps[i] * powers[i] for i in cond]
+        explained = sum(c * c / powers[i] for c, i in zip(cross, cond))
+        return var_y - explained
+
+    ratio = conditional_var(complement) / conditional_var(complement | subset)
+    return 0.5 * math.log(ratio) / _LN2
+
+
+def grid_feasibility_oracle(system: RateSystem, r1_row: Sequence[float],
+                            r2_row: Sequence[float], pitch: float
+                            ) -> frozenset[tuple[float, float]]:
+    """LP-feasible points of a pitch-spaced grid over the projection's box.
+
+    Brute-force target for :func:`gicee.polytope.project_frontier`: each grid
+    point is pinned through two equality rows and tested for feasibility.
+    """
+    if not pitch > 0:
+        raise ValueError("pitch must be positive")
+    r1_row = np.asarray(r1_row, dtype=float)
+    r2_row = np.asarray(r2_row, dtype=float)
+    res1 = lp_solve(system, r1_row)
+    if res1.status == "infeasible":
+        return frozenset()
+    res2 = lp_solve(system, r2_row)
+    if res1.status != "optimal" or res2.status != "optimal":
+        raise SolverFailure("projection box is unbounded")
+    zero = np.zeros(system.dim)
+    feasible = set()
+    for i in range(int(res1.value / pitch + 1e-9) + 1):
+        for j in range(int(res2.value / pitch + 1e-9) + 1):
+            target = (i * pitch, j * pitch)
+            pinned = system.with_equalities([r1_row, r2_row], list(target))
+            if lp_solve(pinned, zero).status == "optimal":
+                feasible.add(target)
+    return frozenset(feasible)
 
 
 def _random_state(rng: np.random.Generator, p1: float, p2: float) -> PowerState:

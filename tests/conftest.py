@@ -21,7 +21,7 @@ from gicee import (
 from gicee.frontier import FEASIBILITY_TOL, _pareto_prune
 from gicee.model import BUDGET_TOL
 from gicee.region import A_UB, EQ_ROW, R1_OBJECTIVE, R2_OBJECTIVE, VARIABLE_ORDER, bound_rows
-from gicee.schemes import _jam_grid, _uniform_grid
+from gicee.grid import _jam_grid, _uniform_grid
 
 
 @pytest.fixture

@@ -50,7 +50,7 @@ from gicee.region import (
     bound_rows,
     grid_size,
 )
-from gicee.schemes import _uniform_grid, user_power_grid
+from gicee.grid import _uniform_grid, user_power_grid
 from conftest import (
     check_point,
     check_recipes,
@@ -575,6 +575,35 @@ def test_union_lp_counts(fig3):
     assert frontier.metadata["lp"] == {"rounds": 12, "columns": 37, "pivots": 32}
 
 
+@pytest.mark.parametrize("steps, states, solves", [(11, 1, (12, 10)), (3, 2, (7, 4))])
+def test_refactor_skips_an_unchanged_basis(monkeypatch, fig3, steps, states, solves):
+    # with no pivot and no column since its last solve, refactor() keeps
+    # that solve's rows, which are what solving again would give: fewer
+    # solves, the same vertices bit for bit and the same lp counts
+    real_solve, refactor, calls = np.linalg.solve, _Tableau.refactor, []
+
+    def counted(*args):
+        calls.append(None)
+        return real_solve(*args)
+
+    def always(tableau):
+        tableau.solved = None
+        return refactor(tableau)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    spec = RegionSpec(channel=fig3, variant="r3", steps=steps, states=states)
+    runs = []
+    for method in (always, refactor):
+        monkeypatch.setattr(_Tableau, "refactor", method)
+        calls.clear()
+        union = region_union(spec)
+        runs.append((len(calls), union.points, union.metadata["lp"],
+                     union.metadata["vertices"]))
+    (every, *before), (skipping, *after) = runs
+    assert (every, skipping) == solves
+    assert before == after
+
+
 def in_budget(channel, grid):
     """Which states of a grid, (n, 8) powers, spend within both budgets."""
     return ((((grid[:, 0] + grid[:, 1]) + grid[:, 2]) + grid[:, 3] <= channel.p1 + BUDGET_TOL)
@@ -707,6 +736,43 @@ def test_family_allocations_are_within_budget(fig2, fig3, variant, states):
             assert len(np.unique(grid, axis=0)) == len(grid)
             assert all(validate_allocation(stretched, single(PowerState(*a))).ok
                        for a in grid.tolist())
+
+
+def unique_family_allocations(spec):
+    """The grid as the sweep built it before: every span's states
+    concatenated, each kept where it first appears by a sort of all of
+    them."""
+    grids = []
+    for span in range(1, spec.states + 1):
+        user1, user2 = (user_power_grid(spec.variant, span * budget, spec.steps)
+                        for budget in (spec.channel.p1, spec.channel.p2))
+        grids.append(np.concatenate(
+            [np.repeat(user1, len(user2), axis=0), np.tile(user2, (len(user1), 1))], axis=1))
+    if len(grids) == 1:
+        return grids[0]
+    states = np.concatenate(grids)
+    _, first = np.unique(states, axis=0, return_index=True)
+    return states[np.sort(first)]
+
+
+# budgets so small that their grid pitch is subnormal: a span's grid then
+# repeats a level, and so a row (the other budget is 0, so that `full`
+# grids, where every level fits under the tolerance, stay small)
+SUBNORMAL_BUDGETS = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=5e-324, p2=0.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("states", [1, 2, 3, 4])
+def test_family_allocations_match_the_sorted_deduplication(fig2, fig3, variant, states):
+    # the repeats found per user are the repeats a sort of every state finds:
+    # same rows, same order, same bits
+    for channel in (fig2, fig3, ODD_BUDGETS, ZERO_BUDGET, TINY_BUDGET, SUBNORMAL_BUDGETS):
+        for steps in range(2, 7):
+            spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
+            expected = unique_family_allocations(spec)
+            got = _family_allocations(spec)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def object_user_grid(variant, cap, steps):

@@ -18,16 +18,8 @@ from gicee import (
 )
 from gicee.model import BUDGET_TOL
 from gicee.polytope import _pareto_prune
-from gicee.schemes import (
-    CTDMA_TAGS,
-    R3_TAGS,
-    _best_partners,
-    _jam_grid,
-    _slot_rates,
-    _split_factors,
-    _uniform_grid,
-    user_power_grid,
-)
+from gicee.grid import _jam_grid, _uniform_grid, user_power_grid
+from gicee.schemes import CTDMA_TAGS, R3_TAGS, _best_partners, _slot_rates, _split_factors
 from conftest import (
     CtdmaParams,
     ctdma_allocation,

@@ -54,32 +54,41 @@ def test_every_traced_layer_exists():
 IMPORT_PROBE = """
 import sys
 def loaded():
-    return sorted(name for name in sys.modules if name.startswith("gicee."))
+    # numpy.ma too: numpy loads it on first use of some functions, ~12 ms
+    return sorted(name for name in sys.modules if name.startswith("gicee.") or name == "numpy.ma")
 import gicee
 print(loaded())
 import gicee.cli
 print(loaded())
-gicee.cli.main(["ctdma", "--preset", "fig2", "--steps", "3", "--out", sys.argv[1]])
+gicee.cli.main([sys.argv[1], "--preset", "fig2", "--steps", "3", "--out", sys.argv[2]])
 print(loaded())
 """
 
 
+# the gicee modules each command loads, besides those of ``import gicee.cli``
+COMMAND_MODULES = {
+    "ctdma": {"grid", "gaussmi", "schemes"},
+    "region": {"grid", "gaussmi", "region", "polytope"},
+}
+
+
 def test_each_command_imports_only_its_own_modules(tmp_path):
-    # ``ctdma`` runs no LP, so neither it nor ``import gicee.cli`` may
-    # compile the simplex or the region sweep; ``import gicee`` loads no
-    # submodule at all
+    # ``import gicee`` loads no submodule, ``import gicee.cli`` none of the
+    # sweeps, ``ctdma`` runs no LP and no oracle, and ``region`` neither
+    # the time-division scheme nor an oracle
     from test_cli import CHILD_ENV
 
-    result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "ctdma.csv")],
-        capture_output=True, text=True, env=CHILD_ENV, check=True,
-    )
-    bare, cli, ctdma = (ast.literal_eval(line) for line in result.stdout.splitlines())
-    assert bare == []
-    assert {"gicee.region", "gicee.polytope"}.isdisjoint(cli)
-    assert {"gicee.region", "gicee.polytope"}.isdisjoint(ctdma)
-    assert "gicee.schemes" in ctdma
-    assert (tmp_path / "ctdma.csv").read_text().startswith("r1_bits,r2_bits")
+    for command, modules in COMMAND_MODULES.items():
+        out = tmp_path / f"{command}.csv"
+        result = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, command, str(out)],
+            capture_output=True, text=True, env=CHILD_ENV, check=True,
+        )
+        bare, cli, ran = (ast.literal_eval(line) for line in result.stdout.splitlines())
+        assert bare == []
+        assert set(cli) == {"gicee.cli", "gicee.frontier", "gicee.model"}
+        assert set(ran) == {f"gicee.{name}" for name in modules} | set(cli)
+        assert out.read_text().startswith("r1_bits,r2_bits")
 
 
 THREAD_PROBE = """
