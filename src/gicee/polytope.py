@@ -110,7 +110,7 @@ class LpResult:
 
 
 class _Tableau:
-    """Dense simplex tableau of one system, kept in canonical form.
+    """Dense simplex tableau of ``a_ub x <= b_ub, a_eq x = b_eq, x >= 0``.
 
     Rows are the constraints with nonnegative right-hand sides followed by
     the objective (reduced-cost) row; columns are the variables, one slack
@@ -122,14 +122,14 @@ class _Tableau:
     Columns added later (:meth:`append`) go before the right-hand side.
     """
 
-    def __init__(self, system: RateSystem) -> None:
-        a = np.vstack([system.a_ub, system.a_eq])
-        b = np.concatenate([system.b_ub, system.b_eq])
+    def __init__(self, a_ub, b_ub, a_eq, b_eq) -> None:
+        a = np.vstack([a_ub, a_eq])
+        b = np.concatenate([b_ub, b_eq])
         m, n = a.shape
         flip = b < 0
         a[flip] = -a[flip]
         b = np.abs(b)
-        inequality = np.arange(m) < system.n_inequalities
+        inequality = np.arange(m) < len(b_ub)
         le_rows = np.flatnonzero(inequality & ~flip)
         ge_rows = np.flatnonzero(inequality & flip)
         art_rows = np.flatnonzero(~inequality | flip)
@@ -343,7 +343,7 @@ def lp_solve(
     c_max = np.asarray(objective, dtype=float)
     if c_max.shape != (system.dim,):
         raise ValueError(f"objective must have length {system.dim}")
-    tableau = _Tableau(system)
+    tableau = _Tableau(system.a_ub, system.b_ub, system.a_eq, system.b_eq)
     if not tableau.phase1(tol):
         return LpResult(status="infeasible")
     if tableau.maximize(c_max, tol) == "unbounded":
@@ -408,11 +408,12 @@ class _Master:
         self.present[first] = True
         self.recipes: dict[tuple[float, float], tuple] = {}
         self.rhs = self._read(np.array([first]), None)[0]
-        self.tableau = _Tableau(RateSystem(
-            a_ub=np.vstack([a_ub, np.zeros((caps.size + 1, self.n))]),
-            b_ub=np.concatenate([self.rhs[:self.n_ub], caps - usage[first], [1.0]]),
-            a_eq=a_eq, b_eq=self.rhs[self.n_ub:],
-        ))
+        resources = caps - usage[first]   # _read checks the bounds, this the rest
+        if not all(np.isfinite(part).all() for part in (a_ub, a_eq, resources)):
+            raise ValueError("constraint data must be finite")
+        self.tableau = _Tableau(np.vstack([a_ub, np.zeros((caps.size + 1, self.n))]),
+                                np.concatenate([self.rhs[:self.n_ub], resources, [1.0]]),
+                                a_eq, self.rhs[self.n_ub:])
         # per weight column, its right-hand side and its tableau column; the
         # first one's is the slack of the row before the equalities
         self.states, self.at = [first], [self.tableau.unit[self.n_ub + caps.size]]

@@ -29,6 +29,10 @@ from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
 from conftest import check_point, dominates, move_into_hull, support
 
 
+def tableau_of(system):
+    return _Tableau(system.a_ub, system.b_ub, system.a_eq, system.b_eq)
+
+
 def box_system():
     return RateSystem(a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 1.0])
 
@@ -461,7 +465,7 @@ def sweep_frontier(system, r1, r2, directions):
     lexicographic corners plus ``directions`` support angles over
     [0, pi/2], each warm-started from the previous basis."""
     tol = FEASIBILITY_TOL
-    tableau = _Tableau(system)
+    tableau = tableau_of(system)
     if not tableau.phase1(tol):
         return Frontier(points=())
     solutions = []
@@ -513,7 +517,7 @@ def test_warm_started_projection_matches_cold_solves():
             assert support(frontier, theta) == pytest.approx(value, abs=1e-9)
         # the corner solves on their own, in the order project_frontier
         # runs them: the second starts from the first one's basis
-        tableau = _Tableau(system)
+        tableau = tableau_of(system)
         assert tableau.phase1(FEASIBILITY_TOL)
         for corner, (primary, secondary) in (
             (frontier.points[-1], (r1, r2)),
@@ -681,7 +685,7 @@ def test_basis_inverse_and_shared_bases_with_flipped_rows():
     flipped = 0
     for system in mixed_sign_systems(rng, 30, a_ub, a_eq):
         flipped += int(np.sum(system.b_ub < 0))
-        tableau = _Tableau(system)
+        tableau = tableau_of(system)
         assert tableau.phase1(FEASIBILITY_TOL)
         assert tableau.maximize(rng.uniform(0.0, 1.0, n), FEASIBILITY_TOL) == "optimal"
         assert tableau.complete
@@ -707,7 +711,7 @@ def test_appended_columns_continue_phase_2():
         a[:, :3] = np.abs(a[:, :3])
         b = rng.uniform(0.5, 2.0, 6)
         c = np.append(rng.uniform(0.0, 1.0, 3), [0.0, 0.0])
-        tableau = _Tableau(RateSystem(a_ub=a[:, :3], b_ub=b))
+        tableau = _Tableau(a[:, :3], b, np.zeros((0, 3)), np.zeros(0))
         assert tableau.phase1(FEASIBILITY_TOL)
         assert tableau.maximize(c[:3], FEASIBILITY_TOL) == "optimal"
         tableau.append(a[:, 3:])

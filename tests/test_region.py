@@ -372,13 +372,8 @@ def test_bound_rows_match_scalar_mi(case):
                                   averaged.view(np.uint64))
 
 
-def phase1_system(bounds):
-    return RateSystem(a_ub=A_UB, b_ub=bounds[:-1],
-                      a_eq=EQ_ROW[np.newaxis, :], b_eq=bounds[-1:])
-
-
 def phase1_feasible(bounds):
-    return _Tableau(phase1_system(bounds)).phase1(FEASIBILITY_TOL)
+    return _Tableau(A_UB, bounds[:-1], EQ_ROW[np.newaxis, :], bounds[-1:]).phase1(FEASIBILITY_TOL)
 
 
 # Grids and the number of their states phase 1 finds infeasible alone.
@@ -543,11 +538,28 @@ def test_projector_rejects_non_finite_bounds(monkeypatch, fig3, bad):
         region_union(RegionSpec(channel=fig3, variant="ncp", steps=11))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_projector_rejects_non_finite_matrix_and_resources(fig3, bad):
+    # the master's tableau is built from arrays, so the matrix and the
+    # resource rows (caps less the first column's use) are checked there
+    good = bound_rows(fig3, np.array([astuple(PowerState(pc1=10.0, pc2=1.0))]))
+    read = lambda at, columns: good if columns is None else good[:, columns]
+    assert fresh_projector().time_share(1, read, np.zeros((1, 2)), (10.0, 10.0))[0]
+    for usage, caps in (([[bad, 0.0]], (10.0, 10.0)), ([[0.0, 0.0]], (10.0, bad))):
+        with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+            fresh_projector().time_share(1, read, np.array(usage), caps)
+    matrix = A_UB.copy()
+    matrix[3, 2] = bad
+    projector = Projector(matrix, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
+    with pytest.raises(ValueError, match="finite"):
+        projector.project(good[0])
+
+
 def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
     # the sweep carries the grid as one array: no PowerState,
-    # TimeSharedAllocation or validation per state, one RateSystem for the
-    # master's tableau, and no Frontier per state: the vertices make one,
-    # the merge another
+    # TimeSharedAllocation or validation per state, no RateSystem (the
+    # master's tableau is built from arrays), and no Frontier per state:
+    # the vertices make one, the merge another
     built = {"PowerState": 0, "TimeSharedAllocation": 0, "RateSystem": 0, "Frontier": 0,
              "validate": 0}
 
@@ -565,7 +577,7 @@ def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
     frontier = region_union(RegionSpec(channel=fig3, variant="r3", steps=11))
     assert frontier.metadata["allocations"] == 4356
     assert built == {"PowerState": 0, "TimeSharedAllocation": 0,
-                     "RateSystem": 1, "Frontier": 2, "validate": 0}
+                     "RateSystem": 0, "Frontier": 2, "validate": 0}
 
 
 def test_union_lp_counts(fig3):

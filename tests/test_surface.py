@@ -91,6 +91,36 @@ def test_each_command_imports_only_its_own_modules(tmp_path):
         assert out.read_text().startswith("r1_bits,r2_bits")
 
 
+def readme_allocation():
+    # the JSON block under the README's "Allocation JSON" heading
+    text = (ROOT / "README.md").read_text().split("## Allocation JSON", 1)[1]
+    return text.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+POINT_PROBE = """
+import sys
+import gicee.cli
+gicee.cli.main(["point", "--preset", "fig3", "--alloc", sys.argv[1]])
+print(sorted(name for name in sys.modules if name.startswith("gicee.")))
+"""
+
+
+def test_point_loads_no_sweep_scheme_and_no_oracle(tmp_path):
+    # ``point`` on the README's allocation adds what ``region`` adds,
+    # never the time-division scheme or an oracle
+    from test_cli import CHILD_ENV
+
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(readme_allocation())
+    result = subprocess.run([sys.executable, "-c", POINT_PROBE, str(alloc)],
+                            capture_output=True, text=True, env=CHILD_ENV, check=True)
+    *printed, loaded = result.stdout.splitlines()
+    assert '  "infeasible": false,' in printed
+    assert set(ast.literal_eval(loaded)) == {
+        f"gicee.{name}" for name in
+        ("cli", "frontier", "model", "region", "polytope", "grid", "gaussmi")}
+
+
 THREAD_PROBE = """
 import os, sys
 def threads():
