@@ -155,7 +155,7 @@ class _Tableau:
         self.unit = basis.copy()
         self.sign = np.where(flip, -1.0, 1.0)
         self.complete = True
-        self.pivots = self.restarts = 0
+        self.pivots = 0
         # the constraint rows as built, which refactor() solves afresh, and
         # the pivot and column counts at its last solve that succeeded
         self.rows = t[:m].copy()
@@ -255,23 +255,17 @@ class _Tableau:
             self.solved = None
         return True
 
-    def maximize(self, objective: np.ndarray, tol: float,
-                 allowed: np.ndarray | None = None) -> str:
-        """Phase 2 from the current basis; entering columns limited to
-        ``allowed``.  ``objective`` weighs the first structural columns,
-        the rest cost nothing."""
+    def maximize(self, objective: np.ndarray, tol: float) -> str:
+        """Phase 2 from the current basis, artificial columns never
+        entering.  ``objective`` weighs the first structural columns, the
+        rest cost nothing."""
         t, basis = self.t, self.basis
         t[-1] = 0.0
         t[-1, :objective.size] = -objective
         priced = np.flatnonzero(t[-1, basis])
         if priced.size:
             t[-1] -= (t[-1, basis[priced], None] * t[priced]).sum(axis=0)
-        return self._pivot_to_optimum(self.real if allowed is None else allowed & self.real, tol)
-
-    def optimal_face(self, tol: float) -> np.ndarray:
-        """Columns that may move without leaving the current optimal face:
-        those whose reduced cost is not positive."""
-        return self.t[-1, :-1] <= tol
+        return self._pivot_to_optimum(self.real, tol)
 
     def solution(self, tol: float, columns: bool = False) -> np.ndarray:
         """The basic solution: the structural variables, or every column."""
@@ -327,7 +321,6 @@ class _Tableau:
         column, and run phase 1 again."""
         self.t[:-1] = self.rows
         self.basis = self.unit.copy()
-        self.restarts += 1
         self.solved = None
         if not self.phase1(FEASIBILITY_TOL):
             raise SolverFailure("the system became infeasible on a restart")
@@ -354,11 +347,16 @@ def lp_solve(
 
 def _dichotomic(best, tol: float) -> list:
     """The vertices of one frontier, by the dichotomic search, where
-    ``best(weights, corner)`` gives the image of an optimum: ``weights``
-    None stands for corner 0 (r1, then r2) or 1 (r2, then r1); otherwise
-    the objective is ``weights . (r1, r2)``."""
-    right = best(None, 0)
-    top = best(None, 1)
+    ``best(weights)`` gives the image of an optimum of ``weights . (r1,
+    r2)``.  The search starts from the optima of r1 and of r2 alone; such
+    an end may be dominated, by a point on the same vertical or horizontal
+    edge, and then the segment between the ends finds the point as a new
+    vertex and the caller's prune drops the end.  A point more than
+    ``tol`` above a segment splits it; the margin is absolute, since one
+    scaled by the value would hide such edge ends, found 7e-9 above their
+    segment where rates near 10 bits."""
+    right = best((1.0, 0.0))
+    top = best((0.0, 1.0))
     vertices = [top, right]
     # Segments run from the upper-left vertex to the lower-right one.
     segments = [(top, right)]
@@ -369,10 +367,10 @@ def _dichotomic(best, tol: float) -> list:
             continue  # one end dominates the other: nothing lies between
         norm = math.hypot(w1, w2)
         w1, w2 = w1 / norm, w2 / norm
-        point = best((w1, w2), 0)
+        point = best((w1, w2))
         value = w1 * point[0] + w2 * point[1]
         chord = max(w1 * upper[0] + w2 * upper[1], w1 * lower[0] + w2 * lower[1])
-        if value > chord + tol * max(1.0, abs(value)):
+        if value > chord + tol:
             vertices.append(point)
             segments += [(point, lower), (upper, point)]
     return vertices
@@ -455,34 +453,27 @@ class _Master:
         self.states += at.tolist()
         self.at += range(start, start + at.size)
 
-    def _optimize(self, objective: np.ndarray, allowed: np.ndarray | None = None,
-                  eligible: np.ndarray | None = None) -> np.ndarray | None:
-        """Maximize ``objective`` over the master, entering columns limited
-        to ``allowed`` and priced-in columns to ``eligible``; each round
-        adds the ``_ENTER`` columns of most negative reduced cost, ties
-        broken by their keys, until none is below ``-FEASIBILITY_TOL``; the
-        optimum stands unless the objective gains more than that on the
-        refactored tableau, so bases that only rounding tells apart cannot
-        take turns, and ``_MAX_PIVOTS`` pivots in all end the call.
-        Returns every column's reduced cost at the optimum, or None when
-        all columns were in the master already."""
+    def _optimize(self, objective: np.ndarray) -> None:
+        """Maximize ``objective`` over the master; each round adds the
+        ``_ENTER`` columns of most negative reduced cost, ties broken by
+        their keys, until none is below ``-FEASIBILITY_TOL``; the optimum
+        stands unless the objective gains more than that on the refactored
+        tableau, so bases that only rounding tells apart cannot take turns,
+        and ``_MAX_PIVOTS`` pivots in all end the call."""
         tableau, tol = self.tableau, FEASIBILITY_TOL
         confirming, restarted, value = False, False, -math.inf
         begin = tableau.pivots
         while True:
-            if tableau.maximize(objective, tol, allowed) != "optimal":
+            if tableau.maximize(objective, tol) != "optimal":
                 raise SolverFailure("projection unbounded along an objective")
             if tableau.pivots - begin > _MAX_PIVOTS:
                 raise SolverFailure(f"the master stalled after {_MAX_PIVOTS} pivots")
-            if self.present.all():
-                return None
             gained, value = tableau.t[-1, -1] > value + tol, tableau.t[-1, -1]
-            if confirming and not gained:
-                return cost
+            if self.present.all() or confirming and not gained:
+                return
             cost = self._price(tableau.duals())
             self.projector.rounds += 1
-            open_ = ~self.present if eligible is None else ~self.present & eligible
-            candidates = np.flatnonzero(open_ & (cost < -tol))
+            candidates = np.flatnonzero(~self.present & (cost < -tol))
             confirming = not candidates.size
             if confirming:
                 # confirm the optimum on a tableau freed of pivot rounding,
@@ -499,29 +490,13 @@ class _Master:
             keys = self.keys[candidates].T[::-1]
             at = candidates[np.lexsort((*keys, cost[candidates]))[:_ENTER]]
             self._add(at)
-            if allowed is not None:
-                allowed = np.append(allowed, np.ones(at.size, dtype=bool))
 
-    def best(self, weights, corner: int) -> tuple[float, float]:
-        """The image of an optimum of a :func:`_dichotomic` objective: for a
-        corner, the secondary row maximized on the primary's optimal face,
-        where only columns the primary's duals price at most the tolerance
-        may enter."""
-        tol = FEASIBILITY_TOL
+    def best(self, weights) -> tuple[float, float]:
+        """The image of an optimum of ``weights . (r1, r2)`` over the
+        master, a :func:`_dichotomic` objective, whose recipe it records."""
         rows = (self.projector.r1_row, self.projector.r2_row)
-        if weights is None:
-            # a restart leaves the primary's face, so it is solved again
-            for _ in range(2):
-                cost = self._optimize(rows[corner])
-                face, restarts = self.tableau.optimal_face(tol), self.tableau.restarts
-                self._optimize(rows[1 - corner], face, None if cost is None else cost <= tol)
-                if self.tableau.restarts == restarts:
-                    break
-            else:
-                raise SolverFailure("rounding led the master astray on an optimal face")
-        else:
-            self._optimize(weights[0] * rows[0] + weights[1] * rows[1])
-        values = self.tableau.solution(tol, columns=True)
+        self._optimize(weights[0] * rows[0] + weights[1] * rows[1])
+        values = self.tableau.solution(FEASIBILITY_TOL, columns=True)
         x = values[:self.n]
         point = (max(float(rows[0] @ x), 0.0), max(float(rows[1] @ x), 0.0))
         weights_at = values[self.at]
@@ -572,14 +547,15 @@ class Projector:
         right-hand sides, and the recipe of each (see :class:`_Master`).
 
         Exact, by the bicriteria dichotomic search (Aneja & Nair 1979):
-        solve the two lexicographic corners, then maximize along the normal
-        of each segment between adjacent known vertices; a point above the
-        segment is a new vertex and splits it, otherwise the segment is a
-        frontier edge.  Every objective is solved to optimality over all
-        columns, not only those in the master.  Phase 1 runs once, on
-        column ``first`` alone: if that system is infeasible, or overspends
-        a resource, the vertices are empty.  The vertices are neither
-        sorted nor pruned.
+        maximize r1 and r2 alone, then along the normal of each segment
+        between adjacent known vertices; a point above the segment is a
+        new vertex and splits it, otherwise the segment is a frontier edge.
+        An end dominated on its own vertical or horizontal edge stays among
+        the vertices, for the caller's prune to drop.  Every objective is
+        solved to optimality over all columns, not only those in the
+        master.  Phase 1 runs once, on column ``first`` alone: if that
+        system is infeasible, or overspends a resource, the vertices are
+        empty.  The vertices are neither sorted nor pruned.
 
         ``bounds(at, columns)`` gives the right-hand sides ``at`` (an index
         array, or a slice for all), only the given columns of them, or

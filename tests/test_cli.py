@@ -489,12 +489,13 @@ def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch):
 
 
 def test_real_solver_failure_is_exit_3_and_writes_nothing(tmp_path, capsys):
-    # a 1e6 budget on which the master's rounding leads it astray; once the
-    # simplex solves this channel (ROADMAP item 2), another failing input
+    # a 1e6 budget on which the master stalls past its pivot limit; once the
+    # simplex solves this channel (ROADMAP item 4), another failing input
     # takes its place
     out = tmp_path / "x.csv"
-    code = main(["region", "--c12", "0.6814205929522703", "--c21", "2.229007133086246",
-                 "--c1e", "0.8580923816779529", "--c2e", "0", "--p1", "1e6", "--p2", "1",
+    code = main(["region", "--c12", "0.8787512795470421", "--c21", "1.0118297811876924",
+                 "--c1e", "1.569565083134378", "--c2e", "1.4509028600522562",
+                 "--p1", "1e6", "--p2", "17.7121315133879",
                  "--variant", "full", "--steps", "3", "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err

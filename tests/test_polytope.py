@@ -462,17 +462,13 @@ def warm_start_cases():
 
 def sweep_frontier(system, r1, r2, directions):
     """The former fixed-angle projection, kept as a reference: the two
-    lexicographic corners plus ``directions`` support angles over
-    [0, pi/2], each warm-started from the previous basis."""
+    lexicographic corners, solved cold, plus ``directions`` support angles
+    over [0, pi/2], each warm-started from the previous basis."""
     tol = FEASIBILITY_TOL
     tableau = tableau_of(system)
     if not tableau.phase1(tol):
         return Frontier(points=())
-    solutions = []
-    for primary, secondary in ((r1, r2), (r2, r1)):
-        assert tableau.maximize(primary, tol) == "optimal"
-        assert tableau.maximize(secondary, tol, tableau.optimal_face(tol)) == "optimal"
-        solutions.append(tableau.solution(tol))
+    solutions = [lexicographic_corner(system, r1, r2), lexicographic_corner(system, r2, r1)]
     for k in reversed(range(directions)):
         theta = 0.5 * math.pi * k / (directions - 1)
         objective = math.cos(theta) * r1 + math.sin(theta) * r2
@@ -515,10 +511,8 @@ def test_warm_started_projection_matches_cold_solves():
         # exact: the frontier's support equals the cold optimum at every angle
         for theta, value in cold:
             assert support(frontier, theta) == pytest.approx(value, abs=1e-9)
-        # the corner solves on their own, in the order project_frontier
-        # runs them: the second starts from the first one's basis
-        tableau = tableau_of(system)
-        assert tableau.phase1(FEASIBILITY_TOL)
+        # the frontier's ends are the lexicographic corners, solved cold
+        # and by HiGHS
         for corner, (primary, secondary) in (
             (frontier.points[-1], (r1, r2)),
             (frontier.points[0], (r2, r1)),
@@ -526,11 +520,6 @@ def test_warm_started_projection_matches_cold_solves():
             x = lexicographic_corner(system, primary, secondary)
             old = (max(r1 @ x, 0.0), max(r2 @ x, 0.0))
             assert corner == pytest.approx(old, abs=1e-9)
-            assert tableau.maximize(primary, FEASIBILITY_TOL) == "optimal"
-            face = tableau.optimal_face(FEASIBILITY_TOL)
-            assert tableau.maximize(secondary, FEASIBILITY_TOL, face) == "optimal"
-            x = tableau.solution(FEASIBILITY_TOL)
-            assert (r1 @ x, r2 @ x) == pytest.approx(old, abs=1e-9)
             first, second = highs_corner(system, primary, secondary)
             swap = primary is r2
             assert corner[swap] == pytest.approx(first, abs=1e-7)

@@ -73,12 +73,17 @@ ZERO_BUDGET = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=0.0, p2=3.0)
 ZERO_GAINS = ChannelParams(c12=0.0, c21=0.0, c1e=0.0, c2e=0.0, p1=10.0, p2=10.0)
 BIG_BUDGET = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=1e6, p2=7.3)
 # drawn channels whose `full` steps-3 masters restart (_Tableau.restart):
-# after a refactor fails in a corner's secondary objective, so the corner's
-# primary is solved again, and after a refactor fails as columns enter
-RESTART_FACE = ChannelParams(c12=2.0289643211701187, c21=1.1699224840373468,
-                             c1e=0.03855827510231513, c2e=2.5985785781846884, p1=0.01, p2=1.0)
+# after a refactor fails as an optimum is confirmed, and after a refactor
+# fails as columns enter
+RESTART_OPTIMIZE = ChannelParams(c12=2.8061114280589416, c21=2.0890250901490424,
+                                 c1e=2.914165490040352, c2e=0.2661643245688674,
+                                 p1=1.0, p2=10000.0)
 RESTART_APPEND = ChannelParams(c12=0.36667129852080127, c21=0.4622523321400944,
                                c1e=0.9039351375826399, c2e=0.4439283758182192, p1=1e4, p2=0.01)
+# a drawn channel whose master restarted when the ends of the frontier were
+# lexicographic solves, after a refactor failed on a corner's optimal face
+RESTART_FACE = ChannelParams(c12=2.0289643211701187, c21=1.1699224840373468,
+                             c1e=0.03855827510231513, c2e=2.5985785781846884, p1=0.01, p2=1.0)
 # drawn channels whose masters never ended, confirming one optimum after
 # another (`full` steps 3), and stalled under Harris's rule alone until
 # Bland's rule took over (`full` steps 2, states 2)
@@ -88,11 +93,16 @@ CONFIRM_CYCLE = ChannelParams(c12=0.7606444280072819, c21=2.974496878582743,
 HARRIS_STALL = ChannelParams(c12=1.5857477975616279, c21=0.4954969467246435,
                              c1e=2.0409955333021474, c2e=0.6792107599673199,
                              p1=1e4, p2=10.09303607057203)
+# a drawn 1e6-budget channel on which the master's rounding once led it
+# astray on a corner's optimal face (`full` steps 3)
+ASTRAY_FACE = ChannelParams(c12=0.6814205929522703, c21=2.229007133086246,
+                            c1e=0.8580923816779529, c2e=0.0, p1=1e6, p2=1.0)
 UNION_CHANNELS = {"fig2": preset("fig2"), "fig3": preset("fig3"),
                   "zero-gains": ZERO_GAINS, "odd-budgets": ODD_BUDGETS,
                   "zero-budget": ZERO_BUDGET, "big-budget": BIG_BUDGET,
-                  "restart-face": RESTART_FACE, "restart-append": RESTART_APPEND,
-                  "confirm-cycle": CONFIRM_CYCLE, "harris-stall": HARRIS_STALL}
+                  "restart-optimize": RESTART_OPTIMIZE, "restart-face": RESTART_FACE,
+                  "restart-append": RESTART_APPEND, "confirm-cycle": CONFIRM_CYCLE,
+                  "harris-stall": HARRIS_STALL, "astray-face": ASTRAY_FACE}
 # grids of the degenerate channels: every allocation of the zero-gains
 # ones reaches the same point, so all of them tie
 DEGENERATE_GRIDS = [(name, variant, steps, states) for name in ("zero-gains", "odd-budgets")
@@ -480,6 +490,9 @@ def test_union_search_does_not_depend_on_row_order(channel, variant, steps, stat
 # the frontier of this grid has an edge of slope about -1e11, next to which
 # a vertical gap would multiply a rounding of r1 by the slope
 @example(ChannelParams(0.0, 1.0, 0.5, 1e-15, 1.0, 10000.0), "full", 2, 2)
+# the frontier of this grid has a vertical edge, whose lower end (0.5,
+# 3.6e-9) the search must find beside the upper one
+@example(ChannelParams(0.0, 1e-12, 0.0, 0.0, 1.0, 10000.0), "full", 2, 1)
 def test_union_search_equals_per_row_oracle(channel, variant, steps, states):
     # the master over small grids on drawn channels holds the region of
     # every in-budget grid state, each projected alone and merged, and
@@ -581,17 +594,19 @@ def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
 
 
 def test_union_lp_counts(fig3):
-    # fig3 r3 steps 11: the master takes 37 of the 4356 states in 12
+    # fig3 r3 steps 11: the master takes 37 of the 4356 states in 10
     # pricing rounds
     frontier = region_union(RegionSpec(channel=fig3, variant="r3", steps=11))
-    assert frontier.metadata["lp"] == {"rounds": 12, "columns": 37, "pivots": 32}
+    assert frontier.metadata["lp"] == {"rounds": 10, "columns": 37, "pivots": 32}
 
 
-@pytest.mark.parametrize("steps, states, solves", [(11, 1, (12, 10)), (3, 2, (7, 4))])
+@pytest.mark.parametrize("steps, states, solves", [(11, 1, (10, 10)), (3, 2, (5, 4))])
 def test_refactor_skips_an_unchanged_basis(monkeypatch, fig3, steps, states, solves):
     # with no pivot and no column since its last solve, refactor() keeps
-    # that solve's rows, which are what solving again would give: fewer
-    # solves, the same vertices bit for bit and the same lp counts
+    # that solve's rows, which are what solving again would give: no more
+    # solves (fewer where an objective ends on the basis that the one
+    # before it confirmed), the same vertices bit for bit and the same lp
+    # counts
     real_solve, refactor, calls = np.linalg.solve, _Tableau.refactor, []
 
     def counted(*args):
@@ -686,8 +701,9 @@ UNION_GRIDS = (
     + [("fig3", "full", 2, 3)]
     + [(name, variant, steps, states) for name in ("zero-budget", "big-budget")
        for variant, steps, states in (("r3", 5, 1), ("full", 2, 1), ("r3", 3, 2), ("ncp", 3, 3))]
-    + [("restart-face", "full", 3, 1), ("restart-append", "full", 3, 1),
-       ("confirm-cycle", "full", 3, 1), ("harris-stall", "full", 2, 2)]
+    + [("restart-optimize", "full", 3, 1), ("restart-face", "full", 3, 1),
+       ("restart-append", "full", 3, 1), ("confirm-cycle", "full", 3, 1),
+       ("harris-stall", "full", 2, 2), ("astray-face", "full", 3, 1)]
 )
 
 
@@ -706,7 +722,7 @@ def test_pooled_union_equals_per_allocation_union(channel_name, variant, steps, 
     assert dominates(union, per_allocation_union(spec), tol=1e-9)
 
 
-@pytest.mark.parametrize("channel_name, caller", [("restart-face", "_optimize"),
+@pytest.mark.parametrize("channel_name, caller", [("restart-optimize", "_optimize"),
                                                   ("restart-append", "append")])
 def test_restart_grids_restart(monkeypatch, channel_name, caller):
     # the restart grids of test_pooled_union_equals_per_allocation_union
