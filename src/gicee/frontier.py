@@ -1,5 +1,5 @@
 """Pareto frontiers of (r1, r2) rate points: the frontier type, the Pareto
-prune with its numpy record filter, and the convex-hull merge.
+prune with its numpy record filter, and the upper-hull merge.
 
 Every command writes a :class:`Frontier`, so this module is all that the
 closed-form schemes need; the simplex and the projections that produce
@@ -67,13 +67,12 @@ def _pareto_prune(
     That loses nothing: the loop below visits points in decreasing order,
     and a point that is no record has r2 <= r2 of a point visited before
     it, which is <= ``best + eps``, so the loop skips it without moving
-    ``best``.
+    ``best``.  The records are distinct, with r1 strictly falling and r2
+    strictly rising, so the loop takes them in the order they come.
     """
-    points = _records(np.asarray(points, dtype=float).reshape(-1, 2)).tolist()
-    pts = sorted(set(map(tuple, points)))
     kept: list[tuple[float, float]] = []
     best = -math.inf
-    for r1, r2 in reversed(pts):
+    for r1, r2 in _records(np.asarray(points, dtype=float).reshape(-1, 2)).tolist():
         if r2 > best + eps:
             kept.append((r1, r2))
             best = r2
@@ -152,21 +151,21 @@ def _cross(o, a, b) -> float:
 
 
 def _hull_vertices(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Convex hull vertices (monotone chain); collinear points dropped."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
+    """Upper convex hull vertices (monotone chain), from the rightmost
+    point to the leftmost; collinear points dropped.
+
+    The lower chain is not needed.  :func:`pareto_merge` adds each point's
+    axis projections, so the leftmost point has r1 = 0 and an r2 no larger
+    than the rightmost point's.  Every lower-chain vertex lies on or below
+    the chord between the two, so the rightmost point dominates it and the
+    Pareto prune would drop it.
+    """
     upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
+    for p in sorted(set(points), reverse=True):
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    return lower[:-1] + upper[:-1]
+    return upper
 
 
 def pareto_merge(

@@ -39,56 +39,40 @@ def single_power_states(
     return [PowerState(*p1, *p2) for p1 in user1 for p2 in user2]
 
 
-def _slot_factors(
-    tag: str, own_budget: float, other_budget: float, share: float, steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One slot's grid as its two factors: the (codeword, own jamming)
-    combos, as one array per component, and the helper-jamming levels.
-
-    The slot's power tuples are every combo with every helper level, the
-    combos running over the codeword level, then own jamming, and the
-    helper level fastest.  Per-slot powers may exceed the nominal budgets
-    when the slot is short; the joint average constraint is enforced by
-    the caller.
-    """
-    if share <= 0:
-        zero = np.zeros(1)
-        return zero, zero, zero
-    own_cap, other_cap = own_budget / share, other_budget / share
-    sig = _uniform_grid(own_cap, steps)
-    # ``ctdma`` may jam in its own slot; every tag but ``tdma`` may help
-    # jam in the other user's slot.
-    self_jam = _jam_grid(own_cap, steps) if tag == "ctdma" else np.zeros(1)
-    other_jam = _jam_grid(other_cap, steps) if tag != "tdma" else np.zeros(1)
-    ib, ij = np.nonzero(sig[:, None] + self_jam[None, :] <= own_cap + BUDGET_TOL)
-    return sig[ib], self_jam[ij], other_jam
-
-
-def _split_factors(tag: str, channel: ChannelParams, alpha: float, steps: int):
-    """Both slots' factors for one time split: slot 1's combos are
-    (p1b, p1j1) with helper levels p2j1, slot 2's (p2b, p2j2) with p1j2."""
-    return (
-        _slot_factors(tag, channel.p1, channel.p2, alpha, steps),
-        _slot_factors(tag, channel.p2, channel.p1, 1.0 - alpha, steps),
-    )
-
-
 def _gamma_vec(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.log1p(x) / _LN2
 
 
-def _slot_rates(
-    channel: ChannelParams, alpha: float, slot: int,
-    codeword: np.ndarray, own_jam: np.ndarray, helper_jam: np.ndarray,
+def _slot(
+    tag: str, channel: ChannelParams, alpha: float, slot: int, steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One slot's rates as an (m, n) array, combo by helper level, with the
-    average power each of the m combos uses of its owner's budget and each
-    of the n helper levels uses of the helper's."""
-    share = alpha if slot == 1 else 1.0 - alpha
+    """One slot of a time split: its rates as an (m, n) array, combo by
+    helper level, with the average power each of the m combos uses of its
+    owner's budget and each of the n helper levels uses of the helper's.
+
+    Slot 1 is user 1's: combos (p1b, p1j1), helper levels p2j1; slot 2 is
+    user 2's: combos (p2b, p2j2), helper levels p1j2.  Combos run over the
+    codeword level, then own jamming; helper levels ascend.  Per-slot
+    powers may exceed the budgets when the slot is short; the caller
+    enforces the joint average constraint.
+    """
     if slot == 1:
+        share, own_budget, other_budget = alpha, channel.p1, channel.p2
         cross, own_eve, other_eve = channel.c21, channel.c1e, channel.c2e
     else:
+        share, own_budget, other_budget = 1.0 - alpha, channel.p2, channel.p1
         cross, own_eve, other_eve = channel.c12, channel.c2e, channel.c1e
+    if share <= 0:
+        codeword = own_jam = helper_jam = np.zeros(1)
+    else:
+        own_cap, other_cap = own_budget / share, other_budget / share
+        sig = _uniform_grid(own_cap, steps)
+        # ``ctdma`` may jam in its own slot; every tag but ``tdma`` may help
+        # jam in the other user's slot.
+        jam = _jam_grid(own_cap, steps) if tag == "ctdma" else np.zeros(1)
+        helper_jam = _jam_grid(other_cap, steps) if tag != "tdma" else np.zeros(1)
+        ib, ij = np.nonzero(sig[:, None] + jam[None, :] <= own_cap + BUDGET_TOL)
+        codeword, own_jam = sig[ib], jam[ij]
     pb, self_jam = codeword[:, None], own_jam[:, None]
     rate = share * np.maximum(
         0.0,
@@ -111,28 +95,25 @@ def _best_partners(
     user 1's; entry [i, j] of the result is for the slot-1 tuple that uses
     ``used1_a[i]`` and ``used2_a[j]``.  Two tuples pair up when
     ``used1_a + used1_b <= cap1`` and ``used2_a + used2_b <= cap2``.
-    Slot-2 rates are scattered into a table indexed by the ranks of their
-    two uses among the sorted distinct levels and prefix-maximized along
-    both axes, so cell (k1, k2) holds the best rate among tuples whose uses
-    are within the k1 and k2 smallest levels.  Rounded addition is
-    monotone, so the levels a slot-1 tuple can afford are a prefix of each
-    sorted list; the cell at the two prefix lengths is the maximum over
-    exactly the feasible partners.
+
+    ``used1_b`` must ascend, as the helper levels of :func:`_slot` do:
+    :func:`gicee.grid._jam_grid` returns them sorted, and a nonnegative
+    share keeps that order.  The rows of ``r2``, sorted by their use, are
+    prefix-maximized along both axes, so cell (k2, k1) holds the best rate
+    among the k2 rows of least use and the k1 least helper levels.
+    Rounded addition is monotone, so the rows and levels a slot-1 tuple can
+    afford are a prefix of each; rows of equal use are all affordable or
+    none, and the cell at the two counts is the maximum over exactly the
+    feasible partners.
     """
-    lv1, rank1 = np.unique(used1_b, return_inverse=True)
-    lv2, rank2 = np.unique(used2_b, return_inverse=True)
-    table = np.full((lv1.size + 1, lv2.size + 1), -np.inf)
-    np.maximum.at(table, (rank1[np.newaxis, :] + 1, rank2[:, np.newaxis] + 1), r2)
+    order = np.argsort(used2_b, kind="stable")
+    table = np.full((r2.shape[0] + 1, r2.shape[1] + 1), -np.inf)
+    table[1:, 1:] = r2[order]
     np.maximum.accumulate(table, axis=0, out=table)
     np.maximum.accumulate(table, axis=1, out=table)
-    return table[np.ix_(_prefix_lengths(used1_a, lv1, cap1),
-                        _prefix_lengths(used2_a, lv2, cap2))]
-
-
-def _prefix_lengths(used: np.ndarray, levels: np.ndarray, cap: float) -> np.ndarray:
-    """How many of the sorted ``levels`` fit ``used + level <= cap``, per entry."""
-    distinct, inverse = np.unique(used, return_inverse=True)
-    return (distinct[:, None] + levels[None, :] <= cap).sum(axis=1)[inverse]
+    rows = (used2_a[:, None] + used2_b[order] <= cap2).sum(axis=1)
+    levels = (used1_a[:, None] + used1_b <= cap1).sum(axis=1)
+    return table[rows[np.newaxis, :], levels[:, np.newaxis]]
 
 
 # Largest time-division grid, in slot-grid rows over all time splits as
@@ -140,9 +121,9 @@ def _prefix_lengths(used: np.ndarray, levels: np.ndarray, cap: float) -> np.ndar
 # Memory grows only with one split's rows, since each split is cut to its
 # records before the next.  Largest grids allowed, fig2, the whole
 # ``ctdma`` command on a 2-vCPU host: ``ctdma`` steps 34 (4.3 M rows
-# enumerated, 0.5 s, 35 MB peak RSS), ``ctdma_nscp`` steps 129 (6.3 M,
-# 0.65 s, 31 MB) and ``tdma`` steps 1802 (6.5 M, 2.5 s, 31 MB, most of it
-# the per-split work of 1802 splits); ``ctdma`` at steps 17 takes 0.3 s
+# enumerated, 0.35 s, 35 MB peak RSS), ``ctdma_nscp`` steps 129 (6.3 M,
+# 0.45 s, 31 MB) and ``tdma`` steps 1802 (6.5 M, 1.1 s, 31 MB, most of it
+# the per-split work of 1802 splits); ``ctdma`` at steps 17 takes 0.17 s
 # and 30 MB.
 MAX_SLOT_ROWS = 6_500_000
 
@@ -170,13 +151,13 @@ def ctdma_region(
     operating point.  For each time split, every slot-1 tuple is paired
     with its best jointly feasible slot-2 tuple (the other pairings lie
     below it and cannot change the hull), found by one lookup in a 2-D
-    prefix-max table over the slot-2 power levels; see
-    :func:`_best_partners` for why the lookup equals the maximum over all
-    feasible pairs.  Each slot grid is its combos by its helper-jamming
-    levels, so rates are one (combos, levels) broadcast and the level
-    tables are built from the factors.  Each split's points are cut to
-    their strict records, which keeps the records of all splits together
-    (see :func:`gicee.frontier._records`), before one prune and merge.
+    prefix-max table over the slot-2 rows sorted by their use and the
+    helper levels; see :func:`_best_partners` for why the lookup equals
+    the maximum over all feasible pairs.  Each slot grid is its combos by
+    its helper-jamming levels, so a slot's rates are one (combos, levels)
+    broadcast (:func:`_slot`).  Each split's points are cut to their
+    strict records, which keeps the records of all splits together (see
+    :func:`gicee.frontier._records`), before one prune and merge.
 
     The metadata's ``timing`` holds the seconds spent building the slot
     grids and their rates (``grid``), looking up partners (``pair``) and
@@ -206,9 +187,8 @@ def ctdma_region(
     for alpha in np.linspace(0.0, 1.0, alpha_steps):
         alpha = float(alpha)
         start = clock()
-        slot1, slot2 = _split_factors(variant, channel, alpha, steps)
-        r1, used1_a, used2_a = _slot_rates(channel, alpha, 1, *slot1)
-        r2, used2_b, used1_b = _slot_rates(channel, alpha, 2, *slot2)
+        r1, used1_a, used2_a = _slot(variant, channel, alpha, 1, steps)
+        r2, used2_b, used1_b = _slot(variant, channel, alpha, 2, steps)
         paired = clock()
         best = _best_partners(r2, used1_b, used2_b, used1_a, used2_a, cap1, cap2)
         feasible = best > -np.inf

@@ -304,7 +304,7 @@ class CtdmaParams:
 
 def ctdma_rates(channel, params):
     """Closed-form secrecy rate pair of one time-division operating point
-    (scalar oracle of ``schemes._slot_rates``).
+    (scalar oracle of ``schemes._slot``).
 
     Each slot is a wiretap channel whose receiver and eavesdropper noise
     floors include the slot's jamming; the rate difference is clamped at
@@ -347,8 +347,8 @@ def ctdma_allocation(params):
 # Row-wise time-division pairing: every slot tuple is one row of an (n, 3)
 # array and carries its own rates and uses, every split's points are
 # concatenated, and one prune and merge follow.  ``schemes.ctdma_region``
-# works on the slot grids' factors and cuts each split to its records; it
-# must give these frontiers bit for bit.
+# works on each slot's combos by its helper levels and cuts each split to
+# its records; it must give these frontiers bit for bit.
 
 def rowwise_slot_grid(tag, own_budget, other_budget, share, steps):
     """Power tuples of one slot as an (n, 3) array of rows (codeword, own

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gicee import (
@@ -19,7 +19,7 @@ from gicee import (
 from gicee.model import BUDGET_TOL
 from gicee.polytope import _pareto_prune
 from gicee.grid import _jam_grid, _uniform_grid, user_power_grid
-from gicee.schemes import CTDMA_TAGS, R3_TAGS, _best_partners, _slot_rates, _split_factors
+from gicee.schemes import CTDMA_TAGS, R3_TAGS, _best_partners, _slot
 from conftest import (
     CtdmaParams,
     ctdma_allocation,
@@ -101,18 +101,12 @@ def dense_best_partners(r2, used1_b, used2_b, used1_a, used2_a, cap1, cap2):
     return np.where(ok, r2[None, :], -np.inf).max(axis=1)
 
 
-def grid_rows(codeword, own_jam, helper_jam):
-    """The slot tuples a slot's factors span, helper jamming fastest."""
-    return [(pb, sj, hj) for pb, sj in zip(codeword.tolist(), own_jam.tolist())
-            for hj in helper_jam.tolist()]
-
-
 def dense_pairing_region(channel, variant, steps, alpha_steps=None):
     """Time-division region with each slot-1 tuple checked against every
     slot-2 tuple by a dense joint-budget mask over the literal slot grids.
 
-    On the way it checks the factored rates, uses and pairing against the
-    row-wise ones of every tuple."""
+    On the way it checks each slot's rates and uses, and the pairing,
+    against the row-wise ones of every tuple."""
     points = []
     alpha_steps = alpha_steps or steps
     caps = (channel.p1 + BUDGET_TOL, channel.p2 + BUDGET_TOL)
@@ -125,10 +119,9 @@ def dense_pairing_region(channel, variant, steps, alpha_steps=None):
         r1, used1_a, used2_a = rowwise_slot_arrays(channel, alpha, 1, slot1)
         r2, used2_b, used1_b = rowwise_slot_arrays(channel, alpha, 2, slot2)
         best = dense_best_partners(r2, used1_b, used2_b, used1_a, used2_a, *caps)
-        factors1, factors2 = _split_factors(variant, channel, alpha, steps)
-        f_r1, f_used1_a, f_used2_a = _slot_rates(channel, alpha, 1, *factors1)
-        f_r2, f_used2_b, f_used1_b = _slot_rates(channel, alpha, 2, *factors2)
-        # a grid's rows are its combos by its helper levels
+        f_r1, f_used1_a, f_used2_a = _slot(variant, channel, alpha, 1, steps)
+        f_r2, f_used2_b, f_used1_b = _slot(variant, channel, alpha, 2, steps)
+        # a slot grid's rows are its combos by its helper levels
         for rows, (rate, owner, helper) in (
             ((r1, used1_a, used2_a), (f_r1, f_used1_a, f_used2_a)),
             ((r2, used2_b, used1_b), (f_r2, f_used2_b, f_used1_b)),
@@ -249,6 +242,8 @@ channels = st.builds(ChannelParams, gains, gains, gains, gains, budgets, budgets
 
 @settings(max_examples=150, deadline=None)
 @given(channels, st.sampled_from(CTDMA_TAGS), st.integers(2, 7), st.integers(1, 5))
+# many time splits of few tuples each, as in a fine ``tdma`` sweep
+@example(ChannelParams(1.9, 1.9, 0.5, 0.5, 10.0, 10.0), "tdma", 5, 40)
 def test_region_matches_dense_pairing(channel, variant, steps, alpha_steps):
     # the prefix-max lookup must pick exactly the pairs the dense mask picks
     fast = ctdma_region(channel, variant, steps=steps, alpha_steps=alpha_steps)
@@ -258,27 +253,26 @@ def test_region_matches_dense_pairing(channel, variant, steps, alpha_steps):
     timing = fast.metadata.pop("timing")
     assert set(timing) == {"grid", "pair", "merge"}
     assert fast.metadata == dense.metadata
-    for alpha in np.linspace(0.0, 1.0, alpha_steps):
-        for factors, literal in zip(_split_factors(variant, channel, float(alpha), steps),
-                                    literal_slot_grids(variant, channel, float(alpha), steps)):
-            assert grid_rows(*factors) == literal
 
 
 def test_best_partners_on_the_budget_boundary():
     # uses that meet a cap exactly pair up; any excess does not.  Slot-2
     # rates grow with both uses: row i uses used2_b[i], column j used1_b[j].
-    used2_b = np.array([0.5, 0.25, 0.75, 0.0])
+    # Rows 2 and 5 use the same and differ in rate; the table counts rows,
+    # so the later, better one must be reached at the cap (last column).
+    used2_b = np.array([0.5, 0.25, 0.625, 0.75, 0.0, 0.625])
     used1_b = np.array([0.25, 0.5, 0.75])
-    r2 = 40.0 * used2_b[:, None] + 4.0 * used1_b[None, :]
+    bonus = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2.0])
+    r2 = 40.0 * used2_b[:, None] + 4.0 * used1_b[None, :] + bonus[:, None]
     used1_a = np.array([0.5, 0.25, 0.75, 0.25 + 1e-9, 1.5])
-    used2_a = np.array([0.5, 0.25, 0.0, 1.0 + 1e-9])
+    used2_a = np.array([0.5, 0.25, 0.0, 1.0 + 1e-9, 0.375])
     best = _best_partners(r2, used1_b, used2_b, used1_a, used2_a, 1.0, 1.0)
     assert best.tolist() == [
-        [22.0, 32.0, 32.0, -np.inf],
-        [23.0, 33.0, 33.0, -np.inf],
-        [21.0, 31.0, 31.0, -np.inf],
-        [22.0, 32.0, 32.0, -np.inf],
-        [-np.inf, -np.inf, -np.inf, -np.inf],
+        [22.0, 32.0, 32.0, -np.inf, 29.0],
+        [23.0, 33.0, 33.0, -np.inf, 30.0],
+        [21.0, 31.0, 31.0, -np.inf, 28.0],
+        [22.0, 32.0, 32.0, -np.inf, 29.0],
+        [-np.inf, -np.inf, -np.inf, -np.inf, -np.inf],
     ]
     # the same pairs, tuple by tuple, as the dense mask over every pair
     dense = dense_best_partners(
