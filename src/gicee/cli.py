@@ -5,9 +5,11 @@ describing the run, so any plotting tool can reproduce the region charts.
 Exit codes: 0 ok, 1 configuration error, 2 validation failure, 3 solver
 failure.
 
-Each command imports the modules it needs when it runs, so ``ctdma`` never
-loads the simplex or the region sweep, and only ``validate`` loads the
-oracle suites.
+``import gicee.cli`` loads only the standard library and :mod:`gicee`.
+Each command checks its flags first and imports the modules it needs only
+then, so a usage or configuration error exits before numpy loads,
+``ctdma`` never loads the simplex or the region sweep, and only
+``validate`` loads the oracle suites.
 
 ``run()`` is the process entry point (``python -m gicee.cli`` and the
 ``gicee`` script): it ends the process with ``main()``'s code, skipping the
@@ -22,17 +24,17 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 # set before numpy loads: OpenBLAS would start a worker thread per extra CPU
 # that busy-waits, and no product here reaches its threaded kernels
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__  # noqa: E402
-from .frontier import Frontier, SolverFailure  # noqa: E402
-from .model import (  # noqa: E402
-    ChannelParams, TimeSharedAllocation, _number, preset, validate_allocation,
-)
+from . import SolverFailure, __version__  # noqa: E402
+
+if TYPE_CHECKING:
+    from .frontier import Frontier
+    from .model import ChannelParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -82,6 +84,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _resolve_channel(cfg: dict) -> ChannelParams:
+    from .model import ChannelParams, _number, preset
+
     preset_name = cfg.get("preset")
     inline = [name for name in _CHANNEL_FLAGS if cfg.get(name) is not None]
     if preset_name and inline:
@@ -199,14 +203,14 @@ def _baseline(channel: ChannelParams, frontier: Frontier) -> dict:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
-    from .region import RegionSpec, region_union
-
     cfg = _merge_config(args)
     channel = _resolve_channel(cfg)
     variant = cfg.get("variant", "r3")
     steps = _require(cfg, "steps", 2, default=11)
     states = _require(cfg, "states", 1, default=1)
     out = _output_path(cfg.get("out"), sidecar=True, default="region.csv")
+    from .region import RegionSpec, region_union
+
     try:
         spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
     except ValueError as exc:
@@ -227,13 +231,13 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def cmd_ctdma(args: argparse.Namespace) -> int:
-    from .schemes import ctdma_region
-
     cfg = _merge_config(args)
     channel = _resolve_channel(cfg)
     variant = cfg.get("variant", "ctdma")
     steps = _require(cfg, "steps", 2, default=11)
     out = _output_path(cfg.get("out"), sidecar=True, default="ctdma.csv")
+    from .schemes import ctdma_region
+
     try:
         frontier = ctdma_region(channel, variant=variant, steps=steps)
     except ValueError as exc:
@@ -250,7 +254,7 @@ def cmd_ctdma(args: argparse.Namespace) -> int:
 
 
 def cmd_point(args: argparse.Namespace) -> int:
-    from .region import region_for_allocation
+    from .model import TimeSharedAllocation, validate_allocation
 
     cfg = _merge_config(args)
     channel = _resolve_channel(cfg)
@@ -268,6 +272,8 @@ def cmd_point(args: argparse.Namespace) -> int:
     out = cfg.get("out")
     if out is not None:
         out = _output_path(out, sidecar=False)
+    from .region import region_for_allocation
+
     try:
         frontier = region_for_allocation(channel, alloc)
     except ValueError as exc:
@@ -287,8 +293,6 @@ def cmd_point(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .validation import mi_oracle_suite, projection_suite, submodularity_suite
-
     cfg = _merge_config(args)
     seed = _require(cfg, "seed", 0)
     samples = _require(cfg, "samples", 1, default=1000)
@@ -298,6 +302,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) \
             or not 0 <= tol <= sys.float_info.max:
         raise ConfigError(f"tol must be a finite nonnegative number, got {tol!r}")
+    from .validation import mi_oracle_suite, projection_suite, submodularity_suite
 
     ok = True
     dev = mi_oracle_suite(seed, samples)

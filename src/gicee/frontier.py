@@ -14,16 +14,16 @@ from typing import Collection, Iterable
 
 import numpy as np
 
+# Not used here: served from this module too, as the same class, for
+# callers that name it under ``gicee.frontier``.
+from . import SolverFailure  # noqa: F401
+
 # Feasibility / pivot tolerance for the simplex; frontier coordinates
 # within it of zero are zero.
 FEASIBILITY_TOL = 1e-9
 # Points closer than this in either coordinate are treated as ties when
 # pruning Pareto sets.
 PARETO_EPS = 1e-12
-
-
-class SolverFailure(RuntimeError):
-    """The pivot sequence stalled or behaved inconsistently."""
 
 
 def _records(points: np.ndarray) -> np.ndarray:
@@ -152,7 +152,9 @@ def _cross(o, a, b) -> float:
 
 def _hull_vertices(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Upper convex hull vertices (monotone chain), from the rightmost
-    point to the leftmost; collinear points dropped.
+    point to the leftmost.  A point within ``PARETO_EPS`` of its
+    neighbours' chord, relative to the chord's length, is no vertex, so
+    the hull holds the same vertices whichever points on an edge it gets.
 
     The lower chain is not needed.  :func:`pareto_merge` adds each point's
     axis projections, so the leftmost point has r1 = 0 and an r2 no larger
@@ -162,7 +164,8 @@ def _hull_vertices(points: list[tuple[float, float]]) -> list[tuple[float, float
     """
     upper: list[tuple[float, float]] = []
     for p in sorted(set(points), reverse=True):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+        while len(upper) >= 2 and (_cross(upper[-2], upper[-1], p)
+                                   <= PARETO_EPS * math.dist(upper[-2], p) ** 2):
             upper.pop()
         upper.append(p)
     return upper

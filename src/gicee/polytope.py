@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .frontier import FEASIBILITY_TOL, Frontier, SolverFailure, _pareto_prune
+from . import SolverFailure
+from .frontier import FEASIBILITY_TOL, Frontier, _pareto_prune
 
 # Not used here: served from this module too, as the same function object,
 # for callers that name it under ``gicee.polytope``.

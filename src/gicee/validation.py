@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .frontier import Frontier, SolverFailure
+from . import SolverFailure
+from .frontier import Frontier
 from .gaussmi import DECODABLE, RECEIVERS, SignalIndex
 from .model import ChannelParams, PowerState, TimeSharedAllocation
 from .polytope import Projector, RateSystem, lp_solve

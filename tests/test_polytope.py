@@ -23,7 +23,7 @@ from gicee import (
     region_union,
 )
 import gicee.polytope as polytope
-from gicee.frontier import PARETO_EPS, _pareto_prune, _records
+from gicee.frontier import PARETO_EPS, _cross, _pareto_prune, _records
 from gicee.polytope import FEASIBILITY_TOL, Projector, _Tableau
 from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
 from conftest import check_point, dominates, move_into_hull, support
@@ -256,6 +256,19 @@ def test_pareto_merge_matches_brute_hull():
             assert support(merged, theta) == pytest.approx(
                 brute_hull_support(cloud, theta), abs=1e-9
             )
+    # points one ulp above a chord, about 1e-17 from it, are no vertices:
+    # the hull drops them and its support stays that of the two ends
+    ends = [(0.02, 0.09), (0.09, 0.02)]
+    middle = [(x, float(np.nextafter(0.11 - x, 1.0))) for x in (0.03, 0.055, 0.08)]
+    assert all(_cross(ends[1], m, ends[0]) > 0 for m in middle)
+    merged = pareto_merge([Frontier(points=_pareto_prune([p])) for p in ends + middle])
+    assert merged.points == tuple(ends)
+    cloud = ends + middle + [(0.0, y) for _, y in ends] + [(x, 0.0) for x, _ in ends]
+    for k in range(40):
+        theta = 0.5 * math.pi * k / 39
+        assert support(merged, theta) == pytest.approx(
+            brute_hull_support(cloud, theta), abs=1e-15
+        )
 
 
 def test_pareto_merge_empty():

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -60,22 +61,23 @@ import gicee
 print(loaded())
 import gicee.cli
 print(loaded())
+print("numpy" in sys.modules)
 gicee.cli.main([sys.argv[1], "--preset", "fig2", "--steps", "3", "--out", sys.argv[2]])
 print(loaded())
 """
 
 
-# the gicee modules each command loads, besides those of ``import gicee.cli``
+# the gicee modules each command loads, besides ``gicee.cli`` itself
 COMMAND_MODULES = {
-    "ctdma": {"grid", "gaussmi", "schemes"},
-    "region": {"grid", "gaussmi", "region", "polytope"},
+    "ctdma": {"frontier", "model", "grid", "gaussmi", "schemes"},
+    "region": {"frontier", "model", "grid", "gaussmi", "region", "polytope"},
 }
 
 
 def test_each_command_imports_only_its_own_modules(tmp_path):
-    # ``import gicee`` loads no submodule, ``import gicee.cli`` none of the
-    # sweeps, ``ctdma`` runs no LP and no oracle, and ``region`` neither
-    # the time-division scheme nor an oracle
+    # ``import gicee`` loads no submodule, ``import gicee.cli`` no other
+    # submodule and not numpy, ``ctdma`` runs no LP and no oracle, and
+    # ``region`` neither the time-division scheme nor an oracle
     from test_cli import CHILD_ENV
 
     for command, modules in COMMAND_MODULES.items():
@@ -84,11 +86,63 @@ def test_each_command_imports_only_its_own_modules(tmp_path):
             [sys.executable, "-c", IMPORT_PROBE, command, str(out)],
             capture_output=True, text=True, env=CHILD_ENV, check=True,
         )
-        bare, cli, ran = (ast.literal_eval(line) for line in result.stdout.splitlines())
+        bare, cli, numpy, ran = (ast.literal_eval(line)
+                                 for line in result.stdout.splitlines())
         assert bare == []
-        assert set(cli) == {"gicee.cli", "gicee.frontier", "gicee.model"}
+        assert cli == ["gicee.cli"]
+        assert numpy is False
         assert set(ran) == {f"gicee.{name}" for name in modules} | set(cli)
         assert out.read_text().startswith("r1_bits,r2_bits")
+
+
+EARLY_EXIT_PROBE = """
+import contextlib, io, json, sys
+import gicee.cli
+outcomes = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = gicee.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    outcomes.append([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules])
+print(json.dumps(outcomes))
+"""
+
+
+def test_flag_and_config_errors_exit_before_numpy_loads(tmp_path):
+    # each command checks its own flags before it imports numpy or its
+    # engine, so these end, with their usual code and message, in a
+    # process that never loaded numpy
+    from test_cli import CHILD_ENV
+
+    config = tmp_path / "run.json"
+    config.write_text('{"preset": "fig2", "grid": 3}')
+    missing = tmp_path / "missing" / "r.csv"
+    cases = [
+        (["--version"], 0, gicee.__version__ + "\n", ""),
+        (["region"], 1, "",
+         "error: no channel given: use --preset or all six inline values\n"),
+        (["region", "--preset", "fig2", "--steps", "1"], 1, "",
+         "error: steps must be at least 2, got 1\n"),
+        (["ctdma", "--c12", "1", "--c21", "1", "--c1e", "1", "--c2e", "1", "--p1", "1"],
+         1, "", "error: inline channel is missing ['p2']\n"),
+        (["region", "--config", str(config)], 1, "",
+         f"error: config file {config} has unknown keys ['grid']; region takes "
+         "['c12', 'c1e', 'c21', 'c2e', 'out', 'p1', 'p2', 'preset', 'states', "
+         "'steps', 'variant']\n"),
+        (["region", "--preset", "fig2", "--out", str(missing)], 1, "",
+         f"error: output directory {str(missing.parent)!r} does not exist\n"),
+        (["point", "--preset", "fig2"], 1, "", "error: --alloc FILE is required\n"),
+        (["validate", "--samples", "0"], 1, "", "error: samples must be at least 1, got 0\n"),
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", EARLY_EXIT_PROBE, json.dumps([argv for argv, *_ in cases])],
+        capture_output=True, text=True, env=CHILD_ENV, check=True,
+    )
+    assert json.loads(result.stdout) == [[code, out, err, False]
+                                         for _, code, out, err in cases]
 
 
 def readme_allocation():
