@@ -98,6 +98,28 @@ def _indicator_rows() -> np.ndarray:
 _ROWS = _indicator_rows()
 A_UB, EQ_ROW = _ROWS[:-1], _ROWS[-1]
 
+# The components each variant's grid gives power to, whatever the budgets.
+# A bound whose subset holds another one equals, state by state, the bound
+# of the same receiver on the subset without it, and the singleton rows of
+# the others cap their rates at 0; so the master keeps only the rows over
+# live components (:func:`_live_system`).
+LIVE = {variant: frozenset(SignalIndex) if variant == "full"
+        else frozenset((SignalIndex.C1, SignalIndex.C2)) for variant in VARIANTS}
+
+
+@lru_cache(maxsize=None)
+def _live_system(live: frozenset) -> tuple[np.ndarray, np.ndarray]:
+    """The bound columns whose subsets hold only ``live`` components, the
+    equality last, and the rate columns of their inequality rows.  The
+    eavesdropper row over the whole live set repeats the equality and is
+    left out."""
+    kept = [k for k, (receiver, subset) in enumerate(_BOUNDS[:-1])
+            if live.issuperset(subset) and not (receiver == "ye" and live == set(subset))]
+    columns, rates = np.array(kept + [N_BOUNDS - 1]), np.flatnonzero(_ROWS[kept].any(axis=0))
+    for array in (columns, rates):
+        array.setflags(write=False)
+    return columns, rates
+
 
 # Position of each codeword component among a state's 8 powers (pc1, ps1,
 # po1, pj1, pc2, ps2, po2, pj2); positions 3 and 7 are the users' jamming
@@ -233,11 +255,12 @@ class RegionSpec:
 
 # Largest grid a sweep may hold, in states, so that a run stays within
 # about half a gigabyte.  A sweep keeps 64 bytes per state and 8 more per
-# bound column that pricing reads.  Peak RSS on a 2-vCPU host, against
-# 32 MB for a tiny grid: fig3 r3 at steps 31, 246 016 states, 84 MB in
-# 0.6 s; at steps 44, 980 100 states, 241 MB in 1.7 s; with two states at
-# steps 37, 988 418 states before duplicates, 346 MB in 4.2 s; full at
-# steps 66 with budgets (10, 0), 864 501 states, 225 MB in 1.7 s.
+# bound column that pricing reads, of at most 9 for r3, borcp and ncp and
+# 93 for full.  Peak RSS on a 2-vCPU host, against 32 MB for a tiny grid:
+# fig3 r3 at steps 31, 246 016 states, 72 MB in 0.28 s; at steps 44,
+# 980 100 states, 190 MB in 0.83 s; with two states at steps 37, 988 418
+# states before duplicates, 194 MB in 1.6 s; full at steps 66 with budgets
+# (10, 0), 864 501 states, 224 MB in 1.2 s.
 MAX_ALLOCATIONS = 1_000_000
 
 
@@ -287,8 +310,9 @@ def region_union(spec: RegionSpec) -> Frontier:
     Every achievable point averages the bounds and each user's power over
     the states with some weights: the master LP of
     :meth:`Projector.time_share`, with one column per grid state and the
-    two power budgets as resource rows, started from the zero-power state.
-    Any per-state region, and any mixture of states within budget, is one
+    two power budgets as resource rows, started from the zero-power state,
+    on the rows and rates of the variant's live components.  Any per-state
+    region, and any mixture of states within budget, is one
     choice of weights, so the frontier contains them all.  Pricing breaks
     ties by the states' powers, so the result, bit for bit, does not
     depend on the order of the grid.
@@ -305,10 +329,13 @@ def region_union(spec: RegionSpec) -> Frontier:
     grid = _family_allocations(spec)
     timing["enumerate"] = clock() - start
 
+    live, rates = _live_system(LIVE[spec.variant])
+
     def bounds(at, columns):
         begin = clock()
         states = grid[at]
-        rows = np.empty((len(states), N_BOUNDS if columns is None else len(columns)))
+        columns = live if columns is None else live[columns]
+        rows = np.empty((len(states), len(columns)))
         for first in range(0, len(states), _READ_STATES):
             block = slice(first, first + _READ_STATES)
             rows[block] = bound_rows(spec.channel, states[block], columns)
@@ -317,7 +344,8 @@ def region_union(spec: RegionSpec) -> Frontier:
 
     usage = np.stack([((p[:, 0] + p[:, 1]) + p[:, 2]) + p[:, 3]
                       for p in (grid[:, :4], grid[:, 4:])], axis=1)
-    projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
+    matrix = _ROWS[np.ix_(live, rates)]
+    projector = Projector(matrix[:-1], matrix[-1:], R1_OBJECTIVE[rates], R2_OBJECTIVE[rates])
     start = clock()
     vertices, recipes = projector.time_share(
         len(grid), bounds, usage, (spec.channel.p1, spec.channel.p2),
@@ -332,19 +360,23 @@ def region_union(spec: RegionSpec) -> Frontier:
         "lp": projector.counts,
         "timing": timing,
     })
-    union.metadata["vertices"] = [_recipe(point, recipes, grid) for point in union.points]
+    union.metadata["vertices"] = [_recipe(point, recipes, grid, rates) for point in union.points]
     union.metadata["timing"]["merge"] = clock() - start
     return union
 
 
-def _recipe(point: tuple[float, float], recipes: dict, powers: np.ndarray) -> dict:
+def _recipe(point: tuple[float, float], recipes: dict, powers: np.ndarray,
+            rates: np.ndarray) -> dict:
     """The sidecar entry of a frontier point: the recipe of the optimum
-    whose image is nearest to it (the frontier snaps coordinates near 0)."""
+    whose image is nearest to it (the frontier snaps coordinates near 0),
+    its ``x`` over the master's ``rates`` put back in ``VARIABLE_ORDER``."""
     image = min(recipes, key=lambda p: max(abs(p[0] - point[0]), abs(p[1] - point[1])))
     at, weights, x = recipes[image]
+    values = np.zeros(N_VARS)
+    values[rates] = x
     return {
         "point": list(point),
         "states": powers[at].tolist(),
         "weights": weights.tolist(),
-        "rates": dict(zip(VARIABLE_ORDER, x.tolist())),
+        "rates": dict(zip(VARIABLE_ORDER, values.tolist())),
     }

@@ -198,8 +198,8 @@ def projection_suite(seed: int, systems: int) -> float:
     draws still assert that the oracle agrees the region is empty.  The
     eavesdropper gains are kept moderate so feasible systems are common.
     All systems go through one :class:`Projector`, built as
-    :func:`region_union` builds it, each as its master LP with that one
-    column, so the oracle judges the engine the sweeps run.
+    :func:`region_union` builds it for `full`, each as its master LP with
+    that one column, so the oracle judges the engine the sweeps run.
     """
     rng = np.random.default_rng(seed)
     projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)

@@ -220,10 +220,12 @@ def test_region_sidecar_reports_lp_work(tmp_path):
     lp = sidecar["lp"]
     assert set(lp) == {"rounds", "columns", "pivots"}
     # the master starts from one state and takes some more, each round
-    # adding at most 8, and every column that enters takes a pivot or more
-    # to use
+    # adding at most 8; a column that enters need not become basic, but
+    # every state a recipe weighs, bar the one the master starts from, took
+    # a pivot to enter the basis
     assert 1 < lp["columns"] <= min(1 + 8 * lp["rounds"], sidecar["allocations"])
-    assert lp["pivots"] >= lp["columns"] - 1
+    used = {tuple(state) for vertex in sidecar["vertices"] for state in vertex["states"]}
+    assert lp["pivots"] >= len(used) - 1
     for gone in ("examined_allocations", "screened_allocations", "infeasible_allocations"):
         assert gone not in sidecar
 
@@ -577,12 +579,30 @@ def test_console_script_is_run():
 
 
 def test_in_process_main_freezes_nothing(tmp_path):
+    # nor does it switch the cyclic collector off, as run() does
     import gc
 
     before = gc.get_freeze_count()
     assert main(["ctdma", "--preset", "fig2", "--steps", "3",
                  "--out", str(tmp_path / "c.csv")]) == 0
     assert gc.get_freeze_count() == before
+    assert gc.isenabled()
+
+
+# runs the process entry point on a main() that reports the collector
+GC_CHILD = """
+import gc
+import gicee.cli
+gicee.cli.main = lambda: print("collector on:", gc.isenabled(), flush=True) or 0
+gicee.cli.run()
+"""
+
+
+def test_run_calls_main_with_the_collector_off():
+    result = subprocess.run([sys.executable, "-c", GC_CHILD],
+                            capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == 0
+    assert result.stdout == "collector on: False\n"
 
 
 # registers an exit hook, then runs the process entry point on its arguments

@@ -50,6 +50,7 @@ from gicee.region import (
     bound_rows,
     grid_size,
 )
+from gicee.gaussmi import SignalIndex
 from gicee.grid import _uniform_grid, user_power_grid
 from conftest import (
     check_point,
@@ -595,9 +596,9 @@ def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
 
 def test_union_lp_counts(fig3):
     # fig3 r3 steps 11: the master takes 37 of the 4356 states in 10
-    # pricing rounds
+    # pricing rounds, over the 8 live rows and 4 live rates
     frontier = region_union(RegionSpec(channel=fig3, variant="r3", steps=11))
-    assert frontier.metadata["lp"] == {"rounds": 10, "columns": 37, "pivots": 32}
+    assert frontier.metadata["lp"] == {"rounds": 10, "columns": 37, "pivots": 28}
 
 
 @pytest.mark.parametrize("steps, states, solves", [(11, 1, (10, 10)), (3, 2, (5, 4))])
@@ -916,6 +917,58 @@ def test_bound_rows_equal_the_eight_column_sum(fig2, fig3, variant, states):
     signed[:, 1] = -0.0
     assert np.array_equal(bound_rows(fig3, signed).view(np.uint64),
                           eight_column_bound_rows(fig3, signed).view(np.uint64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.builds(ChannelParams, gains, gains, gains, gains, budgets, budgets),
+       st.sampled_from(VARIANTS), st.integers(2, 4), st.integers(1, 2))
+@example(ZERO_GAINS, "r3", 4, 2)
+@example(ZERO_BUDGET, "borcp", 4, 1)
+@example(ZERO_BUDGET, "full", 2, 2)
+def test_live_rows_hold_every_bound(channel, variant, steps, states):
+    # the master's bound columns are the matching columns of all 93, bit
+    # for bit; every row it leaves out has the bound of its live part (the
+    # same receiver's row over the subset's live components, the equality
+    # for the eavesdropper's whole live set, 0 where none is live), and
+    # each rate it leaves out is in a row of bound 0
+    spec = RegionSpec(channel=channel, variant=variant, steps=grid_steps(variant, steps, states),
+                      states=states)
+    powers = _family_allocations(spec)
+    every = bound_rows(channel, powers)
+    live = region.LIVE[variant]
+    columns, rates = region._live_system(live)
+    assert np.array_equal(bound_rows(channel, powers, columns).view(np.uint64),
+                          every[:, columns].view(np.uint64))
+    index = {bound: k for k, bound in enumerate(_BOUNDS)}
+    silent = []
+    for k, (receiver, subset) in enumerate(_BOUNDS):
+        if k in columns:
+            continue
+        part = tuple(i for i in subset if i in live)
+        if not part:
+            expected = np.zeros(len(powers))
+            silent.append(k)
+        elif receiver == "ye" and set(part) == live:
+            expected = every[:, -1]
+        else:
+            expected = every[:, index[(receiver, part)]]
+        assert np.array_equal(every[:, k].view(np.uint64), expected.view(np.uint64))
+    assert set(np.flatnonzero(A_UB[silent].any(axis=0))) >= set(range(N_VARS)) - set(rates)
+
+
+@pytest.mark.parametrize("channel_name, variant, steps, states",
+                         [grid for grid in UNION_GRIDS if grid[1] != "full"])
+def test_live_master_equals_the_full_master(monkeypatch, channel_name, variant, steps, states):
+    # the master over the live rows has the vertices of the master over
+    # all 92 rows and 10 rates, which it is when every component is live
+    spec = RegionSpec(channel=UNION_CHANNELS[channel_name], variant=variant, steps=steps,
+                      states=states)
+    live = region_union(spec)
+    monkeypatch.setitem(region.LIVE, variant, frozenset(SignalIndex))
+    every = region_union(spec)
+    assert len(region._live_system(region.LIVE[variant])[0]) == len(_BOUNDS)
+    assert len(live.points) == len(every.points)
+    assert np.abs(np.subtract(live.points, every.points)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("channel", [
