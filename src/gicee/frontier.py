@@ -14,10 +14,6 @@ from typing import Collection, Iterable
 
 import numpy as np
 
-# Not used here: served from this module too, as the same class, for
-# callers that name it under ``gicee.frontier``.
-from . import SolverFailure  # noqa: F401
-
 # Feasibility / pivot tolerance for the simplex; frontier coordinates
 # within it of zero are zero.
 FEASIBILITY_TOL = 1e-9

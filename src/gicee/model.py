@@ -174,6 +174,12 @@ class TimeSharedAllocation:
             raise ValueError("allocation JSON needs a nonempty 'states' list")
         if not all(isinstance(entry, dict) for entry in raw):
             raise ValueError("every allocation state must be a JSON object")
+        # a mistyped key would otherwise read as a power or weight of 0
+        unknown = sorted(set(data) - {"states"}) + sorted(
+            {key for entry in raw for key in entry} - {"weight", *_STATE_FIELDS})
+        if unknown:
+            raise ValueError(f"allocation JSON has unknown keys {unknown}; it takes 'states', "
+                             f"each a JSON object of {['weight', *_STATE_FIELDS]}")
         states = tuple(
             (_number(entry.get("weight", 0.0), "weight"), PowerState.from_dict(entry))
             for entry in raw

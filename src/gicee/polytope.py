@@ -5,7 +5,7 @@ constraints, so the solver is a plain dense two-phase simplex: Dantzig's
 entering column, Harris's ratio test for the leaving row, deterministic,
 no sparsity, no scaling tricks.
 Frontiers come from one master LP over right-hand sides shared out by
-time sharing (:class:`Projector`), grown column by column.
+time sharing (:func:`time_share`), grown column by column.
 """
 
 from __future__ import annotations
@@ -378,7 +378,7 @@ def _dichotomic(best, tol: float) -> list:
 
 
 class _Master:
-    """The master LP of one :meth:`Projector.time_share` call.
+    """The master LP of one :func:`time_share` call.
 
     The first column's weight is eliminated, ``w_f = 1 - sum_{s != f}
     w_s``, so the tableau starts as the system of right-hand side f
@@ -387,21 +387,23 @@ class _Master:
     on the inequality rows, ``u_s - u_f`` on the resource rows, 1 on the
     ``w_f`` row and ``e_f - e_s`` on the equality rows, once it prices
     out (:meth:`_price`).  ``recipes`` maps the image of each optimum to
-    the right-hand sides it uses, their weights and its ``x``.
+    the right-hand sides it uses, their weights and its ``x``; ``rounds``
+    counts the pricing rounds.
     """
 
-    def __init__(self, projector: "Projector", count: int, bounds,
-                 usage: np.ndarray, caps: np.ndarray, first: int, keys: np.ndarray) -> None:
+    def __init__(self, a_ub: np.ndarray, a_eq: np.ndarray, r1_row: np.ndarray,
+                 r2_row: np.ndarray, count: int, bounds, usage: np.ndarray,
+                 caps: np.ndarray, first: int, keys: np.ndarray) -> None:
         # Each resource row is divided by its cap, so that its slack is on
         # the scale of the weights: the simplex's absolute tolerance on a
         # reduced cost then bounds the objective it can leave, where a cap
         # of 1e4 let a stop at -1e-9 leave 1e-5 of it.
         scale = np.where(caps > 0.0, caps, 1.0)
         usage, caps = usage / scale, caps / scale
-        self.projector, self._bounds, self.keys = projector, bounds, keys
+        self.r1_row, self.r2_row, self._bounds, self.keys = r1_row, r2_row, bounds, keys
         self.count, self.usage, self.caps, self.first = count, usage, caps, first
-        a_ub, a_eq = projector._a_ub, projector._a_eq
         self.n_ub, self.n = a_ub.shape
+        self.rounds = 0
         self.columns: dict[int, np.ndarray] = {}
         self.present = np.zeros(count, dtype=bool)
         self.present[first] = True
@@ -473,7 +475,7 @@ class _Master:
             if self.present.all() or confirming and not gained:
                 return
             cost = self._price(tableau.duals())
-            self.projector.rounds += 1
+            self.rounds += 1
             candidates = np.flatnonzero(~self.present & (cost < -tol))
             confirming = not candidates.size
             if confirming:
@@ -495,7 +497,7 @@ class _Master:
     def best(self, weights) -> tuple[float, float]:
         """The image of an optimum of ``weights . (r1, r2)`` over the
         master, a :func:`_dichotomic` objective, whose recipe it records."""
-        rows = (self.projector.r1_row, self.projector.r2_row)
+        rows = (self.r1_row, self.r2_row)
         self._optimize(weights[0] * rows[0] + weights[1] * rows[1])
         values = self.tableau.solution(FEASIBILITY_TOL, columns=True)
         x = values[:self.n]
@@ -506,12 +508,12 @@ class _Master:
         return point
 
 
-class Projector:
-    """Frontier projections of systems that share one matrix.
-
-    The projector holds the constraint matrix (``a_ub``, ``a_eq``) and the
-    objective rows; right-hand sides ``(b, e)`` are the columns of one
-    master LP, which shares them out by time sharing:
+def time_share(a_ub: np.ndarray, a_eq: np.ndarray, r1_row: np.ndarray, r2_row: np.ndarray,
+               count: int, bounds, usage: np.ndarray, caps: np.ndarray, first: int,
+               keys: np.ndarray) -> tuple[list, dict, dict]:
+    """Frontier vertices of the master LP that time-shares ``count``
+    right-hand sides ``(b, e)`` of the matrix ``(a_ub, a_eq)``, under the
+    objective rows ``(r1_row, r2_row)``:
 
         maximize  c . x   over  x >= 0, w >= 0
         a_ub x - sum_s w_s b_s <= 0
@@ -519,89 +521,47 @@ class Projector:
         a_eq x - sum_s w_s e_s  = 0
         sum_s w_s               = 1
 
-    ``u_s`` is right-hand side s's use of each resource.  With one
-    right-hand side, ``w = 1`` and the master is that system itself
-    (:meth:`project`).  Over many, :meth:`time_share` grows the master
-    column by column (Dantzig-Wolfe column generation) from one: each
-    optimum's duals price every column, and those with negative reduced
-    cost enter the live tableau, so phase 2 goes on from the last basis.
-    ``counts`` sums the pricing rounds, the columns in the masters and the
-    simplex pivots of every call.
+    ``u_s``, row s of ``usage`` (count, len(caps)), is right-hand side s's
+    use of each resource.  Phase 1 runs once, on column ``first`` alone: if
+    that system is infeasible, or overspends a resource, there are no
+    vertices.  The vertices come from the bicriteria dichotomic search
+    (Aneja & Nair 1979, :func:`_dichotomic`), unsorted and unpruned, each
+    objective solved to optimality over all columns by column generation
+    (Dantzig-Wolfe): each optimum's duals price every column, and those of
+    negative reduced cost enter the live tableau, so phase 2 goes on from
+    the last basis.  Returns the vertices, the recipe of each (see
+    :class:`_Master`) and the master's pricing ``rounds``, ``columns`` and
+    simplex ``pivots``.
+
+    ``bounds(at, columns)`` gives the right-hand sides ``at`` (an index
+    array, or a slice for all), only the given columns of them, or whole
+    rows for ``columns`` None.  A non-finite value read, or in the matrix
+    or the resources, is a ValueError.  Pricing breaks ties by the
+    lexicographic order of ``keys`` (count, d): keys that depend on each
+    right-hand side alone make every step independent of their order.  A
+    SolverFailure ends the search.
     """
-
-    def __init__(self, a_ub: np.ndarray, a_eq: np.ndarray,
-                 r1_row: Sequence[float], r2_row: Sequence[float]) -> None:
-        self._a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-        self._a_eq = np.asarray(a_eq, dtype=float).reshape(-1, self._a_ub.shape[1])
-        self.r1_row = np.asarray(r1_row, dtype=float)
-        self.r2_row = np.asarray(r2_row, dtype=float)
-        self.rounds = self.columns = self.pivots = 0
-
-    @property
-    def counts(self) -> dict:
-        return {"rounds": self.rounds, "columns": self.columns, "pivots": self.pivots}
-
-    def time_share(self, count: int, bounds, usage: np.ndarray | None = None,
-                   caps: Sequence[float] = (), first: int = 0,
-                   keys: np.ndarray | None = None) -> tuple[list, dict]:
-        """The dichotomic vertices of the master's image over ``count``
-        right-hand sides, and the recipe of each (see :class:`_Master`).
-
-        Exact, by the bicriteria dichotomic search (Aneja & Nair 1979):
-        maximize r1 and r2 alone, then along the normal of each segment
-        between adjacent known vertices; a point above the segment is a
-        new vertex and splits it, otherwise the segment is a frontier edge.
-        An end dominated on its own vertical or horizontal edge stays among
-        the vertices, for the caller's prune to drop.  Every objective is
-        solved to optimality over all columns, not only those in the
-        master.  Phase 1 runs once, on column ``first`` alone: if that
-        system is infeasible, or overspends a resource, the vertices are
-        empty.  The vertices are neither sorted nor pruned.
-
-        ``bounds(at, columns)`` gives the right-hand sides ``at`` (an index
-        array, or a slice for all), only the given columns of them, or
-        whole rows for ``columns`` None; every value read is checked finite
-        first, and a non-finite one is a ValueError.  ``usage`` is
-        ``(count, len(caps))``.  Pricing breaks ties by the lexicographic
-        order of ``keys`` (count, d), or by index: keys that depend on each
-        right-hand side alone make every step independent of their order.
-        A SolverFailure ends the search.
-        """
-        caps = np.asarray(caps, dtype=float)
-        usage = np.zeros((count, caps.size)) if usage is None else np.asarray(usage, dtype=float)
-        keys = np.arange(count)[:, np.newaxis] if keys is None else np.asarray(keys)
-        master = _Master(self, count, bounds, usage, caps, first, keys)
-        try:
-            if not master.tableau.phase1(FEASIBILITY_TOL):
-                return [], {}
-            return _dichotomic(master.best, FEASIBILITY_TOL), master.recipes
-        finally:
-            self.columns += len(master.states)
-            self.pivots += master.tableau.pivots
-
-    def project(self, rhs: np.ndarray) -> Frontier:
-        """Pareto frontier of the image of the system with right-hand side
-        ``rhs`` (the inequality bounds, then the equality values) under the
-        objective rows: the master with that one column, whose phase 1
-        decides feasibility.  Infeasible systems give an empty frontier,
-        with ``metadata["infeasible"]`` set.  A non-finite ``rhs`` is a
-        ValueError.
-        """
-        rhs = np.asarray(rhs, dtype=float)
-        size = self._a_ub.shape[0] + self._a_eq.shape[0]
-        if rhs.shape != (size,):
-            raise ValueError(f"right-hand sides must have {size} entries")
-        vertices, _ = self.time_share(
-            1, lambda at, columns: (rhs if columns is None else rhs[columns])[np.newaxis])
-        return Frontier(points=_pareto_prune(vertices), metadata={"infeasible": not vertices})
+    master = _Master(a_ub, a_eq, r1_row, r2_row, count, bounds, usage, caps, first, keys)
+    feasible = master.tableau.phase1(FEASIBILITY_TOL)
+    vertices = _dichotomic(master.best, FEASIBILITY_TOL) if feasible else []
+    counts = {"rounds": master.rounds, "columns": len(master.states),
+              "pivots": master.tableau.pivots}
+    return vertices, master.recipes, counts
 
 
 def project_frontier(system: RateSystem, r1_row: Sequence[float],
                      r2_row: Sequence[float]) -> Frontier:
     """Pareto frontier of the polytope's image under (r1_row, r2_row).
 
-    See :meth:`Projector.project`: phase 1 runs once, and every later
-    objective warm-starts from the previous optimal basis.
+    The master of :func:`time_share` with the system's one right-hand
+    side: phase 1 decides feasibility, and every later objective
+    warm-starts from the previous optimal basis.  Infeasible systems give
+    an empty frontier, with ``metadata["infeasible"]`` set.
     """
-    projector = Projector(system.a_ub, system.a_eq, r1_row, r2_row)
-    return projector.project(np.concatenate([system.b_ub, system.b_eq]))
+    rhs = np.concatenate([system.b_ub, system.b_eq])
+    vertices, _, _ = time_share(
+        system.a_ub, system.a_eq, np.asarray(r1_row, dtype=float),
+        np.asarray(r2_row, dtype=float), 1,
+        lambda at, columns: (rhs if columns is None else rhs[columns])[np.newaxis],
+        np.zeros((1, 0)), np.zeros(0), first=0, keys=rhs[np.newaxis])
+    return Frontier(points=_pareto_prune(vertices), metadata={"infeasible": not vertices})

@@ -8,7 +8,7 @@ to an equality so the dummy rates exactly saturate what the eavesdropper
 observes.  The region of a power grid time-shares one codebook over any
 number of grid states: every bound, and each user's power, is averaged
 over the states, which is one master LP over the grid (see
-:class:`gicee.polytope.Projector`).
+:func:`gicee.polytope.time_share`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .gaussmi import DECODABLE, SignalIndex
 from .grid import VARIANTS, _user_grid_size, first_user_rows, on_user_grid, user_power_grid
 from .model import ChannelParams, TimeSharedAllocation, validate_allocation
 from .frontier import Frontier, _pareto_prune, pareto_merge
-from .polytope import Projector, RateSystem, project_frontier
+from .polytope import RateSystem, project_frontier, time_share
 
 # Variable order of every RateSystem built here.  The two "other" message
 # rates are pinned to zero by the construction and eliminated, leaving
@@ -177,7 +177,7 @@ def bound_rows(channel: ChannelParams, powers: np.ndarray,
     arithmetic only, so a value depends neither on the other states in
     the block nor on the other columns asked for.  A power
     so large that a received power overflows gives a non-finite bound,
-    which :class:`RateSystem` and :meth:`Projector.time_share` reject; the
+    which :class:`RateSystem` and :func:`time_share` reject; the
     sweeps' grids stay below that.
     """
     numerator_map, floor_map = _power_maps(channel)
@@ -308,16 +308,15 @@ def region_union(spec: RegionSpec) -> Frontier:
     """Frontier of one codebook time-shared over the spec's grid states.
 
     Every achievable point averages the bounds and each user's power over
-    the states with some weights: the master LP of
-    :meth:`Projector.time_share`, with one column per grid state and the
-    two power budgets as resource rows, started from the zero-power state,
-    on the rows and rates of the variant's live components.  Any per-state
-    region, and any mixture of states within budget, is one
-    choice of weights, so the frontier contains them all.  Pricing breaks
-    ties by the states' powers, so the result, bit for bit, does not
-    depend on the order of the grid.
+    the states with some weights: the master LP of :func:`time_share`,
+    with one column per grid state and the two power budgets as resource
+    rows, started from the zero-power state, on the rows and rates of the
+    variant's live components.  Any per-state region, and any mixture of
+    states within budget, is one choice of weights, so the frontier
+    contains them all.  Pricing breaks ties by the states' powers, so the
+    result, bit for bit, does not depend on the order of the grid.
 
-    The metadata holds the grid size as ``allocations``, the projector's
+    The metadata holds the grid size as ``allocations``, the master's
     pricing rounds, columns and pivots as ``lp``, per frontier point the
     states, weights and rates of its optimum as ``vertices``, and the
     seconds spent enumerating, computing bounds, solving the master and
@@ -345,10 +344,10 @@ def region_union(spec: RegionSpec) -> Frontier:
     usage = np.stack([((p[:, 0] + p[:, 1]) + p[:, 2]) + p[:, 3]
                       for p in (grid[:, :4], grid[:, 4:])], axis=1)
     matrix = _ROWS[np.ix_(live, rates)]
-    projector = Projector(matrix[:-1], matrix[-1:], R1_OBJECTIVE[rates], R2_OBJECTIVE[rates])
     start = clock()
-    vertices, recipes = projector.time_share(
-        len(grid), bounds, usage, (spec.channel.p1, spec.channel.p2),
+    vertices, recipes, counts = time_share(
+        matrix[:-1], matrix[-1:], R1_OBJECTIVE[rates], R2_OBJECTIVE[rates], len(grid), bounds,
+        usage, np.array([spec.channel.p1, spec.channel.p2]),
         first=int(np.flatnonzero(~grid.any(axis=1))[0]), keys=grid)
     timing["solve"] = clock() - start - timing["bounds"]
     start = clock()
@@ -357,7 +356,7 @@ def region_union(spec: RegionSpec) -> Frontier:
         "steps": spec.steps,
         "states": spec.states,
         "allocations": len(grid),
-        "lp": projector.counts,
+        "lp": counts,
         "timing": timing,
     })
     union.metadata["vertices"] = [_recipe(point, recipes, grid, rates) for point in union.points]

@@ -3,7 +3,7 @@
 Each suite judges code the sweeps use against an independent path, kept
 here with it: the closed-form bounds of :func:`gicee.region.bound_rows`
 against the covariance-determinant oracle (:func:`mi_covariance_oracle`)
-and against submodularity, and the shared :class:`gicee.polytope.Projector`
+and against submodularity, and :func:`gicee.polytope.project_frontier`
 against a brute-force feasibility grid (:func:`grid_feasibility_oracle`).
 Only ``validate`` loads this module.
 """
@@ -20,11 +20,9 @@ from . import SolverFailure
 from .frontier import Frontier
 from .gaussmi import DECODABLE, RECEIVERS, SignalIndex
 from .model import ChannelParams, PowerState, TimeSharedAllocation
-from .polytope import Projector, RateSystem, lp_solve
+from .polytope import RateSystem, lp_solve, project_frontier
 from .region import (
     _BOUNDS,
-    A_UB,
-    EQ_ROW,
     N_BOUNDS,
     R1_OBJECTIVE,
     R2_OBJECTIVE,
@@ -197,12 +195,11 @@ def projection_suite(seed: int, systems: int) -> float:
     Runs until ``systems`` feasible instances have been compared; infeasible
     draws still assert that the oracle agrees the region is empty.  The
     eavesdropper gains are kept moderate so feasible systems are common.
-    All systems go through one :class:`Projector`, built as
-    :func:`region_union` builds it for `full`, each as its master LP with
-    that one column, so the oracle judges the engine the sweeps run.
+    Each system goes through :func:`project_frontier`, the master LP of
+    :func:`region_union` for `full` with that one column, so the oracle
+    judges the engine the sweeps run.
     """
     rng = np.random.default_rng(seed)
-    projector = Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
     worst = 0.0
     feasible_seen = 0
     for _ in range(50 * systems):
@@ -217,7 +214,7 @@ def projection_suite(seed: int, systems: int) -> float:
             _random_state(rng, channel.p1, channel.p2)
         )
         system = build_system(channel, alloc)
-        frontier = projector.project(np.concatenate([system.b_ub, system.b_eq]))
+        frontier = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE)
         if frontier.is_empty:
             if grid_feasibility_oracle(system, R1_OBJECTIVE, R2_OBJECTIVE, 0.25):
                 worst = max(worst, math.inf)

@@ -442,6 +442,20 @@ def test_point_budget_tolerance_scales_with_the_budget(tmp_path, capsys, pc1, co
         assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("allocation, key", [
+    ({"states": [{"weight": 1, "pc1": 1, "bogus": 2}]}, "bogus"),
+    ({"states": [{"weight": 1, "pc1": 1}, {"weight": 1, "pj 1": 1}]}, "pj 1"),
+    ({"states": [{"weigth": 1, "pc1": 1}]}, "weigth"),
+    ({"states": [{"weight": 1, "pc1": 1}], "note": "x"}, "note"),
+])
+def test_point_rejects_unknown_allocation_keys(tmp_path, capsys, allocation, key):
+    # a mistyped key would otherwise read as a power or weight of 0
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps(allocation))
+    assert main(["point", "--preset", "fig2", "--alloc", str(alloc)]) == 1
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_point_command_requires_alloc(tmp_path, capsys):
     assert main(["point", "--preset", "fig2"]) == 1
 

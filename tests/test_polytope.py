@@ -24,7 +24,7 @@ from gicee import (
 )
 import gicee.polytope as polytope
 from gicee.frontier import PARETO_EPS, _cross, _pareto_prune, _records
-from gicee.polytope import FEASIBILITY_TOL, Projector, _Tableau
+from gicee.polytope import FEASIBILITY_TOL, _Tableau
 from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
 from conftest import check_point, dominates, move_into_hull, support
 
@@ -675,15 +675,14 @@ def test_basis_inverse_and_shared_bases_with_flipped_rows():
     # the initial unit columns, their row flips undone, hold the inverse of
     # the unflipped system's basis, which maps its right-hand side and
     # every structural column to their tableau columns (the master reads
-    # its duals off the objective row at those columns); and one
-    # projector, which builds a master per system, projects systems whose
-    # rows phase 1 flips
+    # its duals off the objective row at those columns); and the master of
+    # one system projects systems whose rows phase 1 flips, each frontier's
+    # support the optimum lp_solve finds
     rng = np.random.default_rng(5)
     n = 4
     a_ub = np.vstack([rng.uniform(-1.0, 1.0, (6, n)), np.eye(n)])
     a_eq = rng.uniform(0.0, 1.0, (1, n))
     r1, r2 = np.array([1.0, 0.5, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.5])
-    projector = Projector(a_ub, a_eq, r1, r2)
     flipped = 0
     for system in mixed_sign_systems(rng, 30, a_ub, a_eq):
         flipped += int(np.sum(system.b_ub < 0))
@@ -696,11 +695,11 @@ def test_basis_inverse_and_shared_bases_with_flipped_rows():
         assert np.allclose(inverse @ rhs, tableau.t[:-1, -1], atol=1e-9)
         a = np.vstack([a_ub, a_eq])
         assert np.allclose(inverse @ a, tableau.t[:-1, :n], atol=1e-9)
-        fresh = project_frontier(system, r1, r2)
-        shared = projector.project(rhs)
-        assert len(shared.points) == len(fresh.points)
-        assert np.allclose(shared.points, fresh.points, rtol=0.0, atol=1e-9)
-    assert flipped and projector.counts["columns"] == 30
+        frontier = project_frontier(system, r1, r2)
+        for theta in np.linspace(0.0, 0.5 * math.pi, 5):
+            res = lp_solve(system, math.cos(theta) * r1 + math.sin(theta) * r2)
+            assert support(frontier, theta) == pytest.approx(res.value, abs=1e-9)
+    assert flipped
 
 
 def test_appended_columns_continue_phase_2():

@@ -31,10 +31,10 @@ from gicee.model import BUDGET_TOL
 from gicee.polytope import (
     FEASIBILITY_TOL,
     Frontier,
-    Projector,
     _Tableau,
     pareto_merge,
     project_frontier,
+    time_share,
 )
 from gicee.region import (
     A_UB,
@@ -402,17 +402,19 @@ PHASE1_GRIDS = [
 def test_shared_projector_decides_feasibility_like_phase1(
     preset_name, variant, steps, states, infeasible
 ):
-    # every state of the grid goes through one shared projector in grid
-    # order, each as a master of its one column; its empty frontiers are
-    # exactly the states phase 1 finds infeasible alone
+    # every state of the grid, as a master of its one column, has no
+    # vertex exactly when phase 1 finds it infeasible alone, and that
+    # master neither prices nor grows
     channel = preset(preset_name)
     spec = RegionSpec(channel=channel, variant=variant, steps=steps, states=states)
     block = bound_rows(channel, _family_allocations(spec))
-    projector = fresh_projector()
-    empty = np.array([projector.project(bounds).is_empty for bounds in block])
+    empty = []
+    for bounds in block:
+        vertices, _, counts = one_column(bounds)
+        empty.append(not vertices)
+        assert counts["columns"] == 1 and counts["rounds"] == 0
     assert np.array_equal(empty, [not phase1_feasible(bounds) for bounds in block])
-    assert empty.sum() == infeasible
-    assert projector.counts["columns"] == len(block) and projector.counts["rounds"] == 0
+    assert sum(empty) == infeasible
 
 
 @st.composite
@@ -435,28 +437,29 @@ def allocation_sequences(draw):
 @settings(max_examples=80, deadline=None)
 @given(allocation_sequences())
 def test_shared_projector_matches_cold_projections(case):
-    # one projector for many systems gives each system's own frontier, and
-    # that frontier's support is the optimum a cold lp_solve finds
+    # each system's frontier, projected on its own, has as its support the
+    # optimum a cold lp_solve finds, and is empty exactly when lp_solve
+    # finds the system infeasible
     channel, allocations = case
-    projector = fresh_projector()
     for alloc in allocations:
         if not validate_allocation(channel, alloc).ok:
             continue
         system = build_system(channel, alloc)
-        cold = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE)
-        shared = projector.project(np.append(system.b_ub, system.b_eq))
-        assert shared.is_empty == cold.is_empty
-        assert len(shared.points) == len(cold.points)
-        assert np.abs(np.subtract(shared.points, cold.points)).max(initial=0.0) <= 1e-12
+        frontier = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE)
         for theta in np.linspace(0.0, 0.5 * math.pi, 5):
             res = lp_solve(system, math.cos(theta) * R1_OBJECTIVE + math.sin(theta) * R2_OBJECTIVE)
-            assert res.status == ("infeasible" if shared.is_empty else "optimal")
-            if not shared.is_empty:
-                assert support(shared, theta) == pytest.approx(res.value, abs=1e-9)
+            assert res.status == ("infeasible" if frontier.is_empty else "optimal")
+            if not frontier.is_empty:
+                assert support(frontier, theta) == pytest.approx(res.value, abs=1e-9)
 
 
-def fresh_projector():
-    return Projector(A_UB, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
+def one_column(bounds, usage=np.zeros((1, 0)), caps=np.zeros(0), matrix=A_UB):
+    """The master of :func:`time_share` over the one right-hand side
+    ``bounds`` (93,) of the `full` rows, as :func:`project_frontier` runs
+    it: its vertices, recipes and counts."""
+    read = lambda at, columns: (bounds if columns is None else bounds[columns])[np.newaxis]
+    return time_share(matrix, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE, 1, read,
+                      usage, caps, 0, bounds[np.newaxis])
 
 
 def grid_steps(variant, steps, states):
@@ -533,13 +536,12 @@ def test_projector_rejects_non_finite_bounds(monkeypatch, fig3, bad):
     # a non-finite bound never reaches a tableau, whether it is in the one
     # column of a projection or in a bound column that pricing reads
     good = bound_rows(fig3, np.array([astuple(PowerState(pc1=10.0, pc2=1.0))]))[0]
-    projector = fresh_projector()
-    assert not projector.project(good).is_empty
+    assert one_column(good)[0]
     for at in (0, 45, len(good) - 1):
         bounds = good.copy()
         bounds[at] = bad
         with pytest.raises(ValueError, match="finite"):
-            projector.project(bounds)
+            one_column(bounds)
     real = region.bound_rows
 
     def poisoned(channel, powers, columns=None):
@@ -556,17 +558,15 @@ def test_projector_rejects_non_finite_bounds(monkeypatch, fig3, bad):
 def test_projector_rejects_non_finite_matrix_and_resources(fig3, bad):
     # the master's tableau is built from arrays, so the matrix and the
     # resource rows (caps less the first column's use) are checked there
-    good = bound_rows(fig3, np.array([astuple(PowerState(pc1=10.0, pc2=1.0))]))
-    read = lambda at, columns: good if columns is None else good[:, columns]
-    assert fresh_projector().time_share(1, read, np.zeros((1, 2)), (10.0, 10.0))[0]
-    for usage, caps in (([[bad, 0.0]], (10.0, 10.0)), ([[0.0, 0.0]], (10.0, bad))):
+    good = bound_rows(fig3, np.array([astuple(PowerState(pc1=10.0, pc2=1.0))]))[0]
+    assert one_column(good, np.zeros((1, 2)), np.array([10.0, 10.0]))[0]
+    for usage, caps in (([[bad, 0.0]], [10.0, 10.0]), ([[0.0, 0.0]], [10.0, bad])):
         with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
-            fresh_projector().time_share(1, read, np.array(usage), caps)
+            one_column(good, np.array(usage), np.array(caps))
     matrix = A_UB.copy()
     matrix[3, 2] = bad
-    projector = Projector(matrix, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE)
     with pytest.raises(ValueError, match="finite"):
-        projector.project(good[0])
+        one_column(good, matrix=matrix)
 
 
 def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
@@ -639,13 +639,14 @@ def in_budget(channel, grid):
 
 
 def per_allocation_union(spec):
-    """The region of every in-budget grid state, each projected alone
-    through one fresh projector, then ``pareto_merge`` of them all; the
-    master must contain it."""
+    """The region of every in-budget grid state, each projected alone,
+    then ``pareto_merge`` of them all; the master must contain it."""
     grid = _family_allocations(spec)
     block = bound_rows(spec.channel, grid[in_budget(spec.channel, grid)])
-    projector = fresh_projector()
-    return pareto_merge([projector.project(row) for row in block])
+    return pareto_merge([
+        project_frontier(RateSystem(A_UB, row[:-1], EQ_ROW[np.newaxis, :], row[-1:]),
+                         R1_OBJECTIVE, R2_OBJECTIVE)
+        for row in block])
 
 
 def highs_supports(spec, thetas):
