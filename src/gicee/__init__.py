@@ -22,7 +22,7 @@ _HOMES = {
     "model": ("AllocationReport", "ChannelParams", "PowerState", "TimeSharedAllocation",
               "preset", "validate_allocation"),
     "frontier": ("Frontier", "pareto_merge"),
-    "polytope": ("LpResult", "RateSystem", "lp_solve", "project_frontier"),
+    "polytope": ("LpResult", "lp_solve", "project_frontier"),
     "region": ("R1_OBJECTIVE", "R2_OBJECTIVE", "RegionSpec", "build_system",
                "region_for_allocation", "region_union"),
     "schemes": ("ctdma_region", "single_power_states"),

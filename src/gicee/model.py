@@ -70,13 +70,6 @@ class ChannelParams:
     def to_dict(self) -> dict:
         return {name: float(getattr(self, name)) for name in _CHANNEL_FIELDS}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChannelParams":
-        missing = [name for name in _CHANNEL_FIELDS if name not in data]
-        if missing:
-            raise ValueError(f"channel JSON is missing fields {missing}")
-        return cls(**{name: _number(data[name], name) for name in _CHANNEL_FIELDS})
-
 
 def _number(value, name: str) -> float:
     """A JSON field as a float; a boolean is refused, though Python counts
@@ -107,19 +100,6 @@ class PowerState:
     ps2: float = 0.0
     po2: float = 0.0
     pj2: float = 0.0
-
-    @property
-    def pb1(self) -> float:
-        """Codeword (non-jamming) power of user 1."""
-        return self.pc1 + self.ps1 + self.po1
-
-    @property
-    def pb2(self) -> float:
-        """Codeword (non-jamming) power of user 2."""
-        return self.pc2 + self.ps2 + self.po2
-
-    def to_dict(self) -> dict:
-        return {name: float(getattr(self, name)) for name in _STATE_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PowerState":
@@ -155,17 +135,10 @@ class TimeSharedAllocation:
     def average_power(self, user: int) -> float:
         """Average total transmit power (codeword plus jamming) of a user."""
         if user == 1:
-            return sum(w * (s.pb1 + s.pj1) for w, s in self.states)
+            return sum(w * (s.pc1 + s.ps1 + s.po1 + s.pj1) for w, s in self.states)
         if user == 2:
-            return sum(w * (s.pb2 + s.pj2) for w, s in self.states)
+            return sum(w * (s.pc2 + s.ps2 + s.po2 + s.pj2) for w, s in self.states)
         raise ValueError(f"user must be 1 or 2, got {user}")
-
-    def to_dict(self) -> dict:
-        return {
-            "states": [
-                dict(weight=float(w), **s.to_dict()) for w, s in self.states
-            ]
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TimeSharedAllocation":

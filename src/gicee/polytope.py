@@ -4,15 +4,18 @@ Everything here is sized for systems of ten variables and about a hundred
 constraints, so the solver is a plain dense two-phase simplex: Dantzig's
 entering column, Harris's ratio test for the leaving row, deterministic,
 no sparsity, no scaling tricks.
-Frontiers come from one master LP over right-hand sides shared out by
-time sharing (:func:`time_share`), grown column by column.
+Every LP here is a fixed matrix ``(a_ub, a_eq)`` and a right-hand side
+``(b, e)``, one array holding the inequality bounds, then the equality
+values: ``a_ub x <= b``, ``a_eq x = e``, ``x >= 0``.  :func:`lp_solve`
+and :func:`project_frontier` take one right-hand side; frontiers come
+from one master LP over many right-hand sides shared out by time sharing
+(:func:`time_share`), grown column by column.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,65 +45,6 @@ _PIVOT_SHARE = 1e-4
 # Columns a pricing round adds to the master at most: the most negative
 # reduced costs, ties broken by the columns' keys.
 _ENTER = 8
-
-
-@dataclass(frozen=True)
-class RateSystem:
-    """Dense constraint system ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``x >= 0``."""
-
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        a_ub = np.atleast_2d(np.asarray(self.a_ub, dtype=float))
-        b_ub = np.atleast_1d(np.asarray(self.b_ub, dtype=float))
-        if a_ub.size == 0:
-            raise ValueError("system needs at least one inequality row")
-        if a_ub.shape[0] != b_ub.shape[0]:
-            raise ValueError("inequality rows and bounds disagree in length")
-        dim = a_ub.shape[1]
-        if self.a_eq is None:
-            a_eq = np.zeros((0, dim))
-            b_eq = np.zeros(0)
-        else:
-            a_eq = np.atleast_2d(np.asarray(self.a_eq, dtype=float))
-            b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
-            if a_eq.shape[1] != dim or a_eq.shape[0] != b_eq.shape[0]:
-                raise ValueError("equality block shape mismatch")
-        for arr in (a_ub, b_ub, a_eq, b_eq):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("constraint data must be finite")
-            arr.setflags(write=False)
-        object.__setattr__(self, "a_ub", a_ub)
-        object.__setattr__(self, "b_ub", b_ub)
-        object.__setattr__(self, "a_eq", a_eq)
-        object.__setattr__(self, "b_eq", b_eq)
-
-    @property
-    def dim(self) -> int:
-        return self.a_ub.shape[1]
-
-    @property
-    def n_inequalities(self) -> int:
-        return self.a_ub.shape[0]
-
-    @property
-    def n_equalities(self) -> int:
-        return self.a_eq.shape[0]
-
-    def with_equalities(
-        self, rows: Sequence[Sequence[float]], values: Sequence[float]
-    ) -> "RateSystem":
-        """A copy of the system with extra equality rows appended."""
-        extra = np.atleast_2d(np.asarray(rows, dtype=float))
-        return RateSystem(
-            a_ub=self.a_ub,
-            b_ub=self.b_ub,
-            a_eq=np.vstack([self.a_eq, extra]),
-            b_eq=np.concatenate([self.b_eq, np.asarray(values, dtype=float)]),
-        )
 
 
 @dataclass(frozen=True)
@@ -327,22 +271,24 @@ class _Tableau:
             raise SolverFailure("the system became infeasible on a restart")
 
 
-def lp_solve(
-    system: RateSystem,
-    objective: Sequence[float],
-    *,
-    tol: float = FEASIBILITY_TOL,
-) -> LpResult:
-    """Maximize ``objective . x`` over the system; deterministic two-phase simplex."""
-    c_max = np.asarray(objective, dtype=float)
-    if c_max.shape != (system.dim,):
-        raise ValueError(f"objective must have length {system.dim}")
-    tableau = _Tableau(system.a_ub, system.b_ub, system.a_eq, system.b_eq)
-    if not tableau.phase1(tol):
+def lp_solve(a_ub, a_eq, rhs, objective) -> LpResult:
+    """Maximize ``objective . x`` over ``a_ub x <= b``, ``a_eq x = e``,
+    ``x >= 0``, where ``rhs`` is ``(b, e)``, the inequality bounds first;
+    deterministic two-phase simplex."""
+    a_ub, a_eq, rhs, c_max = (np.asarray(v, dtype=float) for v in (a_ub, a_eq, rhs, objective))
+    n_ub, dim = a_ub.shape
+    if a_eq.shape[1] != dim or rhs.shape != (n_ub + len(a_eq),):
+        raise ValueError("constraint matrix and right-hand side disagree in shape")
+    if c_max.shape != (dim,):
+        raise ValueError(f"objective must have length {dim}")
+    if not all(np.isfinite(part).all() for part in (a_ub, a_eq, rhs)):
+        raise ValueError("constraint data must be finite")
+    tableau = _Tableau(a_ub, rhs[:n_ub], a_eq, rhs[n_ub:])
+    if not tableau.phase1(FEASIBILITY_TOL):
         return LpResult(status="infeasible")
-    if tableau.maximize(c_max, tol) == "unbounded":
+    if tableau.maximize(c_max, FEASIBILITY_TOL) == "unbounded":
         return LpResult(status="unbounded")
-    x = tableau.solution(tol)
+    x = tableau.solution(FEASIBILITY_TOL)
     return LpResult(status="optimal", value=float(c_max @ x), x=x)
 
 
@@ -391,24 +337,26 @@ class _Master:
     counts the pricing rounds.
     """
 
-    def __init__(self, a_ub: np.ndarray, a_eq: np.ndarray, r1_row: np.ndarray,
-                 r2_row: np.ndarray, count: int, bounds, usage: np.ndarray,
-                 caps: np.ndarray, first: int, keys: np.ndarray) -> None:
+    def __init__(self, a_ub: np.ndarray, a_eq: np.ndarray, rhs, r1_row: np.ndarray,
+                 r2_row: np.ndarray, usage: np.ndarray, caps: np.ndarray, first: int,
+                 keys: np.ndarray) -> None:
         # Each resource row is divided by its cap, so that its slack is on
         # the scale of the weights: the simplex's absolute tolerance on a
         # reduced cost then bounds the objective it can leave, where a cap
         # of 1e4 let a stop at -1e-9 leave 1e-5 of it.
         scale = np.where(caps > 0.0, caps, 1.0)
         usage, caps = usage / scale, caps / scale
-        self.r1_row, self.r2_row, self._bounds, self.keys = r1_row, r2_row, bounds, keys
-        self.count, self.usage, self.caps, self.first = count, usage, caps, first
+        self.r1_row, self.r2_row, self._reader, self.keys = r1_row, r2_row, rhs, keys
+        self.usage, self.caps, self.first = usage, caps, first
         self.n_ub, self.n = a_ub.shape
         self.rounds = 0
         self.columns: dict[int, np.ndarray] = {}
-        self.present = np.zeros(count, dtype=bool)
+        self.present = np.zeros(len(usage), dtype=bool)
         self.present[first] = True
         self.recipes: dict[tuple[float, float], tuple] = {}
         self.rhs = self._read(np.array([first]), None)[0]
+        if self.rhs.shape != (self.n_ub + len(a_eq),) or a_eq.shape[1] != self.n:
+            raise ValueError("constraint matrix and right-hand side disagree in shape")
         resources = caps - usage[first]   # _read checks the bounds, this the rest
         if not all(np.isfinite(part).all() for part in (a_ub, a_eq, resources)):
             raise ValueError("constraint data must be finite")
@@ -420,16 +368,17 @@ class _Master:
         self.states, self.at = [first], [self.tableau.unit[self.n_ub + caps.size]]
 
     def _read(self, at, columns) -> np.ndarray:
-        values = self._bounds(at, columns)
+        values = self._reader(at, columns)
         if not np.all(np.isfinite(values)):
             raise ValueError("constraint data must be finite")
         return values
 
     def _price(self, y: np.ndarray) -> np.ndarray:
         """The reduced cost of every column under the duals ``y`` of the
-        master's rows, (count,).  Bound columns (one bound of every
-        right-hand side) are read when a nonzero dual first needs them and
-        kept for the call; whole rows are read only as columns enter."""
+        master's rows, one per right-hand side.  Bound columns (one bound
+        of every right-hand side) are read when a nonzero dual first needs
+        them and kept for the call; whole rows are read only as columns
+        enter."""
         n_ub, c = self.n_ub, self.caps.size
         y_bounds = np.concatenate([y[:n_ub], y[n_ub + c + 1:]])
         y_use, y_one = y[n_ub:n_ub + c], y[n_ub + c]
@@ -438,7 +387,8 @@ class _Master:
         if missing:
             values = self._read(slice(None), np.array(missing))
             self.columns.update((j, values[:, i].copy()) for i, j in enumerate(missing))
-        cost = np.full(self.count, y_one + y_bounds @ self.rhs - y_use @ self.usage[self.first])
+        cost = np.full(len(self.usage),
+                       y_one + y_bounds @ self.rhs - y_use @ self.usage[self.first])
         for u in range(c):
             cost += y_use[u] * self.usage[:, u]
         for j in used:
@@ -508,12 +458,12 @@ class _Master:
         return point
 
 
-def time_share(a_ub: np.ndarray, a_eq: np.ndarray, r1_row: np.ndarray, r2_row: np.ndarray,
-               count: int, bounds, usage: np.ndarray, caps: np.ndarray, first: int,
+def time_share(a_ub: np.ndarray, a_eq: np.ndarray, rhs, r1_row: np.ndarray,
+               r2_row: np.ndarray, usage: np.ndarray, caps: np.ndarray, first: int,
                keys: np.ndarray) -> tuple[list, dict, dict]:
-    """Frontier vertices of the master LP that time-shares ``count``
-    right-hand sides ``(b, e)`` of the matrix ``(a_ub, a_eq)``, under the
-    objective rows ``(r1_row, r2_row)``:
+    """Frontier vertices of the master LP that time-shares the right-hand
+    sides ``(b, e)`` of the matrix ``(a_ub, a_eq)`` that ``rhs`` reads,
+    under the objective rows ``(r1_row, r2_row)``:
 
         maximize  c . x   over  x >= 0, w >= 0
         a_ub x - sum_s w_s b_s <= 0
@@ -521,10 +471,10 @@ def time_share(a_ub: np.ndarray, a_eq: np.ndarray, r1_row: np.ndarray, r2_row: n
         a_eq x - sum_s w_s e_s  = 0
         sum_s w_s               = 1
 
-    ``u_s``, row s of ``usage`` (count, len(caps)), is right-hand side s's
-    use of each resource.  Phase 1 runs once, on column ``first`` alone: if
-    that system is infeasible, or overspends a resource, there are no
-    vertices.  The vertices come from the bicriteria dichotomic search
+    ``u_s``, row s of ``usage`` (one row per right-hand side, len(caps)),
+    is right-hand side s's use of each resource.  Phase 1 runs once, on
+    column ``first`` alone: if that system is infeasible, or overspends a
+    resource, there are no vertices.  The vertices come from the bicriteria dichotomic search
     (Aneja & Nair 1979, :func:`_dichotomic`), unsorted and unpruned, each
     objective solved to optimality over all columns by column generation
     (Dantzig-Wolfe): each optimum's duals price every column, and those of
@@ -533,15 +483,16 @@ def time_share(a_ub: np.ndarray, a_eq: np.ndarray, r1_row: np.ndarray, r2_row: n
     :class:`_Master`) and the master's pricing ``rounds``, ``columns`` and
     simplex ``pivots``.
 
-    ``bounds(at, columns)`` gives the right-hand sides ``at`` (an index
+    ``rhs(at, columns)`` gives the right-hand sides ``at`` (an index
     array, or a slice for all), only the given columns of them, or whole
     rows for ``columns`` None.  A non-finite value read, or in the matrix
-    or the resources, is a ValueError.  Pricing breaks ties by the
-    lexicographic order of ``keys`` (count, d): keys that depend on each
-    right-hand side alone make every step independent of their order.  A
-    SolverFailure ends the search.
+    or the resources, is a ValueError, as is a right-hand side whose
+    length is not the matrix's row count.  Pricing breaks ties by the
+    lexicographic order of ``keys`` (one row per right-hand side): keys
+    that depend on each right-hand side alone make every step independent
+    of their order.  A SolverFailure ends the search.
     """
-    master = _Master(a_ub, a_eq, r1_row, r2_row, count, bounds, usage, caps, first, keys)
+    master = _Master(a_ub, a_eq, rhs, r1_row, r2_row, usage, caps, first, keys)
     feasible = master.tableau.phase1(FEASIBILITY_TOL)
     vertices = _dichotomic(master.best, FEASIBILITY_TOL) if feasible else []
     counts = {"rounds": master.rounds, "columns": len(master.states),
@@ -549,19 +500,19 @@ def time_share(a_ub: np.ndarray, a_eq: np.ndarray, r1_row: np.ndarray, r2_row: n
     return vertices, master.recipes, counts
 
 
-def project_frontier(system: RateSystem, r1_row: Sequence[float],
-                     r2_row: Sequence[float]) -> Frontier:
-    """Pareto frontier of the polytope's image under (r1_row, r2_row).
+def project_frontier(a_ub, a_eq, rhs, r1_row, r2_row) -> Frontier:
+    """Pareto frontier of the image of ``a_ub x <= b``, ``a_eq x = e``,
+    ``x >= 0``, with ``rhs`` the one right-hand side ``(b, e)``, under
+    (r1_row, r2_row).
 
-    The master of :func:`time_share` with the system's one right-hand
-    side: phase 1 decides feasibility, and every later objective
-    warm-starts from the previous optimal basis.  Infeasible systems give
-    an empty frontier, with ``metadata["infeasible"]`` set.
+    The master of :func:`time_share` with that one right-hand side: phase
+    1 decides feasibility, and every later objective warm-starts from the
+    previous optimal basis.  Infeasible systems give an empty frontier,
+    with ``metadata["infeasible"]`` set.
     """
-    rhs = np.concatenate([system.b_ub, system.b_eq])
+    a_ub, a_eq, rhs, r1_row, r2_row = (
+        np.asarray(v, dtype=float) for v in (a_ub, a_eq, rhs, r1_row, r2_row))
     vertices, _, _ = time_share(
-        system.a_ub, system.a_eq, np.asarray(r1_row, dtype=float),
-        np.asarray(r2_row, dtype=float), 1,
-        lambda at, columns: (rhs if columns is None else rhs[columns])[np.newaxis],
-        np.zeros((1, 0)), np.zeros(0), first=0, keys=rhs[np.newaxis])
+        a_ub, a_eq, lambda at, columns: (rhs if columns is None else rhs[columns])[np.newaxis],
+        r1_row, r2_row, np.zeros((1, 0)), np.zeros(0), first=0, keys=rhs[np.newaxis])
     return Frontier(points=_pareto_prune(vertices), metadata={"infeasible": not vertices})

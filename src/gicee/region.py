@@ -24,9 +24,9 @@ from .gaussmi import DECODABLE, SignalIndex
 from .grid import VARIANTS, _user_grid_size, first_user_rows, on_user_grid, user_power_grid
 from .model import ChannelParams, TimeSharedAllocation, validate_allocation
 from .frontier import Frontier, _pareto_prune, pareto_merge
-from .polytope import RateSystem, project_frontier, time_share
+from .polytope import project_frontier, time_share
 
-# Variable order of every RateSystem built here.  The two "other" message
+# Variable order of the rate polytope's columns.  The two "other" message
 # rates are pinned to zero by the construction and eliminated, leaving
 # their randomization rates as pure dummy-randomness variables.
 VARIABLE_ORDER = (
@@ -175,9 +175,9 @@ def bound_rows(channel: ChannelParams, powers: np.ndarray,
     the eavesdropper equality; ``columns`` picks some of them, in its
     order.  Each is ``gamma(subset power / floor)``.  Elementwise
     arithmetic only, so a value depends neither on the other states in
-    the block nor on the other columns asked for.  A power
-    so large that a received power overflows gives a non-finite bound,
-    which :class:`RateSystem` and :func:`time_share` reject; the
+    the block nor on the other columns asked for.  A power so large that
+    a received power overflows gives a non-finite bound, which
+    :func:`time_share` and :func:`gicee.polytope.lp_solve` reject; the
     sweeps' grids stay below that.
     """
     numerator_map, floor_map = _power_maps(channel)
@@ -196,18 +196,16 @@ def bound_rows(channel: ChannelParams, powers: np.ndarray,
         return 0.5 * np.log1p(numerator / floor) / _LN2
 
 
-def build_system(channel: ChannelParams, alloc: TimeSharedAllocation) -> RateSystem:
-    """Constraint system for one allocation: 92 inequalities plus the
-    eavesdropper equality, with time-share-averaged MI bounds."""
+def build_system(channel: ChannelParams, alloc: TimeSharedAllocation) -> np.ndarray:
+    """Right-hand side of the system ``(A_UB, EQ_ROW)`` for one
+    allocation, (93,): the 92 inequality bounds, then the eavesdropper
+    equality, each averaged over the allocation's time sharing."""
     report = validate_allocation(channel, alloc)
     if not report.ok:
         raise ValueError(f"invalid allocation ({report.code}): {report.detail}")
     weights = np.array([w for w, _ in alloc.states])
     rows = bound_rows(channel, np.array([astuple(s) for _, s in alloc.states], dtype=float))
-    bounds = (weights[:, np.newaxis] * rows).sum(axis=0)
-    return RateSystem(
-        a_ub=A_UB, b_ub=bounds[:-1], a_eq=EQ_ROW[np.newaxis, :], b_eq=bounds[-1:]
-    )
+    return (weights[:, np.newaxis] * rows).sum(axis=0)
 
 
 def region_for_allocation(
@@ -219,7 +217,8 @@ def region_for_allocation(
     (the equality can outgrow the receiver bounds); that is an expected
     outcome, not an error.  Phase 1 decides feasibility.
     """
-    return project_frontier(build_system(channel, alloc), R1_OBJECTIVE, R2_OBJECTIVE)
+    return project_frontier(A_UB, EQ_ROW[np.newaxis], build_system(channel, alloc),
+                            R1_OBJECTIVE, R2_OBJECTIVE)
 
 
 @dataclass(frozen=True)
@@ -346,7 +345,7 @@ def region_union(spec: RegionSpec) -> Frontier:
     matrix = _ROWS[np.ix_(live, rates)]
     start = clock()
     vertices, recipes, counts = time_share(
-        matrix[:-1], matrix[-1:], R1_OBJECTIVE[rates], R2_OBJECTIVE[rates], len(grid), bounds,
+        matrix[:-1], matrix[-1:], bounds, R1_OBJECTIVE[rates], R2_OBJECTIVE[rates],
         usage, np.array([spec.channel.p1, spec.channel.p2]),
         first=int(np.flatnonzero(~grid.any(axis=1))[0]), keys=grid)
     timing["solve"] = clock() - start - timing["bounds"]

@@ -128,27 +128,27 @@ def _best_partners(
 MAX_SLOT_ROWS = 6_500_000
 
 
-def slot_rows_bound(variant: str, steps: int, alpha_steps: int) -> int:
+def slot_rows_bound(variant: str, steps: int) -> int:
     """Upper bound on the slot-grid rows :func:`ctdma_region` enumerates,
-    in closed form: per time split and slot, every codeword level times
-    every own and helper jamming level (see
+    in closed form: per time split (``steps`` of them) and slot, every
+    codeword level times every own and helper jamming level (see
     :func:`gicee.grid._jam_grid_size`)."""
     jam = _jam_grid_size(steps)
     own = jam if variant == "ctdma" else 1
     helper = 1 if variant == "tdma" else jam
-    return 2 * alpha_steps * steps * own * helper
+    return 2 * steps * steps * own * helper
 
 
 def ctdma_region(
     channel: ChannelParams,
     variant: str = "ctdma",
     steps: int = 11,
-    alpha_steps: int | None = None,
 ) -> Frontier:
     """Convex closure of the time-division operating points on a grid.
 
     Equivalent to merging the singleton frontiers of every grid-feasible
-    operating point.  For each time split, every slot-1 tuple is paired
+    operating point.  For each of ``steps`` time splits, evenly spaced
+    over [0, 1], every slot-1 tuple is paired
     with its best jointly feasible slot-2 tuple (the other pairings lie
     below it and cannot change the hull), found by one lookup in a 2-D
     prefix-max table over the slot-2 rows sorted by their use and the
@@ -170,21 +170,20 @@ def ctdma_region(
     """
     if variant not in CTDMA_TAGS:
         raise ValueError(f"variant must be one of {CTDMA_TAGS}, got {variant!r}")
-    alpha_steps = alpha_steps or steps
-    rows = slot_rows_bound(variant, steps, alpha_steps)
+    rows = slot_rows_bound(variant, steps)
     if rows > MAX_SLOT_ROWS:
         shown = f"{rows:,}" if rows < 10**18 else "over 10^18"
         raise ValueError(
             f"the time-division grid may enumerate {shown} slot rows, more than "
             f"the {MAX_SLOT_ROWS:,} allowed; lower steps"
         )
-    # The shortest nonzero slot is 1 / (alpha_steps - 1) of the block.
-    channel.check_power_scale(max(alpha_steps - 1, 1))
+    # The shortest nonzero slot is 1 / (steps - 1) of the block.
+    channel.check_power_scale(max(steps - 1, 1))
     cap1, cap2 = channel.p1 + BUDGET_TOL, channel.p2 + BUDGET_TOL
     clock = time.perf_counter
     timing = dict.fromkeys(("grid", "pair", "merge"), 0.0)
     parts = []
-    for alpha in np.linspace(0.0, 1.0, alpha_steps):
+    for alpha in np.linspace(0.0, 1.0, steps):
         alpha = float(alpha)
         start = clock()
         r1, used1_a, used2_a = _slot(variant, channel, alpha, 1, steps)
@@ -198,7 +197,7 @@ def ctdma_region(
         timing["pair"] += pruned - paired
         timing["merge"] += clock() - pruned
     start = clock()
-    meta = {"scheme": variant, "steps": steps, "alpha_steps": alpha_steps, "timing": timing}
+    meta = {"scheme": variant, "steps": steps, "timing": timing}
     union = pareto_merge([Frontier(points=_pareto_prune(np.concatenate(parts)))], metadata=meta)
     timing["merge"] += clock() - start
     return union

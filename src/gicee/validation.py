@@ -4,7 +4,9 @@ Each suite judges code the sweeps use against an independent path, kept
 here with it: the closed-form bounds of :func:`gicee.region.bound_rows`
 against the covariance-determinant oracle (:func:`mi_covariance_oracle`)
 and against submodularity, and :func:`gicee.polytope.project_frontier`
-against a brute-force feasibility grid (:func:`grid_feasibility_oracle`).
+against a brute-force feasibility grid (:func:`grid_feasibility_oracle`),
+both on the system ``(A_UB, EQ_ROW)`` of :mod:`gicee.region` with the
+right-hand side of :func:`gicee.region.build_system`.
 Only ``validate`` loads this module.
 """
 
@@ -20,9 +22,11 @@ from . import SolverFailure
 from .frontier import Frontier
 from .gaussmi import DECODABLE, RECEIVERS, SignalIndex
 from .model import ChannelParams, PowerState, TimeSharedAllocation
-from .polytope import RateSystem, lp_solve, project_frontier
+from .polytope import lp_solve, project_frontier
 from .region import (
     _BOUNDS,
+    A_UB,
+    EQ_ROW,
     N_BOUNDS,
     R1_OBJECTIVE,
     R2_OBJECTIVE,
@@ -82,31 +86,31 @@ def mi_covariance_oracle(
     return 0.5 * math.log(ratio) / _LN2
 
 
-def grid_feasibility_oracle(system: RateSystem, r1_row: Sequence[float],
+def grid_feasibility_oracle(a_ub, a_eq, rhs, r1_row: Sequence[float],
                             r2_row: Sequence[float], pitch: float
                             ) -> frozenset[tuple[float, float]]:
     """LP-feasible points of a pitch-spaced grid over the projection's box.
 
-    Brute-force target for :func:`gicee.polytope.project_frontier`: each grid
-    point is pinned through two equality rows and tested for feasibility.
+    Brute-force target for :func:`gicee.polytope.project_frontier`, on the
+    same system ``(a_ub, a_eq)`` and right-hand side ``rhs``: each grid
+    point is pinned by stacking the two objective rows under ``a_eq`` and
+    appending the point to ``rhs``, and tested for feasibility.
     """
     if not pitch > 0:
         raise ValueError("pitch must be positive")
-    r1_row = np.asarray(r1_row, dtype=float)
-    r2_row = np.asarray(r2_row, dtype=float)
-    res1 = lp_solve(system, r1_row)
+    res1 = lp_solve(a_ub, a_eq, rhs, r1_row)
     if res1.status == "infeasible":
         return frozenset()
-    res2 = lp_solve(system, r2_row)
+    res2 = lp_solve(a_ub, a_eq, rhs, r2_row)
     if res1.status != "optimal" or res2.status != "optimal":
         raise SolverFailure("projection box is unbounded")
-    zero = np.zeros(system.dim)
+    pinned = np.vstack([a_eq, r1_row, r2_row])
+    zero = np.zeros(pinned.shape[1])
     feasible = set()
     for i in range(int(res1.value / pitch + 1e-9) + 1):
         for j in range(int(res2.value / pitch + 1e-9) + 1):
             target = (i * pitch, j * pitch)
-            pinned = system.with_equalities([r1_row, r2_row], list(target))
-            if lp_solve(pinned, zero).status == "optimal":
+            if lp_solve(a_ub, pinned, np.append(rhs, target), zero).status == "optimal":
                 feasible.add(target)
     return frozenset(feasible)
 
@@ -213,15 +217,15 @@ def projection_suite(seed: int, systems: int) -> float:
         alloc = TimeSharedAllocation.single_state(
             _random_state(rng, channel.p1, channel.p2)
         )
-        system = build_system(channel, alloc)
-        frontier = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE)
+        system = (A_UB, EQ_ROW[np.newaxis], build_system(channel, alloc))
+        frontier = project_frontier(*system, R1_OBJECTIVE, R2_OBJECTIVE)
         if frontier.is_empty:
-            if grid_feasibility_oracle(system, R1_OBJECTIVE, R2_OBJECTIVE, 0.25):
+            if grid_feasibility_oracle(*system, R1_OBJECTIVE, R2_OBJECTIVE, 0.25):
                 worst = max(worst, math.inf)
             continue
         feasible_seen += 1
         pitch = max(frontier.max_r1, frontier.max_r2, 1e-3) / 10.0
-        feasible = grid_feasibility_oracle(system, R1_OBJECTIVE, R2_OBJECTIVE, pitch)
+        feasible = grid_feasibility_oracle(*system, R1_OBJECTIVE, R2_OBJECTIVE, pitch)
         worst = max(worst, hausdorff_gap(frontier, feasible, pitch))
     if feasible_seen < systems:
         return math.inf

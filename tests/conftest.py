@@ -20,7 +20,8 @@ from gicee import (
 )
 from gicee.frontier import FEASIBILITY_TOL, _pareto_prune
 from gicee.model import BUDGET_TOL
-from gicee.region import A_UB, EQ_ROW, R1_OBJECTIVE, R2_OBJECTIVE, VARIABLE_ORDER, bound_rows
+from gicee.region import (A_UB, EQ_ROW, R1_OBJECTIVE, R2_OBJECTIVE, VARIABLE_ORDER, bound_rows,
+                          build_system)
 from gicee.grid import _jam_grid, _uniform_grid
 
 
@@ -163,17 +164,38 @@ def check_recipes(channel, grid, vertices):
                       - vertex["point"]).max() <= FEASIBILITY_TOL
 
 
-def check_point(system, x):
-    """Minimum slack of a point in a RateSystem: nonnegative iff the point
-    is feasible.
+def lp_system(a_ub, b_ub, a_eq=None, b_eq=None):
+    """The arrays ``(a_ub, a_eq, rhs)`` of ``a_ub x <= b_ub``, ``a_eq x =
+    b_eq``, ``x >= 0``, as ``lp_solve`` and ``project_frontier`` take
+    them: ``rhs`` holds ``b_ub``, then ``b_eq``; no equalities by default."""
+    a_ub = np.asarray(a_ub, dtype=float)
+    if a_eq is None:
+        a_eq, b_eq = np.zeros((0, a_ub.shape[1])), np.zeros(0)
+    return a_ub, np.asarray(a_eq, dtype=float), np.concatenate([b_ub, b_eq]).astype(float)
 
-    Inequalities contribute ``b - a.x``, equalities ``-|a.x - b|`` and the
+
+def allocation_system(channel, alloc):
+    """The arrays ``(a_ub, a_eq, rhs)`` of one allocation's rate polytope."""
+    return A_UB, EQ_ROW[np.newaxis], build_system(channel, alloc)
+
+
+def pin(system, rows, values):
+    """The system ``(a_ub, a_eq, rhs)`` with equality rows appended."""
+    a_ub, a_eq, rhs = system
+    return a_ub, np.vstack([a_eq, rows]), np.append(rhs, values)
+
+
+def check_point(a_ub, a_eq, rhs, x):
+    """Minimum slack of a point in the system ``(a_ub, a_eq, rhs)``:
+    nonnegative iff the point is feasible.
+
+    Inequalities contribute ``b - a.x``, equalities ``-|a.x - e|`` and the
     sign constraints ``min(x)``.
     """
     x = np.asarray(x, dtype=float)
-    slack = float(np.min(system.b_ub - system.a_ub @ x))
-    if system.n_equalities:
-        slack = min(slack, float(-np.max(np.abs(system.a_eq @ x - system.b_eq))))
+    slack = float(np.min(rhs[:len(a_ub)] - a_ub @ x))
+    if len(a_eq):
+        slack = min(slack, float(-np.max(np.abs(a_eq @ x - rhs[len(a_ub):]))))
     return min(slack, float(np.min(x)))
 
 
@@ -401,12 +423,11 @@ def rowwise_best_partners(r2, used1_b, used2_b, used1_a, used2_a, cap1, cap2):
     return table[prefix_lengths(used1_a, lv1, cap1), prefix_lengths(used2_a, lv2, cap2)]
 
 
-def rowwise_ctdma_region(channel, variant, steps, alpha_steps=None):
+def rowwise_ctdma_region(channel, variant, steps):
     """Time-division region by the row-wise pairing, without ``timing``."""
-    alpha_steps = alpha_steps or steps
     cap1, cap2 = channel.p1 + BUDGET_TOL, channel.p2 + BUDGET_TOL
     r1_parts, r2_parts = [], []
-    for alpha in np.linspace(0.0, 1.0, alpha_steps):
+    for alpha in np.linspace(0.0, 1.0, steps):
         alpha = float(alpha)
         slot1 = rowwise_slot_grid(variant, channel.p1, channel.p2, alpha, steps)
         slot2 = rowwise_slot_grid(variant, channel.p2, channel.p1, 1.0 - alpha, steps)
@@ -417,5 +438,5 @@ def rowwise_ctdma_region(channel, variant, steps, alpha_steps=None):
         r1_parts.append(r1[feasible])
         r2_parts.append(best[feasible])
     points = np.column_stack([np.concatenate(r1_parts), np.concatenate(r2_parts)])
-    meta = {"scheme": variant, "steps": steps, "alpha_steps": alpha_steps}
+    meta = {"scheme": variant, "steps": steps}
     return pareto_merge([Frontier(points=_pareto_prune(points))], metadata=meta)

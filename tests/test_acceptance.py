@@ -23,8 +23,9 @@ from gicee import (
     single_user_wiretap,
 )
 from gicee.validation import mi_oracle_suite, projection_suite
-from gicee.region import N_VARS
+from gicee.region import A_UB, N_VARS
 from conftest import (
+    allocation_system,
     check_point,
     ctdma_allocation,
     dominates,
@@ -116,10 +117,10 @@ def test_criterion_5_cooperative_binning_region(fig3, fig3_r3_region):
 
 def test_criterion_6_empty_region_detection(fig3):
     alloc = single(PowerState(pc1=10.0, pc2=10.0))
-    system = build_system(fig3, alloc)
-    assert system.b_eq[0] == pytest.approx(GAMMA_21, abs=1e-12)
+    rhs = build_system(fig3, alloc)
+    assert rhs[-1] == pytest.approx(GAMMA_21, abs=1e-12)
     assert min(
-        b for row, b in zip(system.a_ub, system.b_ub)
+        b for row, b in zip(A_UB, rhs)
         if row[1] == 1.0 and row[6] == 1.0
     ) == pytest.approx(GAMMA_20, abs=1e-12)
     frontier = region_for_allocation(fig3, alloc)
@@ -168,13 +169,13 @@ def test_criterion_9_closed_form_embeds_in_general_system(fig2, fig3):
     worst = 0.0
     for channel in channels:
         for params, a1, b1, a2, b2 in sample_nonneg_bracket_params(rng, channel, 10):
-            system = build_system(channel, ctdma_allocation(params))
+            system = allocation_system(channel, ctdma_allocation(params))
             x = np.zeros(N_VARS)
             x[2] = params.alpha * (a1 - b1)
             x[3] = params.alpha * b1
             x[7] = (1 - params.alpha) * (a2 - b2)
             x[8] = (1 - params.alpha) * b2
-            slack = check_point(system, x)
+            slack = check_point(*system, x)
             worst = min(worst, slack)
             assert slack >= -1e-9
             checked += 1

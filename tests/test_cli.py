@@ -456,6 +456,18 @@ def test_point_rejects_unknown_allocation_keys(tmp_path, capsys, allocation, key
     assert repr(key) in capsys.readouterr().err
 
 
+def test_point_rejects_powers_too_large_to_evaluate(tmp_path, capsys):
+    # within the budget, but a received power overflows, so a bound is not
+    # finite: the LP refuses it and point exits 1
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"states": [{"weight": 1, "pc1": 1e308}]}))
+    argv = ["point", "--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
+            "--p1", "1e308", "--p2", "1", "--alloc", str(alloc)]
+    assert main(argv) == 1
+    assert ("has powers too large to evaluate: constraint data must be finite"
+            in capsys.readouterr().err)
+
+
 def test_point_command_requires_alloc(tmp_path, capsys):
     assert main(["point", "--preset", "fig2"]) == 1
 

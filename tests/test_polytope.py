@@ -10,11 +10,9 @@ from gicee import (
     ChannelParams,
     Frontier,
     PowerState,
-    RateSystem,
     RegionSpec,
     SolverFailure,
     TimeSharedAllocation,
-    build_system,
     grid_feasibility_oracle,
     lp_solve,
     pareto_merge,
@@ -26,54 +24,52 @@ import gicee.polytope as polytope
 from gicee.frontier import PARETO_EPS, _cross, _pareto_prune, _records
 from gicee.polytope import FEASIBILITY_TOL, _Tableau
 from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
-from conftest import check_point, dominates, move_into_hull, support
+from conftest import (
+    allocation_system, check_point, dominates, lp_system, move_into_hull, pin, support)
 
 
 def tableau_of(system):
-    return _Tableau(system.a_ub, system.b_ub, system.a_eq, system.b_eq)
+    a_ub, a_eq, rhs = system
+    return _Tableau(a_ub, rhs[:len(a_ub)], a_eq, rhs[len(a_ub):])
 
 
 def box_system():
-    return RateSystem(a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 1.0])
+    return lp_system([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
 
 
 def polygon_system():
-    return RateSystem(a_ub=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b_ub=[1.0, 1.0, 1.5])
+    return lp_system([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.5])
 
 
 def test_lp_box_corner():
-    res = lp_solve(box_system(), [1.0, 1.0])
+    res = lp_solve(*box_system(), [1.0, 1.0])
     assert res.status == "optimal"
     assert res.value == pytest.approx(2.0, abs=1e-9)
     assert res.x == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
 def test_lp_contradiction_infeasible():
-    res = lp_solve(RateSystem(a_ub=[[1.0, 0.0]], b_ub=[-1.0]), [1.0, 0.0])
+    res = lp_solve(*lp_system([[1.0, 0.0]], [-1.0]), [1.0, 0.0])
     assert res.status == "infeasible"
 
 
 def test_lp_equality():
-    system = RateSystem(
-        a_ub=[[0.0, 0.0]], b_ub=[0.0],
-        a_eq=[[1.0, 1.0]], b_eq=[1.0],
-    )
-    res = lp_solve(system, [1.0, 0.0])
+    res = lp_solve([[0.0, 0.0]], [[1.0, 1.0]], [0.0, 1.0], [1.0, 0.0])
     assert res.status == "optimal"
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.x == pytest.approx([1.0, 0.0], abs=1e-9)
 
 
 def test_lp_unbounded():
-    res = lp_solve(RateSystem(a_ub=[[0.0, 1.0]], b_ub=[1.0]), [1.0, 0.0])
+    res = lp_solve(*lp_system([[0.0, 1.0]], [1.0]), [1.0, 0.0])
     assert res.status == "unbounded"
 
 
 def test_lp_deterministic():
     system = polygon_system()
-    first = lp_solve(system, [0.3, 0.7])
+    first = lp_solve(*system, [0.3, 0.7])
     for _ in range(5):
-        again = lp_solve(system, [0.3, 0.7])
+        again = lp_solve(*system, [0.3, 0.7])
         assert again.value == first.value
         assert np.array_equal(again.x, first.x)
 
@@ -90,8 +86,7 @@ def test_lp_matches_scipy_on_random_systems():
         has_eq = rng.uniform() < 0.4
         a_eq = rng.uniform(0.0, 1.0, (1, n)) if has_eq else None
         b_eq = rng.uniform(0.0, 2.0, 1) if has_eq else None
-        system = RateSystem(a_ub=a, b_ub=b, a_eq=a_eq, b_eq=b_eq)
-        mine = lp_solve(system, c)
+        mine = lp_solve(*lp_system(a, b, a_eq, b_eq), c)
         ref = linprog(-c, A_ub=a, b_ub=b, A_eq=a_eq, b_eq=b_eq, bounds=(0, None))
         if ref.status == 0:
             assert mine.status == "optimal"
@@ -109,19 +104,18 @@ def test_bland_rule_takes_over_a_stall(monkeypatch):
     # Beale's example, which cycles under Dantzig's rule with the textbook
     # ratio test, and reaches the optimum the default rules reach
     rng = np.random.default_rng(42)
-    systems = [(RateSystem(a_ub=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
-                                 [0.0, 0.0, 1.0, 0.0]], b_ub=[0.0, 0.0, 1.0]),
+    systems = [(lp_system([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0],
+                           [0.0, 0.0, 1.0, 0.0]], [0.0, 0.0, 1.0]),
                 np.array([0.75, -20.0, 0.5, -6.0]))]
     for _ in range(60):
         n, m = int(rng.integers(2, 7)), int(rng.integers(1, 12))
-        systems.append((RateSystem(a_ub=rng.uniform(-1.0, 2.0, (m, n)),
-                                   b_ub=rng.uniform(-0.5, 3.0, m)),
+        systems.append((lp_system(rng.uniform(-1.0, 2.0, (m, n)), rng.uniform(-0.5, 3.0, m)),
                         rng.uniform(-1.0, 1.0, n)))
-    default = [lp_solve(system, c) for system, c in systems]
+    default = [lp_solve(*system, c) for system, c in systems]
     assert default[0].value == pytest.approx(1.25, abs=1e-12)
     monkeypatch.setattr(polytope, "_STALL", 0)
     for (system, c), expected in zip(systems, default):
-        res = lp_solve(system, c)
+        res = lp_solve(*system, c)
         assert res.status == expected.status
         if res.status == "optimal":
             assert res.value == pytest.approx(expected.value, abs=1e-9)
@@ -155,7 +149,7 @@ def test_master_confirms_an_optimum_that_rounding_moves(monkeypatch):
 
 
 def test_project_frontier_polygon():
-    frontier = project_frontier(polygon_system(), [1.0, 0.0], [0.0, 1.0])
+    frontier = project_frontier(*polygon_system(), [1.0, 0.0], [0.0, 1.0])
     assert (0.5, 1.0) in set(
         (round(a, 9), round(b, 9)) for a, b in frontier.points
     )
@@ -165,14 +159,13 @@ def test_project_frontier_polygon():
 
 
 def test_project_frontier_infeasible_empty():
-    system = RateSystem(a_ub=[[1.0, 0.0]], b_ub=[-1.0])
-    frontier = project_frontier(system, [1.0, 0.0], [0.0, 1.0])
+    frontier = project_frontier(*lp_system([[1.0, 0.0]], [-1.0]), [1.0, 0.0], [0.0, 1.0])
     assert frontier.is_empty
     assert frontier.metadata["infeasible"] is True
 
 
 def test_project_frontier_dominating_corner():
-    frontier = project_frontier(box_system(), [1.0, 0.0], [0.0, 1.0])
+    frontier = project_frontier(*box_system(), [1.0, 0.0], [0.0, 1.0])
     assert frontier.points == ((1.0, 1.0),)
 
 
@@ -181,35 +174,34 @@ def test_frontier_points_refeasible():
     for _ in range(10):
         a = rng.uniform(0.0, 1.0, (12, 4))
         b = rng.uniform(0.5, 2.0, 12)
-        system = RateSystem(a_ub=a, b_ub=b)
+        system = lp_system(a, b)
         r1 = np.array([1.0, 1.0, 0.0, 0.0])
         r2 = np.array([0.0, 0.0, 1.0, 1.0])
-        frontier = project_frontier(system, r1, r2)
+        frontier = project_frontier(*system, r1, r2)
         for point in frontier.points:
-            pinned = system.with_equalities([r1, r2], list(point))
-            assert lp_solve(pinned, np.zeros(4)).status == "optimal"
+            assert lp_solve(*pin(system, [r1, r2], point), np.zeros(4)).status == "optimal"
 
 
 def test_grid_oracle_box():
-    feasible = grid_feasibility_oracle(box_system(), [1.0, 0.0], [0.0, 1.0], 0.5)
+    feasible = grid_feasibility_oracle(*box_system(), [1.0, 0.0], [0.0, 1.0], 0.5)
     expected = {(i * 0.5, j * 0.5) for i in range(3) for j in range(3)}
     assert feasible == expected
 
 
 def test_grid_oracle_infeasible_empty():
-    system = RateSystem(a_ub=[[1.0, 0.0]], b_ub=[-1.0])
-    assert grid_feasibility_oracle(system, [1.0, 0.0], [0.0, 1.0], 0.5) == frozenset()
+    system = lp_system([[1.0, 0.0]], [-1.0])
+    assert grid_feasibility_oracle(*system, [1.0, 0.0], [0.0, 1.0], 0.5) == frozenset()
 
 
 def test_grid_oracle_positive_pitch():
     with pytest.raises(ValueError):
-        grid_feasibility_oracle(box_system(), [1.0, 0.0], [0.0, 1.0], 0.0)
+        grid_feasibility_oracle(*box_system(), [1.0, 0.0], [0.0, 1.0], 0.0)
 
 
 def test_grid_oracle_points_below_frontier():
     system = polygon_system()
-    frontier = project_frontier(system, [1.0, 0.0], [0.0, 1.0])
-    feasible = grid_feasibility_oracle(system, [1.0, 0.0], [0.0, 1.0], 0.1)
+    frontier = project_frontier(*system, [1.0, 0.0], [0.0, 1.0])
+    feasible = grid_feasibility_oracle(*system, [1.0, 0.0], [0.0, 1.0], 0.1)
     for r1, r2 in feasible:
         assert r2 <= frontier.r2_at(r1) + 1e-9
 
@@ -402,38 +394,39 @@ def test_records_of_parts_give_the_records_of_the_whole(parts):
 
 
 def test_system_validation():
-    with pytest.raises(ValueError):
-        RateSystem(a_ub=[[1.0, float("nan")]], b_ub=[1.0])
-    with pytest.raises(ValueError):
-        RateSystem(a_ub=[[1.0, 0.0]], b_ub=[1.0, 2.0])
+    with pytest.raises(ValueError, match="constraint data must be finite"):
+        lp_solve(*lp_system([[1.0, float("nan")]], [1.0]), [1.0, 0.0])
+    with pytest.raises(ValueError, match="disagree in shape"):
+        lp_solve(*lp_system([[1.0, 0.0]], [1.0, 2.0]), [1.0, 0.0])
+    with pytest.raises(ValueError, match="disagree in shape"):
+        project_frontier(*lp_system([[1.0, 0.0]], [1.0, 2.0]), [1.0, 0.0], [0.0, 1.0])
 
 
 def test_check_point_slack():
     system = polygon_system()
-    assert check_point(system, [0.5, 0.5]) >= 0.0
-    assert check_point(system, [1.2, 0.5]) < 0.0
-    pinned = system.with_equalities([[1.0, 0.0]], [0.5])
-    assert check_point(pinned, [0.5, 0.2]) >= 0.0
-    assert check_point(pinned, [0.6, 0.2]) < 0.0
+    assert check_point(*system, [0.5, 0.5]) >= 0.0
+    assert check_point(*system, [1.2, 0.5]) < 0.0
+    pinned = pin(system, [[1.0, 0.0]], [0.5])
+    assert check_point(*pinned, [0.5, 0.2]) >= 0.0
+    assert check_point(*pinned, [0.6, 0.2]) < 0.0
 
 
 def lexicographic_corner(system, primary, secondary):
     """Cold reference for a frontier corner: maximize ``primary``, pin it
     with an equality row and maximize ``secondary``."""
-    first = lp_solve(system, primary)
-    pinned = system.with_equalities([primary], [first.value])
-    return lp_solve(pinned, secondary).x
+    first = lp_solve(*system, primary)
+    return lp_solve(*pin(system, [primary], [first.value]), secondary).x
 
 
-def highs_corner(system, primary, secondary):
+def highs_corner(a_ub, a_eq, rhs, primary, secondary):
     """Independent corner values (primary, secondary) from scipy HiGHS."""
-    a_eq, b_eq = (system.a_eq, system.b_eq) if system.n_equalities else (None, None)
-    first = linprog(-primary, A_ub=system.a_ub, b_ub=system.b_ub,
-                    A_eq=a_eq, b_eq=b_eq, bounds=(0, None))
+    b_ub, b_eq = rhs[:len(a_ub)], rhs[len(a_ub):]
+    first = linprog(-primary, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq if len(a_eq) else None,
+                    b_eq=b_eq if len(a_eq) else None, bounds=(0, None))
     assert first.status == 0
-    rows = np.vstack([system.a_eq, primary])
-    values = np.append(system.b_eq, -first.fun)
-    second = linprog(-secondary, A_ub=system.a_ub, b_ub=system.b_ub,
+    rows = np.vstack([a_eq, primary])
+    values = np.append(b_eq, -first.fun)
+    second = linprog(-secondary, A_ub=a_ub, b_ub=b_ub,
                      A_eq=rows, b_eq=values, bounds=(0, None))
     assert second.status == 0
     return -first.fun, -second.fun
@@ -447,16 +440,15 @@ def warm_start_cases():
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 12))
         has_eq = rng.uniform() < 0.4
-        system = RateSystem(
-            a_ub=rng.uniform(-1.0, 2.0, (m, n)), b_ub=rng.uniform(-0.5, 3.0, m),
-            a_eq=rng.uniform(0.0, 1.0, (1, n)) if has_eq else None,
-            b_eq=rng.uniform(0.0, 2.0, 1) if has_eq else None,
+        system = lp_system(
+            rng.uniform(-1.0, 2.0, (m, n)), rng.uniform(-0.5, 3.0, m),
+            rng.uniform(0.0, 1.0, (1, n)) if has_eq else None,
+            rng.uniform(0.0, 2.0, 1) if has_eq else None,
         )
         r1 = (np.arange(n) < n // 2).astype(float)
         yield system, r1, 1.0 - r1
     for _ in range(10):
-        system = RateSystem(a_ub=rng.uniform(0.0, 1.0, (12, 4)),
-                            b_ub=rng.uniform(0.5, 2.0, 12))
+        system = lp_system(rng.uniform(0.0, 1.0, (12, 4)), rng.uniform(0.5, 2.0, 12))
         yield system, np.array([1.0, 0.5, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.5])
     fig3 = preset("fig3")
     big = ChannelParams(c12=1.9, c21=1.0, c1e=0.5, c2e=1.6, p1=1e4, p2=1e4)
@@ -469,7 +461,7 @@ def warm_start_cases():
         (big, PowerState(pc1=1e4, pc2=1e3)),
         (big, PowerState(ps1=5e3, pj1=5e3, ps2=1e4)),
     ):
-        system = build_system(channel, TimeSharedAllocation.single_state(state))
+        system = allocation_system(channel, TimeSharedAllocation.single_state(state))
         yield system, R1_OBJECTIVE, R2_OBJECTIVE
 
 
@@ -495,7 +487,7 @@ def bounded_cases():
     """The feasible, bounded projections among ``warm_start_cases``."""
     for system, r1, r2 in warm_start_cases():
         try:
-            frontier = project_frontier(system, r1, r2)
+            frontier = project_frontier(*system, r1, r2)
         except SolverFailure:
             continue
         if not frontier.is_empty:
@@ -509,14 +501,14 @@ def test_warm_started_projection_matches_cold_solves():
         statuses = set()
         cold = []
         for theta in angles:
-            res = lp_solve(system, math.cos(theta) * r1 + math.sin(theta) * r2)
+            res = lp_solve(*system, math.cos(theta) * r1 + math.sin(theta) * r2)
             statuses.add(res.status)
             cold.append((theta, res.value))
         if "unbounded" in statuses:
             with pytest.raises(SolverFailure):
-                project_frontier(system, r1, r2)
+                project_frontier(*system, r1, r2)
             continue
-        frontier = project_frontier(system, r1, r2)
+        frontier = project_frontier(*system, r1, r2)
         assert statuses == ({"infeasible"} if frontier.is_empty else {"optimal"})
         if frontier.is_empty:
             infeasible += 1
@@ -533,7 +525,7 @@ def test_warm_started_projection_matches_cold_solves():
             x = lexicographic_corner(system, primary, secondary)
             old = (max(r1 @ x, 0.0), max(r2 @ x, 0.0))
             assert corner == pytest.approx(old, abs=1e-9)
-            first, second = highs_corner(system, primary, secondary)
+            first, second = highs_corner(*system, primary, secondary)
             swap = primary is r2
             assert corner[swap] == pytest.approx(first, abs=1e-7)
             assert corner[not swap] == pytest.approx(second, abs=1e-7)
@@ -558,8 +550,8 @@ def test_exact_frontier_vertices_are_extreme_and_feasible():
     for system, r1, r2, frontier in bounded_cases():
         points = frontier.points
         for point in points:
-            pinned = system.with_equalities([r1, r2], list(point))
-            assert lp_solve(pinned, np.zeros(system.dim)).status == "optimal"
+            pinned = pin(system, [r1, r2], point)
+            assert lp_solve(*pinned, np.zeros(len(r1))).status == "optimal"
         # strictly convex chain: no vertex lies on the segment of its
         # neighbours, so the search never reports a collinear point
         for a, b, c in zip(points, points[1:], points[2:]):
@@ -668,7 +660,7 @@ def mixed_sign_systems(rng, count, a_ub, a_eq):
         x0 = rng.uniform(0.0, 1.0, n)
         b_ub = a_ub @ x0 + rng.uniform(0.0, 0.3, a_ub.shape[0])
         b_ub[-n:] = 2.0
-        yield RateSystem(a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=a_eq @ x0)
+        yield lp_system(a_ub, b_ub, a_eq, a_eq @ x0)
 
 
 def test_basis_inverse_and_shared_bases_with_flipped_rows():
@@ -685,19 +677,18 @@ def test_basis_inverse_and_shared_bases_with_flipped_rows():
     r1, r2 = np.array([1.0, 0.5, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.5])
     flipped = 0
     for system in mixed_sign_systems(rng, 30, a_ub, a_eq):
-        flipped += int(np.sum(system.b_ub < 0))
+        flipped += int(np.sum(system[2][:len(a_ub)] < 0))
         tableau = tableau_of(system)
         assert tableau.phase1(FEASIBILITY_TOL)
         assert tableau.maximize(rng.uniform(0.0, 1.0, n), FEASIBILITY_TOL) == "optimal"
         assert tableau.complete
         inverse = tableau.t[:-1, tableau.unit] * tableau.sign
-        rhs = np.append(system.b_ub, system.b_eq)
-        assert np.allclose(inverse @ rhs, tableau.t[:-1, -1], atol=1e-9)
+        assert np.allclose(inverse @ system[2], tableau.t[:-1, -1], atol=1e-9)
         a = np.vstack([a_ub, a_eq])
         assert np.allclose(inverse @ a, tableau.t[:-1, :n], atol=1e-9)
-        frontier = project_frontier(system, r1, r2)
+        frontier = project_frontier(*system, r1, r2)
         for theta in np.linspace(0.0, 0.5 * math.pi, 5):
-            res = lp_solve(system, math.cos(theta) * r1 + math.sin(theta) * r2)
+            res = lp_solve(*system, math.cos(theta) * r1 + math.sin(theta) * r2)
             assert support(frontier, theta) == pytest.approx(res.value, abs=1e-9)
     assert flipped
 
@@ -717,7 +708,7 @@ def test_appended_columns_continue_phase_2():
         assert tableau.maximize(c[:3], FEASIBILITY_TOL) == "optimal"
         tableau.append(a[:, 3:])
         status = tableau.maximize(c[:3], FEASIBILITY_TOL)
-        wide = lp_solve(RateSystem(a_ub=a, b_ub=b), c)
+        wide = lp_solve(*lp_system(a, b), c)
         assert status == wide.status
         assert tableau.refactor()
         if status != "optimal":

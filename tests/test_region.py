@@ -13,7 +13,6 @@ import gicee.model as model
 from gicee import (
     ChannelParams,
     PowerState,
-    RateSystem,
     RegionSpec,
     SolverFailure,
     TimeSharedAllocation,
@@ -53,11 +52,13 @@ from gicee.region import (
 from gicee.gaussmi import SignalIndex
 from gicee.grid import _uniform_grid, user_power_grid
 from conftest import (
+    allocation_system,
     check_point,
     check_recipes,
     conditional_mi_timeshared,
     ctdma_allocation,
     dominates,
+    pin,
     random_state,
     sample_nonneg_bracket_params,
     single,
@@ -122,43 +123,42 @@ def test_system_shape_is_fixed(fig2):
     rng = np.random.default_rng(1)
     for _ in range(5):
         alloc = single(random_state(rng, fig2.p1, fig2.p2))
-        system = build_system(fig2, alloc)
-        assert system.n_inequalities == 92
-        assert system.n_equalities == 1
-        assert system.dim == N_VARS
+        assert build_system(fig2, alloc).shape == (93,)
+    assert A_UB.shape == (92, N_VARS)
+    assert EQ_ROW.shape == (N_VARS,)
 
 
 def test_rows_are_subset_indicators(fig3):
-    system = build_system(fig3, single(PowerState(pc1=3.0, pj2=1.0)))
-    assert set(np.unique(system.a_ub)) <= {0.0, 1.0}
-    assert np.all(system.b_ub >= 0.0)
+    rhs = build_system(fig3, single(PowerState(pc1=3.0, pj2=1.0)))
+    assert set(np.unique(A_UB)) <= {0.0, 1.0}
+    assert np.all(rhs[:-1] >= 0.0)
     # eavesdropper rows touch only randomization-rate columns
     rx_cols = sorted(_RX_COL.values())
-    eve_rows = system.a_ub[30:]
+    eve_rows = A_UB[30:]
     msg_cols = [c for c in range(N_VARS) if c not in rx_cols]
     assert np.all(eve_rows[:, msg_cols] == 0.0)
 
 
 def test_all_zero_powers_pin_origin(fig2):
-    system = build_system(fig2, single(PowerState()))
-    assert np.all(system.b_ub == 0.0)
-    res = lp_solve(system, R1_OBJECTIVE + R2_OBJECTIVE)
+    system = allocation_system(fig2, single(PowerState()))
+    assert np.all(system[2][:-1] == 0.0)
+    res = lp_solve(*system, R1_OBJECTIVE + R2_OBJECTIVE)
     assert res.status == "optimal"
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_full_power_asymmetric_is_infeasible(fig3):
     alloc = single(PowerState(pc1=10.0, pc2=10.0))
-    system = build_system(fig3, alloc)
+    rhs = build_system(fig3, alloc)
     # the saturation equality demands more total randomization than the
     # receiver-side pair bound allows
-    assert system.b_eq[0] == pytest.approx(GAMMA_21, abs=1e-12)
+    assert rhs[-1] == pytest.approx(GAMMA_21, abs=1e-12)
     pair_row = np.zeros(N_VARS)
     pair_row[[0, 1, 5, 6]] = 1.0
     idx = next(
-        i for i, row in enumerate(system.a_ub) if np.array_equal(row, pair_row)
+        i for i, row in enumerate(A_UB) if np.array_equal(row, pair_row)
     )
-    assert system.b_ub[idx] == pytest.approx(GAMMA_20, abs=1e-12)
+    assert rhs[idx] == pytest.approx(GAMMA_20, abs=1e-12)
     assert region_for_allocation(fig3, alloc).is_empty
 
 
@@ -225,13 +225,13 @@ def test_feasible_points_saturate_randomization_total(fig2, fig3):
     ]
     rng = np.random.default_rng(31)
     for channel, state in cases:
-        system = build_system(channel, single(state))
+        system = allocation_system(channel, single(state))
         for _ in range(6):
             objective = rng.uniform(0.0, 1.0, N_VARS)
-            res = lp_solve(system, objective)
+            res = lp_solve(*system, objective)
             assert res.status == "optimal"
             assert sum(res.x[c] for c in rx_cols) == pytest.approx(
-                system.b_eq[0], abs=1e-9
+                system[2][-1], abs=1e-9
             )
 
 
@@ -294,13 +294,13 @@ def test_time_division_points_feasible_in_general_system(fig2, fig3):
         assert len(samples) == 10
         for params, a1, b1, a2, b2 in samples:
             alpha = params.alpha
-            system = build_system(channel, ctdma_allocation(params))
+            system = allocation_system(channel, ctdma_allocation(params))
             x = np.zeros(N_VARS)
             x[2] = alpha * (a1 - b1)          # self-message rate, user 1
             x[3] = alpha * b1                 # its randomization rate
             x[7] = (1 - alpha) * (a2 - b2)    # self-message rate, user 2
             x[8] = (1 - alpha) * b2
-            assert check_point(system, x) >= -1e-9
+            assert check_point(*system, x) >= -1e-9
 
 
 def test_timeshared_union_bounds_match_manual_average(fig2):
@@ -308,11 +308,10 @@ def test_timeshared_union_bounds_match_manual_average(fig2):
     s1 = random_state(rng, fig2.p1, fig2.p2)
     s2 = random_state(rng, fig2.p1, fig2.p2)
     alloc = TimeSharedAllocation(states=((0.3, s1), (0.7, s2)))
-    system = build_system(fig2, alloc)
-    sys1 = build_system(fig2, single(s1))
-    sys2 = build_system(fig2, single(s2))
-    assert np.allclose(system.b_ub, 0.3 * sys1.b_ub + 0.7 * sys2.b_ub, atol=1e-12)
-    assert np.allclose(system.b_eq, 0.3 * sys1.b_eq + 0.7 * sys2.b_eq, atol=1e-12)
+    rhs = build_system(fig2, alloc)
+    rhs1 = build_system(fig2, single(s1))
+    rhs2 = build_system(fig2, single(s2))
+    assert np.allclose(rhs, 0.3 * rhs1 + 0.7 * rhs2, atol=1e-12)
 
 
 gains = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
@@ -376,11 +375,8 @@ def test_bound_rows_match_scalar_mi(case):
         if validate_allocation(channel, alloc).ok:
             # build_system averages its states' rows in the same order,
             # bit for bit
-            system = build_system(channel, alloc)
-            assert np.array_equal(system.a_ub, A_UB)
-            assert np.array_equal(system.a_eq, EQ_ROW[np.newaxis, :])
-            assert np.array_equal(np.append(system.b_ub, system.b_eq).view(np.uint64),
-                                  averaged.view(np.uint64))
+            rhs = build_system(channel, alloc)
+            assert np.array_equal(rhs.view(np.uint64), averaged.view(np.uint64))
 
 
 def phase1_feasible(bounds):
@@ -444,10 +440,10 @@ def test_shared_projector_matches_cold_projections(case):
     for alloc in allocations:
         if not validate_allocation(channel, alloc).ok:
             continue
-        system = build_system(channel, alloc)
-        frontier = project_frontier(system, R1_OBJECTIVE, R2_OBJECTIVE)
+        system = allocation_system(channel, alloc)
+        frontier = project_frontier(*system, R1_OBJECTIVE, R2_OBJECTIVE)
         for theta in np.linspace(0.0, 0.5 * math.pi, 5):
-            res = lp_solve(system, math.cos(theta) * R1_OBJECTIVE + math.sin(theta) * R2_OBJECTIVE)
+            res = lp_solve(*system, math.cos(theta) * R1_OBJECTIVE + math.sin(theta) * R2_OBJECTIVE)
             assert res.status == ("infeasible" if frontier.is_empty else "optimal")
             if not frontier.is_empty:
                 assert support(frontier, theta) == pytest.approx(res.value, abs=1e-9)
@@ -458,7 +454,7 @@ def one_column(bounds, usage=np.zeros((1, 0)), caps=np.zeros(0), matrix=A_UB):
     ``bounds`` (93,) of the `full` rows, as :func:`project_frontier` runs
     it: its vertices, recipes and counts."""
     read = lambda at, columns: (bounds if columns is None else bounds[columns])[np.newaxis]
-    return time_share(matrix, EQ_ROW[np.newaxis, :], R1_OBJECTIVE, R2_OBJECTIVE, 1, read,
+    return time_share(matrix, EQ_ROW[np.newaxis, :], read, R1_OBJECTIVE, R2_OBJECTIVE,
                       usage, caps, 0, bounds[np.newaxis])
 
 
@@ -526,9 +522,9 @@ def test_union_search_decides_feasibility_like_phase1(
     for vertex in vertices:
         alloc = TimeSharedAllocation(tuple(
             (w, PowerState(*powers)) for w, powers in zip(vertex["weights"], vertex["states"])))
-        system = build_system(channel, alloc).with_equalities(
-            [R1_OBJECTIVE, R2_OBJECTIVE], vertex["point"])
-        assert lp_solve(system, np.zeros(N_VARS)).status == "optimal"
+        system = pin(allocation_system(channel, alloc), [R1_OBJECTIVE, R2_OBJECTIVE],
+                     vertex["point"])
+        assert lp_solve(*system, np.zeros(N_VARS)).status == "optimal"
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -571,11 +567,9 @@ def test_projector_rejects_non_finite_matrix_and_resources(fig3, bad):
 
 def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
     # the sweep carries the grid as one array: no PowerState,
-    # TimeSharedAllocation or validation per state, no RateSystem (the
-    # master's tableau is built from arrays), and no Frontier per state:
-    # the vertices make one, the merge another
-    built = {"PowerState": 0, "TimeSharedAllocation": 0, "RateSystem": 0, "Frontier": 0,
-             "validate": 0}
+    # TimeSharedAllocation or validation per state, and no Frontier per
+    # state: the vertices make one, the merge another
+    built = {"PowerState": 0, "TimeSharedAllocation": 0, "Frontier": 0, "validate": 0}
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -583,15 +577,14 @@ def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
             return fn(*args, **kwargs)
         return counted
 
-    for cls in (PowerState, TimeSharedAllocation, RateSystem, Frontier):
+    for cls in (PowerState, TimeSharedAllocation, Frontier):
         monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
     for module in (model, region):
         monkeypatch.setattr(module, "validate_allocation",
                             counting("validate", module.validate_allocation))
     frontier = region_union(RegionSpec(channel=fig3, variant="r3", steps=11))
     assert frontier.metadata["allocations"] == 4356
-    assert built == {"PowerState": 0, "TimeSharedAllocation": 0,
-                     "RateSystem": 0, "Frontier": 2, "validate": 0}
+    assert built == {"PowerState": 0, "TimeSharedAllocation": 0, "Frontier": 2, "validate": 0}
 
 
 def test_union_lp_counts(fig3):
@@ -644,8 +637,7 @@ def per_allocation_union(spec):
     grid = _family_allocations(spec)
     block = bound_rows(spec.channel, grid[in_budget(spec.channel, grid)])
     return pareto_merge([
-        project_frontier(RateSystem(A_UB, row[:-1], EQ_ROW[np.newaxis, :], row[-1:]),
-                         R1_OBJECTIVE, R2_OBJECTIVE)
+        project_frontier(A_UB, EQ_ROW[np.newaxis, :], row, R1_OBJECTIVE, R2_OBJECTIVE)
         for row in block])
 
 

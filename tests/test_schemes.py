@@ -61,11 +61,11 @@ def literal_slot_grids(tag, channel, alpha, steps):
     return slots
 
 
-def ctdma_family(tag, channel, steps, alpha_steps=None):
+def ctdma_family(tag, channel, steps):
     """Every grid-feasible time-division operating point, lazily."""
     if tag not in CTDMA_TAGS:
         raise ValueError(f"tag must be one of {CTDMA_TAGS}, got {tag!r}")
-    for alpha in np.linspace(0.0, 1.0, alpha_steps or steps):
+    for alpha in np.linspace(0.0, 1.0, steps):
         alpha = float(alpha)
         slot1, slot2 = literal_slot_grids(tag, channel, alpha, steps)
         ab = 1.0 - alpha
@@ -101,16 +101,15 @@ def dense_best_partners(r2, used1_b, used2_b, used1_a, used2_a, cap1, cap2):
     return np.where(ok, r2[None, :], -np.inf).max(axis=1)
 
 
-def dense_pairing_region(channel, variant, steps, alpha_steps=None):
+def dense_pairing_region(channel, variant, steps):
     """Time-division region with each slot-1 tuple checked against every
     slot-2 tuple by a dense joint-budget mask over the literal slot grids.
 
     On the way it checks each slot's rates and uses, and the pairing,
     against the row-wise ones of every tuple."""
     points = []
-    alpha_steps = alpha_steps or steps
     caps = (channel.p1 + BUDGET_TOL, channel.p2 + BUDGET_TOL)
-    for alpha in np.linspace(0.0, 1.0, alpha_steps):
+    for alpha in np.linspace(0.0, 1.0, steps):
         alpha = float(alpha)
         slot1, slot2 = (
             np.asarray(tuples, dtype=float).reshape(-1, 3)
@@ -134,7 +133,7 @@ def dense_pairing_region(channel, variant, steps, alpha_steps=None):
         paired = _best_partners(f_r2, f_used1_b, f_used2_b, f_used1_a, f_used2_a, *caps)
         assert np.array_equal(paired.ravel(), best)
         points += [(float(a), float(b)) for a, b in zip(r1, best) if b > -np.inf]
-    meta = {"scheme": variant, "steps": steps, "alpha_steps": alpha_steps}
+    meta = {"scheme": variant, "steps": steps}
     if not points:
         return Frontier(points=(), metadata=meta)
     return pareto_merge([Frontier(points=_pareto_prune(points))], metadata=meta)
@@ -192,7 +191,7 @@ def test_single_user_wiretap_values():
 
 
 def test_region_contains_time_shared_mixtures(fig2):
-    frontier = ctdma_region(fig2, "tdma", steps=5, alpha_steps=3)
+    frontier = ctdma_region(fig2, "tdma", steps=5)
     assert frontier.max_r1 == pytest.approx(WIRETAP_10, abs=1e-9)
     assert frontier.max_r2 == pytest.approx(WIRETAP_10, abs=1e-9)
     # the equal-split mixture lies on or below the hull
@@ -226,9 +225,8 @@ def test_region_rejects_overflowing_budgets():
 def test_region_matches_literal_enumeration(fig2, fig3):
     # the vectorized sweep must agree with merging every grid point
     for channel, variant in ((fig2, "ctdma"), (fig3, "ctdma_nscp")):
-        fast = ctdma_region(channel, variant, steps=4, alpha_steps=3)
-        points = [ctdma_rates(channel, p) for p in
-                  ctdma_family(variant, channel, steps=4, alpha_steps=3)]
+        fast = ctdma_region(channel, variant, steps=4)
+        points = [ctdma_rates(channel, p) for p in ctdma_family(variant, channel, steps=4)]
         literal = pareto_merge([Frontier(points=_pareto_prune(points))])
         assert len(fast.points) == len(literal.points)
         for a, b in zip(fast.points, literal.points):
@@ -241,13 +239,13 @@ channels = st.builds(ChannelParams, gains, gains, gains, gains, budgets, budgets
 
 
 @settings(max_examples=150, deadline=None)
-@given(channels, st.sampled_from(CTDMA_TAGS), st.integers(2, 7), st.integers(1, 5))
-# many time splits of few tuples each, as in a fine ``tdma`` sweep
-@example(ChannelParams(1.9, 1.9, 0.5, 0.5, 10.0, 10.0), "tdma", 5, 40)
-def test_region_matches_dense_pairing(channel, variant, steps, alpha_steps):
+@given(channels, st.sampled_from(CTDMA_TAGS), st.integers(2, 7))
+# many time splits, as in a fine ``tdma`` sweep
+@example(ChannelParams(1.9, 1.9, 0.5, 0.5, 10.0, 10.0), "tdma", 40)
+def test_region_matches_dense_pairing(channel, variant, steps):
     # the prefix-max lookup must pick exactly the pairs the dense mask picks
-    fast = ctdma_region(channel, variant, steps=steps, alpha_steps=alpha_steps)
-    dense = dense_pairing_region(channel, variant, steps, alpha_steps)
+    fast = ctdma_region(channel, variant, steps=steps)
+    dense = dense_pairing_region(channel, variant, steps)
     assert fast.points == dense.points
     # timing is the one metadata field the literal pairing does not have
     timing = fast.metadata.pop("timing")
@@ -292,13 +290,12 @@ def hex_points(frontier):
               st.sampled_from([0.0, 1e-3, 10.0, 1e4]), st.sampled_from([0.0, 1e-3, 10.0, 1e4])),
     st.sampled_from(CTDMA_TAGS),
     st.integers(2, 17),
-    st.one_of(st.none(), st.integers(2, 17)),
 )
-def test_region_matches_rowwise_pairing_bit_for_bit(channel, variant, steps, alpha_steps):
+def test_region_matches_rowwise_pairing_bit_for_bit(channel, variant, steps):
     # the factored grids and the per-split record cut give the row-wise
-    # pairing's frontier exactly, for alpha_steps equal to steps or not
-    fast = ctdma_region(channel, variant, steps=steps, alpha_steps=alpha_steps)
-    rowwise = rowwise_ctdma_region(channel, variant, steps, alpha_steps)
+    # pairing's frontier exactly
+    fast = ctdma_region(channel, variant, steps=steps)
+    rowwise = rowwise_ctdma_region(channel, variant, steps)
     assert hex_points(fast) == hex_points(rowwise)
 
 
@@ -308,9 +305,9 @@ def test_region_ties_between_splits_resolve_as_rowwise():
     # resolve the tie as the row-wise pairing does
     silent = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=0.0, p2=0.0)
     for variant in CTDMA_TAGS:
-        fast = ctdma_region(silent, variant, steps=3, alpha_steps=5)
+        fast = ctdma_region(silent, variant, steps=5)
         assert fast.points == ((0.0, 0.0),)
-        assert hex_points(fast) == hex_points(rowwise_ctdma_region(silent, variant, 3, 5))
+        assert hex_points(fast) == hex_points(rowwise_ctdma_region(silent, variant, 5))
 
 
 def test_region_matches_dense_pairing_on_presets(fig2, fig3):
@@ -321,23 +318,22 @@ def test_region_matches_dense_pairing_on_presets(fig2, fig3):
 
 
 def test_variant_tdma_is_time_sharing_only(fig2):
-    for params in ctdma_family("tdma", fig2, steps=4, alpha_steps=3):
+    for params in ctdma_family("tdma", fig2, steps=4):
         assert params.p1j1 == params.p2j1 == params.p2j2 == params.p1j2 == 0.0
 
 
 def test_variant_nscp_never_jams_own_slot(fig3):
     saw_helper_jam = False
-    for params in ctdma_family("ctdma_nscp", fig3, steps=4, alpha_steps=3):
+    for params in ctdma_family("ctdma_nscp", fig3, steps=4):
         assert params.p1j1 == 0.0 and params.p2j2 == 0.0
         saw_helper_jam |= params.p2j1 > 0 or params.p1j2 > 0
     assert saw_helper_jam
 
 
 def test_variant_parameter_nesting(fig2):
-    kwargs = dict(steps=3, alpha_steps=3)
-    tdma = set(ctdma_family("tdma", fig2, **kwargs))
-    nscp = set(ctdma_family("ctdma_nscp", fig2, **kwargs))
-    full = set(ctdma_family("ctdma", fig2, **kwargs))
+    tdma = set(ctdma_family("tdma", fig2, steps=3))
+    nscp = set(ctdma_family("ctdma_nscp", fig2, steps=3))
+    full = set(ctdma_family("ctdma", fig2, steps=3))
     assert tdma < nscp < full
 
 
