@@ -19,8 +19,8 @@ class SolverFailure(RuntimeError):
 _HOMES = {
     "gaussmi": ("DECODABLE", "RECEIVERS", "SignalIndex", "clamp_rate", "gamma",
                 "single_user_wiretap"),
-    "model": ("AllocationReport", "ChannelParams", "PowerState", "TimeSharedAllocation",
-              "preset", "validate_allocation"),
+    "model": ("ChannelParams", "PowerState", "preset", "read_allocation",
+              "validate_allocation"),
     "frontier": ("Frontier", "pareto_merge"),
     "polytope": ("LpResult", "lp_solve", "project_frontier"),
     "region": ("R1_OBJECTIVE", "R2_OBJECTIVE", "RegionSpec", "build_system",

@@ -255,7 +255,7 @@ def cmd_ctdma(args: argparse.Namespace) -> int:
 
 
 def cmd_point(args: argparse.Namespace) -> int:
-    from .model import TimeSharedAllocation, validate_allocation
+    from .model import read_allocation, validate_allocation
 
     cfg = _merge_config(args)
     channel = _resolve_channel(cfg)
@@ -264,19 +264,20 @@ def cmd_point(args: argparse.Namespace) -> int:
         raise ConfigError("--alloc FILE is required")
     try:
         data = json.loads(Path(alloc_path).read_text())
-        alloc = TimeSharedAllocation.from_dict(data)
+        weights, powers = read_allocation(data)
     except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cannot load allocation {alloc_path}: {exc}") from exc
-    report = validate_allocation(channel, alloc)
-    if not report.ok:
-        raise ConfigError(f"allocation invalid ({report.code}): {report.detail}")
+    try:
+        validate_allocation(channel, weights, powers)
+    except ValueError as exc:
+        raise ConfigError(f"allocation invalid {exc}") from None
     out = cfg.get("out")
     if out is not None:
         out = _output_path(out, sidecar=False)
     from .region import region_for_allocation
 
     try:
-        frontier = region_for_allocation(channel, alloc)
+        frontier = region_for_allocation(channel, weights, powers)
     except ValueError as exc:
         raise ConfigError(
             f"allocation {alloc_path} has powers too large to evaluate: {exc}"

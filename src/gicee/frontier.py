@@ -150,7 +150,8 @@ def _hull_vertices(points: list[tuple[float, float]]) -> list[tuple[float, float
     """Upper convex hull vertices (monotone chain), from the rightmost
     point to the leftmost.  A point within ``PARETO_EPS`` of its
     neighbours' chord, relative to the chord's length, is no vertex, so
-    the hull holds the same vertices whichever points on an edge it gets.
+    the hull holds the same vertices whichever points on an edge it gets;
+    one that turns left past either end of a near-vertical chord is one.
 
     The lower chain is not needed.  :func:`pareto_merge` adds each point's
     axis projections, so the leftmost point has r1 = 0 and an r2 no larger
@@ -160,8 +161,12 @@ def _hull_vertices(points: list[tuple[float, float]]) -> list[tuple[float, float
     """
     upper: list[tuple[float, float]] = []
     for p in sorted(set(points), reverse=True):
-        while len(upper) >= 2 and (_cross(upper[-2], upper[-1], p)
-                                   <= PARETO_EPS * math.dist(upper[-2], p) ** 2):
+        while len(upper) >= 2:
+            o, a = upper[-2], upper[-1]
+            cross, span = _cross(o, a, p), math.dist(o, p) ** 2
+            along = (a[0] - o[0]) * (p[0] - o[0]) + (a[1] - o[1]) * (p[1] - o[1])
+            if cross > 0 and (cross > PARETO_EPS * span or not 0 <= along <= span):
+                break
             upper.pop()
         upper.append(p)
     return upper

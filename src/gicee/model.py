@@ -2,9 +2,10 @@
 
 The channel is kept in standard form: direct gains and every noise variance
 are normalized to 1, so an instance is fully described by four cross gains
-and two average power budgets.  Transmit strategies are lists of weighted
-power states; each state splits a user's power into a common, self, other
-and jamming component.
+and two average power budgets.  An allocation time-shares weighted power
+states and is two lists: the weights, and per state the eight powers in
+the order of ``PowerState``'s fields.  Reading and checking one loads no
+numpy, so a bad allocation file is refused before numpy loads.
 """
 
 from __future__ import annotations
@@ -72,9 +73,10 @@ class ChannelParams:
 
 
 def _number(value, name: str) -> float:
-    """A JSON field as a float; a boolean is refused, though Python counts
-    it as the number 0 or 1."""
-    if isinstance(value, bool):
+    """A JSON number as a float.  A string is refused, though ``float``
+    parses one, and so is a boolean, though Python counts it as the number
+    0 or 1."""
+    if isinstance(value, (bool, str)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
@@ -101,122 +103,63 @@ class PowerState:
     po2: float = 0.0
     pj2: float = 0.0
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PowerState":
-        return cls(**{name: _number(data.get(name, 0.0), name) for name in _STATE_FIELDS})
+
+def read_allocation(data) -> tuple[list[float], list[list[float]]]:
+    """The weights and per-state powers of an allocation JSON object; a
+    power left out reads as 0.  The weights are normalized to sum to one
+    whenever they are all finite and nonnegative with a positive sum;
+    anything else is kept as-is so that :func:`validate_allocation` can
+    report it."""
+    raw = data.get("states") if isinstance(data, dict) else None
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("allocation JSON needs a nonempty 'states' list")
+    if not all(isinstance(entry, dict) for entry in raw):
+        raise ValueError("every allocation state must be a JSON object")
+    # a mistyped key would otherwise read as a power of 0 or a missing weight
+    unknown = sorted(set(data) - {"states"}) + sorted(
+        {key for entry in raw for key in entry} - {"weight", *_STATE_FIELDS})
+    if unknown:
+        raise ValueError(f"allocation JSON has unknown keys {unknown}; it takes 'states', "
+                         f"each a JSON object of {['weight', *_STATE_FIELDS]}")
+    weights, powers = [], []
+    for idx, entry in enumerate(raw):
+        if "weight" not in entry:
+            raise ValueError(f"state {idx} has no 'weight'")
+        weights.append(_number(entry["weight"], "weight"))
+        powers.append([_number(entry.get(name, 0.0), name) for name in _STATE_FIELDS])
+    if all(math.isfinite(w) and w >= 0 for w in weights):
+        total = sum(weights)
+        if total > 0:
+            weights = [w / total for w in weights]
+    return weights, powers
 
 
-@dataclass(frozen=True)
-class TimeSharedAllocation:
-    """A weighted list of power states realizing a time-sharing strategy.
-
-    Weights are normalized to sum to one at construction whenever they are
-    all finite and nonnegative with a positive sum; anything else is kept
-    as-is so that :func:`validate_allocation` can report it.
-    """
-
-    states: tuple[tuple[float, PowerState], ...]
-
-    def __post_init__(self) -> None:
-        states = tuple((float(w), s) for w, s in self.states)
-        if not states:
-            raise ValueError("allocation needs at least one state")
-        weights = [w for w, _ in states]
-        if all(math.isfinite(w) and w >= 0 for w in weights):
-            total = sum(weights)
-            if total > 0:
-                states = tuple((w / total, s) for w, s in states)
-        object.__setattr__(self, "states", states)
-
-    @classmethod
-    def single_state(cls, state: PowerState) -> "TimeSharedAllocation":
-        return cls(states=((1.0, state),))
-
-    def average_power(self, user: int) -> float:
-        """Average total transmit power (codeword plus jamming) of a user."""
-        if user == 1:
-            return sum(w * (s.pc1 + s.ps1 + s.po1 + s.pj1) for w, s in self.states)
-        if user == 2:
-            return sum(w * (s.pc2 + s.ps2 + s.po2 + s.pj2) for w, s in self.states)
-        raise ValueError(f"user must be 1 or 2, got {user}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimeSharedAllocation":
-        raw = data.get("states") if isinstance(data, dict) else None
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("allocation JSON needs a nonempty 'states' list")
-        if not all(isinstance(entry, dict) for entry in raw):
-            raise ValueError("every allocation state must be a JSON object")
-        # a mistyped key would otherwise read as a power or weight of 0
-        unknown = sorted(set(data) - {"states"}) + sorted(
-            {key for entry in raw for key in entry} - {"weight", *_STATE_FIELDS})
-        if unknown:
-            raise ValueError(f"allocation JSON has unknown keys {unknown}; it takes 'states', "
-                             f"each a JSON object of {['weight', *_STATE_FIELDS]}")
-        states = tuple(
-            (_number(entry.get("weight", 0.0), "weight"), PowerState.from_dict(entry))
-            for entry in raw
-        )
-        return cls(states=states)
-
-
-# Violation codes reported by validate_allocation.
-NON_FINITE = "non_finite"
-NEGATIVE_WEIGHT = "negative_weight"
-NEGATIVE_POWER = "negative_power"
-WEIGHT_SUM = "weight_sum"
-BUDGET = "budget"
-
-
-@dataclass(frozen=True)
-class AllocationReport:
-    """Outcome of validating an allocation against a channel's budgets."""
-
-    ok: bool
-    code: str | None = None
-    detail: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_allocation(
-    channel: ChannelParams, alloc: TimeSharedAllocation
-) -> AllocationReport:
+def validate_allocation(channel: ChannelParams, weights, powers) -> None:
     """Check weights, power signs and the averaged power budgets.
 
-    Returns an ok report iff every weight is a finite probability, every
-    power component is finite and nonnegative, and the weighted average of
-    codeword-plus-jamming power stays within each user's budget, up to
-    ``BUDGET_TOL`` times the budget or 1, whichever is larger.
+    Raises ValueError, its message ``(code): detail``, unless every weight
+    is a finite probability, every power is finite and nonnegative, and
+    the weighted average of codeword-plus-jamming power stays within each
+    user's budget, up to ``BUDGET_TOL`` times the budget or 1, whichever
+    is larger.  The code names the first check that fails: ``non_finite``,
+    ``negative_weight``, ``negative_power``, ``weight_sum`` or ``budget``.
     """
-    for idx, (weight, state) in enumerate(alloc.states):
-        if not math.isfinite(weight):
-            return AllocationReport(False, NON_FINITE, f"state {idx}: weight={weight!r}")
-        for name in _STATE_FIELDS:
-            value = getattr(state, name)
-            if not math.isfinite(value):
-                return AllocationReport(
-                    False, NON_FINITE, f"state {idx}: {name}={value!r}"
-                )
-    for idx, (weight, state) in enumerate(alloc.states):
-        if weight < 0:
-            return AllocationReport(
-                False, NEGATIVE_WEIGHT, f"state {idx}: weight={weight!r}"
-            )
-        for name in _STATE_FIELDS:
-            value = getattr(state, name)
-            if value < 0:
-                return AllocationReport(
-                    False, NEGATIVE_POWER, f"state {idx}: {name}={value!r}"
-                )
-    total = sum(w for w, _ in alloc.states)
+    fields = [(idx, name, value)
+              for idx, (weight, state) in enumerate(zip(weights, powers, strict=True))
+              for name, value in (("weight", weight), *zip(_STATE_FIELDS, state))]
+    for idx, name, value in fields:
+        if not math.isfinite(value):
+            raise ValueError(f"(non_finite): state {idx}: {name}={value!r}")
+    for idx, name, value in fields:
+        if value < 0:
+            code = "negative_weight" if name == "weight" else "negative_power"
+            raise ValueError(f"({code}): state {idx}: {name}={value!r}")
+    total = sum(weights)
     if abs(total - 1.0) > 1e-12:
-        return AllocationReport(False, WEIGHT_SUM, f"weights sum to {total!r}")
+        raise ValueError(f"(weight_sum): weights sum to {total!r}")
     for user, budget in ((1, channel.p1), (2, channel.p2)):
-        used = alloc.average_power(user)
+        at = 4 * (user - 1)
+        used = sum(w * (((p[at] + p[at + 1]) + p[at + 2]) + p[at + 3])
+                   for w, p in zip(weights, powers))
         if used > budget + BUDGET_TOL * max(1.0, budget):
-            return AllocationReport(
-                False, BUDGET, f"user {user}: average power {used!r} > budget {budget!r}"
-            )
-    return AllocationReport(True)
+            raise ValueError(f"(budget): user {user}: average power {used!r} > budget {budget!r}")

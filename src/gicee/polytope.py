@@ -3,7 +3,8 @@
 Everything here is sized for systems of ten variables and about a hundred
 constraints, so the solver is a plain dense two-phase simplex: Dantzig's
 entering column, Harris's ratio test for the leaving row, deterministic,
-no sparsity, no scaling tricks.
+no sparsity.  The one scaling is the master's: each resource row is divided
+by its cap (:class:`_Master`).
 Every LP here is a fixed matrix ``(a_ub, a_eq)`` and a right-hand side
 ``(b, e)``, one array holding the inequality bounds, then the equality
 values: ``a_ub x <= b``, ``a_eq x = e``, ``x >= 0``.  :func:`lp_solve`

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .gaussmi import DECODABLE, SignalIndex
 from .grid import VARIANTS, _user_grid_size, first_user_rows, on_user_grid, user_power_grid
-from .model import ChannelParams, TimeSharedAllocation, validate_allocation
+from .model import ChannelParams, validate_allocation
 from .frontier import Frontier, _pareto_prune, pareto_merge
 from .polytope import project_frontier, time_share
 
@@ -196,28 +196,27 @@ def bound_rows(channel: ChannelParams, powers: np.ndarray,
         return 0.5 * np.log1p(numerator / floor) / _LN2
 
 
-def build_system(channel: ChannelParams, alloc: TimeSharedAllocation) -> np.ndarray:
+def build_system(channel: ChannelParams, weights, powers) -> np.ndarray:
     """Right-hand side of the system ``(A_UB, EQ_ROW)`` for one
     allocation, (93,): the 92 inequality bounds, then the eavesdropper
-    equality, each averaged over the allocation's time sharing."""
-    report = validate_allocation(channel, alloc)
-    if not report.ok:
-        raise ValueError(f"invalid allocation ({report.code}): {report.detail}")
-    weights = np.array([w for w, _ in alloc.states])
-    rows = bound_rows(channel, np.array([astuple(s) for _, s in alloc.states], dtype=float))
-    return (weights[:, np.newaxis] * rows).sum(axis=0)
+    equality, each the ``weights``' average of the :func:`bound_rows` of
+    ``powers``, per state its eight powers."""
+    try:
+        validate_allocation(channel, weights, powers)
+    except ValueError as exc:
+        raise ValueError(f"invalid allocation {exc}") from None
+    rows = bound_rows(channel, np.array(powers, dtype=float))
+    return (np.array(weights, dtype=float)[:, np.newaxis] * rows).sum(axis=0)
 
 
-def region_for_allocation(
-    channel: ChannelParams, alloc: TimeSharedAllocation
-) -> Frontier:
+def region_for_allocation(channel: ChannelParams, weights, powers) -> Frontier:
     """Achievable (r1, r2) frontier for a single allocation.
 
     An empty frontier means the allocation admits no rate point at all
     (the equality can outgrow the receiver bounds); that is an expected
     outcome, not an error.  Phase 1 decides feasibility.
     """
-    return project_frontier(A_UB, EQ_ROW[np.newaxis], build_system(channel, alloc),
+    return project_frontier(A_UB, EQ_ROW[np.newaxis], build_system(channel, weights, powers),
                             R1_OBJECTIVE, R2_OBJECTIVE)
 
 

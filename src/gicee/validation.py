@@ -21,7 +21,7 @@ import numpy as np
 from . import SolverFailure
 from .frontier import Frontier
 from .gaussmi import DECODABLE, RECEIVERS, SignalIndex
-from .model import ChannelParams, PowerState, TimeSharedAllocation
+from .model import ChannelParams, PowerState
 from .polytope import lp_solve, project_frontier
 from .region import (
     _BOUNDS,
@@ -115,11 +115,12 @@ def grid_feasibility_oracle(a_ub, a_eq, rhs, r1_row: Sequence[float],
     return frozenset(feasible)
 
 
-def _random_state(rng: np.random.Generator, p1: float, p2: float) -> PowerState:
+def _random_state(rng: np.random.Generator, p1: float, p2: float) -> np.ndarray:
+    """The 8 powers of a random state within the budgets."""
     shares = rng.uniform(0.0, 1.0, 8)
     u1 = shares[:4] / max(shares[:4].sum(), 1e-12) * p1 * rng.uniform(0.0, 1.0)
     u2 = shares[4:] / max(shares[4:].sum(), 1e-12) * p2 * rng.uniform(0.0, 1.0)
-    return PowerState(*u1, *u2)
+    return np.concatenate([u1, u2])
 
 
 def _random_channel(rng: np.random.Generator) -> ChannelParams:
@@ -214,10 +215,8 @@ def projection_suite(seed: int, systems: int) -> float:
             c1e=rng.uniform(0.0, 0.7), c2e=rng.uniform(0.0, 0.7),
             p1=rng.uniform(1.0, 15.0), p2=rng.uniform(1.0, 15.0),
         )
-        alloc = TimeSharedAllocation.single_state(
-            _random_state(rng, channel.p1, channel.p2)
-        )
-        system = (A_UB, EQ_ROW[np.newaxis], build_system(channel, alloc))
+        powers = _random_state(rng, channel.p1, channel.p2)
+        system = (A_UB, EQ_ROW[np.newaxis], build_system(channel, [1.0], [powers]))
         frontier = project_frontier(*system, R1_OBJECTIVE, R2_OBJECTIVE)
         if frontier.is_empty:
             if grid_feasibility_oracle(*system, R1_OBJECTIVE, R2_OBJECTIVE, 0.25):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -12,11 +12,12 @@ from gicee import (
     Frontier,
     PowerState,
     SignalIndex,
-    TimeSharedAllocation,
     clamp_rate,
     gamma,
     pareto_merge,
     preset,
+    read_allocation,
+    validate_allocation,
 )
 from gicee.frontier import FEASIBILITY_TOL, _pareto_prune
 from gicee.model import BUDGET_TOL
@@ -54,8 +55,22 @@ def random_state(rng: np.random.Generator, p1: float, p2: float) -> PowerState:
     return PowerState(*u1, *u2)
 
 
-def single(state: PowerState) -> TimeSharedAllocation:
-    return TimeSharedAllocation.single_state(state)
+def allocation(*states: tuple[float, PowerState]) -> tuple[list[float], list[list[float]]]:
+    """The ``(weights, powers)`` of ``(weight, PowerState)`` pairs, the
+    weights normalized as an allocation file's are."""
+    return read_allocation({"states": [dict(asdict(s), weight=w) for w, s in states]})
+
+
+def single(state: PowerState) -> tuple[list[float], list[list[float]]]:
+    return allocation((1.0, state))
+
+
+def is_valid(channel, weights, powers) -> bool:
+    try:
+        validate_allocation(channel, weights, powers)
+    except ValueError:
+        return False
+    return True
 
 
 def sample_nonneg_bracket_params(rng, channel, count, max_tries=20000):
@@ -174,9 +189,9 @@ def lp_system(a_ub, b_ub, a_eq=None, b_eq=None):
     return a_ub, np.asarray(a_eq, dtype=float), np.concatenate([b_ub, b_eq]).astype(float)
 
 
-def allocation_system(channel, alloc):
+def allocation_system(channel, weights, powers):
     """The arrays ``(a_ub, a_eq, rhs)`` of one allocation's rate polytope."""
-    return A_UB, EQ_ROW[np.newaxis], build_system(channel, alloc)
+    return A_UB, EQ_ROW[np.newaxis], build_system(channel, weights, powers)
 
 
 def pin(system, rows, values):
@@ -279,13 +294,13 @@ def conditional_mi(view, subset):
     return gamma(view.subset_power(subset) / view.floor)
 
 
-def conditional_mi_timeshared(channel, alloc, receiver, subset):
+def conditional_mi_timeshared(channel, weights, powers, receiver, subset):
     """Weighted average of the per-state conditional MI over the time
     shares (scalar oracle of ``region.bound_rows``)."""
     subset = frozenset(int(i) for i in subset)
     return sum(
-        w * conditional_mi(receiver_view(channel, state, receiver), subset)
-        for w, state in alloc.states
+        w * conditional_mi(receiver_view(channel, PowerState(*state), receiver), subset)
+        for w, state in zip(weights, powers)
     )
 
 
@@ -361,9 +376,7 @@ def ctdma_allocation(params):
     """
     slot1 = PowerState(ps1=params.p1b, pj1=params.p1j1, pj2=params.p2j1)
     slot2 = PowerState(ps2=params.p2b, pj2=params.p2j2, pj1=params.p1j2)
-    return TimeSharedAllocation(
-        states=((params.alpha, slot1), (1.0 - params.alpha, slot2))
-    )
+    return allocation((params.alpha, slot1), (1.0 - params.alpha, slot2))
 
 
 # Row-wise time-division pairing: every slot tuple is one row of an (n, 3)

@@ -104,7 +104,7 @@ def test_criterion_4_asymmetric_preset_jamming_gain(fig3):
 
 
 def test_criterion_5_cooperative_binning_region(fig3, fig3_r3_region):
-    point_frontier = region_for_allocation(fig3, single(PowerState(pc1=10.0, pc2=1.0)))
+    point_frontier = region_for_allocation(fig3, *single(PowerState(pc1=10.0, pc2=1.0)))
     best_r1, best_r2 = point_frontier.points[0]
     assert best_r1 <= 1e-9
     assert abs(best_r2 - 0.329430) <= 1e-4
@@ -117,13 +117,13 @@ def test_criterion_5_cooperative_binning_region(fig3, fig3_r3_region):
 
 def test_criterion_6_empty_region_detection(fig3):
     alloc = single(PowerState(pc1=10.0, pc2=10.0))
-    rhs = build_system(fig3, alloc)
+    rhs = build_system(fig3, *alloc)
     assert rhs[-1] == pytest.approx(GAMMA_21, abs=1e-12)
     assert min(
         b for row, b in zip(A_UB, rhs)
         if row[1] == 1.0 and row[6] == 1.0
     ) == pytest.approx(GAMMA_20, abs=1e-12)
-    frontier = region_for_allocation(fig3, alloc)
+    frontier = region_for_allocation(fig3, *alloc)
     assert frontier.is_empty
     assert frontier.metadata["infeasible"] is True
     report(6, "full-power allocation reported infeasible "
@@ -169,7 +169,7 @@ def test_criterion_9_closed_form_embeds_in_general_system(fig2, fig3):
     worst = 0.0
     for channel in channels:
         for params, a1, b1, a2, b2 in sample_nonneg_bracket_params(rng, channel, 10):
-            system = allocation_system(channel, ctdma_allocation(params))
+            system = allocation_system(channel, *ctdma_allocation(params))
             x = np.zeros(N_VARS)
             x[2] = params.alpha * (a1 - b1)
             x[3] = params.alpha * b1
@@ -187,7 +187,7 @@ def test_criterion_10_degenerate_single_user():
     for c12, c21, c1e, c2e in ((1.9, 1.9, 0.5, 0.5), (1.9, 1.0, 0.5, 1.6),
                                (1.9, 1.9, 1.6, 0.5)):
         channel = ChannelParams(c12=c12, c21=c21, c1e=c1e, c2e=c2e, p1=10.0, p2=0.0)
-        frontier = region_for_allocation(channel, single(PowerState(pc1=10.0)))
+        frontier = region_for_allocation(channel, *single(PowerState(pc1=10.0)))
         achieved = 0.0 if frontier.is_empty else frontier.max_r1
         assert abs(achieved - single_user_wiretap(10.0, c1e)) <= 1e-9
     report(10, "lone-user allocations reproduce [gamma(P) - gamma(cP)]+ exactly")

@@ -423,6 +423,45 @@ def test_point_command_rejects_bad_allocation(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("states, error", [
+    ('[{"weight": NaN, "pc1": 1}]', "(non_finite): state 0: weight=nan"),
+    ('[{"weight": 1, "pc1": 1}, {"weight": 1, "pj2": Infinity}]',
+     "(non_finite): state 1: pj2=inf"),
+    ('[{"weight": -0.5, "pc1": 1}, {"weight": 1.5}]',
+     "(negative_weight): state 0: weight=-0.5"),
+    ('[{"weight": 1, "pc1": 1, "pj1": -1}]', "(negative_power): state 0: pj1=-1.0"),
+    ('[{"weight": 0, "pc1": 1}, {"weight": 0}]', "(weight_sum): weights sum to 0.0"),
+    ('[{"weight": 3, "pc1": 30}, {"weight": 1, "pj2": 4}]',
+     "(budget): user 1: average power 22.5 > budget 10.0"),
+])
+def test_point_allocation_errors_name_their_check(tmp_path, capsys, states, error):
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(f'{{"states": {states}}}')
+    assert main(["point", "--preset", "fig2", "--alloc", str(alloc)]) == 1
+    assert capsys.readouterr() == ("", f"error: allocation invalid {error}\n")
+
+
+def test_point_state_without_weight_is_an_error(tmp_path, capsys):
+    # it would otherwise read as weight 0, and the state be dropped
+    alloc = tmp_path / "alloc.json"
+    for states, idx in (([{"weight": 1, "pc1": 1}, {"pc1": 5}], 1), ([{"pc1": 1}], 0)):
+        alloc.write_text(json.dumps({"states": states}))
+        assert main(["point", "--preset", "fig2", "--alloc", str(alloc)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot load allocation {alloc}: state {idx} has no 'weight'\n")
+
+
+def test_point_normalizes_the_weights(tmp_path, capsys):
+    alloc = tmp_path / "alloc.json"
+    printed = []
+    for weight in (2, 0.5):
+        alloc.write_text(json.dumps({"states": [{"weight": weight, "pc1": 10.0},
+                                                {"weight": weight, "pc2": 4.0}]}))
+        assert main(["point", "--preset", "fig3", "--alloc", str(alloc)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
 # three states that each spend a budget of 1e4 exactly: their weighted
 # average rounds to 10000.000000000004, past the budget by more than 1e-12
 LARGE_BUDGET = ["--c12", "1.9", "--c21", "1.0", "--c1e", "0.5", "--c2e", "1.6",
@@ -708,6 +747,9 @@ OVERFLOWING = ["--c12", "1.9", "--c21", "1.9", "--c1e", "0.5", "--c2e", "0.5",
     (["ctdma", "--config", "{boolchannel}"], {}),
     (["point", "--preset", "fig2", "--alloc", "{boolpower}"], {}),
     (["point", "--preset", "fig2", "--alloc", "{boolweight}"], {}),
+    # nor is a string, though Python's float() parses one
+    (["ctdma", "--config", "{strchannel}"], {}),
+    (["point", "--preset", "fig3", "--alloc", "{strpower}"], {}),
     # an infinite tolerance would pass any deviation of the MI suite, and
     # an integer past the largest float has no float to print
     (["validate", "--tol", "inf"], {}),
@@ -735,10 +777,15 @@ def test_region_bad_input_is_config_error(tmp_path, argv, env):
     boolpower.write_text(json.dumps({"states": [{"weight": 1, "pc1": True}]}))
     boolweight = tmp_path / "boolweight.json"
     boolweight.write_text(json.dumps({"states": [{"weight": True, "pc1": 1.0}]}))
+    strchannel = tmp_path / "strchannel.json"
+    strchannel.write_text(json.dumps(
+        {"c12": "1.9", "c21": "1.9", "c1e": "0.5", "c2e": "0.5", "p1": " 10 ", "p2": "10"}))
+    strpower = tmp_path / "strpower.json"
+    strpower.write_text(json.dumps({"states": [{"weight": 1, "pc1": "1_0"}]}))
     argv = [a.format(config=config, typo=typo, removed=removed, missing=tmp_path / "missing",
                      huge=huge, bigint=bigint, bigtol=bigtol, outdir=tmp_path,
-                     boolchannel=boolchannel,
-                     boolpower=boolpower, boolweight=boolweight)
+                     boolchannel=boolchannel, strchannel=strchannel,
+                     boolpower=boolpower, boolweight=boolweight, strpower=strpower)
             for a in argv]
     if argv and "--out" not in argv and argv[0] != "validate":
         argv += ["--out", str(tmp_path / "region.csv")]

@@ -10,11 +10,11 @@ from gicee import (
     SignalIndex,
     gamma,
     mi_covariance_oracle,
-    TimeSharedAllocation,
 )
 from gicee.region import _BOUNDS, bound_rows
 from conftest import (
     ReceiverView,
+    allocation,
     conditional_mi,
     conditional_mi_timeshared,
     random_channel,
@@ -106,15 +106,13 @@ def test_conditional_mi_rejects_undecodable(fig2):
 def test_timeshared_degenerate_equals_single(fig2):
     state = PowerState(pc1=4.0, pj2=2.0)
     direct = conditional_mi(receiver_view(fig2, state, "y1"), {1})
-    averaged = conditional_mi_timeshared(fig2, single(state), "y1", {1})
+    averaged = conditional_mi_timeshared(fig2, *single(state), "y1", {1})
     assert averaged == pytest.approx(direct, abs=1e-15)
 
 
 def test_timeshared_is_convex_combination(fig2):
-    alloc = TimeSharedAllocation(
-        states=((0.5, PowerState(pc1=10.0)), (0.5, PowerState()))
-    )
-    value = conditional_mi_timeshared(fig2, alloc, "y1", {1})
+    alloc = allocation((0.5, PowerState(pc1=10.0)), (0.5, PowerState()))
+    value = conditional_mi_timeshared(fig2, *alloc, "y1", {1})
     assert value == pytest.approx(HALF_GAMMA_10, abs=1e-12)
 
 

@@ -1,13 +1,14 @@
 import json
-import math
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gicee import ChannelParams, PowerState, TimeSharedAllocation, preset, validate_allocation
+from gicee import ChannelParams, PowerState, preset, read_allocation, validate_allocation
 from gicee.cli import _resolve_channel
-from gicee.model import BUDGET, MAX_POWER, NEGATIVE_POWER, NEGATIVE_WEIGHT, NON_FINITE
+from gicee.model import MAX_POWER
+from conftest import allocation, is_valid, single
 
 
 def test_presets_match_published_scenarios():
@@ -35,78 +36,72 @@ def test_channel_invariants(field, value):
 
 
 def test_power_state_derived_totals():
+    # the budget check sums each user's four powers: 10 for user 1, 5 for
+    # user 2
     state = PowerState(pc1=1.0, ps1=2.0, po1=3.0, pj1=4.0, pc2=5.0)
-    alloc = TimeSharedAllocation.single_state(state)
-    assert alloc.average_power(1) == 10.0
-    assert alloc.average_power(2) == 5.0
+    channel = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=10.0, p2=5.0)
+    validate_allocation(channel, *single(state))
+    with pytest.raises(ValueError, match=r"^\(budget\): user 1: average power 10.0 > budget 9.0$"):
+        validate_allocation(replace(channel, p1=9.0), *single(state))
+    with pytest.raises(ValueError, match=r"^\(budget\): user 2: average power 5.0 > budget 4.0$"):
+        validate_allocation(replace(channel, p2=4.0), *single(state))
 
 
 def test_full_power_single_state_validates(fig2):
-    alloc = TimeSharedAllocation.single_state(PowerState(pc1=10.0))
-    assert validate_allocation(fig2, alloc).ok
+    validate_allocation(fig2, *single(PowerState(pc1=10.0)))
 
 
 def test_negative_power_is_flagged(fig2):
-    alloc = TimeSharedAllocation.single_state(PowerState(pj1=-1.0))
-    report = validate_allocation(fig2, alloc)
-    assert not report.ok
-    assert report.code == NEGATIVE_POWER
-    assert "pj1" in report.detail
+    with pytest.raises(ValueError, match=r"^\(negative_power\): state 0: pj1=-1.0$"):
+        validate_allocation(fig2, *single(PowerState(pj1=-1.0)))
 
 
 def test_average_budget_violation(fig2):
     state = PowerState(pc1=30.0)
-    alloc = TimeSharedAllocation(states=((0.5, state), (0.5, state)))
-    report = validate_allocation(fig2, alloc)
-    assert not report.ok
-    assert report.code == BUDGET
-    assert "user 1" in report.detail
+    with pytest.raises(ValueError, match=r"^\(budget\): user 1: "):
+        validate_allocation(fig2, *allocation((0.5, state), (0.5, state)))
 
 
 def test_non_finite_distinct_from_budget(fig2):
-    alloc = TimeSharedAllocation.single_state(PowerState(pc1=float("nan")))
-    report = validate_allocation(fig2, alloc)
-    assert report.code == NON_FINITE
-    assert report.code != BUDGET
+    with pytest.raises(ValueError, match=r"^\(non_finite\): state 0: pc1=nan$"):
+        validate_allocation(fig2, *single(PowerState(pc1=float("nan"))))
 
 
 def test_negative_weight_flagged(fig2):
-    states = ((-0.5, PowerState()), (1.5, PowerState()))
-    report = validate_allocation(fig2, TimeSharedAllocation(states=states))
-    assert not report.ok
-    assert report.code == NEGATIVE_WEIGHT
+    # negative weights are kept as read, not normalized, and reported
+    weights, powers = allocation((-0.5, PowerState()), (1.5, PowerState()))
+    assert weights == [-0.5, 1.5]
+    with pytest.raises(ValueError, match=r"^\(negative_weight\): state 0: weight=-0.5$"):
+        validate_allocation(fig2, weights, powers)
 
 
 def test_boundary_budget_validates(fig2):
     # grid points that sit exactly on the budget must pass
-    alloc = TimeSharedAllocation.single_state(PowerState(pc1=7.0, pj1=3.0))
-    assert validate_allocation(fig2, alloc).ok
+    validate_allocation(fig2, *single(PowerState(pc1=7.0, pj1=3.0)))
 
 
 def test_weights_normalized_at_construction():
-    alloc = TimeSharedAllocation(
-        states=((0.3, PowerState()), (0.3, PowerState(pc1=1.0)))
-    )
-    assert [w for w, _ in alloc.states] == [0.5, 0.5]
+    data = {"states": [{"weight": 0.3}, {"weight": 0.3, "pc1": 1.0}]}
+    assert read_allocation(data)[0] == [0.5, 0.5]
 
 
 def test_state_count_cap():
-    # no cap: five states construct
-    states = tuple((0.2, PowerState()) for _ in range(5))
-    assert len(TimeSharedAllocation(states=states).states) == 5
+    # no cap: five states read
+    weights, powers = read_allocation({"states": [{"weight": 0.2}] * 5})
+    assert len(weights) == len(powers) == 5
 
 
 def test_empty_states_rejected():
-    with pytest.raises(ValueError):
-        TimeSharedAllocation(states=())
+    with pytest.raises(ValueError, match="nonempty 'states' list"):
+        read_allocation({"states": []})
 
 
 def test_state_order_immaterial(fig2):
     a = PowerState(pc1=8.0)
     b = PowerState(pj2=4.0)
-    fwd = TimeSharedAllocation(states=((0.25, a), (0.75, b)))
-    rev = TimeSharedAllocation(states=((0.75, b), (0.25, a)))
-    assert validate_allocation(fig2, fwd).ok == validate_allocation(fig2, rev).ok
+    fwd = allocation((0.25, a), (0.75, b))
+    rev = allocation((0.75, b), (0.25, a))
+    assert is_valid(fig2, *fwd) == is_valid(fig2, *rev)
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,13 +111,13 @@ def test_state_order_immaterial(fig2):
 )
 def test_validation_monotone_in_budgets(pc, pj, bump1, bump2):
     base = ChannelParams(c12=1.0, c21=1.0, c1e=0.5, c2e=0.5, p1=10.0, p2=10.0)
-    alloc = TimeSharedAllocation.single_state(PowerState(pc1=pc, pj1=pj))
-    if validate_allocation(base, alloc).ok:
+    alloc = single(PowerState(pc1=pc, pj1=pj))
+    if is_valid(base, *alloc):
         richer = ChannelParams(
             c12=1.0, c21=1.0, c1e=0.5, c2e=0.5,
             p1=base.p1 + bump1, p2=base.p2 + bump2,
         )
-        assert validate_allocation(richer, alloc).ok
+        assert is_valid(richer, *alloc)
 
 
 def test_channel_json_round_trip(fig3):
@@ -134,26 +129,23 @@ def test_channel_json_round_trip(fig3):
 
 
 def test_allocation_json_round_trip():
-    alloc = TimeSharedAllocation(
-        states=(
-            (0.25, PowerState(pc1=4.0, pj2=1.0)),
-            (0.75, PowerState(ps2=2.0, po1=0.5)),
-        )
-    )
-    # every key given, or the powers left out read as 0
+    # every key given, or the powers left out read as 0; the powers come
+    # back in the order of PowerState's fields
     data = json.loads("""{"states": [
         {"weight": 0.25, "pc1": 4.0, "ps1": 0.0, "po1": 0.0, "pj1": 0.0,
          "pc2": 0.0, "ps2": 0.0, "po2": 0.0, "pj2": 1.0},
         {"weight": 0.75, "po1": 0.5, "ps2": 2.0}]}""")
-    back = TimeSharedAllocation.from_dict(data)
-    for (w1, s1), (w2, s2) in zip(alloc.states, back.states):
-        assert math.isclose(w1, w2)
-        assert s1 == s2
+    assert read_allocation(data) == (
+        [0.25, 0.75],
+        [list(astuple(PowerState(pc1=4.0, pj2=1.0))),
+         list(astuple(PowerState(ps2=2.0, po1=0.5)))],
+    )
 
 
 def test_allocation_json_requires_states():
-    with pytest.raises(ValueError, match="states"):
-        TimeSharedAllocation.from_dict({"states": []})
+    for data in ({}, [], {"states": "x"}, {"states": {}}):
+        with pytest.raises(ValueError, match="nonempty 'states' list"):
+            read_allocation(data)
 
 
 def test_power_scale_ceiling():

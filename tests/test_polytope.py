@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -12,7 +12,6 @@ from gicee import (
     PowerState,
     RegionSpec,
     SolverFailure,
-    TimeSharedAllocation,
     grid_feasibility_oracle,
     lp_solve,
     pareto_merge,
@@ -25,7 +24,7 @@ from gicee.frontier import PARETO_EPS, _cross, _pareto_prune, _records
 from gicee.polytope import FEASIBILITY_TOL, _Tableau
 from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
 from conftest import (
-    allocation_system, check_point, dominates, lp_system, move_into_hull, pin, support)
+    allocation_system, check_point, dominates, lp_system, move_into_hull, pin, single, support)
 
 
 def tableau_of(system):
@@ -461,7 +460,7 @@ def warm_start_cases():
         (big, PowerState(pc1=1e4, pc2=1e3)),
         (big, PowerState(ps1=5e3, pj1=5e3, ps2=1e4)),
     ):
-        system = allocation_system(channel, TimeSharedAllocation.single_state(state))
+        system = allocation_system(channel, *single(state))
         yield system, R1_OBJECTIVE, R2_OBJECTIVE
 
 
@@ -641,6 +640,10 @@ def test_move_into_hull_lies_between_distance_and_vertical_gap(big, point):
 
 @settings(max_examples=200, deadline=None)
 @given(frontier_points, frontier_points)
+# (2 - 2.2e-16, 1.0) is a hull vertex: within PARETO_EPS of the line
+# through its neighbours (2, 0.5) and (2 - 2.2e-16, 0.0), but above both
+# ends of their chord
+@example(Frontier(points=((2.0, 0.5),)), Frontier(points=((1.9999999999999998, 1.0),)))
 def test_dominates_is_at_least_as_strict_as_sampled(big, small):
     if dominates(big, small):
         assert sampled_dominates(big, small)

@@ -15,14 +15,12 @@ from gicee import (
     PowerState,
     RegionSpec,
     SolverFailure,
-    TimeSharedAllocation,
     build_system,
     lp_solve,
     mi_covariance_oracle,
     preset,
     region_for_allocation,
     region_union,
-    validate_allocation,
 )
 import gicee.polytope as polytope
 import gicee.region as region
@@ -52,12 +50,14 @@ from gicee.region import (
 from gicee.gaussmi import SignalIndex
 from gicee.grid import _uniform_grid, user_power_grid
 from conftest import (
+    allocation,
     allocation_system,
     check_point,
     check_recipes,
     conditional_mi_timeshared,
     ctdma_allocation,
     dominates,
+    is_valid,
     pin,
     random_state,
     sample_nonneg_bracket_params,
@@ -123,13 +123,13 @@ def test_system_shape_is_fixed(fig2):
     rng = np.random.default_rng(1)
     for _ in range(5):
         alloc = single(random_state(rng, fig2.p1, fig2.p2))
-        assert build_system(fig2, alloc).shape == (93,)
+        assert build_system(fig2, *alloc).shape == (93,)
     assert A_UB.shape == (92, N_VARS)
     assert EQ_ROW.shape == (N_VARS,)
 
 
 def test_rows_are_subset_indicators(fig3):
-    rhs = build_system(fig3, single(PowerState(pc1=3.0, pj2=1.0)))
+    rhs = build_system(fig3, *single(PowerState(pc1=3.0, pj2=1.0)))
     assert set(np.unique(A_UB)) <= {0.0, 1.0}
     assert np.all(rhs[:-1] >= 0.0)
     # eavesdropper rows touch only randomization-rate columns
@@ -140,7 +140,7 @@ def test_rows_are_subset_indicators(fig3):
 
 
 def test_all_zero_powers_pin_origin(fig2):
-    system = allocation_system(fig2, single(PowerState()))
+    system = allocation_system(fig2, *single(PowerState()))
     assert np.all(system[2][:-1] == 0.0)
     res = lp_solve(*system, R1_OBJECTIVE + R2_OBJECTIVE)
     assert res.status == "optimal"
@@ -149,7 +149,7 @@ def test_all_zero_powers_pin_origin(fig2):
 
 def test_full_power_asymmetric_is_infeasible(fig3):
     alloc = single(PowerState(pc1=10.0, pc2=10.0))
-    rhs = build_system(fig3, alloc)
+    rhs = build_system(fig3, *alloc)
     # the saturation equality demands more total randomization than the
     # receiver-side pair bound allows
     assert rhs[-1] == pytest.approx(GAMMA_21, abs=1e-12)
@@ -159,16 +159,16 @@ def test_full_power_asymmetric_is_infeasible(fig3):
         i for i, row in enumerate(A_UB) if np.array_equal(row, pair_row)
     )
     assert rhs[idx] == pytest.approx(GAMMA_20, abs=1e-12)
-    assert region_for_allocation(fig3, alloc).is_empty
+    assert region_for_allocation(fig3, *alloc).is_empty
 
 
 def test_invalid_allocation_propagates(fig2):
     with pytest.raises(ValueError, match="budget"):
-        build_system(fig2, single(PowerState(pc1=11.0)))
+        build_system(fig2, *single(PowerState(pc1=11.0)))
 
 
 def test_asymmetric_cooperative_binning_point(fig3):
-    frontier = region_for_allocation(fig3, single(PowerState(pc1=10.0, pc2=1.0)))
+    frontier = region_for_allocation(fig3, *single(PowerState(pc1=10.0, pc2=1.0)))
     best_r1, best_r2 = frontier.points[0]
     assert best_r2 == pytest.approx(R2MAX_ASYM, abs=1e-9)
     assert best_r1 <= 1e-9
@@ -176,12 +176,12 @@ def test_asymmetric_cooperative_binning_point(fig3):
 
 def test_no_eavesdropper_recovers_plain_rate():
     channel = ChannelParams(c12=1.9, c21=1.9, c1e=0.0, c2e=0.0, p1=10.0, p2=10.0)
-    frontier = region_for_allocation(channel, single(PowerState(pc1=10.0)))
+    frontier = region_for_allocation(channel, *single(PowerState(pc1=10.0)))
     assert frontier.max_r1 == pytest.approx(GAMMA_10, abs=1e-9)
 
 
 def test_zero_allocation_origin_frontier(fig2):
-    frontier = region_for_allocation(fig2, single(PowerState()))
+    frontier = region_for_allocation(fig2, *single(PowerState()))
     assert frontier.points == ((0.0, 0.0),)
 
 
@@ -225,7 +225,7 @@ def test_feasible_points_saturate_randomization_total(fig2, fig3):
     ]
     rng = np.random.default_rng(31)
     for channel, state in cases:
-        system = allocation_system(channel, single(state))
+        system = allocation_system(channel, *single(state))
         for _ in range(6):
             objective = rng.uniform(0.0, 1.0, N_VARS)
             res = lp_solve(*system, objective)
@@ -294,7 +294,7 @@ def test_time_division_points_feasible_in_general_system(fig2, fig3):
         assert len(samples) == 10
         for params, a1, b1, a2, b2 in samples:
             alpha = params.alpha
-            system = allocation_system(channel, ctdma_allocation(params))
+            system = allocation_system(channel, *ctdma_allocation(params))
             x = np.zeros(N_VARS)
             x[2] = alpha * (a1 - b1)          # self-message rate, user 1
             x[3] = alpha * b1                 # its randomization rate
@@ -307,10 +307,9 @@ def test_timeshared_union_bounds_match_manual_average(fig2):
     rng = np.random.default_rng(23)
     s1 = random_state(rng, fig2.p1, fig2.p2)
     s2 = random_state(rng, fig2.p1, fig2.p2)
-    alloc = TimeSharedAllocation(states=((0.3, s1), (0.7, s2)))
-    rhs = build_system(fig2, alloc)
-    rhs1 = build_system(fig2, single(s1))
-    rhs2 = build_system(fig2, single(s2))
+    rhs = build_system(fig2, *allocation((0.3, s1), (0.7, s2)))
+    rhs1 = build_system(fig2, *single(s1))
+    rhs2 = build_system(fig2, *single(s2))
     assert np.allclose(rhs, 0.3 * rhs1 + 0.7 * rhs2, atol=1e-12)
 
 
@@ -333,9 +332,7 @@ def channel_and_allocations(draw):
         return PowerState(*u1, *u2)
 
     allocations = [
-        TimeSharedAllocation(tuple(
-            (draw(st.floats(0.01, 1.0)), state()) for _ in range(k)
-        ))
+        allocation(*((draw(st.floats(0.01, 1.0)), state()) for _ in range(k)))
         for _ in range(draw(st.integers(1, 5)))
     ]
     return channel, allocations
@@ -354,28 +351,28 @@ HIGH_SNR = (
 @example(HIGH_SNR)
 def test_bound_rows_match_scalar_mi(case):
     channel, allocations = case
-    powers = np.array([astuple(s) for alloc in allocations for _, s in alloc.states])
+    powers = np.array([state for _, states in allocations for state in states])
     block = bound_rows(channel, powers)
     assert block.shape == (len(powers), 93)
     for state, row in zip(powers, block):
         # the row of a state does not depend on the rest of its block
         assert np.array_equal(bound_rows(channel, state[np.newaxis])[0], row)
-    for alloc in allocations:
+    for weights, states in allocations:
         # the time-shared bounds, as the sweeps once averaged them
-        averaged = timeshared_bound_rows(channel, alloc)
+        averaged = timeshared_bound_rows(channel, weights, states)
         for value, (receiver, subset) in zip(averaged, _BOUNDS):
-            scalar = conditional_mi_timeshared(channel, alloc, receiver, subset)
+            scalar = conditional_mi_timeshared(channel, weights, states, receiver, subset)
             assert abs(value - scalar) <= 1e-14
-            if len(alloc.states) == 1:
-                oracle = mi_covariance_oracle(channel, alloc.states[0][1], receiver, subset)
+            if len(states) == 1:
+                oracle = mi_covariance_oracle(channel, PowerState(*states[0]), receiver, subset)
                 assert abs(value - oracle) <= 1e-12
-        if len(alloc.states) == 1:
-            row = bound_rows(channel, np.array([astuple(alloc.states[0][1])]))[0]
+        if len(states) == 1:
+            row = bound_rows(channel, np.array(states))[0]
             assert np.array_equal(row.view(np.uint64), averaged.view(np.uint64))
-        if validate_allocation(channel, alloc).ok:
+        if is_valid(channel, weights, states):
             # build_system averages its states' rows in the same order,
             # bit for bit
-            rhs = build_system(channel, alloc)
+            rhs = build_system(channel, weights, states)
             assert np.array_equal(rhs.view(np.uint64), averaged.view(np.uint64))
 
 
@@ -419,14 +416,11 @@ def allocation_sequences(draw):
     drawn set of states scaled down by its own factor, so that neighbours
     share optimal bases, or else drawn afresh."""
     channel, allocations = draw(channel_and_allocations())
-    base = allocations[0]
+    weights, states = allocations[0]
     for _ in range(draw(st.integers(1, 7))):
         if draw(st.booleans()):
             factor = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0))
-            allocations.append(TimeSharedAllocation(tuple(
-                (w, PowerState(*(factor * v for v in astuple(state))))
-                for w, state in base.states
-            )))
+            allocations.append((weights, [[factor * v for v in state] for state in states]))
     return channel, allocations
 
 
@@ -438,9 +432,9 @@ def test_shared_projector_matches_cold_projections(case):
     # finds the system infeasible
     channel, allocations = case
     for alloc in allocations:
-        if not validate_allocation(channel, alloc).ok:
+        if not is_valid(channel, *alloc):
             continue
-        system = allocation_system(channel, alloc)
+        system = allocation_system(channel, *alloc)
         frontier = project_frontier(*system, R1_OBJECTIVE, R2_OBJECTIVE)
         for theta in np.linspace(0.0, 0.5 * math.pi, 5):
             res = lp_solve(*system, math.cos(theta) * R1_OBJECTIVE + math.sin(theta) * R2_OBJECTIVE)
@@ -520,10 +514,8 @@ def test_union_search_decides_feasibility_like_phase1(
     assert [tuple(v["point"]) for v in vertices] == list(frontier.points)
     check_recipes(channel, _family_allocations(spec), vertices)
     for vertex in vertices:
-        alloc = TimeSharedAllocation(tuple(
-            (w, PowerState(*powers)) for w, powers in zip(vertex["weights"], vertex["states"])))
-        system = pin(allocation_system(channel, alloc), [R1_OBJECTIVE, R2_OBJECTIVE],
-                     vertex["point"])
+        system = pin(allocation_system(channel, vertex["weights"], vertex["states"]),
+                     [R1_OBJECTIVE, R2_OBJECTIVE], vertex["point"])
         assert lp_solve(*system, np.zeros(N_VARS)).status == "optimal"
 
 
@@ -566,10 +558,10 @@ def test_projector_rejects_non_finite_matrix_and_resources(fig3, bad):
 
 
 def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
-    # the sweep carries the grid as one array: no PowerState,
-    # TimeSharedAllocation or validation per state, and no Frontier per
-    # state: the vertices make one, the merge another
-    built = {"PowerState": 0, "TimeSharedAllocation": 0, "Frontier": 0, "validate": 0}
+    # the sweep carries the grid as one array: no PowerState or validation
+    # per state, and no Frontier per state: the vertices make one, the
+    # merge another
+    built = {"PowerState": 0, "Frontier": 0, "validate": 0}
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -577,14 +569,14 @@ def test_union_builds_no_objects_per_allocation(monkeypatch, fig3):
             return fn(*args, **kwargs)
         return counted
 
-    for cls in (PowerState, TimeSharedAllocation, Frontier):
+    for cls in (PowerState, Frontier):
         monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
     for module in (model, region):
         monkeypatch.setattr(module, "validate_allocation",
                             counting("validate", module.validate_allocation))
     frontier = region_union(RegionSpec(channel=fig3, variant="r3", steps=11))
     assert frontier.metadata["allocations"] == 4356
-    assert built == {"PowerState": 0, "TimeSharedAllocation": 0, "Frontier": 2, "validate": 0}
+    assert built == {"PowerState": 0, "Frontier": 2, "validate": 0}
 
 
 def test_union_lp_counts(fig3):
@@ -756,8 +748,7 @@ def test_family_allocations_are_within_budget(fig2, fig3, variant, states):
             grid = _family_allocations(spec)
             assert grid.shape[1:] == (8,) and len(grid) and not grid[0].any()
             assert len(np.unique(grid, axis=0)) == len(grid)
-            assert all(validate_allocation(stretched, single(PowerState(*a))).ok
-                       for a in grid.tolist())
+            assert all(is_valid(stretched, [1.0], [a]) for a in grid.tolist())
 
 
 def unique_family_allocations(spec):
@@ -875,12 +866,12 @@ def eight_column_bound_rows(channel, powers):
         return 0.5 * np.log1p(numerator / floor) / region._LN2
 
 
-def timeshared_bound_rows(channel, alloc):
+def timeshared_bound_rows(channel, weights, powers):
     """The time-shared bounds of one allocation, (93,), as the sweeps once
     computed them for blocks of allocations: its states as a (1, k, 9)
     array of a weight and the 8 powers, every state's rates weighted and
     summed over the states' axis (oracle for ``build_system``)."""
-    allocations = np.array([[(w,) + astuple(s) for w, s in alloc.states]])
+    allocations = np.array([[(w, *p) for w, p in zip(weights, powers)]])
     numerator_map, floor_map = region._power_maps(channel)
     numerator = np.zeros(allocations.shape[:2] + (len(_BOUNDS),))
     floor = np.ones_like(numerator)

@@ -9,22 +9,21 @@ from hypothesis import strategies as st
 from gicee import (
     ChannelParams,
     Frontier,
-    TimeSharedAllocation,
     ctdma_region,
     pareto_merge,
     single_power_states,
     single_user_wiretap,
-    validate_allocation,
 )
 from gicee.model import BUDGET_TOL
 from gicee.polytope import _pareto_prune
 from gicee.grid import _jam_grid, _uniform_grid, user_power_grid
-from gicee.schemes import CTDMA_TAGS, R3_TAGS, _best_partners, _slot
+from gicee.schemes import CTDMA_TAGS, _best_partners, _slot
 from conftest import (
     CtdmaParams,
     ctdma_allocation,
     ctdma_rates,
     dominates,
+    is_valid,
     rowwise_ctdma_region,
     rowwise_slot_arrays,
     support,
@@ -78,16 +77,6 @@ def ctdma_family(tag, channel, steps):
                 if used2_slot1 + ab * (p2b + p2j2) > channel.p2 + BUDGET_TOL:
                     continue
                 yield CtdmaParams(alpha, p1b, p1j1, p2j1, p2b, p2j2, p1j2)
-
-
-def variant_family(tag, budgets, steps):
-    """Single-state allocations of a binning-family tag."""
-    if tag not in R3_TAGS:
-        raise ValueError(f"unknown variant tag {tag!r}")
-    return [
-        TimeSharedAllocation.single_state(s)
-        for s in single_power_states(tag, budgets, steps)
-    ]
 
 
 def dense_best_partners(r2, used1_b, used2_b, used1_a, used2_a, cap1, cap2):
@@ -338,29 +327,28 @@ def test_variant_parameter_nesting(fig2):
 
 
 def test_variant_family_binning_grids():
-    allocations = variant_family("ncp", (10.0, 10.0), 3)
-    assert len(allocations) == 9
+    states = single_power_states("ncp", (10.0, 10.0), 3)
+    assert len(states) == 9
     seen = set()
-    for alloc in allocations:
-        (_, state), = alloc.states
+    for state in states:
         assert state.pj1 == state.pj2 == 0.0
         seen.add((state.pc1, state.pc2))
     assert seen == {(a, b) for a in (0.0, 5.0, 10.0) for b in (0.0, 5.0, 10.0)}
 
 
 def test_variant_family_exclusive_binning_or_jamming():
-    states = [a.states[0][1] for a in variant_family("borcp", (10.0, 10.0), 3)]
+    states = single_power_states("borcp", (10.0, 10.0), 3)
     assert all(s.pc1 == 0 or s.pj1 == 0 for s in states)
     assert all(s.pc2 == 0 or s.pj2 == 0 for s in states)
     assert any(s.pc1 == 5.0 and s.pj1 == 0.0 for s in states)
-    r3_states = [a.states[0][1] for a in variant_family("r3", (10.0, 10.0), 3)]
+    r3_states = single_power_states("r3", (10.0, 10.0), 3)
     assert any(s.pc1 == 5.0 and s.pj1 == 5.0 for s in r3_states)
     assert set(states) < set(r3_states)
 
 
 def test_variant_family_unknown_tag():
     with pytest.raises(ValueError, match="tag"):
-        variant_family("nope", (10.0, 10.0), 3)
+        single_power_states("nope", (10.0, 10.0), 3)
 
 
 @pytest.mark.parametrize("tag, steps", [("full", 30), ("borcp", 1000), ("r3", 1000)])
@@ -423,9 +411,8 @@ def test_ctdma_allocation_round_trip(fig2):
     params = CtdmaParams(alpha=0.4, p1b=20.0, p1j1=2.0, p2j1=1.0,
                          p2b=12.0, p2j2=0.5, p1j2=1.0)
     assert params.budget_violation(fig2) is None
-    alloc = ctdma_allocation(params)
-    assert validate_allocation(fig2, alloc).ok
-    (w1, s1), (w2, s2) = alloc.states
-    assert w1 == pytest.approx(0.4)
-    assert s1.ps1 == 20.0 and s1.pj2 == 1.0
-    assert s2.ps2 == 12.0 and s2.pj1 == 1.0
+    weights, (s1, s2) = alloc = ctdma_allocation(params)
+    assert is_valid(fig2, *alloc)
+    assert weights[0] == pytest.approx(0.4)
+    assert s1[1] == 20.0 and s1[7] == 1.0
+    assert s2[5] == 12.0 and s2[3] == 1.0

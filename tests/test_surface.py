@@ -120,6 +120,8 @@ def test_flag_and_config_errors_exit_before_numpy_loads(tmp_path):
     config = tmp_path / "run.json"
     config.write_text('{"preset": "fig2", "grid": 3}')
     missing = tmp_path / "missing" / "r.csv"
+    over_budget = tmp_path / "alloc.json"
+    over_budget.write_text('{"states": [{"weight": 1, "pc1": 25}]}')
     cases = [
         (["--version"], 0, gicee.__version__ + "\n", ""),
         (["region"], 1, "",
@@ -135,6 +137,8 @@ def test_flag_and_config_errors_exit_before_numpy_loads(tmp_path):
         (["region", "--preset", "fig2", "--out", str(missing)], 1, "",
          f"error: output directory {str(missing.parent)!r} does not exist\n"),
         (["point", "--preset", "fig2"], 1, "", "error: --alloc FILE is required\n"),
+        (["point", "--preset", "fig2", "--alloc", str(over_budget)], 1, "",
+         "error: allocation invalid (budget): user 1: average power 25.0 > budget 10.0\n"),
         (["validate", "--samples", "0"], 1, "", "error: samples must be at least 1, got 0\n"),
     ]
     result = subprocess.run(
