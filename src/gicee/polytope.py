@@ -10,7 +10,8 @@ Every LP here is a fixed matrix ``(a_ub, a_eq)`` and a right-hand side
 values: ``a_ub x <= b``, ``a_eq x = e``, ``x >= 0``.  :func:`lp_solve`
 and :func:`project_frontier` take one right-hand side; frontiers come
 from one master LP over many right-hand sides shared out by time sharing
-(:func:`time_share`), grown column by column.
+(:func:`time_share`), grown column by column.  Right-hand sides are
+nonnegative, as every MI bound is, and equality rows independent.
 """
 
 from __future__ import annotations
@@ -56,51 +57,37 @@ class LpResult:
 
 
 class _Tableau:
-    """Dense simplex tableau of ``a_ub x <= b_ub, a_eq x = b_eq, x >= 0``.
+    """Dense simplex tableau of ``a_ub x <= b, a_eq x = e, x >= 0``, ``rhs``
+    being ``(b, e) >= 0``; every LP here is built, and its data checked, here.
 
-    Rows are the constraints with nonnegative right-hand sides followed by
-    the objective (reduced-cost) row; columns are the variables, one slack
-    per ``<=`` row, one surplus per flipped ``>=`` row, one artificial per
-    row without a slack, and the right-hand side last.  The basis survives
-    between objectives, so every phase-2 solve warm-starts from the last
-    optimal basis.  After phase 1 the artificial columns stay in place but
-    never enter again; with the slack columns they hold the basis inverse.
-    Columns added later (:meth:`append`) go before the right-hand side.
+    Rows are the constraints, then the objective (reduced-cost) row;
+    columns are the variables, one slack per inequality row, one
+    artificial per equality row, and the right-hand side last.  The slacks
+    and artificials start as the identity, the initial basis (``unit``),
+    so they hold the current basis's inverse.  The basis survives between
+    objectives: every phase-2 solve warm-starts from the last optimal
+    basis.  After phase 1 the artificials stay in place but never enter
+    again.  Columns added later (:meth:`append`) go before the right-hand
+    side.
     """
 
-    def __init__(self, a_ub, b_ub, a_eq, b_eq) -> None:
-        a = np.vstack([a_ub, a_eq])
-        b = np.concatenate([b_ub, b_eq])
-        m, n = a.shape
-        flip = b < 0
-        a[flip] = -a[flip]
-        b = np.abs(b)
-        inequality = np.arange(m) < len(b_ub)
-        le_rows = np.flatnonzero(inequality & ~flip)
-        ge_rows = np.flatnonzero(inequality & flip)
-        art_rows = np.flatnonzero(~inequality | flip)
-        slack_at = n
-        surplus_at = slack_at + le_rows.size
-        art_start = surplus_at + ge_rows.size
-        ncols = art_start + art_rows.size
-
-        t = np.zeros((m + 1, ncols + 1))
-        t[:m, :n] = a
-        t[:m, -1] = b
-        t[le_rows, slack_at + np.arange(le_rows.size)] = 1.0
-        t[ge_rows, surplus_at + np.arange(ge_rows.size)] = -1.0
-        t[art_rows, art_start + np.arange(art_rows.size)] = 1.0
-        basis = np.empty(m, dtype=np.intp)
-        basis[le_rows] = slack_at + np.arange(le_rows.size)
-        basis[art_rows] = art_start + np.arange(art_rows.size)
-        self.t, self.basis, self.n = t, basis, n
-        self.real = np.arange(ncols) < art_start
-        # Each row's unit column in the initial tableau, and the row's sign
-        # flip: ``t[:-1, unit] * sign`` is the inverse of the basis matrix
-        # of the unflipped system.
-        self.unit = basis.copy()
-        self.sign = np.where(flip, -1.0, 1.0)
-        self.complete = True
+    def __init__(self, a_ub, a_eq, rhs) -> None:
+        if (a_ub.ndim != 2 or a_eq.shape[1:] != a_ub.shape[1:]
+                or rhs.shape != (len(a_ub) + len(a_eq),)):
+            raise ValueError("constraint matrix and right-hand side disagree in shape")
+        if not all(np.isfinite(part).all() for part in (a_ub, a_eq, rhs)):
+            raise ValueError("constraint data must be finite")
+        if (rhs < 0.0).any():
+            raise ValueError("the right-hand side must be nonnegative")
+        m, n = len(rhs), a_ub.shape[1]
+        t = np.zeros((m + 1, n + m + 1))
+        t[:m, :n] = np.vstack([a_ub, a_eq])
+        t[:m, n:-1] = np.eye(m)
+        t[:m, -1] = rhs
+        self.t, self.n = t, n
+        self.unit = n + np.arange(m)
+        self.basis = self.unit.copy()
+        self.real = np.arange(n + m) < n + len(a_ub)
         self.pivots = 0
         # the constraint rows as built, which refactor() solves afresh, and
         # the pivot and column counts at its last solve that succeeded
@@ -172,13 +159,11 @@ class _Tableau:
     def phase1(self, tol: float) -> bool:
         """Find a basic feasible solution; False if the system is infeasible.
 
-        Afterwards no artificial is basic: leftover artificials are pivoted
-        out of the basis, and rows where that is impossible are redundant
-        and dropped (the tableau is then no longer ``complete``).
+        Afterwards no artificial is basic: one left basic at zero is
+        pivoted out on its row's first real column.  A row with none is a
+        combination of the other equality rows: a SolverFailure.
         """
         t, artificial = self.t, ~self.real
-        if not artificial.any():
-            return True
         t[-1] = 0.0
         t[-1, :-1][artificial] = 1.0
         t[-1] -= t[:-1][artificial[self.basis]].sum(axis=0)
@@ -186,19 +171,11 @@ class _Tableau:
             raise SolverFailure("phase 1 reported unbounded; system is malformed")
         if -t[-1, -1] > tol:
             return False
-        keep = np.ones(t.shape[0], dtype=bool)
         for row in np.flatnonzero(artificial[self.basis]):
             candidates = np.flatnonzero(self.real & (np.abs(t[row, :-1]) > tol))
-            if candidates.size:
-                self._pivot(row, candidates[0])
-            else:
-                keep[row] = False
-        if not keep.all():
-            self.t = t[keep]
-            self.rows = self.rows[keep[:-1]]
-            self.basis = self.basis[keep[:-1]]
-            self.complete = False
-            self.solved = None
+            if not candidates.size:
+                raise SolverFailure("the equality rows are linearly dependent")
+            self._pivot(row, candidates[0])
         return True
 
     def maximize(self, objective: np.ndarray, tol: float) -> str:
@@ -221,24 +198,20 @@ class _Tableau:
         return values if columns else values[:self.n]
 
     def duals(self) -> np.ndarray:
-        """Per row of the unflipped system, the reduced cost its objective
-        row gives a column that is that row's unit vector: a column ``a``
-        of cost 0 has reduced cost ``duals() . a``.  Only for a
-        ``complete`` tableau."""
-        return self.t[-1, self.unit] * self.sign
+        """Per row, the reduced cost its objective row gives a column that
+        is that row's unit vector: a column ``a`` of cost 0 has reduced
+        cost ``duals() . a``."""
+        return self.t[-1, self.unit]
 
     def append(self, columns: np.ndarray) -> None:
-        """Add structural columns of cost 0, given in the unflipped system
-        as an (m, k) array, after every other column, and refactor: the
-        basis stays, so phase 2 goes on from it, unless rounding had led
-        it astray (then :meth:`restart`).  The objective row is left for
-        the next :meth:`maximize`.  Only for a ``complete`` tableau."""
-        if not self.complete:
-            raise SolverFailure("cannot add columns to a tableau with redundant rows")
+        """Add structural columns of cost 0, given as an (m, k) array,
+        after every other column, and refactor: the basis stays, so phase 2
+        goes on from it, unless rounding had led it astray (then
+        :meth:`restart`).  The objective row is left for the next
+        :meth:`maximize`."""
         block = np.zeros((self.t.shape[0], columns.shape[1]))
         self.t = np.concatenate([self.t[:, :-1], block, self.t[:, -1:]], axis=1)
-        self.rows = np.concatenate(
-            [self.rows[:, :-1], columns * self.sign[:, np.newaxis], self.rows[:, -1:]], axis=1)
+        self.rows = np.concatenate([self.rows[:, :-1], columns, self.rows[:, -1:]], axis=1)
         self.real = np.append(self.real, np.ones(columns.shape[1], dtype=bool))
         if not self.refactor():
             self.restart()
@@ -275,16 +248,13 @@ class _Tableau:
 def lp_solve(a_ub, a_eq, rhs, objective) -> LpResult:
     """Maximize ``objective . x`` over ``a_ub x <= b``, ``a_eq x = e``,
     ``x >= 0``, where ``rhs`` is ``(b, e)``, the inequality bounds first;
-    deterministic two-phase simplex."""
+    deterministic two-phase simplex.  Data that are not finite, or a
+    negative ``rhs`` entry, are a ValueError; equality rows that are
+    linearly dependent are a SolverFailure."""
     a_ub, a_eq, rhs, c_max = (np.asarray(v, dtype=float) for v in (a_ub, a_eq, rhs, objective))
-    n_ub, dim = a_ub.shape
-    if a_eq.shape[1] != dim or rhs.shape != (n_ub + len(a_eq),):
-        raise ValueError("constraint matrix and right-hand side disagree in shape")
-    if c_max.shape != (dim,):
-        raise ValueError(f"objective must have length {dim}")
-    if not all(np.isfinite(part).all() for part in (a_ub, a_eq, rhs)):
-        raise ValueError("constraint data must be finite")
-    tableau = _Tableau(a_ub, rhs[:n_ub], a_eq, rhs[n_ub:])
+    tableau = _Tableau(a_ub, a_eq, rhs)
+    if c_max.shape != (tableau.n,):
+        raise ValueError(f"objective must have length {tableau.n}")
     if not tableau.phase1(FEASIBILITY_TOL):
         return LpResult(status="infeasible")
     if tableau.maximize(c_max, FEASIBILITY_TOL) == "unbounded":
@@ -330,7 +300,8 @@ class _Master:
     The first column's weight is eliminated, ``w_f = 1 - sum_{s != f}
     w_s``, so the tableau starts as the system of right-hand side f
     itself, with one row per resource, ``0 <= caps - u_f``, and the row
-    ``0 <= 1`` whose slack is ``w_f``.  Column s enters as ``b_f - b_s``
+    ``0 <= 1`` whose slack is ``w_f``: the tableau (:class:`_Tableau`)
+    checks that data, and the matrix's, once.  Column s enters as ``b_f - b_s``
     on the inequality rows, ``u_s - u_f`` on the resource rows, 1 on the
     ``w_f`` row and ``e_f - e_s`` on the equality rows, once it prices
     out (:meth:`_price`).  ``recipes`` maps the image of each optimum to
@@ -356,14 +327,10 @@ class _Master:
         self.present[first] = True
         self.recipes: dict[tuple[float, float], tuple] = {}
         self.rhs = self._read(np.array([first]), None)[0]
-        if self.rhs.shape != (self.n_ub + len(a_eq),) or a_eq.shape[1] != self.n:
-            raise ValueError("constraint matrix and right-hand side disagree in shape")
-        resources = caps - usage[first]   # _read checks the bounds, this the rest
-        if not all(np.isfinite(part).all() for part in (a_ub, a_eq, resources)):
-            raise ValueError("constraint data must be finite")
-        self.tableau = _Tableau(np.vstack([a_ub, np.zeros((caps.size + 1, self.n))]),
-                                np.concatenate([self.rhs[:self.n_ub], resources, [1.0]]),
-                                a_eq, self.rhs[self.n_ub:])
+        self.tableau = _Tableau(
+            np.vstack([a_ub, np.zeros((caps.size + 1, self.n))]), a_eq,
+            np.concatenate([self.rhs[:self.n_ub], caps - usage[first], [1.0],
+                            self.rhs[self.n_ub:]]))
         # per weight column, its right-hand side and its tableau column; the
         # first one's is the slack of the row before the equalities
         self.states, self.at = [first], [self.tableau.unit[self.n_ub + caps.size]]
@@ -474,8 +441,8 @@ def time_share(a_ub: np.ndarray, a_eq: np.ndarray, rhs, r1_row: np.ndarray,
 
     ``u_s``, row s of ``usage`` (one row per right-hand side, len(caps)),
     is right-hand side s's use of each resource.  Phase 1 runs once, on
-    column ``first`` alone: if that system is infeasible, or overspends a
-    resource, there are no vertices.  The vertices come from the bicriteria dichotomic search
+    column ``first`` alone: if that system is infeasible, there are no
+    vertices.  The vertices come from the bicriteria dichotomic search
     (Aneja & Nair 1979, :func:`_dichotomic`), unsorted and unpruned, each
     objective solved to optimality over all columns by column generation
     (Dantzig-Wolfe): each optimum's duals price every column, and those of
@@ -487,11 +454,12 @@ def time_share(a_ub: np.ndarray, a_eq: np.ndarray, rhs, r1_row: np.ndarray,
     ``rhs(at, columns)`` gives the right-hand sides ``at`` (an index
     array, or a slice for all), only the given columns of them, or whole
     rows for ``columns`` None.  A non-finite value read, or in the matrix
-    or the resources, is a ValueError, as is a right-hand side whose
-    length is not the matrix's row count.  Pricing breaks ties by the
-    lexicographic order of ``keys`` (one row per right-hand side): keys
-    that depend on each right-hand side alone make every step independent
-    of their order.  A SolverFailure ends the search.
+    or the resources, is a ValueError, as are a right-hand side whose
+    length is not the matrix's row count and a column ``first`` with a
+    negative bound or one that overspends a resource.  Pricing breaks
+    ties by the lexicographic order of ``keys`` (one row per right-hand
+    side): keys that depend on each right-hand side alone make every step
+    independent of their order.  A SolverFailure ends the search.
     """
     master = _Master(a_ub, a_eq, rhs, r1_row, r2_row, usage, caps, first, keys)
     feasible = master.tableau.phase1(FEASIBILITY_TOL)

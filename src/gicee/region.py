@@ -206,7 +206,9 @@ def build_system(channel: ChannelParams, weights, powers) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(f"invalid allocation {exc}") from None
     rows = bound_rows(channel, np.array(powers, dtype=float))
-    return (np.array(weights, dtype=float)[:, np.newaxis] * rows).sum(axis=0)
+    # a zero weight times an infinite bound is NaN, which the LP refuses
+    with np.errstate(invalid="ignore"):
+        return (np.array(weights, dtype=float)[:, np.newaxis] * rows).sum(axis=0)
 
 
 def region_for_allocation(channel: ChannelParams, weights, powers) -> Frontier:

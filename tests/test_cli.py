@@ -507,6 +507,22 @@ def test_point_rejects_powers_too_large_to_evaluate(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_point_error_for_an_unweighted_overflowing_state_is_one_line(tmp_path):
+    # the zero-weight state's infinite bound times its weight is NaN; the
+    # LP refuses it, and numpy prints no warning on the way
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(json.dumps({"states": [{"weight": -0.0, "po2": 1e308, "pj2": 1e-308},
+                                            {"weight": 25.0, "pc2": 1.0}]}))
+    result = subprocess.run(
+        [sys.executable, "-m", "gicee.cli", "point", "--preset", "fig2", "--alloc", str(alloc)],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"error: allocation {alloc} has powers too large to evaluate: "
+        "constraint data must be finite"]
+
+
 def test_point_command_requires_alloc(tmp_path, capsys):
     assert main(["point", "--preset", "fig2"]) == 1
 

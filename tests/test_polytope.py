@@ -21,15 +21,10 @@ from gicee import (
 )
 import gicee.polytope as polytope
 from gicee.frontier import PARETO_EPS, _cross, _pareto_prune, _records
-from gicee.polytope import FEASIBILITY_TOL, _Tableau
+from gicee.polytope import FEASIBILITY_TOL, _Tableau, time_share
 from gicee.region import R1_OBJECTIVE, R2_OBJECTIVE
 from conftest import (
     allocation_system, check_point, dominates, lp_system, move_into_hull, pin, single, support)
-
-
-def tableau_of(system):
-    a_ub, a_eq, rhs = system
-    return _Tableau(a_ub, rhs[:len(a_ub)], a_eq, rhs[len(a_ub):])
 
 
 def box_system():
@@ -40,6 +35,11 @@ def polygon_system():
     return lp_system([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.5])
 
 
+def contradiction_system():
+    """``x1 <= 0`` and ``x1 = 1``: infeasible, its right-hand side >= 0."""
+    return lp_system([[1.0, 0.0]], [0.0], [[1.0, 0.0]], [1.0])
+
+
 def test_lp_box_corner():
     res = lp_solve(*box_system(), [1.0, 1.0])
     assert res.status == "optimal"
@@ -48,7 +48,7 @@ def test_lp_box_corner():
 
 
 def test_lp_contradiction_infeasible():
-    res = lp_solve(*lp_system([[1.0, 0.0]], [-1.0]), [1.0, 0.0])
+    res = lp_solve(*contradiction_system(), [1.0, 0.0])
     assert res.status == "infeasible"
 
 
@@ -80,7 +80,7 @@ def test_lp_matches_scipy_on_random_systems():
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 12))
         a = rng.uniform(-1.0, 2.0, (m, n))
-        b = rng.uniform(-0.5, 3.0, m)
+        b = rng.uniform(0.0, 3.0, m)
         c = rng.uniform(-1.0, 1.0, n)
         has_eq = rng.uniform() < 0.4
         a_eq = rng.uniform(0.0, 1.0, (1, n)) if has_eq else None
@@ -108,7 +108,7 @@ def test_bland_rule_takes_over_a_stall(monkeypatch):
                 np.array([0.75, -20.0, 0.5, -6.0]))]
     for _ in range(60):
         n, m = int(rng.integers(2, 7)), int(rng.integers(1, 12))
-        systems.append((lp_system(rng.uniform(-1.0, 2.0, (m, n)), rng.uniform(-0.5, 3.0, m)),
+        systems.append((lp_system(rng.uniform(-1.0, 2.0, (m, n)), rng.uniform(0.0, 3.0, m)),
                         rng.uniform(-1.0, 1.0, n)))
     default = [lp_solve(*system, c) for system, c in systems]
     assert default[0].value == pytest.approx(1.25, abs=1e-12)
@@ -158,7 +158,7 @@ def test_project_frontier_polygon():
 
 
 def test_project_frontier_infeasible_empty():
-    frontier = project_frontier(*lp_system([[1.0, 0.0]], [-1.0]), [1.0, 0.0], [0.0, 1.0])
+    frontier = project_frontier(*contradiction_system(), [1.0, 0.0], [0.0, 1.0])
     assert frontier.is_empty
     assert frontier.metadata["infeasible"] is True
 
@@ -188,7 +188,7 @@ def test_grid_oracle_box():
 
 
 def test_grid_oracle_infeasible_empty():
-    system = lp_system([[1.0, 0.0]], [-1.0])
+    system = contradiction_system()
     assert grid_feasibility_oracle(*system, [1.0, 0.0], [0.0, 1.0], 0.5) == frozenset()
 
 
@@ -401,6 +401,47 @@ def test_system_validation():
         project_frontier(*lp_system([[1.0, 0.0]], [1.0, 2.0]), [1.0, 0.0], [0.0, 1.0])
 
 
+def share(a_ub, a_eq, rhs, spent=0.0):
+    """:func:`time_share` over the one right-hand side ``rhs``, which uses
+    ``spent`` of a resource capped at 1."""
+    def read(at, columns):
+        return (rhs if columns is None else rhs[columns])[np.newaxis]
+
+    return time_share(a_ub, a_eq, read, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                      np.array([[spent]]), np.array([1.0]), first=0, keys=rhs[np.newaxis])
+
+
+@pytest.mark.parametrize("solve", [
+    lambda system: lp_solve(*system, [1.0, 0.0]),
+    lambda system: project_frontier(*system, [1.0, 0.0], [0.0, 1.0]),
+    lambda system: share(*system),
+], ids=["lp_solve", "project_frontier", "time_share"])
+@pytest.mark.parametrize("system, message", [
+    (lp_system([[1.0, 0.0]], [-1.0]), "the right-hand side must be nonnegative"),
+    (lp_system([[1.0, 0.0]], [1.0], [[1.0, 0.0]], [-0.5]), "must be nonnegative"),
+    # finiteness is checked first, the sign after
+    (lp_system([[math.inf, 0.0]], [-1.0]), "constraint data must be finite"),
+    (lp_system([[1.0, 0.0]], [1.0], [[1.0, 0.0, 0.0]], [1.0]), "disagree in shape"),
+], ids=["negative bound", "negative equality value", "not finite", "wide a_eq"])
+def test_lp_data_are_refused(solve, system, message):
+    with pytest.raises(ValueError, match=message):
+        solve(system)
+
+
+def test_time_share_refuses_a_first_column_that_overspends():
+    assert share(*box_system(), spent=1.0)[0]
+    with pytest.raises(ValueError, match="the right-hand side must be nonnegative"):
+        share(*box_system(), spent=1.5)
+
+
+def test_dependent_equality_rows_are_a_solver_failure():
+    # phase 1 ends with an artificial basic at zero whose row has no real
+    # column to pivot it out on
+    system = lp_system(np.zeros((0, 2)), [], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])
+    with pytest.raises(SolverFailure, match="equality rows are linearly dependent"):
+        lp_solve(*system, [1.0, 0.0])
+
+
 def test_check_point_slack():
     system = polygon_system()
     assert check_point(*system, [0.5, 0.5]) >= 0.0
@@ -432,15 +473,15 @@ def highs_corner(a_ub, a_eq, rhs, primary, secondary):
 
 
 def warm_start_cases():
-    """Random systems as in the tests above (mixed signs, negative bounds,
-    equalities) and degenerate region allocations."""
+    """Random systems as in the tests above (mixed signs, equalities) and
+    degenerate region allocations."""
     rng = np.random.default_rng(8)
     for _ in range(40):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 12))
         has_eq = rng.uniform() < 0.4
         system = lp_system(
-            rng.uniform(-1.0, 2.0, (m, n)), rng.uniform(-0.5, 3.0, m),
+            rng.uniform(-1.0, 2.0, (m, n)), rng.uniform(0.0, 3.0, m),
             rng.uniform(0.0, 1.0, (1, n)) if has_eq else None,
             rng.uniform(0.0, 2.0, 1) if has_eq else None,
         )
@@ -469,7 +510,7 @@ def sweep_frontier(system, r1, r2, directions):
     lexicographic corners, solved cold, plus ``directions`` support angles
     over [0, pi/2], each warm-started from the previous basis."""
     tol = FEASIBILITY_TOL
-    tableau = tableau_of(system)
+    tableau = _Tableau(*system)
     if not tableau.phase1(tol):
         return Frontier(points=())
     solutions = [lexicographic_corner(system, r1, r2), lexicographic_corner(system, r2, r1)]
@@ -655,37 +696,33 @@ def test_dominates_is_at_least_as_strict_as_sampled(big, small):
 
 
 def mixed_sign_systems(rng, count, a_ub, a_eq):
-    """Feasible bounded systems on one matrix whose bounds have both signs,
-    so that phase 1 flips rows: each holds a drawn point in [0, 1]^n, and
-    the last n inequality rows box every variable below 2."""
+    """Feasible bounded systems on one mixed-sign matrix, their bounds
+    nonnegative: each holds a drawn point in [0, 1]^n, and the last n
+    inequality rows box every variable below 2."""
     n = a_ub.shape[1]
     for _ in range(count):
         x0 = rng.uniform(0.0, 1.0, n)
-        b_ub = a_ub @ x0 + rng.uniform(0.0, 0.3, a_ub.shape[0])
+        b_ub = np.maximum(a_ub @ x0, 0.0) + rng.uniform(0.0, 0.3, a_ub.shape[0])
         b_ub[-n:] = 2.0
         yield lp_system(a_ub, b_ub, a_eq, a_eq @ x0)
 
 
-def test_basis_inverse_and_shared_bases_with_flipped_rows():
-    # the initial unit columns, their row flips undone, hold the inverse of
-    # the unflipped system's basis, which maps its right-hand side and
-    # every structural column to their tableau columns (the master reads
-    # its duals off the objective row at those columns); and the master of
-    # one system projects systems whose rows phase 1 flips, each frontier's
-    # support the optimum lp_solve finds
+def test_basis_inverse_and_shared_bases():
+    # the initial unit columns hold the inverse of the basis matrix, which
+    # maps the right-hand side and every structural column to their
+    # tableau columns (the master reads its duals off the objective row at
+    # those columns); and the master of one system projects systems that
+    # share its matrix, each frontier's support the optimum lp_solve finds
     rng = np.random.default_rng(5)
     n = 4
     a_ub = np.vstack([rng.uniform(-1.0, 1.0, (6, n)), np.eye(n)])
     a_eq = rng.uniform(0.0, 1.0, (1, n))
     r1, r2 = np.array([1.0, 0.5, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.5])
-    flipped = 0
     for system in mixed_sign_systems(rng, 30, a_ub, a_eq):
-        flipped += int(np.sum(system[2][:len(a_ub)] < 0))
-        tableau = tableau_of(system)
+        tableau = _Tableau(*system)
         assert tableau.phase1(FEASIBILITY_TOL)
         assert tableau.maximize(rng.uniform(0.0, 1.0, n), FEASIBILITY_TOL) == "optimal"
-        assert tableau.complete
-        inverse = tableau.t[:-1, tableau.unit] * tableau.sign
+        inverse = tableau.t[:-1, tableau.unit]
         assert np.allclose(inverse @ system[2], tableau.t[:-1, -1], atol=1e-9)
         a = np.vstack([a_ub, a_eq])
         assert np.allclose(inverse @ a, tableau.t[:-1, :n], atol=1e-9)
@@ -693,7 +730,6 @@ def test_basis_inverse_and_shared_bases_with_flipped_rows():
         for theta in np.linspace(0.0, 0.5 * math.pi, 5):
             res = lp_solve(*system, math.cos(theta) * r1 + math.sin(theta) * r2)
             assert support(frontier, theta) == pytest.approx(res.value, abs=1e-9)
-    assert flipped
 
 
 def test_appended_columns_continue_phase_2():
@@ -706,7 +742,7 @@ def test_appended_columns_continue_phase_2():
         a[:, :3] = np.abs(a[:, :3])
         b = rng.uniform(0.5, 2.0, 6)
         c = np.append(rng.uniform(0.0, 1.0, 3), [0.0, 0.0])
-        tableau = _Tableau(a[:, :3], b, np.zeros((0, 3)), np.zeros(0))
+        tableau = _Tableau(a[:, :3], np.zeros((0, 3)), b)
         assert tableau.phase1(FEASIBILITY_TOL)
         assert tableau.maximize(c[:3], FEASIBILITY_TOL) == "optimal"
         tableau.append(a[:, 3:])

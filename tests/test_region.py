@@ -377,7 +377,7 @@ def test_bound_rows_match_scalar_mi(case):
 
 
 def phase1_feasible(bounds):
-    return _Tableau(A_UB, bounds[:-1], EQ_ROW[np.newaxis, :], bounds[-1:]).phase1(FEASIBILITY_TOL)
+    return _Tableau(A_UB, EQ_ROW[np.newaxis, :], bounds).phase1(FEASIBILITY_TOL)
 
 
 # Grids and the number of their states phase 1 finds infeasible alone.
